@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 for verified/probable/member, 1 for refuted/non-member,
-2 for usage, parse, or resource errors.  Every flag with an INVAR_*
-environment variable falls back to it; explicit flags win.
+2 for usage, parse, resource, file-access or decoding errors.  Every
+flag with an INVAR_* environment variable falls back to it; explicit
+flags win.
 """
 
 import functools
@@ -30,7 +31,8 @@ def _guard(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (UsageError, ParseError, ResourceLimit) as exc:
+        except (UsageError, ParseError, ResourceLimit, UnicodeDecodeError,
+                OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
     return wrapper

@@ -26,17 +26,18 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .errors import ContextMismatch, ResourceLimit, UsageError
+from .errors import ResourceLimit, UsageError
 from .gf import FieldSpec, field, is_prime
-from .groebner import (GroebnerBasis, buchberger, frobenius_closure_search,
-                       frobenius_power_ideal, ideal_member, normal_form)
+from .groebner import (MembershipCertificate, buchberger,
+                       frobenius_closure_search, frobenius_power_ideal,
+                       ideal_member, normal_form)
 from .invariants import (dickson_at_point, dickson_invariants,
                          elementary_symmetric, relation_side_degrees,
                          staircase_monomial, symplectic_relation_sides,
                          symplectic_relation_values, symplectic_xi,
                          symplectic_xi_value, truncated_monomial_sum,
                          vandermonde, xring)
-from .mpoly import Polynomial, PolyRing, frobenius_power
+from .mpoly import Polynomial, PolyRing, frobenius_power, substitute
 from .polyio import (format_certificate, format_polys, parse_certificate_text,
                      parse_element, parse_field_text, parse_poly,
                      parse_polys_text)
@@ -155,56 +156,13 @@ def sp4_presentation(q: int) -> Presentation:
     return Presentation(amb, (rel,), images)
 
 
-def substitute(f: Polynomial, images: dict) -> Polynomial:
-    """Ring map determined by name -> polynomial images (same
-    coefficient field on both sides)."""
-    ring = f.ring
-    target = None
-    for g in images.values():
-        target = g.ring
-        break
-    if target is None:
-        raise UsageError("empty image map")
-    if target.field != ring.field:
-        raise ContextMismatch("images live over a different field")
-    imgs = []
-    for name in ring.names:
-        if name not in images:
-            raise UsageError(f"no image for variable {name!r}")
-        imgs.append(images[name])
-    caches: list = [dict() for _ in imgs]
-
-    def power(i: int, k: int) -> Polynomial:
-        got = caches[i].get(k)
-        if got is None:
-            if k == 1:
-                got = imgs[i]
-            else:
-                half = power(i, k // 2)
-                got = half * half
-                if k % 2:
-                    got = got * imgs[i]
-            caches[i][k] = got
-        return got
-
-    acc = target.zero
-    unpack = ring.order.unpack
-    for key, coeff in f.terms.items():
-        t = target.constant(ring.coeff_element(coeff))
-        for i, a in enumerate(unpack(key)):
-            if a:
-                t = t * power(i, a)
-        acc = acc + t
-    return acc
-
-
 def check_presentation(pres: Presentation) -> bool:
     """Do all relations expand to zero under the variable images?"""
     return all(substitute(r, pres.images).is_zero() for r in pres.relations)
 
 
 # ---------------------------------------------------------------------------
-# Point sampling helpers
+# Identity claims: one driver for sp4-c0, sp4-relation and relations-n3
 # ---------------------------------------------------------------------------
 
 
@@ -213,7 +171,8 @@ def _sample_points(L: FieldSpec, nvars: int, rng: random.Random, count: int):
             for _ in range(count)]
 
 
-def _points_witness(L: FieldSpec, pts, lhs_vals, rhs_vals, **extra) -> dict:
+def _points_witness(L: FieldSpec, pts, lhs_vals, rhs_vals, extras: dict,
+                    **more) -> dict:
     w = {
         "kind": "points",
         "field": L.serialize(),
@@ -221,7 +180,8 @@ def _points_witness(L: FieldSpec, pts, lhs_vals, rhs_vals, **extra) -> dict:
         "lhs": [str(v) for v in lhs_vals],
         "rhs": [str(v) for v in rhs_vals],
     }
-    w.update(extra)
+    w.update(extras)
+    w.update(more)
     return w
 
 
@@ -231,75 +191,112 @@ def _parse_points(witness: dict):
     return L, pts
 
 
+def _sample_sides(L: FieldSpec, nvars: int, rng: random.Random, trials: int,
+                  sides, extras: dict):
+    """Evaluate sides(P) at trials random points, stopping at the first
+    point that separates them.  Returns the points witness and the index
+    of that point, or None when every sample agrees."""
+    pts = _sample_points(L, nvars, rng, trials)
+    lhs, rhs = [], []
+    for k, P in enumerate(pts):
+        lv, rv = sides(P)
+        lhs.append(lv)
+        rhs.append(rv)
+        if lv != rv:
+            return _points_witness(L, pts[:k + 1], lhs, rhs, extras, mismatch=k), k
+    return _points_witness(L, pts, lhs, rhs, extras, mismatch=None), None
+
+
+def _verify_identity(claim_id: str, params: dict, config: RunConfig,
+                     mode: Optional[str], t0: float, sides, exact, degree: int,
+                     extras: dict, detail: list, *, equal: str, differ: str,
+                     separates: Optional[str], agree: str) -> VerificationReport:
+    """Exact-then-sample check of an identity in 4 variables.
+
+    sides(P) gives the values of both sides at a point, exact() the
+    materialized sides; degree bounds the total degree of their
+    difference.  extras are the claim's witness keys: an exact VERIFIED
+    witness carries them verbatim, every other witness adds mismatch.
+    The remaining arguments word the notes: equal ({terms}, {degree})
+    and differ ({terms}, {lead} of the difference) after an expansion,
+    separates ({k}) and agree after sampling.
+    """
+    mode = mode or config.mode
+    if mode not in ("exact", "probabilistic", "auto"):
+        raise UsageError(f"unknown mode {mode!r}")
+    q = params["q"]
+    params = dict(params, mode=mode, seed=config.seed)
+    L = field(q, config.ext_degree)
+    rng = _sub_rng(config.seed, _label(claim_id, {"q": q, "mode": mode}))
+
+    def report(verdict, bound, witness):
+        return _finish(VerificationReport(claim_id, params, verdict, bound,
+                                          witness, detail=tuple(detail)), t0)
+
+    if mode in ("exact", "auto"):
+        try:
+            lhs, rhs = exact()
+            if lhs == rhs:
+                pts = _sample_points(L, 4, rng, 3)
+                vals = [sides(P) for P in pts]
+                detail.append(equal.format(terms=len(lhs),
+                                           degree=lhs.total_degree()))
+                return report(VERIFIED, Fraction(0), _points_witness(
+                    L, pts, [v[0] for v in vals], [v[1] for v in vals], extras))
+            diff = lhs - rhs
+            detail.append(differ.format(terms=len(diff),
+                                        lead=diff.leading_exponents()))
+            for _ in range(100):
+                P = _sample_points(L, 4, rng, 1)[0]
+                lv, rv = sides(P)
+                if lv != rv:
+                    return report(REFUTED, None, _points_witness(
+                        L, [P], [lv], [rv], extras, mismatch=0))
+            # the difference vanishes on every sample; replay re-expands
+            return report(REFUTED, None, _points_witness(
+                L, [], [], [], extras, mismatch=None))
+        except ResourceLimit as exc:
+            if mode == "exact":
+                detail.append(f"resource guard: {exc}")
+                return report(SKIPPED, None, None)
+            detail.append(f"exact path hit a guard ({exc}); sampling instead")
+
+    params.update(trials=config.trials, ext_degree=config.ext_degree)
+    witness, k = _sample_sides(L, 4, rng, config.trials, sides, extras)
+    if k is not None:
+        if separates:
+            detail.append(separates.format(k=k + 1))
+        return report(REFUTED, None, witness)
+    detail.append(f"{config.trials} samples agree; {agree}")
+    return report(PROBABLE, Fraction(degree, L.order) ** config.trials, witness)
+
+
 # ---------------------------------------------------------------------------
 # sp4-c0: the closed expression for c_0 in the symplectic generators
 # ---------------------------------------------------------------------------
 
 
-def _c0_from_xis(ring: PolyRing, q: int, terms) -> Polynomial:
-    xis = [symplectic_xi(ring, q, i) for i in (1, 2, 3)]
-    cache: dict = {}
+def _c0_sides(q: int, terms):
+    """(sides, exact) of c_0 = the expression terms in xi_1, xi_2, xi_3."""
+    spec = field(q)
+    expr = c0_terms_poly(PolyRing(spec, ("u", "v", "w")), terms)
 
-    def power(i: int, k: int) -> Polynomial:
-        got = cache.get((i, k))
-        if got is None:
-            if k == 1:
-                got = xis[i]
-            else:
-                half = power(i, k // 2)
-                got = half * half
-                if k % 2:
-                    got = got * xis[i]
-            cache[(i, k)] = got
-        return got
+    def sides(P):
+        xis = [symplectic_xi_value(P, q, i) for i in (1, 2, 3)]
+        return dickson_at_point(P, q)[0], expr.evaluate(xis)
 
-    acc = ring.zero
-    for coeff, exps in terms:
-        t = ring.constant(coeff)
-        for i, a in enumerate(exps):
-            if a:
-                t = t * power(i, a)
-        acc = acc + t
-    return acc
-
-
-def _c0_value_from_xis(point, q: int, terms):
-    L = point[0].spec
-    xivals = [symplectic_xi_value(point, q, i) for i in (1, 2, 3)]
-    acc = L.zero
-    for coeff, exps in terms:
-        t = L.element(coeff)
-        for xv, a in zip(xivals, exps):
-            if a:
-                t = t * xv ** a
-        acc = acc + t
-    return acc
+    def exact():
+        R = xring(spec, 4)
+        xis = [symplectic_xi(R, q, i) for i in (1, 2, 3)]
+        return (dickson_invariants(4, spec, R)[0],
+                substitute(expr, dict(zip(("u", "v", "w"), xis))))
+    return sides, exact
 
 
 def _c0_degree_bound(q: int, terms) -> int:
     cand = max(sum(a * (q ** (i + 1) + 1) for i, a in enumerate(exps))
                for _, exps in terms)
     return max(q ** 4 - 1, cand)
-
-
-def mutated_c0_terms(q: int, rng: random.Random):
-    """A single random corruption of the stored q = 3 expression: one
-    sign flip or one exponent changed by +-1.  (Over GF(2) sign flips
-    are vacuous, so only q = 3 is supported.)"""
-    if q != 3:
-        raise UsageError("mutation control is defined for q = 3")
-    terms = [[c, list(e)] for c, e in C0_XI_TERMS[q]]
-    k = rng.randrange(len(terms))
-    if rng.random() < 0.5:
-        terms[k][0] = -terms[k][0]
-    else:
-        while True:
-            j = rng.randrange(3)
-            delta = rng.choice((-1, 1))
-            if terms[k][1][j] + delta >= 0:
-                terms[k][1][j] += delta
-                break
-    return tuple((c, tuple(e)) for c, e in terms)
 
 
 def verify_c0_expression(q: int, config: Optional[RunConfig] = None,
@@ -312,88 +309,33 @@ def verify_c0_expression(q: int, config: Optional[RunConfig] = None,
     t0 = time.perf_counter()
     if q not in (2, 3):
         raise UsageError("c0 expressions are stored for q = 2 and q = 3")
-    mode = mode or config.mode
-    if mode not in ("exact", "probabilistic", "auto"):
-        raise UsageError(f"unknown mode {mode!r}")
     used = C0_XI_TERMS[q] if terms is None else tuple(
         (int(c), tuple(int(a) for a in e)) for c, e in terms)
-    params = {"q": q, "mode": mode, "seed": config.seed}
     detail = []
     if terms is not None:
         detail.append("candidate expression overridden (mutation control)")
-    spec = field(q)
-    L = field(spec.p, config.ext_degree)
-    rng = _sub_rng(config.seed, _label("sp4-c0", {"q": q, "mode": mode}))
-    wterms = [[c, list(e)] for c, e in used]
-
-    if mode in ("exact", "auto"):
-        try:
-            R = xring(spec, 4)
-            c0 = dickson_invariants(4, spec, R)[0]
-            cand = _c0_from_xis(R, q, used)
-            if cand == c0:
-                pts = _sample_points(L, 4, rng, 3)
-                lhs = [dickson_at_point(P, q)[0] for P in pts]
-                rhs = [_c0_value_from_xis(P, q, used) for P in pts]
-                witness = _points_witness(L, pts, lhs, rhs, terms=wterms,
-                                          mismatch=None)
-                detail.append(f"exact expansion equal; {len(c0)} terms of degree {c0.total_degree()}")
-                return _finish(VerificationReport(
-                    "sp4-c0", params, VERIFIED, Fraction(0), witness,
-                    detail=tuple(detail)), t0)
-            diff = cand - c0
-            detail.append(f"exact difference has {len(diff)} terms; "
-                          f"leading exponents {diff.leading_exponents()}")
-            for _ in range(100):
-                P = _sample_points(L, 4, rng, 1)[0]
-                cv = _c0_value_from_xis(P, q, used)
-                dv = dickson_at_point(P, q)[0]
-                if cv != dv:
-                    witness = _points_witness(L, [P], [dv], [cv],
-                                              terms=wterms, mismatch=0)
-                    return _finish(VerificationReport(
-                        "sp4-c0", params, REFUTED, None, witness,
-                        detail=tuple(detail)), t0)
-            # difference vanishes on every sample; report the exact diff
-            witness = {"kind": "points", "field": L.serialize(), "points": [],
-                       "lhs": [], "rhs": [], "terms": wterms, "mismatch": None}
-            return _finish(VerificationReport(
-                "sp4-c0", params, REFUTED, None, witness,
-                detail=tuple(detail)), t0)
-        except ResourceLimit as exc:
-            if mode == "exact":
-                detail.append(f"resource guard: {exc}")
-                return _finish(VerificationReport(
-                    "sp4-c0", params, SKIPPED, None, None,
-                    detail=tuple(detail)), t0)
-            detail.append(f"exact path hit a guard ({exc}); sampling instead")
-
-    params.update(trials=config.trials, ext_degree=config.ext_degree)
     D = _c0_degree_bound(q, used)
-    pts = _sample_points(L, 4, rng, config.trials)
-    lhs, rhs = [], []
-    for k, P in enumerate(pts):
-        dv = dickson_at_point(P, q)[0]
-        cv = _c0_value_from_xis(P, q, used)
-        lhs.append(dv)
-        rhs.append(cv)
-        if dv != cv:
-            witness = _points_witness(L, pts[:k + 1], lhs, rhs,
-                                      terms=wterms, mismatch=k)
-            detail.append(f"sample {k + 1} separates the sides")
-            return _finish(VerificationReport(
-                "sp4-c0", params, REFUTED, None, witness,
-                detail=tuple(detail)), t0)
-    bound = Fraction(D, L.order) ** config.trials
-    witness = _points_witness(L, pts, lhs, rhs, terms=wterms, mismatch=None)
-    detail.append(f"{config.trials} samples agree; degree bound {D} over {L.serialize().split()[0]}")
-    return _finish(VerificationReport(
-        "sp4-c0", params, PROBABLE, bound, witness, detail=tuple(detail)), t0)
+    L = field(q, config.ext_degree)
+    return _verify_identity(
+        "sp4-c0", {"q": q}, config, mode, t0, *_c0_sides(q, used), D,
+        {"terms": [[c, list(e)] for c, e in used], "mismatch": None}, detail,
+        equal="exact expansion equal; {terms} terms of degree {degree}",
+        differ="exact difference has {terms} terms; leading exponents {lead}",
+        separates="sample {k} separates the sides",
+        agree=f"degree bound {D} over {L.serialize().split()[0]}")
 
 
 # ---------------------------------------------------------------------------
 # sp4-relation and the n = 3 relation family
 # ---------------------------------------------------------------------------
+
+
+def _sp4_relation_exact(q: int):
+    spec = field(q)
+    R = xring(spec, 4)
+    cs = dickson_invariants(4, spec, R)
+    xis = [symplectic_xi(R, q, i) for i in (1, 2, 3)]
+    return symplectic_relation_sides(R, spec, 1, cs, xis)
 
 
 def verify_sp4_relation(q: int, config: Optional[RunConfig] = None,
@@ -404,63 +346,14 @@ def verify_sp4_relation(q: int, config: Optional[RunConfig] = None,
     t0 = time.perf_counter()
     if q not in (2, 3):
         raise UsageError("supported for q = 2 and q = 3")
-    mode = mode or config.mode
-    if mode not in ("exact", "probabilistic", "auto"):
-        raise UsageError(f"unknown mode {mode!r}")
-    params = {"q": q, "i": 1, "mode": mode, "seed": config.seed}
-    detail = []
-    spec = field(q)
-    L = field(spec.p, config.ext_degree)
-    rng = _sub_rng(config.seed, _label("sp4-relation", {"q": q, "mode": mode}))
-
-    if mode in ("exact", "auto"):
-        R = xring(spec, 4)
-        cs = dickson_invariants(4, spec, R)
-        xis = [symplectic_xi(R, q, i) for i in (1, 2, 3)]
-        lhs, rhs = symplectic_relation_sides(R, spec, 1, cs, xis)
-        pts = _sample_points(L, 4, rng, 3)
-        vals = [symplectic_relation_values(P, q, 1) for P in pts]
-        witness = _points_witness(L, pts, [v[0] for v in vals],
-                                  [v[1] for v in vals], i=1)
-        if lhs == rhs:
-            detail.append(f"exact sides equal; {len(lhs)} terms of degree {lhs.total_degree()}")
-            return _finish(VerificationReport(
-                "sp4-relation", params, VERIFIED, Fraction(0), witness,
-                detail=tuple(detail)), t0)
-        diff = lhs - rhs
-        detail.append(f"sides differ by {len(diff)} terms")
-        witness = None
-        for _ in range(100):
-            P = _sample_points(L, 4, rng, 1)[0]
-            lv, rv = symplectic_relation_values(P, q, 1)
-            if lv != rv:
-                witness = _points_witness(L, [P], [lv], [rv], i=1, mismatch=0)
-                break
-        return _finish(VerificationReport(
-            "sp4-relation", params, REFUTED, None, witness,
-            detail=tuple(detail)), t0)
-
-    params.update(trials=config.trials, ext_degree=config.ext_degree)
     dl, dr = relation_side_degrees(q, 4, 1)
-    D = max(dl, dr)
-    pts = _sample_points(L, 4, rng, config.trials)
-    lhs_v, rhs_v = [], []
-    for k, P in enumerate(pts):
-        lv, rv = symplectic_relation_values(P, q, 1)
-        lhs_v.append(lv)
-        rhs_v.append(rv)
-        if lv != rv:
-            witness = _points_witness(L, pts[:k + 1], lhs_v, rhs_v,
-                                      i=1, mismatch=k)
-            return _finish(VerificationReport(
-                "sp4-relation", params, REFUTED, None, witness,
-                detail=tuple(detail)), t0)
-    bound = Fraction(D, L.order) ** config.trials
-    witness = _points_witness(L, pts, lhs_v, rhs_v, i=1, mismatch=None)
-    detail.append(f"{config.trials} samples agree; side degrees {dl}/{dr}")
-    return _finish(VerificationReport(
-        "sp4-relation", params, PROBABLE, bound, witness,
-        detail=tuple(detail)), t0)
+    return _verify_identity(
+        "sp4-relation", {"q": q, "i": 1}, config, mode, t0,
+        lambda P: symplectic_relation_values(P, q, 1),
+        lambda: _sp4_relation_exact(q), max(dl, dr), {"i": 1}, [],
+        equal="exact sides equal; {terms} terms of degree {degree}",
+        differ="sides differ by {terms} terms", separates=None,
+        agree=f"side degrees {dl}/{dr}")
 
 
 def verify_relations_n3(q: int = 2,
@@ -477,31 +370,22 @@ def verify_relations_n3(q: int = 2,
     L = field(q, config.ext_degree)
     rng = _sub_rng(config.seed, _label("relations-n3", {"q": q}))
     items = []
-    worst = Fraction(0)
+    verdict, worst = PROBABLE, Fraction(0)
     for i in (1, 2):
         dl, dr = relation_side_degrees(q, 6, i)
-        pts = _sample_points(L, 6, rng, config.trials)
-        lhs_v, rhs_v = [], []
-        for k, P in enumerate(pts):
-            lv, rv = symplectic_relation_values(P, q, i)
-            lhs_v.append(lv)
-            rhs_v.append(rv)
-            if lv != rv:
-                item = _points_witness(L, pts[:k + 1], lhs_v, rhs_v,
-                                       i=i, mismatch=k)
-                witness = {"kind": "points-multi", "items": items + [item]}
-                detail.append(f"i={i}: sample {k + 1} separates the sides")
-                return _finish(VerificationReport(
-                    "relations-n3", params, REFUTED, None, witness,
-                    detail=tuple(detail)), t0)
-        items.append(_points_witness(L, pts, lhs_v, rhs_v, i=i, mismatch=None))
-        bound_i = Fraction(max(dl, dr), L.order) ** config.trials
-        worst = max(worst, bound_i)
+        item, k = _sample_sides(L, 6, rng, config.trials,
+                                lambda P, i=i: symplectic_relation_values(P, q, i),
+                                {"i": i})
+        items.append(item)
+        if k is not None:
+            detail.append(f"i={i}: sample {k + 1} separates the sides")
+            verdict, worst = REFUTED, None
+            break
+        worst = max(worst, Fraction(max(dl, dr), L.order) ** config.trials)
         detail.append(f"i={i}: {config.trials} samples agree; side degrees {dl}/{dr}")
-    witness = {"kind": "points-multi", "items": items}
     return _finish(VerificationReport(
-        "relations-n3", params, PROBABLE, worst, witness,
-        detail=tuple(detail)), t0)
+        "relations-n3", params, verdict, worst,
+        {"kind": "points-multi", "items": items}, detail=tuple(detail)), t0)
 
 
 # ---------------------------------------------------------------------------
@@ -997,39 +881,33 @@ def run_suite(profile: str, config: Optional[RunConfig] = None) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _replay_points_sp4_c0(params, witness) -> bool:
+def _replay_points(witness, nvars: int, sides, exact=None) -> bool:
+    """Re-evaluate every stored point.  A witness without points records
+    an exact refutation, so the exact comparison is run again."""
     L, pts = _parse_points(witness)
-    q = params["q"]
-    terms = tuple((int(c), tuple(e)) for c, e in witness["terms"])
-    mismatch = witness.get("mismatch", None)
     if not pts:
-        # refuted by exact expansion with no separating sample stored
-        R = xring(field(q), 4)
-        return _c0_from_xis(R, q, terms) != dickson_invariants(4, field(q), R)[0]
-    for k, P in enumerate(pts):
-        dv = dickson_at_point(P, q)[0]
-        cv = _c0_value_from_xis(P, q, terms)
-        if str(dv) != witness["lhs"][k] or str(cv) != witness["rhs"][k]:
+        if exact is None:
             return False
-        if (dv != cv) != (mismatch == k):
-            return False
-    return True
-
-
-def _replay_points_relation(params, witness, m: int) -> bool:
-    L, pts = _parse_points(witness)
-    q = params["q"]
-    i = witness["i"]
+        lhs, rhs = exact()
+        return lhs != rhs
     mismatch = witness.get("mismatch", None)
     for k, P in enumerate(pts):
-        if len(P) != m:
+        if len(P) != nvars:
             return False
-        lv, rv = symplectic_relation_values(P, q, i)
+        lv, rv = sides(P)
         if str(lv) != witness["lhs"][k] or str(rv) != witness["rhs"][k]:
             return False
         if (lv != rv) != (mismatch == k):
             return False
     return True
+
+
+def _certificate_holds(cert: dict) -> bool:
+    """A parsed certificate with a zero remainder whose cofactors
+    re-multiply to its target."""
+    return cert["remainder"].is_zero() and MembershipCertificate(
+        cert["target"], cert["basis"], cert["cofactors"],
+        cert["remainder"]).check()
 
 
 def _replay_closure(params, witness) -> bool:
@@ -1053,13 +931,7 @@ def _replay_closure(params, witness) -> bool:
     cert = parse_certificate_text(witness["certificate"])
     if cert["ring"] != amb:
         return False
-    target = frobenius_power(w, e)
-    if cert["target"] != target:
-        return False
-    acc = cert["remainder"]
-    for h, b in zip(cert["cofactors"], cert["basis"]):
-        acc = acc + h * b
-    if acc != target or not cert["remainder"].is_zero():
+    if cert["target"] != frobenius_power(w, e) or not _certificate_holds(cert):
         return False
     # certificate basis must generate no more than the raised ideal
     raised = frobenius_power_ideal([u, v], e) + list(fixed)
@@ -1104,12 +976,7 @@ def _replay_certificates(claim_id, params, witness) -> bool:
             return False
         if cert["target"] != _alt_target(claim_id, ring, item, p):
             return False
-        if not cert["remainder"].is_zero():
-            return False
-        acc = cert["remainder"]
-        for h, b in zip(cert["cofactors"], cert["basis"]):
-            acc = acc + h * b
-        if acc != cert["target"]:
+        if not _certificate_holds(cert):
             return False
         if tuple(cert["basis"]) != gb.elements:
             return False
@@ -1140,15 +1007,19 @@ def replay_witness(claim_id: str, params: dict, witness: dict,
     if witness is None:
         return False
     kind = witness.get("kind")
-    if kind == "points":
-        if claim_id == "sp4-c0":
-            return _replay_points_sp4_c0(params, witness)
-        if claim_id == "sp4-relation":
-            return _replay_points_relation(params, witness, 4)
-        return False
+    if kind == "points" and claim_id == "sp4-c0":
+        terms = tuple((int(c), tuple(e)) for c, e in witness["terms"])
+        return _replay_points(witness, 4, *_c0_sides(params["q"], terms))
+    if kind == "points" and claim_id == "sp4-relation":
+        q, i = params["q"], witness["i"]
+        return _replay_points(witness, 4,
+                              lambda P: symplectic_relation_values(P, q, i),
+                              lambda: _sp4_relation_exact(q))
     if kind == "points-multi" and claim_id == "relations-n3":
-        return all(_replay_points_relation(params, item, 6)
-                   for item in witness["items"])
+        q = params["q"]
+        return all(_replay_points(
+            item, 6, lambda P, i=item["i"]: symplectic_relation_values(P, q, i))
+            for item in witness["items"])
     if kind == "closure" and claim_id == "sp4-fpurity":
         return _replay_closure(params, witness)
     if kind == "exponents" and claim_id == "theorem-search":

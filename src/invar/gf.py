@@ -69,17 +69,6 @@ def _trim(c: Sequence[int]) -> tuple:
     return tuple(c[:i])
 
 
-def _poly_mul(a: tuple, b: tuple, p: int) -> tuple:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
 def _poly_rem(a: Sequence[int], m: tuple, p: int) -> tuple:
     """Remainder of a modulo m; m need not be monic."""
     a = list(a)
@@ -376,9 +365,6 @@ class FieldSpec:
         return (isinstance(other, FieldSpec) and self.p == other.p
                 and self.e == other.e and self.modulus == other.modulus)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash((self.p, self.e, self.modulus))
 
@@ -499,9 +485,6 @@ class FieldElement:
             other = self.spec.element(other)
         return (isinstance(other, FieldElement) and self.spec == other.spec
                 and self.rep == other.rep)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return hash((self.spec, self.rep))

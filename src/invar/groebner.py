@@ -178,12 +178,6 @@ class GroebnerBasis:
         return (isinstance(other, GroebnerBasis) and self.ring == other.ring
                 and self.elements == other.elements)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def reduce(self, f: Polynomial) -> Polynomial:
-        return normal_form(f, self.elements)
-
     def contains(self, f: Polynomial) -> bool:
         return normal_form(f, self.elements).is_zero()
 
@@ -342,25 +336,3 @@ def change_ring(f: Polynomial, new_ring: PolyRing) -> Polynomial:
     unpack, pack = old.order.unpack, new_ring.order.pack
     return Polynomial(new_ring, {pack(unpack(k)): c for k, c in f.terms.items()})
 
-
-def eliminate(gens: Sequence[Polynomial], k: int):
-    """Groebner basis of the ideal's k-th elimination ideal.
-
-    Recomputes the basis under a block order whose first block holds the
-    k variables to eliminate, keeps the elements free of them, and
-    returns (subring, polynomials) over the remaining variables.
-    """
-    ring = gens[0].ring
-    if not 1 <= k < ring.nvars:
-        raise UsageError(f"can eliminate 1..{ring.nvars - 1} variables, got {k}")
-    block_ring = PolyRing(ring.field, ring.names, ("block", k))
-    gb = buchberger([change_ring(g, block_ring) for g in gens])
-    sub = PolyRing(ring.field, ring.names[k:], "grevlex")
-    unpack = block_ring.order.unpack
-    out = []
-    for b in gb.elements:
-        exps = [unpack(key) for key in b.terms]
-        if all(not any(e[:k]) for e in exps):
-            out.append(Polynomial(sub, {sub.order.pack(e[k:]): c
-                                        for e, c in zip(exps, b.terms.values())}))
-    return sub, out

@@ -10,25 +10,28 @@ The Dickson invariants c_0, ..., c_{n-1} of GL_n(F_q) are defined by
     prod over v in the F_q-span of x_1..x_n of (T - v)
         = T^(q^n) - c_{n-1} T^(q^{n-1}) + ... + (-1)^n c_0 T,
 
-so c_i is (-1)^(n-i) times the coefficient of T^(q^i).  The production
-path runs the additive recursion
+so c_i is (-1)^(n-i) times the coefficient of T^(q^i).  They are built
+by the additive recursion
 
     f_0(T) = T,    f_j(T) = f_{j-1}(T)^q - f_{j-1}(X_j)^(q-1) f_{j-1}(T),
 
-whose coefficients stay in the prime field at every step.  The product
-over all q^n linear forms is kept as a separate oracle for tiny cases.
+whose coefficients stay in the prime field at every step.
+
+Each construction is written once, over + - * ** and a hook
+frob(x, k) = x^(q^k), and read two ways: as polynomials
+(dickson_invariants, symplectic_xi, symplectic_relation_sides) or as
+values at a point (dickson_at_point, symplectic_xi_value,
+symplectic_relation_values), so the two readings cannot drift apart.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from typing import Optional, Sequence
 
-from .errors import ContextMismatch, ResourceLimit, UsageError
+from .errors import ContextMismatch, UsageError
 from .gf import FieldElement, FieldSpec, field
-from .mpoly import Polynomial, PolyRing, frobenius_power
-
-TREE_CAP = 64     # refuse the product-of-linear-forms oracle past q^n of this
+from .mpoly import Polynomial, PolyRing, frobenius_power, substitute
 
 
 def xring(spec: FieldSpec, n: int, prefix: str = "x", order="grevlex") -> PolyRing:
@@ -49,6 +52,73 @@ def lift_coefficients(f: Polynomial, spec: FieldSpec) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
+# Construction bodies, shared by both readings
+# ---------------------------------------------------------------------------
+
+
+def _poly_frob(ring: PolyRing, q: int):
+    """frob on polynomials over ring: the termwise Frobenius power."""
+    p = ring.field.p
+    e, r = 0, 1
+    while r < q:
+        e, r = e + 1, r * p
+    if r != q:
+        raise UsageError(f"q = {q} is not a power of the characteristic {p}")
+    return lambda f, k: frobenius_power(f, e * k)
+
+
+def _element_frob(q: int):
+    """frob on field elements; every point reading raises to q^k here."""
+    return lambda x, k: x ** (q ** k)
+
+
+def _dickson(xs: Sequence, one, zero, q: int, frob) -> list:
+    """c_0, ..., c_{n-1} of xs by the additive recursion."""
+    n = len(xs)
+    # b[k] = coefficient of T^(q^k) in f_j
+    b = [one]
+    for j in range(1, n + 1):
+        xj = xs[j - 1]
+        fx = zero
+        for k in range(j):
+            fx = fx + b[k] * frob(xj, k)
+        u = fx ** (q - 1)
+        nb = []
+        for k in range(j + 1):
+            term = frob(b[k - 1], 1) if k >= 1 else zero
+            if k < j:
+                term = term - u * b[k]
+            nb.append(term)
+        b = nb
+    assert b[n] == one
+    return [b[i] if (n - i) % 2 == 0 else -b[i] for i in range(n)]
+
+
+def _xi(xs: Sequence, zero, i: int, frob):
+    """sum over pairs of X_{2k-1} X_{2k}^(q^i) - X_{2k} X_{2k-1}^(q^i)."""
+    acc = zero
+    for k in range(len(xs) // 2):
+        a, b = xs[2 * k], xs[2 * k + 1]
+        acc = acc + a * frob(b, i) - b * frob(a, i)
+    return acc
+
+
+def _relation_sides(m: int, i: int, c: Sequence, xi: Sequence, zero, frob):
+    """Both sides of the i-th relation from c_0..c_{m-1} and
+    xi_1..xi_{m-1} (index shifted by one)."""
+    lhs = zero
+    for j in range(i):
+        term = frob(xi[i - j - 1], j) * c[j]
+        lhs = lhs + (term if j % 2 == 0 else -term)
+    rhs = zero
+    for j in range(i + 1, m + 1):
+        xi_part = frob(xi[j - i - 1], i)
+        term = xi_part * c[j] if j < m else xi_part
+        rhs = rhs + (term if j % 2 == 0 else -term)
+    return lhs, rhs
+
+
+# ---------------------------------------------------------------------------
 # Dickson invariants
 # ---------------------------------------------------------------------------
 
@@ -58,134 +128,19 @@ def dickson_invariants(n: int, q_spec: FieldSpec,
     """c_0, ..., c_{n-1} for GL_n(F_q), as polynomials over GF(p)."""
     if n < 1:
         raise UsageError("need n >= 1")
-    q = q_spec.order
-    e = q_spec.e
     if ring is None:
         ring = xring(field(q_spec.p), n)
     elif ring.nvars != n:
         raise UsageError("ring has the wrong number of variables")
-
-    # b[k] = coefficient of T^(q^k) in f_j
-    b = [ring.one]
-    for j in range(1, n + 1):
-        xj = ring.gen(j - 1)
-        fx = ring.zero
-        for k in range(j):
-            fx = fx + b[k] * xj ** (q ** k)
-        u = fx ** (q - 1)
-        nb = []
-        for k in range(j + 1):
-            term = frobenius_power(b[k - 1], e) if k >= 1 else ring.zero
-            if k < j:
-                term = term - u * b[k]
-            nb.append(term)
-        b = nb
-    assert b[n] == ring.one
-    out = []
-    for i in range(n):
-        ci = b[i] if (n - i) % 2 == 0 else -b[i]
-        out.append(ci)
-    return out
-
-
-def dickson_product_tree(n: int, q_spec: FieldSpec) -> list:
-    """Oracle: expand the defining product over all q^n linear forms.
-
-    Exponential in n; guarded by TREE_CAP.  Returns the same list as
-    dickson_invariants, over GF(p), after checking that every
-    coefficient of the product collapses into the prime field.
-    """
     q = q_spec.order
-    if q ** n > TREE_CAP:
-        raise ResourceLimit(f"q^n = {q ** n} exceeds oracle cap {TREE_CAP}")
-    ring = xring(q_spec, n)
-    gens = ring.gens()
-
-    # one factor per vector: T - (v . x), held as {T-degree: coefficient}
-    factors = []
-    for idx in product(range(q), repeat=n):
-        ell = ring.zero
-        for i, vi in enumerate(idx):
-            coeff = q_spec.from_index(vi)
-            if coeff:
-                ell = ell + gens[i] * coeff
-        f = {1: ring.one}
-        if ell:
-            f[0] = -ell
-        factors.append(f)
-
-    while len(factors) > 1:
-        nxt = []
-        for i in range(0, len(factors) - 1, 2):
-            nxt.append(_tmul(factors[i], factors[i + 1]))
-        if len(factors) % 2:
-            nxt.append(factors[-1])
-        factors = nxt
-    poly_in_t = factors[0]
-
-    expected = {q ** k for k in range(n + 1)}
-    if set(poly_in_t) != expected:
-        raise AssertionError("product is not q-linearized")
-    prime_ring = xring(field(q_spec.p), n)
-    out = []
-    for i in range(n):
-        coeff_poly = poly_in_t.get(q ** i, ring.zero)
-        # (-1)^(n-i) c_i is the T^(q^i) coefficient
-        ci = _demote(coeff_poly, prime_ring)
-        if (n - i) % 2 == 1:
-            ci = -ci
-        out.append(ci)
-    assert _demote(poly_in_t[q ** n], prime_ring) == prime_ring.one
-    return out
-
-
-def _tmul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for da, fa in a.items():
-        for db, fb in b.items():
-            d = da + db
-            prod = fa * fb
-            cur = out.get(d)
-            out[d] = prod if cur is None else cur + prod
-    return {d: f for d, f in out.items() if not f.is_zero()}
-
-
-def _demote(f: Polynomial, prime_ring: PolyRing) -> Polynomial:
-    """Extension-coefficient polynomial whose coefficients are constants,
-    rewritten over the prime field."""
-    if f.ring.field.e == 1:
-        return Polynomial(prime_ring, dict(f.terms))
-    terms = {}
-    for k, rep in f.terms.items():
-        if any(rep[1:]):
-            raise AssertionError("coefficient does not lie in the prime field")
-        terms[k] = rep[0]
-    return Polynomial(prime_ring, terms)
+    return _dickson(ring.gens(), ring.one, ring.zero, q, _poly_frob(ring, q))
 
 
 def dickson_at_point(point: Sequence[FieldElement], q: int) -> list:
     """Values c_0(P), ..., c_{n-1}(P) by running the recursion on field
     elements; nothing is materialized."""
     L = point[0].spec
-    n = len(point)
-    b = [L.one]
-    for j in range(1, n + 1):
-        xj = point[j - 1]
-        fx = L.zero
-        for k in range(j):
-            fx = fx + b[k] * xj ** (q ** k)
-        u = fx ** (q - 1)
-        nb = []
-        for k in range(j + 1):
-            val = b[k - 1] ** q if k >= 1 else L.zero
-            if k < j:
-                val = val - u * b[k]
-            nb.append(val)
-        b = nb
-    out = []
-    for i in range(n):
-        out.append(b[i] if (n - i) % 2 == 0 else -b[i])
-    return out
+    return _dickson(point, L.one, L.zero, q, _element_frob(q))
 
 
 # ---------------------------------------------------------------------------
@@ -200,23 +155,11 @@ def symplectic_xi(ring: PolyRing, q: int, i: int) -> Polynomial:
         raise UsageError("symplectic constructions need evenly many variables")
     if i < 1:
         raise UsageError("xi index starts at 1")
-    gens = ring.gens()
-    acc = ring.zero
-    qi = q ** i
-    for k in range(ring.nvars // 2):
-        a, b = gens[2 * k], gens[2 * k + 1]
-        acc = acc + a * b ** qi - b * a ** qi
-    return acc
+    return _xi(ring.gens(), ring.zero, i, _poly_frob(ring, q))
 
 
 def symplectic_xi_value(point: Sequence[FieldElement], q: int, i: int) -> FieldElement:
-    L = point[0].spec
-    acc = L.zero
-    qi = q ** i
-    for k in range(len(point) // 2):
-        a, b = point[2 * k], point[2 * k + 1]
-        acc = acc + a * b ** qi - b * a ** qi
-    return acc
+    return _xi(point, point[0].spec.zero, i, _element_frob(q))
 
 
 def symplectic_relation_sides(ring: PolyRing, q_spec: FieldSpec, i: int,
@@ -231,37 +174,18 @@ def symplectic_relation_sides(ring: PolyRing, q_spec: FieldSpec, i: int,
     xi_1..xi_{2n-1} (index shifted by one).
     """
     m = ring.nvars              # 2n
-    e = q_spec.e
     if not 1 <= i <= m // 2 - 1:
         raise UsageError(f"relation index must be in [1, {m // 2 - 1}]")
-    lhs = ring.zero
-    for j in range(i):
-        term = frobenius_power(xis[i - j - 1], e * j) * dicksons[j]
-        lhs = lhs + (term if j % 2 == 0 else -term)
-    rhs = ring.zero
-    for j in range(i + 1, m + 1):
-        xi_part = frobenius_power(xis[j - i - 1], e * i)
-        term = xi_part * dicksons[j] if j < m else xi_part
-        rhs = rhs + (term if j % 2 == 0 else -term)
-    return lhs, rhs
+    return _relation_sides(m, i, dicksons, xis, ring.zero,
+                           _poly_frob(ring, q_spec.order))
 
 
 def symplectic_relation_values(point: Sequence[FieldElement], q: int, i: int):
-    """Numeric twin of symplectic_relation_sides at one point."""
-    L = point[0].spec
+    """The two sides of the i-th relation at one point."""
     m = len(point)
     c = dickson_at_point(point, q)
-    xi_val = [symplectic_xi_value(point, q, k) for k in range(1, m)]
-    lhs = L.zero
-    for j in range(i):
-        term = xi_val[i - j - 1] ** (q ** j) * c[j]
-        lhs = lhs + (term if j % 2 == 0 else -term)
-    rhs = L.zero
-    for j in range(i + 1, m + 1):
-        xi_part = xi_val[j - i - 1] ** (q ** i)
-        term = xi_part * c[j] if j < m else xi_part
-        rhs = rhs + (term if j % 2 == 0 else -term)
-    return lhs, rhs
+    xi = [symplectic_xi_value(point, q, k) for k in range(1, m)]
+    return _relation_sides(m, i, c, xi, point[0].spec.zero, _element_frob(q))
 
 
 def relation_side_degrees(q: int, m: int, i: int):
@@ -318,9 +242,6 @@ class MatrixGF:
     def __eq__(self, other):
         return (isinstance(other, MatrixGF) and self.spec == other.spec
                 and self.rows == other.rows)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __mul__(self, other: "MatrixGF") -> "MatrixGF":
         if not isinstance(other, MatrixGF):
@@ -410,49 +331,6 @@ def is_symplectic(M: MatrixGF) -> bool:
     return M.transpose() * J * M == J
 
 
-def symplectic_transvection(spec: FieldSpec, n: int, v: Sequence, lam) -> MatrixGF:
-    """I - lam * v (v^T J): fixes the hyperplane orthogonal to v."""
-    size = 2 * n
-    J = symplectic_form(spec, n)
-    vv = [spec.element(x) for x in v]
-    if len(vv) != size:
-        raise UsageError("vector has the wrong dimension")
-    lam = spec.element(lam)
-    vtj = [sum((vv[k] * J.rows[k][j] for k in range(size)), spec.zero)
-           for j in range(size)]
-    rows = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            x = spec.one if i == j else spec.zero
-            row.append(x - lam * vv[i] * vtj[j])
-        rows.append(tuple(row))
-    return MatrixGF(spec, tuple(rows))
-
-
-def random_symplectic(spec: FieldSpec, n: int, rng, factors: int = 12) -> MatrixGF:
-    """Product of random symplectic transvections (they generate Sp_2n)."""
-    size = 2 * n
-    M = MatrixGF.identity(spec, size)
-    for _ in range(factors):
-        while True:
-            v = [spec.random_element(rng) for _ in range(size)]
-            if any(v):
-                break
-        lam = spec.random_element(rng)
-        M = M * symplectic_transvection(spec, n, v, lam)
-    assert is_symplectic(M)
-    return M
-
-
-def random_invertible(spec: FieldSpec, n: int, rng) -> MatrixGF:
-    while True:
-        M = MatrixGF(spec, tuple(tuple(spec.random_element(rng) for _ in range(n))
-                                 for _ in range(n)))
-        if M.is_invertible():
-            return M
-
-
 def apply_matrix(f: Polynomial, M: MatrixGF) -> Polynomial:
     """Substitute X_j -> sum_k M[k][j] X_k.  Prime-field polynomials meet
     extension matrices in a ring over the matrix field."""
@@ -465,33 +343,15 @@ def apply_matrix(f: Polynomial, M: MatrixGF) -> Polynomial:
         f = lift_coefficients(f, M.spec)
         ring = f.ring
     gens = ring.gens()
-    images = []
-    for j in range(ring.nvars):
+    images = {}
+    for j, name in enumerate(ring.names):
         form = ring.zero
         for k in range(ring.nvars):
             entry = M.rows[k][j]
             if entry:
                 form = form + gens[k] * entry
-        images.append(form)
-    caches: list[dict] = [{} for _ in range(ring.nvars)]
-
-    def image_power(j: int, a: int) -> Polynomial:
-        cache = caches[j]
-        got = cache.get(a)
-        if got is None:
-            got = images[j] ** a
-            cache[a] = got
-        return got
-
-    unpack = ring.order.unpack
-    acc = ring.zero
-    for key, c in f.terms.items():
-        term = ring.constant(ring.coeff_element(c))
-        for j, a in enumerate(unpack(key)):
-            if a:
-                term = term * image_power(j, a)
-        acc = acc + term
-    return acc
+        images[name] = form
+    return substitute(f, images)
 
 
 # ---------------------------------------------------------------------------

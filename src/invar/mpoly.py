@@ -266,9 +266,6 @@ class PolyRing:
                 terms[key] = c
         return Polynomial(self, terms)
 
-    def with_order(self, order) -> "PolyRing":
-        return PolyRing(self.field, self.names, order)
-
     # -- internal coefficient arithmetic ---------------------------------------
 
     def _cadd(self, c1, c2):
@@ -302,9 +299,6 @@ class PolyRing:
     def __eq__(self, other):
         return (isinstance(other, PolyRing) and self.field == other.field
                 and self.names == other.names and self.order == other.order)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return hash((self.field, self.names, self.order))
@@ -380,13 +374,6 @@ class Polynomial:
         k = self.leading_key()
         return Polynomial(self.ring, {k: self.terms[k]})
 
-    def coeff_of(self, exps) -> FieldElement:
-        key = self.ring.order.pack(tuple(exps))
-        c = self.terms.get(key)
-        if c is None:
-            return self.ring.field.zero
-        return self.ring.coeff_element(c)
-
     def monic(self) -> "Polynomial":
         if not self.terms:
             return self
@@ -399,13 +386,6 @@ class Polynomial:
             return Polynomial(self.ring, {})
         cmul = self.ring._cmul
         return Polynomial(self.ring, {k: cmul(v, cc) for k, v in self.terms.items()})
-
-    def sorted_terms(self, reverse: bool = True):
-        """(exponents, coefficient element) pairs, descending by default."""
-        unpack = self.ring.order.unpack
-        ce = self.ring.coeff_element
-        for k in sorted(self.terms, reverse=reverse):
-            yield unpack(k), ce(self.terms[k])
 
     # -- ring operations -----------------------------------------------------------
 
@@ -498,9 +478,6 @@ class Polynomial:
             other = self.ring.constant(other)
         return (isinstance(other, Polynomial) and self.ring == other.ring
                 and self.terms == other.terms)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     __hash__ = None
 
@@ -656,6 +633,50 @@ def frobenius_power(f: Polynomial, m: int) -> Polynomial:
         new_key = order.pack(tuple(a * q for a in exps))
         out[new_key] = ring.field._vpow(c, q) if ext else c
     return Polynomial(ring, out)
+
+
+def substitute(f: Polynomial, images: dict) -> Polynomial:
+    """Ring map determined by name -> polynomial images (same
+    coefficient field on both sides).  Powers of each image are built by
+    squaring and memoized, so every power is computed once."""
+    ring = f.ring
+    target = None
+    for g in images.values():
+        target = g.ring
+        break
+    if target is None:
+        raise UsageError("empty image map")
+    if target.field != ring.field:
+        raise ContextMismatch("images live over a different field")
+    imgs = []
+    for name in ring.names:
+        if name not in images:
+            raise UsageError(f"no image for variable {name!r}")
+        imgs.append(images[name])
+    caches: list = [dict() for _ in imgs]
+
+    def power(i: int, k: int) -> Polynomial:
+        got = caches[i].get(k)
+        if got is None:
+            if k == 1:
+                got = imgs[i]
+            else:
+                half = power(i, k // 2)
+                got = half * half
+                if k % 2:
+                    got = got * imgs[i]
+            caches[i][k] = got
+        return got
+
+    acc = target.zero
+    unpack = ring.order.unpack
+    for key, coeff in f.terms.items():
+        t = target.constant(ring.coeff_element(coeff))
+        for i, a in enumerate(unpack(key)):
+            if a:
+                t = t * power(i, a)
+        acc = acc + t
+    return acc
 
 
 class IdentityResult(NamedTuple):

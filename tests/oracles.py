@@ -1,15 +1,23 @@
-"""Independent reference implementations used only by tests.
+"""Independent reference implementations and helpers used only by tests.
 
-Everything here is deliberately naive: dense exponent-tuple arithmetic,
+The references are is deliberately naive: dense exponent-tuple arithmetic,
 reference comparators straight from the textbook definitions, and a
 linear-algebra ideal membership decision that never touches the
 Groebner machinery it is meant to check.
 """
 
+import random
 from itertools import product
+from typing import Sequence
 
-from invar.gf import field
+from invar.errors import ResourceLimit, UsageError
+from invar.fsing import C0_XI_TERMS
+from invar.gf import FieldSpec, field
+from invar.groebner import buchberger, change_ring
+from invar.invariants import MatrixGF, is_symplectic, symplectic_form, xring
 from invar.mpoly import PolyRing, Polynomial
+
+TREE_CAP = 64     # refuse the product-of-linear-forms oracle past q^n of this
 
 
 def random_poly(ring, rng, nterms=6, maxdeg=4):
@@ -149,3 +157,176 @@ def membership_by_linear_algebra(f, gens, degree_cap=12):
             factor = target[col]
             target = [(a - factor * b) % p for a, b in zip(target, pivot_row)]
     return not any(target)
+
+
+# -- Dickson invariants from the defining product ---------------------------------
+
+
+def dickson_product_tree(n: int, q_spec: FieldSpec) -> list:
+    """Oracle: expand the defining product over all q^n linear forms.
+
+    Exponential in n; guarded by TREE_CAP.  Returns the same list as
+    dickson_invariants, over GF(p), after checking that every
+    coefficient of the product collapses into the prime field.
+    """
+    q = q_spec.order
+    if q ** n > TREE_CAP:
+        raise ResourceLimit(f"q^n = {q ** n} exceeds oracle cap {TREE_CAP}")
+    ring = xring(q_spec, n)
+    gens = ring.gens()
+
+    # one factor per vector: T - (v . x), held as {T-degree: coefficient}
+    factors = []
+    for idx in product(range(q), repeat=n):
+        ell = ring.zero
+        for i, vi in enumerate(idx):
+            coeff = q_spec.from_index(vi)
+            if coeff:
+                ell = ell + gens[i] * coeff
+        f = {1: ring.one}
+        if ell:
+            f[0] = -ell
+        factors.append(f)
+
+    while len(factors) > 1:
+        nxt = []
+        for i in range(0, len(factors) - 1, 2):
+            nxt.append(_tmul(factors[i], factors[i + 1]))
+        if len(factors) % 2:
+            nxt.append(factors[-1])
+        factors = nxt
+    poly_in_t = factors[0]
+
+    expected = {q ** k for k in range(n + 1)}
+    if set(poly_in_t) != expected:
+        raise AssertionError("product is not q-linearized")
+    prime_ring = xring(field(q_spec.p), n)
+    out = []
+    for i in range(n):
+        coeff_poly = poly_in_t.get(q ** i, ring.zero)
+        # (-1)^(n-i) c_i is the T^(q^i) coefficient
+        ci = _demote(coeff_poly, prime_ring)
+        if (n - i) % 2 == 1:
+            ci = -ci
+        out.append(ci)
+    assert _demote(poly_in_t[q ** n], prime_ring) == prime_ring.one
+    return out
+
+
+def _tmul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for da, fa in a.items():
+        for db, fb in b.items():
+            d = da + db
+            prod = fa * fb
+            cur = out.get(d)
+            out[d] = prod if cur is None else cur + prod
+    return {d: f for d, f in out.items() if not f.is_zero()}
+
+
+def _demote(f: Polynomial, prime_ring: PolyRing) -> Polynomial:
+    """Extension-coefficient polynomial whose coefficients are constants,
+    rewritten over the prime field."""
+    if f.ring.field.e == 1:
+        return Polynomial(prime_ring, dict(f.terms))
+    terms = {}
+    for k, rep in f.terms.items():
+        if any(rep[1:]):
+            raise AssertionError("coefficient does not lie in the prime field")
+        terms[k] = rep[0]
+    return Polynomial(prime_ring, terms)
+
+
+# -- random group elements -----------------------------------------------------------
+
+
+def symplectic_transvection(spec: FieldSpec, n: int, v: Sequence, lam) -> MatrixGF:
+    """I - lam * v (v^T J): fixes the hyperplane orthogonal to v."""
+    size = 2 * n
+    J = symplectic_form(spec, n)
+    vv = [spec.element(x) for x in v]
+    if len(vv) != size:
+        raise UsageError("vector has the wrong dimension")
+    lam = spec.element(lam)
+    vtj = [sum((vv[k] * J.rows[k][j] for k in range(size)), spec.zero)
+           for j in range(size)]
+    rows = []
+    for i in range(size):
+        row = []
+        for j in range(size):
+            x = spec.one if i == j else spec.zero
+            row.append(x - lam * vv[i] * vtj[j])
+        rows.append(tuple(row))
+    return MatrixGF(spec, tuple(rows))
+
+
+def random_symplectic(spec: FieldSpec, n: int, rng, factors: int = 12) -> MatrixGF:
+    """Product of random symplectic transvections (they generate Sp_2n)."""
+    size = 2 * n
+    M = MatrixGF.identity(spec, size)
+    for _ in range(factors):
+        while True:
+            v = [spec.random_element(rng) for _ in range(size)]
+            if any(v):
+                break
+        lam = spec.random_element(rng)
+        M = M * symplectic_transvection(spec, n, v, lam)
+    assert is_symplectic(M)
+    return M
+
+
+def random_invertible(spec: FieldSpec, n: int, rng) -> MatrixGF:
+    while True:
+        M = MatrixGF(spec, tuple(tuple(spec.random_element(rng) for _ in range(n))
+                                 for _ in range(n)))
+        if M.is_invertible():
+            return M
+
+
+# -- elimination through a block order ------------------------------------------------
+
+
+def eliminate(gens: Sequence[Polynomial], k: int):
+    """Groebner basis of the ideal's k-th elimination ideal.
+
+    Recomputes the basis under a block order whose first block holds the
+    k variables to eliminate, keeps the elements free of them, and
+    returns (subring, polynomials) over the remaining variables.
+    """
+    ring = gens[0].ring
+    if not 1 <= k < ring.nvars:
+        raise UsageError(f"can eliminate 1..{ring.nvars - 1} variables, got {k}")
+    block_ring = PolyRing(ring.field, ring.names, ("block", k))
+    gb = buchberger([change_ring(g, block_ring) for g in gens])
+    sub = PolyRing(ring.field, ring.names[k:], "grevlex")
+    unpack = block_ring.order.unpack
+    out = []
+    for b in gb.elements:
+        exps = [unpack(key) for key in b.terms]
+        if all(not any(e[:k]) for e in exps):
+            out.append(Polynomial(sub, {sub.order.pack(e[k:]): c
+                                        for e, c in zip(exps, b.terms.values())}))
+    return sub, out
+
+
+# -- mutation controls ------------------------------------------------------------------
+
+
+def mutated_c0_terms(q: int, rng: random.Random):
+    """A single random corruption of the stored q = 3 expression: one
+    sign flip or one exponent changed by +-1.  (Over GF(2) sign flips
+    are vacuous, so only q = 3 is supported.)"""
+    if q != 3:
+        raise UsageError("mutation control is defined for q = 3")
+    terms = [[c, list(e)] for c, e in C0_XI_TERMS[q]]
+    k = rng.randrange(len(terms))
+    if rng.random() < 0.5:
+        terms[k][0] = -terms[k][0]
+    else:
+        while True:
+            j = rng.randrange(3)
+            delta = rng.choice((-1, 1))
+            if terms[k][1][j] + delta >= 0:
+                terms[k][1][j] += delta
+                break
+    return tuple((c, tuple(e)) for c, e in terms)

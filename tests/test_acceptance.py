@@ -12,12 +12,13 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from invar.fsing import (C0_XI_TERMS, bound_text, mutated_c0_terms,
-                         replay_witness, sp4_fpurity_check,
-                         theorem_exponent_search, verify_c0_expression,
-                         verify_relations_n3, verify_sp4_relation, run_claim)
+from invar.fsing import (C0_XI_TERMS, bound_text, replay_witness,
+                         sp4_fpurity_check, theorem_exponent_search,
+                         verify_c0_expression, verify_relations_n3,
+                         verify_sp4_relation, run_claim)
 from invar.gf import field
 from invar.invariants import dickson_invariants, symplectic_xi, xring
+from oracles import mutated_c0_terms
 
 BOUND_CAP = Fraction(1, 2 ** 60)
 

@@ -190,6 +190,27 @@ def test_parse_error_exits_two(runner, tmp_path):
     assert "error:" in res.output
 
 
+@pytest.mark.parametrize("command", ["gb", "member"])
+def test_unreadable_input_exits_two(runner, tmp_path, command):
+    """Undecodable input and failed writes are errors (2), never the
+    refuted/non-member status (1)."""
+    ideal = tmp_path / "ideal.poly"
+    ideal.write_text(IDEAL)
+    bad = tmp_path / "bad.poly"
+    bad.write_bytes(b"field: 2^1\xff\n")
+    inputs = [str(bad)] if command == "gb" else [str(ideal), str(bad)]
+    res = invoke(runner, [command] + inputs)
+    assert res.exit_code == 2
+    assert "error:" in res.output and "Traceback" not in res.output
+    missing_dir = tmp_path / "missing" / "out.txt"
+    elt = tmp_path / "elt.poly"
+    elt.write_text(MEMBER_ELT)
+    inputs = [str(ideal)] if command == "gb" else [str(ideal), str(elt)]
+    res = invoke(runner, [command] + inputs + ["--out", str(missing_dir)])
+    assert res.exit_code == 2
+    assert "error:" in res.output
+
+
 # ---------------------------------------------------------------------------
 # verify / suite
 # ---------------------------------------------------------------------------

@@ -9,12 +9,12 @@ import pytest
 from invar.errors import UsageError
 from invar.gf import field
 from invar.mpoly import PolyRing
-from invar.invariants import dickson_invariants, xring
+from invar.invariants import dickson_invariants, symplectic_xi, xring
 from invar.fsing import (C0_XI_TERMS, RunConfig, VerificationReport,
                          alt_delta_congruence, alt_fregularity_dichotomy,
                          alt_lemma_T, alt_lemma_staircase, bound_text,
                          c0_terms_poly, check_presentation,
-                         lambda_identity_check, mutated_c0_terms, params_text,
+                         lambda_identity_check, params_text,
                          render_machine, render_text, replay_document,
                          replay_witness, run_claim, run_suite,
                          sp4_fpurity_check, sp4_presentation, substitute,
@@ -22,6 +22,7 @@ from invar.fsing import (C0_XI_TERMS, RunConfig, VerificationReport,
                          verify_c0_expression, verify_relations_n3,
                          verify_sp4_relation, verify_theorem_search,
                          witness_document, RUNNERS)
+from oracles import mutated_c0_terms
 
 FAST = RunConfig(trials=5, ext_degree=16)
 
@@ -95,9 +96,10 @@ def test_c0_expression_matches_direct_expansion():
     # independent of the verifier: build both sides by hand for q = 2
     R = xring(field(2), 4)
     c0 = dickson_invariants(4, field(2), R)[0]
-    terms = C0_XI_TERMS[2]
-    from invar.fsing import _c0_from_xis
-    assert _c0_from_xis(R, 2, terms) == c0
+    uvw = PolyRing(field(2), ["u", "v", "w"])
+    xis = [symplectic_xi(R, 2, i) for i in (1, 2, 3)]
+    expr = c0_terms_poly(uvw, C0_XI_TERMS[2])
+    assert substitute(expr, dict(zip(("u", "v", "w"), xis))) == c0
 
 
 def test_mutation_requires_q3():

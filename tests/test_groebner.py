@@ -10,10 +10,10 @@ from invar.errors import ContextMismatch, ResourceLimit, UsageError
 from invar.gf import field
 from invar.mpoly import PolyRing
 from invar.groebner import (GroebnerBasis, MembershipCertificate, buchberger,
-                            change_ring, eliminate, frobenius_closure_search,
+                            change_ring, frobenius_closure_search,
                             frobenius_power_ideal, ideal_member, normal_form,
                             _spoly)
-from oracles import membership_by_linear_algebra, random_poly
+from oracles import eliminate, membership_by_linear_algebra, random_poly
 
 
 @pytest.fixture

@@ -8,17 +8,16 @@ from invar.errors import ContextMismatch, ResourceLimit, UsageError
 from invar.gf import field
 from invar.groebner import buchberger, normal_form
 from invar.invariants import (MatrixGF, apply_matrix, dickson_at_point,
-                              dickson_invariants, dickson_product_tree,
-                              elementary_symmetric, is_symplectic,
-                              lift_coefficients, random_invertible,
-                              random_symplectic, relation_side_degrees,
-                              staircase_monomial, symplectic_form,
-                              symplectic_relation_sides,
-                              symplectic_relation_values,
-                              symplectic_transvection, symplectic_xi,
+                              dickson_invariants, elementary_symmetric,
+                              is_symplectic, lift_coefficients,
+                              relation_side_degrees, staircase_monomial,
+                              symplectic_form, symplectic_relation_sides,
+                              symplectic_relation_values, symplectic_xi,
                               symplectic_xi_value, truncated_monomial_sum,
                               vandermonde, xring)
 from invar.mpoly import PolyRing
+from oracles import (dickson_product_tree, random_invertible,
+                     random_symplectic, symplectic_transvection)
 
 
 # -- Dickson invariants ---------------------------------------------------------
@@ -66,16 +65,24 @@ def test_dickson_degrees():
             assert ci.is_homogeneous()
 
 
+# q -> (p, e) with q = p^e, and the largest table-backed field of each
+# characteristic; the point readings are checked there and in GF(p^32)
+Q_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2)}
+TABLE_DEGREE = {2: 10, 3: 6}
+
+
+def _point_fields(p):
+    return (field(p, TABLE_DEGREE[p]), field(p, 32))
+
+
 def test_dickson_at_point_matches_polynomials():
-    spec = field(3)
-    R = xring(spec, 4)
-    cs = dickson_invariants(4, spec, R)
-    L = field(3, 8)
     rng = random.Random(12)
-    for _ in range(5):
-        P = tuple(L.random_element(rng) for _ in range(4))
-        vals = dickson_at_point(P, 3)
-        assert [ci.evaluate(P) for ci in cs] == vals
+    for q, n in ((2, 4), (3, 4), (4, 3)):
+        p, e = Q_FIELDS[q]
+        cs = dickson_invariants(n, field(p, e))
+        for L in _point_fields(p):
+            P = tuple(L.random_element(rng) for _ in range(n))
+            assert [ci.evaluate(P) for ci in cs] == dickson_at_point(P, q)
 
 
 def test_dickson_gl_invariance_exact():
@@ -129,14 +136,15 @@ def test_xi_shape_and_degree():
 
 
 def test_xi_value_matches_polynomial():
-    R = xring(field(2), 4)
-    L = field(2, 10)
     rng = random.Random(8)
-    for i in (1, 2, 3):
-        xi = symplectic_xi(R, 2, i)
-        for _ in range(5):
-            P = tuple(L.random_element(rng) for _ in range(4))
-            assert xi.evaluate(P) == symplectic_xi_value(P, 2, i)
+    for q, (p, _e) in Q_FIELDS.items():
+        R = xring(field(p), 4)
+        for i in (1, 2, 3):
+            xi = symplectic_xi(R, q, i)
+            for L in _point_fields(p):
+                for _ in range(3):
+                    P = tuple(L.random_element(rng) for _ in range(4))
+                    assert xi.evaluate(P) == symplectic_xi_value(P, q, i)
 
 
 def test_xi_invariance_exact():
@@ -163,7 +171,9 @@ def test_xi_not_gl_invariant():
 
 def test_sp4_relation_exact():
     """The single Sp_4 relation, fully expanded, for q = 2 and 3:
-    xi_1 c_0 = xi_1^q c_2 - xi_2^q c_3 + xi_3^q."""
+    xi_1 c_0 = xi_1^q c_2 - xi_2^q c_3 + xi_3^q.  Each materialized side,
+    evaluated at a point, is what the point reading gives there."""
+    rng = random.Random(5)
     for q in (2, 3):
         spec = field(q)
         R = xring(spec, 4)
@@ -171,6 +181,10 @@ def test_sp4_relation_exact():
         xis = [symplectic_xi(R, q, i) for i in (1, 2, 3)]
         lhs, rhs = symplectic_relation_sides(R, spec, 1, cs, xis)
         assert lhs == rhs
+        for L in _point_fields(q):
+            P = tuple(L.random_element(rng) for _ in range(4))
+            assert (lhs.evaluate(P), rhs.evaluate(P)) == \
+                symplectic_relation_values(P, q, 1)
 
 
 def test_relation_side_degrees_match_materialized():
