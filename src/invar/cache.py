@@ -1,4 +1,5 @@
-"""Content-addressed cache for computed polynomial files.
+"""Content-addressed cache for computed polynomial files, and the
+atomic file write every output path uses.
 
 Each entry is a text file whose first line is "hash: <sha256 of the
 payload>"; the rest is the payload verbatim.  A digest mismatch is
@@ -9,6 +10,25 @@ never silently reused.
 import hashlib
 import os
 from typing import Optional
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Write text to path so that readers see the old file or the whole
+    new one, never a torn write: the text goes to a temp file in the same
+    directory, is flushed to disk, and then replaces path."""
+    tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
 
 
 def _digest(payload: str) -> str:
@@ -35,7 +55,5 @@ def store(cache_dir: str, key: str, payload: str) -> str:
     """Write payload under key; returns the file path."""
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, key)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"hash: {_digest(payload)}\n")
-        fh.write(payload)
+    write_atomic(path, f"hash: {_digest(payload)}\n{payload}")
     return path

@@ -68,8 +68,7 @@ _out_option = click.option(
 def _emit(text: str, out):
     click.echo(text, nl=False)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        cache.write_atomic(out, text)
 
 
 def _parse_order_flag(text):
@@ -193,9 +192,8 @@ def member(ideal_file, element_file, out):
     gbasis = buchberger(gens)
     cert = normal_form(target, gbasis, certificate=True)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(format_certificate(ring, cert.target, cert.basis,
-                                        cert.cofactors, cert.remainder))
+        cache.write_atomic(out, format_certificate(ring, cert.target, cert.basis,
+                                                   cert.cofactors, cert.remainder))
     if cert.is_member:
         click.echo("member")
         sys.exit(0)
@@ -232,8 +230,7 @@ def verify(claim_id, q, n, p, mode, seed, trials, ext_degree, e_max,
     report = run_claim(claim_id, config, **_claim_params(claim_id, q, n, p, mode))
     witness_file = None
     if out and report.witness is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(witness_document(report))
+        cache.write_atomic(out, witness_document(report))
         witness_file = out
     if output == "machine":
         click.echo(render_machine(report))

@@ -12,16 +12,23 @@ operation is pure.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ContextMismatch, FieldZeroDivision, ResourceLimit, UsageError
 
 ENUM_CAP = 1 << 20
 
 # Build exp/log tables for extension fields up to this order; beyond it,
-# multiplication falls back to convolution plus modulus reduction.
+# multiplication is a Kronecker-packed product plus modulus reduction.
 _TABLE_CAP = 1024
+
+# Largest p for which is_irreducible raises to the p-th power by spreading.
+_SPREAD_MAX_P = 16
+
+_SWAP = sys.byteorder != "little"    # array items must be little-endian
 
 
 def is_prime(n: int) -> bool:
@@ -92,10 +99,30 @@ def _poly_gcd(a: tuple, b: tuple, p: int) -> tuple:
     return a
 
 
+def _poly_mulmod(a: tuple, b: tuple, m: tuple, p: int) -> tuple:
+    if not a or not b:
+        return ()
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    return _poly_rem([c % p for c in conv], m, p)
+
+
 def _pth_power_mod(g: tuple, p: int, m: tuple) -> tuple:
-    """g(X)^p mod m, using that coefficients in GF(p) are Frobenius-fixed."""
+    """g(X)^p mod m.  Coefficients in GF(p) are Frobenius-fixed, so for
+    small p this spreads g(X^p); for large p, where that spread would
+    hold about deg(g) * p entries, it squares and multiplies."""
     if not g:
         return ()
+    if p > _SPREAD_MAX_P:
+        result, base, k = (1,), g, p
+        while k:
+            if k & 1:
+                result = _poly_mulmod(result, base, m, p)
+            base = _poly_mulmod(base, base, m, p)
+            k >>= 1
+        return result
     spread = [0] * ((len(g) - 1) * p + 1)
     for i, c in enumerate(g):
         spread[i * p] = c
@@ -187,10 +214,18 @@ class FieldSpec:
     Elements are coefficient tuples of length e (rep[i] multiplies g^i).
     The enumeration index of an element orders reps lexicographically,
     constant coefficient most significant.
+
+    Fields up to _TABLE_CAP elements multiply through exp/log tables.
+    Larger extensions multiply by Kronecker substitution: each operand is
+    packed into one int with a fixed-width slot per coefficient, wide
+    enough that no slot of the product carries into the next, so one
+    bigint product gives the convolution; it is then reduced by the
+    nonzero terms of the modulus.  The Frobenius a -> a^(p^k) is
+    GF(p)-linear, so it is a sum of a_i times the packed rows g^(i p^k).
     """
 
     __slots__ = ("p", "e", "order", "modulus", "_red", "_exp", "_log",
-                 "zero", "one", "gen")
+                 "_slot", "_typecode", "_frob_rows", "zero", "one", "gen")
 
     def __init__(self, p: int, e: int = 1, modulus: Optional[Sequence[int]] = None):
         if not is_prime(p):
@@ -212,8 +247,15 @@ class FieldSpec:
             if not is_irreducible(modulus, p):
                 raise UsageError("modulus is not irreducible")
             self.modulus = modulus
-            # g^e = -(m_0 + m_1 g + ... + m_{e-1} g^{e-1})
-            self._red = tuple((-modulus[i]) % p for i in range(e))
+            # g^e = -(m_0 + m_1 g + ... + m_{e-1} g^{e-1}), nonzero terms only
+            self._red = tuple((i, (-c) % p) for i, c in enumerate(modulus[:e]) if c)
+        # A product or Frobenius slot sums at most e terms below p^2.
+        bound = e * (p - 1) ** 2
+        self._typecode = next((tc for tc in "BHILQ"
+                               if bound < 1 << (8 * array(tc).itemsize)), None)
+        self._slot = (array(self._typecode).itemsize if self._typecode
+                      else (bound.bit_length() + 7) // 8)
+        self._frob_rows = {}
         self._exp = None
         self._log = None
         self.zero = FieldElement(self, (0,) * e)
@@ -236,24 +278,32 @@ class FieldSpec:
         p = self.p
         return tuple((-x) % p for x in a)
 
-    def _vmul_raw(self, a: tuple, b: tuple) -> tuple:
-        """Convolution followed by reduction via g^e = _red."""
-        p, e = self.p, self.e
-        if e == 1:
-            return ((a[0] * b[0]) % p,)
-        conv = [0] * (2 * e - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        red = self._red
-        for i in range(2 * e - 2, e - 1, -1):
-            c = conv[i] % p
-            if c:
-                base = i - e
-                for j, rj in enumerate(red):
-                    conv[base + j] += c * rj
-        return tuple(c % p for c in conv[:e])
+    def _pack(self, a: Sequence[int]) -> int:
+        """Coefficients (each below 2^(8 * slot)) as one int, slot i at
+        byte offset i * slot."""
+        tc = self._typecode
+        if tc is None:
+            w = self._slot
+            return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in a),
+                                  "little")
+        arr = array(tc, a)
+        if _SWAP:
+            arr.byteswap()
+        return int.from_bytes(arr.tobytes(), "little")
+
+    def _unpack(self, n: int, count: int) -> list:
+        """The first count slots of a packed int."""
+        w = self._slot
+        data = n.to_bytes(count * w, "little")
+        tc = self._typecode
+        if tc is None:
+            return [int.from_bytes(data[i:i + w], "little")
+                    for i in range(0, count * w, w)]
+        arr = array(tc)
+        arr.frombytes(data)
+        if _SWAP:
+            arr.byteswap()
+        return arr.tolist()
 
     def _vmul(self, a: tuple, b: tuple) -> tuple:
         log = self._log
@@ -261,7 +311,18 @@ class FieldSpec:
             if a == self.zero.rep or b == self.zero.rep:
                 return self.zero.rep
             return self._exp[(log[a] + log[b]) % (self.order - 1)]
-        return self._vmul_raw(a, b)
+        p, e = self.p, self.e
+        if e == 1:
+            return ((a[0] * b[0]) % p,)
+        conv = self._unpack(self._pack(a) * self._pack(b), 2 * e - 1)
+        red = self._red
+        for i in range(2 * e - 2, e - 1, -1):
+            c = conv[i] % p
+            if c:
+                base = i - e
+                for j, rj in red:
+                    conv[base + j] += c * rj
+        return tuple([c % p for c in conv[:e]])
 
     def _vinv(self, a: tuple) -> tuple:
         if not any(a):
@@ -284,33 +345,49 @@ class FieldSpec:
             k >>= 1
         return result
 
+    def _vfrob(self, a: tuple, k: int) -> tuple:
+        """a^(p^k); k is taken mod e, so negative k inverts the map."""
+        k %= self.e
+        if k == 0:
+            return a
+        log = self._log
+        if log is not None:
+            if not any(a):
+                return a
+            return self._exp[log[a] * self.p ** k % (self.order - 1)]
+        rows = self._frob_rows.get(k)
+        if rows is None:
+            h = self._vpow(self.gen.rep, self.p ** k)
+            rows, cur = [], self.one.rep
+            for _ in range(self.e):
+                rows.append(self._pack(cur))
+                cur = self._vmul(cur, h)
+            self._frob_rows[k] = rows
+        acc = 0
+        for c, row in zip(a, rows):
+            if c:
+                acc += c * row
+        p = self.p
+        return tuple([c % p for c in self._unpack(acc, self.e)])
+
     def _build_tables(self):
+        # _log is still None here, so _vmul and _vpow take the packed path.
         n = self.order - 1
         factors = _prime_factors(n)
         g = None
         for rep in self._iter_reps():
             if not any(rep) or rep == self.one.rep:
                 continue
-            if all(self._vpow_raw(rep, n // ell) != self.one.rep for ell in factors):
+            if all(self._vpow(rep, n // ell) != self.one.rep for ell in factors):
                 g = rep
                 break
         exp = [self.one.rep]
         cur = self.one.rep
         for _ in range(n - 1):
-            cur = self._vmul_raw(cur, g)
+            cur = self._vmul(cur, g)
             exp.append(cur)
         self._exp = exp
         self._log = {rep: k for k, rep in enumerate(exp)}
-
-    def _vpow_raw(self, a: tuple, k: int) -> tuple:
-        result = self.one.rep
-        base = a
-        while k:
-            if k & 1:
-                result = self._vmul_raw(result, base)
-            base = self._vmul_raw(base, base)
-            k >>= 1
-        return result
 
     def _iter_reps(self):
         for digits in product(range(self.p), repeat=self.e):
@@ -473,9 +550,9 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         return FieldElement(self.spec, self.spec._vinv(self.rep))
 
-    def frobenius(self) -> "FieldElement":
-        """a^p, the Frobenius endomorphism."""
-        return self ** self.spec.p
+    def frobenius(self, k: int = 1) -> "FieldElement":
+        """a^(p^k), the k-th power of the Frobenius endomorphism."""
+        return FieldElement(self.spec, self.spec._vfrob(self.rep, k))
 
     def __bool__(self):
         return any(self.rep)

@@ -56,20 +56,26 @@ def lift_coefficients(f: Polynomial, spec: FieldSpec) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _poly_frob(ring: PolyRing, q: int):
-    """frob on polynomials over ring: the termwise Frobenius power."""
-    p = ring.field.p
-    e, r = 0, 1
+def _log_p(p: int, q: int) -> int:
+    """s with q = p^s."""
+    s, r = 0, 1
     while r < q:
-        e, r = e + 1, r * p
+        s, r = s + 1, r * p
     if r != q:
         raise UsageError(f"q = {q} is not a power of the characteristic {p}")
-    return lambda f, k: frobenius_power(f, e * k)
+    return s
 
 
-def _element_frob(q: int):
-    """frob on field elements; every point reading raises to q^k here."""
-    return lambda x, k: x ** (q ** k)
+def _poly_frob(ring: PolyRing, q: int):
+    """frob on polynomials over ring: the termwise Frobenius power."""
+    s = _log_p(ring.field.p, q)
+    return lambda f, k: frobenius_power(f, s * k)
+
+
+def _element_frob(spec: FieldSpec, q: int):
+    """frob on elements of spec: the linear Frobenius map, never a power."""
+    s = _log_p(spec.p, q)
+    return lambda x, k: x.frobenius(s * k)
 
 
 def _dickson(xs: Sequence, one, zero, q: int, frob) -> list:
@@ -140,7 +146,7 @@ def dickson_at_point(point: Sequence[FieldElement], q: int) -> list:
     """Values c_0(P), ..., c_{n-1}(P) by running the recursion on field
     elements; nothing is materialized."""
     L = point[0].spec
-    return _dickson(point, L.one, L.zero, q, _element_frob(q))
+    return _dickson(point, L.one, L.zero, q, _element_frob(L, q))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +165,8 @@ def symplectic_xi(ring: PolyRing, q: int, i: int) -> Polynomial:
 
 
 def symplectic_xi_value(point: Sequence[FieldElement], q: int, i: int) -> FieldElement:
-    return _xi(point, point[0].spec.zero, i, _element_frob(q))
+    L = point[0].spec
+    return _xi(point, L.zero, i, _element_frob(L, q))
 
 
 def symplectic_relation_sides(ring: PolyRing, q_spec: FieldSpec, i: int,
@@ -185,7 +192,8 @@ def symplectic_relation_values(point: Sequence[FieldElement], q: int, i: int):
     m = len(point)
     c = dickson_at_point(point, q)
     xi = [symplectic_xi_value(point, q, k) for k in range(1, m)]
-    return _relation_sides(m, i, c, xi, point[0].spec.zero, _element_frob(q))
+    L = point[0].spec
+    return _relation_sides(m, i, c, xi, L.zero, _element_frob(L, q))
 
 
 def relation_side_degrees(q: int, m: int, i: int):

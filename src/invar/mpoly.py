@@ -627,11 +627,12 @@ def frobenius_power(f: Polynomial, m: int) -> Polynomial:
     q = ring.field.p ** m
     order = ring.order
     ext = ring.field.e > 1
+    vfrob = ring.field._vfrob
     out = {}
     for key, c in f.terms.items():
         exps = order.unpack(key)
         new_key = order.pack(tuple(a * q for a in exps))
-        out[new_key] = ring.field._vpow(c, q) if ext else c
+        out[new_key] = vfrob(c, m) if ext else c
     return Polynomial(ring, out)
 
 

@@ -48,6 +48,27 @@ def block_sort_key(exps, k):
 # -- dense reference arithmetic ------------------------------------------------
 
 
+def schoolbook_vmul(spec: FieldSpec, a: tuple, b: tuple) -> tuple:
+    """Product of two GF(p^e) reps: convolution, then reduction by
+    g^e = -(m_0 + ... + m_{e-1} g^{e-1}) walking every modulus entry."""
+    p, e = spec.p, spec.e
+    if e == 1:
+        return ((a[0] * b[0]) % p,)
+    conv = [0] * (2 * e - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                conv[i + j] += ai * bj
+    red = [(-c) % p for c in spec.modulus[:e]]
+    for i in range(2 * e - 2, e - 1, -1):
+        c = conv[i] % p
+        if c:
+            base = i - e
+            for j, rj in enumerate(red):
+                conv[base + j] += c * rj
+    return tuple(c % p for c in conv[:e])
+
+
 def naive_mul(f: Polynomial, g: Polynomial) -> Polynomial:
     ring = f.ring
     unpack = ring.order.unpack

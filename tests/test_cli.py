@@ -6,6 +6,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
+from invar import cache
 from invar.cli import cli
 from invar.fsing import replay_document
 from invar.polyio import parse_certificate_text, parse_polys_text
@@ -209,6 +210,44 @@ def test_unreadable_input_exits_two(runner, tmp_path, command):
     res = invoke(runner, [command] + inputs + ["--out", str(missing_dir)])
     assert res.exit_code == 2
     assert "error:" in res.output
+
+
+@pytest.mark.parametrize("command", ["altn", "gb", "member", "verify"])
+def test_failed_out_write_keeps_previous_file(runner, tmp_path, monkeypatch,
+                                              command):
+    """A write that fails before the switch leaves the old --out file
+    byte for byte, and no temp file behind."""
+    (tmp_path / "ideal.poly").write_text(IDEAL)
+    (tmp_path / "elt.poly").write_text(MEMBER_ELT)
+    ideal, elt = str(tmp_path / "ideal.poly"), str(tmp_path / "elt.poly")
+    args = {"altn": ["altn", "--p", "3", "--n", "3"],
+            "gb": ["gb", ideal],
+            "member": ["member", ideal, elt],
+            "verify": ["verify", "sp4-fpurity", "--q", "2"]}[command]
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"previous\n")
+    before = sorted(tmp_path.iterdir())
+
+    def fail(src, dst):
+        raise OSError("disk full")
+    monkeypatch.setattr(os, "replace", fail)
+    res = invoke(runner, args + ["--out", str(out)])
+    assert res.exit_code == 2
+    assert "error: disk full" in res.output
+    assert out.read_bytes() == b"previous\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_cache_store_failing_partway_keeps_previous_entry(tmp_path):
+    cache.store(str(tmp_path), "entry.poly", "old payload\n")
+    entry = tmp_path / "entry.poly"
+    before = entry.read_bytes()
+    # the header encodes, the lone surrogate in the payload does not
+    with pytest.raises(UnicodeEncodeError):
+        cache.store(str(tmp_path), "entry.poly", "new \ud800 payload\n")
+    assert entry.read_bytes() == before
+    assert cache.fetch(str(tmp_path), "entry.poly") == "old payload\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["entry.poly"]
 
 
 # ---------------------------------------------------------------------------

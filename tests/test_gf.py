@@ -3,10 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invar import field, find_irreducible, is_irreducible
 from invar.errors import ContextMismatch, FieldZeroDivision, ResourceLimit, UsageError
 from invar.gf import ENUM_CAP, FieldSpec
+from oracles import schoolbook_vmul
 
 
 def test_smallest_moduli():
@@ -192,7 +195,7 @@ def test_field_axioms_exhaustive(p, e):
             assert mul(a, b) == mul(b, a)
             if F._log is not None:
                 # table path must agree with schoolbook reduction
-                assert mul(a, b) == F._vmul_raw(a, b)
+                assert mul(a, b) == schoolbook_vmul(F, a, b)
     for a in reps:
         for b in reps:
             ab_add = add(a, b)
@@ -215,3 +218,36 @@ def test_large_field_spot_axioms():
             assert (a + b) ** p == a ** p + b ** p
             if a:
                 assert a * a.inverse() == F.one
+
+
+# (p, e, modulus, slot bytes): the default GF(p^32) moduli, the table
+# fields GF(9) and GF(256), a prime field, and GF(p^2) for p = 2^32 - 5,
+# whose product slots (e (p-1)^2 >= 2^64) fit no array typecode.
+DIFF_FIELDS = [(2, 32, None, 1), (3, 32, None, 1), (5, 32, None, 2),
+               (7, 32, None, 2), (3, 2, None, 1), (2, 8, None, 1),
+               (7, 1, None, 1), (4294967291, 2, (1, 0, 1), 9)]
+
+
+def _reps(F):
+    return st.tuples(*[st.integers(0, F.p - 1)] * F.e)
+
+
+@pytest.mark.parametrize("p,e,modulus,slot", DIFF_FIELDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_packed_mul_matches_schoolbook(p, e, modulus, slot, data):
+    F = field(p, e, modulus)
+    assert F._slot == slot
+    a, b = data.draw(_reps(F)), data.draw(_reps(F))
+    assert F._vmul(a, b) == schoolbook_vmul(F, a, b)
+
+
+@pytest.mark.parametrize("p,e,modulus,slot", DIFF_FIELDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_frobenius_map_matches_power(p, e, modulus, slot, data):
+    F = field(p, e, modulus)
+    a = data.draw(_reps(F))
+    k = data.draw(st.sampled_from([0, 1, e - 1, e, e + 1, 2 * e + 1]))
+    x = F.element(a)
+    assert x.frobenius(k) == x ** (p ** k)

@@ -149,6 +149,19 @@ def test_frobenius_power(R3):
     assert frobenius_power(h, 1) == R.monomial((3,), F9.gen ** 3)
 
 
+@pytest.mark.parametrize("p,e,ms", [(3, 2, (1, 2, 3)), (2, 32, (1, 2, 17))])
+def test_frobenius_power_raises_coefficients_termwise(p, e, ms):
+    F = field(p, e)
+    R = PolyRing(F, ["u", "v"])
+    f = random_poly(R, random.Random(e), nterms=5, maxdeg=3)
+    unpack = R.order.unpack
+    for m in ms:
+        q = p ** m
+        expected = R.from_terms({tuple(a * q for a in unpack(k)): R.coeff_element(c) ** q
+                                 for k, c in f.terms.items()})
+        assert frobenius_power(f, m) == expected
+
+
 def test_char_p_power_sparsity(R3):
     x1, x2, _ = R3.gens()
     f = (x1 + x2) ** 81
