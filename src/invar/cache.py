@@ -9,20 +9,35 @@ never silently reused.
 
 import hashlib
 import os
+import stat
 from typing import Optional
 
 
 def write_atomic(path: str, text: str) -> None:
     """Write text to path so that readers see the old file or the whole
     new one, never a torn write: the text goes to a temp file in the same
-    directory, is flushed to disk, and then replaces path."""
-    tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    directory, is flushed to disk, and then replaces path.  Symlinks are
+    followed, and a replaced file keeps its permission bits.  A path that
+    exists but is not a regular file (os.devnull, a FIFO, a terminal)
+    cannot be replaced, so it is written in place."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
             fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        if st is not None:
+            os.chmod(tmp, stat.S_IMODE(st.st_mode))
+        os.replace(tmp, target)
     except BaseException:
         try:
             os.unlink(tmp)

@@ -25,9 +25,6 @@ ENUM_CAP = 1 << 20
 # multiplication is a Kronecker-packed product plus modulus reduction.
 _TABLE_CAP = 1024
 
-# Largest p for which is_irreducible raises to the p-th power by spreading.
-_SPREAD_MAX_P = 16
-
 _SWAP = sys.byteorder != "little"    # array items must be little-endian
 
 
@@ -109,24 +106,37 @@ def _poly_mulmod(a: tuple, b: tuple, m: tuple, p: int) -> tuple:
     return _poly_rem([c % p for c in conv], m, p)
 
 
-def _pth_power_mod(g: tuple, p: int, m: tuple) -> tuple:
-    """g(X)^p mod m.  Coefficients in GF(p) are Frobenius-fixed, so for
-    small p this spreads g(X^p); for large p, where that spread would
-    hold about deg(g) * p entries, it squares and multiplies."""
-    if not g:
-        return ()
-    if p > _SPREAD_MAX_P:
-        result, base, k = (1,), g, p
-        while k:
-            if k & 1:
-                result = _poly_mulmod(result, base, m, p)
+def _poly_powmod(a: tuple, n: int, m: tuple, p: int) -> tuple:
+    """a^n mod m by square-and-multiply; deg m >= 1."""
+    result, base = (1,), _poly_rem(a, m, p)
+    while n:
+        if n & 1:
+            result = _poly_mulmod(result, base, m, p)
+        n >>= 1
+        if n:
             base = _poly_mulmod(base, base, m, p)
-            k >>= 1
-        return result
-    spread = [0] * ((len(g) - 1) * p + 1)
-    for i, c in enumerate(g):
-        spread[i * p] = c
-    return _poly_rem(spread, m, p)
+    return result
+
+
+def _frobenius_rows(m: tuple, p: int) -> list:
+    """Rows X^(i p) mod m for i < deg m.  Coefficients in GF(p) are
+    Frobenius-fixed, so h^p = sum h_i X^(i p) mod m: these rows are the
+    matrix of the GF(p)-linear map h -> h^p mod m."""
+    xp = _poly_powmod((0, 1), p, m, p)
+    rows = [(1,)]
+    for _ in range(2, len(m)):
+        rows.append(_poly_mulmod(rows[-1], xp, m, p))
+    return rows
+
+
+def _apply_rows(h: tuple, rows: list, p: int) -> tuple:
+    """sum h_i rows[i], reduced mod p."""
+    acc = [0] * len(rows)
+    for c, row in zip(h, rows):
+        if c:
+            for j, r in enumerate(row):
+                acc[j] += c * r
+    return _trim([a % p for a in acc])
 
 
 def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
@@ -141,13 +151,14 @@ def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
         return True
     if f[0] == 0:
         return False
+    rows = _frobenius_rows(f, p)
     x = (0, 1)
     powers = {}
     h = x
     for k in range(1, e + 1):
-        h = _pth_power_mod(h, p, f)
+        h = _apply_rows(h, rows, p)
         powers[k] = h
-    if powers[e] != _poly_rem(x, f, p):
+    if powers[e] != x:
         return False
     for ell in _prime_factors(e):
         g = powers[e // ell]

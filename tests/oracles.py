@@ -69,6 +69,29 @@ def schoolbook_vmul(spec: FieldSpec, a: tuple, b: tuple) -> tuple:
     return tuple(c % p for c in conv[:e])
 
 
+def irreducible_by_trial_division(f: Sequence[int], p: int) -> bool:
+    """Whether f (degree >= 1 over GF(p), constant term first) has no
+    monic factor of degree 1..deg(f)//2, trying every such divisor."""
+    f = [c % p for c in f]
+    while f and f[-1] == 0:
+        f.pop()
+    e = len(f) - 1
+    if e < 1:
+        return False
+    for d in range(1, e // 2 + 1):
+        for low in product(range(p), repeat=d):
+            r = list(f)
+            for i in range(e, d - 1, -1):
+                c = r[i]
+                if c:
+                    for j, mj in enumerate(low):
+                        r[i - d + j] = (r[i - d + j] - c * mj) % p
+                    r[i] = 0
+            if not any(r):
+                return False
+    return True
+
+
 def naive_mul(f: Polynomial, g: Polynomial) -> Polynomial:
     ring = f.ring
     unpack = ring.order.unpack

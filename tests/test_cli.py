@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 
 import pytest
 from click.testing import CliRunner
@@ -236,6 +237,27 @@ def test_failed_out_write_keeps_previous_file(runner, tmp_path, monkeypatch,
     assert "error: disk full" in res.output
     assert out.read_bytes() == b"previous\n"
     assert sorted(tmp_path.iterdir()) == before
+
+
+def test_out_to_a_device_writes_in_place(runner):
+    """A target that is not a regular file is written, never replaced."""
+    res = invoke(runner, ["altn", "--p", "3", "--n", "3", "--out", os.devnull])
+    assert res.exit_code == 0, res.output
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_out_follows_symlink_and_keeps_mode(runner, tmp_path):
+    real = tmp_path / "real.txt"
+    real.write_bytes(b"previous\n")
+    real.chmod(0o640)
+    link = tmp_path / "link.txt"
+    link.symlink_to(real)
+    res = invoke(runner, ["altn", "--p", "3", "--n", "3", "--out", str(link)])
+    assert res.exit_code == 0, res.output
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_text() == res.output
+    assert stat.S_IMODE(real.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
 
 
 def test_cache_store_failing_partway_keeps_previous_entry(tmp_path):

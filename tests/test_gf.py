@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from invar import field, find_irreducible, is_irreducible
 from invar.errors import ContextMismatch, FieldZeroDivision, ResourceLimit, UsageError
 from invar.gf import ENUM_CAP, FieldSpec
-from oracles import schoolbook_vmul
+from oracles import irreducible_by_trial_division, schoolbook_vmul
 
 
 def test_smallest_moduli():
@@ -34,6 +34,21 @@ def test_modulus_is_lex_smallest_gf9():
             if (c0, c1) >= (found[0], found[1]):
                 break
             assert not is_irreducible((c0, c1, 1), 3)
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 6), (3, 4), (5, 3), (17, 2), (19, 3)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_irreducible_matches_trial_division(p, e, data):
+    f = tuple(data.draw(st.integers(0, p - 1)) for _ in range(e)) + (
+        data.draw(st.integers(1, p - 1)),)
+    assert is_irreducible(f, p) == irreducible_by_trial_division(f, p)
+
+
+def test_irreducible_for_large_p():
+    p = 4294967291                    # p = 3 mod 4, so -1 is not a square
+    assert is_irreducible((1, 0, 1), p)
+    assert not is_irreducible((p - 1, 0, 1), p)
 
 
 def test_bad_parameters():
