@@ -1,19 +1,30 @@
-"""Byte pins for the identity claims.
+"""Byte pins for the claim reports and witnesses.
 
 sha256 digests of ``witness_document`` and of ``render_text`` (with the
 ``elapsed-ms`` line removed) for sp4-c0, sp4-relation and relations-n3
 at claim seeds 0 and 1, in every mode, plus two c_0 mutation controls.
-Any change to a verdict, a witness byte or a report line of these
-claims fails here.
+
+For every record of ``suite_claims("full")`` at claim seeds 0 and 1,
+``full_suite_pins.json`` holds the sha256 of ``witness_document``, of
+``render_text`` without its ``elapsed-ms`` line and of ``render_machine``
+without its ``elapsed-ms=`` field, and the ``replay_document`` result.
+Running this file as a script prints that table.
+
+Any change to a verdict, a witness byte, a report line or a replay
+result of these claims fails here.
 """
 
+import functools
 import hashlib
+import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
-from invar.fsing import (RunConfig, render_text, run_claim,
+from invar.fsing import (RunConfig, render_machine, render_text,
+                         replay_document, run_claim, suite_claims,
                          verify_c0_expression, witness_document)
 from oracles import mutated_c0_terms
 
@@ -146,3 +157,50 @@ def test_identity_claim_bytes_pinned(key):
     report = CASES[case](RunConfig(seed=int(seed)))
     text = re.sub(r"^elapsed-ms: .*\n", "", render_text(report), flags=re.M)
     assert (_sha(witness_document(report)), _sha(text)) == PINS[key]
+
+
+FULL_PINS_FILE = Path(__file__).with_name("full_suite_pins.json")
+SEEDS = (0, 1)
+
+
+def _record_key(claim_id: str, params: dict, seed: int) -> str:
+    ptext = " ".join(f"{k}={params[k]}" for k in sorted(params))
+    return f"{claim_id} {ptext} seed={seed}"
+
+
+@functools.lru_cache(maxsize=None)
+def _full_suite_digests(seed: int) -> dict:
+    """key -> [witness sha256, text sha256, machine sha256, replay]."""
+    config = RunConfig(seed=seed)
+    out = {}
+    for claim_id, params in suite_claims("full"):
+        report = run_claim(claim_id, config, **params)
+        doc = witness_document(report)
+        text = re.sub(r"^elapsed-ms: .*\n", "", render_text(report), flags=re.M)
+        line = re.sub(r" elapsed-ms=\d+$", "", render_machine(report))
+        out[_record_key(claim_id, params, seed)] = [
+            _sha(doc), _sha(text), _sha(line), replay_document(doc)]
+    return out
+
+
+FULL_PINS = json.loads(FULL_PINS_FILE.read_text())
+
+
+def test_full_pins_cover_the_suite():
+    keys = {_record_key(cid, ps, seed) for seed in SEEDS
+            for cid, ps in suite_claims("full")}
+    assert len(keys) == 2 * len(suite_claims("full")) == 128
+    assert set(FULL_PINS) == keys
+
+
+@pytest.mark.parametrize("key", sorted(FULL_PINS))
+def test_full_suite_record_pinned(key):
+    seed = int(key.rsplit(" seed=", 1)[1])
+    assert _full_suite_digests(seed)[key] == FULL_PINS[key]
+
+
+if __name__ == "__main__":
+    table = {}
+    for seed in SEEDS:
+        table.update(_full_suite_digests(seed))
+    print(json.dumps(table, indent=1, sort_keys=True))
