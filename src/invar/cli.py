@@ -201,14 +201,6 @@ def member(ideal_file, element_file, out):
     sys.exit(1)
 
 
-def _claim_params(claim_id, q, n, p, mode):
-    params = {}
-    for name, val in (("q", q), ("n", n), ("p", p), ("mode", mode)):
-        if val is not None:
-            params[name] = val
-    return params
-
-
 @cli.command()
 @click.argument("claim_id", metavar="CLAIM")
 @click.option("--q", type=int, default=None, help="Field size parameter.")
@@ -227,7 +219,7 @@ def verify(claim_id, q, n, p, mode, seed, trials, ext_degree, e_max,
     alt-dichotomy, relations-n3."""
     config = RunConfig(seed=seed, trials=trials, ext_degree=ext_degree,
                        e_max=e_max)
-    report = run_claim(claim_id, config, **_claim_params(claim_id, q, n, p, mode))
+    report = run_claim(claim_id, config, q=q, n=n, p=p, mode=mode)
     witness_file = None
     if out and report.witness is not None:
         cache.write_atomic(out, witness_document(report))

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence
+from typing import Callable, Optional
 
 from .errors import ResourceLimit, UsageError
 from .gf import FieldSpec, field, is_prime
@@ -609,31 +609,65 @@ def _alt_validate(n: int, p: int, config: RunConfig):
         raise UsageError(f"n must be in [2, {config.alt_nmax}]")
 
 
-def _certificate_items(claim_id, params, labelled, gb, ring, t0, detail=()):
-    """Common driver: each (label-dict, polynomial) must be a member of
-    the ideal; collect certificates or refute on the first failure."""
-    detail = list(detail)
+def _alt_labels(claim_id: str, n: int) -> list:
+    """The labels of the targets an alternating claim puts in (e_1..e_n)."""
+    if claim_id == "alt-T":
+        return [{"i": i, "j": j} for i in range(1, n + 1) for j in range(1, i + 1)]
+    if claim_id == "alt-staircase":
+        return [{"i": i} for i in range(1, n + 1)]
+    if claim_id == "alt-delta":
+        return [{"target": "delta-congruence"}]
+    return [{"target": "delta"}]        # alt-dichotomy
+
+
+def _alt_target(claim_id: str, ring: PolyRing, label: dict, p: int) -> Polynomial:
+    """The polynomial a label of _alt_labels names."""
+    if claim_id == "alt-T":
+        # T_j^i: the degree-i monomials in the last n-j+1 variables
+        return truncated_monomial_sum(ring, label["i"], label["j"])
+    if claim_id == "alt-staircase":
+        return staircase_monomial(ring, label["i"])
+    if claim_id == "alt-delta":
+        # Delta - n! X_2 X_3^2 ... X_n^(n-1)
+        socle = ring.monomial([r - 1 for r in range(1, ring.nvars + 1)])
+        return vandermonde(ring) - socle.scale(_factorial_mod(ring.nvars, p))
+    return vandermonde(ring)            # alt-dichotomy
+
+
+def _alt_membership(claim_id: str, ring: PolyRing, gb, label: dict, p: int):
+    """(member, remainder, piece) for one target: piece is its
+    certificates item when it is a member, else its normal-form witness."""
+    f = _alt_target(claim_id, ring, label, p)
+    member, cert = ideal_member(f, gb, certificate=True)
+    if member:
+        return True, cert.remainder, dict(label, certificate=format_certificate(
+            ring, cert.target, cert.basis, cert.cofactors, cert.remainder))
+    return False, cert.remainder, dict(
+        label, kind="normal-form", polys=format_polys(ring, [f, cert.remainder]))
+
+
+def _alt_certificates(claim_id: str, n: int, p: int,
+                      config: Optional[RunConfig]) -> VerificationReport:
+    """Each target of _alt_labels must lie in (e_1..e_n): collect the
+    certificates, or refute on the first failure."""
+    config = config or RunConfig()
+    t0 = time.perf_counter()
+    _alt_validate(n, p, config)
+    R, gb = symmetric_ideal_gb(n, p)
+    params = {"n": n, "p": p}
     items = []
-    for label, f in labelled:
-        member, cert = ideal_member(f, gb, certificate=True)
+    for label in _alt_labels(claim_id, n):
+        member, remainder, piece = _alt_membership(claim_id, R, gb, label, p)
         if not member:
-            detail.append(f"{label_text(label)} is NOT in the ideal; "
-                          f"normal form has {len(cert.remainder)} terms")
-            witness = {"kind": "normal-form",
-                       "polys": format_polys(ring, [f, cert.remainder])}
-            witness.update(label)
             return _finish(VerificationReport(
-                claim_id, params, REFUTED, None, witness,
-                detail=tuple(detail)), t0)
-        item = dict(label)
-        item["certificate"] = format_certificate(
-            ring, cert.target, cert.basis, cert.cofactors, cert.remainder)
-        items.append(item)
-    detail.append(f"{len(items)} memberships established")
-    witness = {"kind": "certificates", "items": items}
+                claim_id, params, REFUTED, None, piece,
+                detail=(f"{label_text(label)} is NOT in the ideal; "
+                        f"normal form has {len(remainder)} terms",)), t0)
+        items.append(piece)
     return _finish(VerificationReport(
-        claim_id, params, VERIFIED, Fraction(0), witness,
-        detail=tuple(detail)), t0)
+        claim_id, params, VERIFIED, Fraction(0),
+        {"kind": "certificates", "items": items},
+        detail=(f"{len(items)} memberships established",)), t0)
 
 
 def label_text(label: dict) -> str:
@@ -644,25 +678,14 @@ def alt_lemma_T(n: int, p: int,
                 config: Optional[RunConfig] = None) -> VerificationReport:
     """T_j^i (sum of the degree-i monomials in the last n-j+1 variables)
     lies in (e_1..e_n) whenever i >= j >= 1."""
-    config = config or RunConfig()
-    t0 = time.perf_counter()
-    _alt_validate(n, p, config)
-    R, gb = symmetric_ideal_gb(n, p)
-    labelled = [({"i": i, "j": j}, truncated_monomial_sum(R, i, j))
-                for i in range(1, n + 1) for j in range(1, i + 1)]
-    return _certificate_items("alt-T", {"n": n, "p": p}, labelled, gb, R, t0)
+    return _alt_certificates("alt-T", n, p, config)
 
 
 def alt_lemma_staircase(n: int, p: int,
                         config: Optional[RunConfig] = None) -> VerificationReport:
     """The n staircase monomials X_i^i X_{i+1}^i ... X_n^{n-1} lie in
     (e_1..e_n)."""
-    config = config or RunConfig()
-    t0 = time.perf_counter()
-    _alt_validate(n, p, config)
-    R, gb = symmetric_ideal_gb(n, p)
-    labelled = [({"i": i}, staircase_monomial(R, i)) for i in range(1, n + 1)]
-    return _certificate_items("alt-staircase", {"n": n, "p": p}, labelled, gb, R, t0)
+    return _alt_certificates("alt-staircase", n, p, config)
 
 
 def _factorial_mod(n: int, p: int) -> int:
@@ -672,26 +695,13 @@ def _factorial_mod(n: int, p: int) -> int:
     return out
 
 
-def _socle_monomial(ring: PolyRing) -> Polynomial:
-    # X_2 X_3^2 ... X_n^(n-1)
-    e = [r - 1 for r in range(1, ring.nvars + 1)]
-    return ring.monomial(e)
-
-
 def alt_delta_congruence(n: int, p: int,
                          config: Optional[RunConfig] = None) -> VerificationReport:
     """Delta = prod_{i<j}(X_j - X_i) is congruent to n! X_2 X_3^2 ...
     X_n^{n-1} modulo (e_1..e_n)."""
-    config = config or RunConfig()
-    t0 = time.perf_counter()
-    _alt_validate(n, p, config)
-    R, gb = symmetric_ideal_gb(n, p)
-    nf_mod = _factorial_mod(n, p)
-    diff = vandermonde(R) - _socle_monomial(R).scale(nf_mod)
-    detail = [f"n! = {nf_mod} mod {p}"]
-    labelled = [({"target": "delta-congruence"}, diff)]
-    return _certificate_items("alt-delta", {"n": n, "p": p}, labelled, gb, R,
-                              t0, detail=detail)
+    report = _alt_certificates("alt-delta", n, p, config)
+    report.detail = (f"n! = {_factorial_mod(n, p)} mod {p}",) + report.detail
+    return report
 
 
 def alt_fregularity_dichotomy(n: int, p: int,
@@ -704,109 +714,211 @@ def alt_fregularity_dichotomy(n: int, p: int,
     if n < 3:
         raise UsageError("the dichotomy grid starts at n = 3")
     R, gb = symmetric_ideal_gb(n, p)
-    delta = vandermonde(R)
+    [label] = _alt_labels("alt-dichotomy", n)
+    member, _, piece = _alt_membership("alt-dichotomy", R, gb, label, p)
     expected = p <= n
-    member, cert = ideal_member(delta, gb, certificate=True)
-    params = {"n": n, "p": p}
     if member:
-        witness = {"kind": "certificates", "items": [{
-            "target": "delta",
-            "certificate": format_certificate(R, cert.target, cert.basis,
-                                              cert.cofactors, cert.remainder),
-        }]}
-        detail = ["Delta in I" + (" as required" if expected else " but p > n")]
+        witness = {"kind": "certificates", "items": [piece]}
+        detail = "Delta in I" + (" as required" if expected else " but p > n")
     else:
-        witness = {"kind": "normal-form",
-                   "polys": format_polys(R, [delta, cert.remainder]),
-                   "target": "delta"}
-        detail = ["Delta not in I" + (" as required" if not expected else " but p <= n")]
+        witness = piece
+        detail = "Delta not in I" + (" as required" if not expected else " but p <= n")
     ok = member == expected
     return _finish(VerificationReport(
-        "alt-dichotomy", params, VERIFIED if ok else REFUTED,
-        Fraction(0) if ok else None, witness, detail=tuple(detail)), t0)
+        "alt-dichotomy", {"n": n, "p": p}, VERIFIED if ok else REFUTED,
+        Fraction(0) if ok else None, witness, detail=(detail,)), t0)
+
+
+# ---------------------------------------------------------------------------
+# Witness replay
+# ---------------------------------------------------------------------------
+#
+# A replay re-validates a witness without re-running any search.
+
+
+def _replay_points(witness, nvars: int, sides, exact=None) -> bool:
+    """Re-evaluate every stored point.  A witness without points records
+    an exact refutation, so the exact comparison is run again."""
+    L, pts = _parse_points(witness)
+    if not pts:
+        if exact is None:
+            return False
+        lhs, rhs = exact()
+        return lhs != rhs
+    mismatch = witness.get("mismatch", None)
+    for k, P in enumerate(pts):
+        if len(P) != nvars:
+            return False
+        lv, rv = sides(P)
+        if (str(lv) != witness["lhs"][k] or str(rv) != witness["rhs"][k]
+                or (lv != rv) != (mismatch == k)):
+            return False
+    return True
+
+
+def _replay_c0(claim_id, params, witness) -> bool:
+    terms = tuple((int(c), tuple(e)) for c, e in witness["terms"])
+    return _replay_points(witness, 4, *_c0_sides(params["q"], terms))
+
+
+def _replay_sp4_relation(claim_id, params, witness) -> bool:
+    q, i = params["q"], witness["i"]
+    return _replay_points(witness, 4,
+                          lambda P: symplectic_relation_values(P, q, i),
+                          lambda: _sp4_relation_exact(q))
+
+
+def _replay_relations_n3(claim_id, params, witness) -> bool:
+    q = params["q"]
+    return all(_replay_points(
+        item, 6, lambda P, i=item["i"]: symplectic_relation_values(P, q, i))
+        for item in witness["items"])
+
+
+def _certificate_holds(cert: dict) -> bool:
+    """A parsed certificate with a zero remainder whose cofactors
+    re-multiply to its target."""
+    return cert["remainder"].is_zero() and MembershipCertificate(
+        cert["target"], cert["basis"], cert["cofactors"],
+        cert["remainder"]).check()
+
+
+def _replay_closure(claim_id, params, witness) -> bool:
+    q = params["q"]
+    pres = sp4_presentation(q)
+    amb = pres.ring
+    u, v, w = amb.gen("u"), amb.gen("v"), amb.gen("w")
+    rel = pres.relations[0]
+    fixed = () if params.get("include_relation") is False else (rel,)
+    # the non-membership half
+    nf = normal_form(w, buchberger([u, v] + list(fixed)))
+    if nf.text() != witness["membership-remainder"]:
+        return False
+    e = witness.get("e")
+    if e is None:
+        stored = witness.get("failures", {})
+        e_max = max((int(k) for k in stored), default=0)
+        closure = frobenius_closure_search(w, [u, v], e_max, fixed=fixed)
+        return closure.e is None and \
+            {str(k): r.text() for k, r in closure.failures.items()} == stored
+    cert = parse_certificate_text(witness["certificate"])
+    if (cert["ring"] != amb or cert["target"] != frobenius_power(w, e)
+            or not _certificate_holds(cert)):
+        return False
+    # certificate basis must generate no more than the raised ideal
+    raised = frobenius_power_ideal([u, v], e) + list(fixed)
+    gb = buchberger(raised)
+    return all(normal_form(bel, gb).is_zero() for bel in cert["basis"])
+
+
+def _replay_exponents(claim_id, params, witness) -> bool:
+    n, q = params["n"], params["q"]
+    m = 2 * n - 1
+    target = q ** (2 * n) - 1
+    for sol in witness["solutions"]:
+        if len(sol) != m or sol[0] > q - 2 or any(a > q - 1 or a < 0 for a in sol):
+            return False
+        if sum(a * (q ** i + 1) for i, a in enumerate(sol, start=1)) != target:
+            return False
+    lam = lambda_identity_check(n, q)
+    if _lam_json(lam) != witness["lambda"]:
+        return False
+    if q >= 4 * n - 4 and (witness["solutions"] or lam["solutions"]):
+        return False
+    return True
+
+
+def _replay_certificates(claim_id, params, witness) -> bool:
+    n, p = params["n"], params["p"]
+    ring, gb = symmetric_ideal_gb(n, p)
+    for item in witness["items"]:
+        cert = parse_certificate_text(item["certificate"])
+        if (cert["ring"] != ring or tuple(cert["basis"]) != gb.elements
+                or cert["target"] != _alt_target(claim_id, ring, item, p)
+                or not _certificate_holds(cert)):
+            return False
+    return True
+
+
+def _replay_normal_form(claim_id, params, witness) -> bool:
+    n, p = params["n"], params["p"]
+    ring, gb = symmetric_ideal_gb(n, p)
+    parsed_ring, polys = parse_polys_text(witness["polys"])
+    if parsed_ring != ring or len(polys) != 2:
+        return False
+    target, remainder = polys
+    if target != _alt_target(claim_id, ring, witness, p):
+        return False
+    return not remainder.is_zero() and normal_form(target, gb) == remainder
 
 
 # ---------------------------------------------------------------------------
 # Registry and suites
 # ---------------------------------------------------------------------------
 
-
-def _take(params: dict, allowed: dict) -> dict:
-    extra = set(params) - set(allowed)
-    if extra:
-        raise UsageError(f"unknown parameter(s): {', '.join(sorted(extra))}")
-    out = dict(allowed)
-    out.update(params)
-    missing = [k for k, val in out.items() if val is None]
-    if missing:
-        raise UsageError(f"missing parameter(s): {', '.join(sorted(missing))}")
-    return out
+_REQUIRED = object()                # marks a parameter without a default
 
 
-def _run_sp4_c0(params, config):
-    got = _take(params, {"q": None, "mode": config.mode})
-    return verify_c0_expression(got["q"], config, mode=got["mode"])
+@dataclass(frozen=True)
+class Claim:
+    """A registered claim.  check(config=..., **params) runs it; params
+    maps each parameter run_claim accepts to its default (_REQUIRED when
+    there is none); order is the order in which reports list parameters,
+    before any others; replays maps a witness kind to its
+    replay(claim_id, params, witness)."""
+    check: Callable[..., VerificationReport]
+    params: dict
+    order: tuple
+    replays: dict
 
 
-def _run_sp4_fpurity(params, config):
-    got = _take(params, {"q": None})
-    return sp4_fpurity_check(got["q"], config)
-
-
-def _run_sp4_relation(params, config):
-    got = _take(params, {"q": None, "mode": config.mode})
-    return verify_sp4_relation(got["q"], config, mode=got["mode"])
-
-
-def _run_theorem_search(params, config):
-    got = _take(params, {"n": None, "q": None})
-    return verify_theorem_search(got["n"], got["q"], config)
-
-
-def _run_alt_T(params, config):
-    got = _take(params, {"n": None, "p": None})
-    return alt_lemma_T(got["n"], got["p"], config)
-
-
-def _run_alt_staircase(params, config):
-    got = _take(params, {"n": None, "p": None})
-    return alt_lemma_staircase(got["n"], got["p"], config)
-
-
-def _run_alt_delta(params, config):
-    got = _take(params, {"n": None, "p": None})
-    return alt_delta_congruence(got["n"], got["p"], config)
-
-
-def _run_alt_dichotomy(params, config):
-    got = _take(params, {"n": None, "p": None})
-    return alt_fregularity_dichotomy(got["n"], got["p"], config)
-
-
-def _run_relations_n3(params, config):
-    got = _take(params, {"q": 2})
-    return verify_relations_n3(got["q"], config)
-
+_IDENTITY_ORDER = ("mode", "trials", "ext_degree", "seed")
+_ALT_PARAMS = {"n": _REQUIRED, "p": _REQUIRED}
+_ALT_REPLAYS = {"certificates": _replay_certificates,
+                "normal-form": _replay_normal_form}
 
 RUNNERS = {
-    "sp4-c0": _run_sp4_c0,
-    "sp4-fpurity": _run_sp4_fpurity,
-    "sp4-relation": _run_sp4_relation,
-    "theorem-search": _run_theorem_search,
-    "alt-T": _run_alt_T,
-    "alt-staircase": _run_alt_staircase,
-    "alt-delta": _run_alt_delta,
-    "alt-dichotomy": _run_alt_dichotomy,
-    "relations-n3": _run_relations_n3,
+    "sp4-c0": Claim(verify_c0_expression, {"q": _REQUIRED, "mode": None},
+                    ("q",) + _IDENTITY_ORDER, {"points": _replay_c0}),
+    "sp4-fpurity": Claim(sp4_fpurity_check, {"q": _REQUIRED},
+                         ("q", "e_max", "include_relation"),
+                         {"closure": _replay_closure}),
+    "sp4-relation": Claim(verify_sp4_relation, {"q": _REQUIRED, "mode": None},
+                          ("q", "i") + _IDENTITY_ORDER,
+                          {"points": _replay_sp4_relation}),
+    "theorem-search": Claim(verify_theorem_search,
+                            {"n": _REQUIRED, "q": _REQUIRED}, ("n", "q"),
+                            {"exponents": _replay_exponents}),
+    "alt-T": Claim(alt_lemma_T, _ALT_PARAMS, ("n", "p"), _ALT_REPLAYS),
+    "alt-staircase": Claim(alt_lemma_staircase, _ALT_PARAMS, ("n", "p"),
+                           _ALT_REPLAYS),
+    "alt-delta": Claim(alt_delta_congruence, _ALT_PARAMS, ("n", "p"),
+                       _ALT_REPLAYS),
+    "alt-dichotomy": Claim(alt_fregularity_dichotomy, _ALT_PARAMS, ("n", "p"),
+                           _ALT_REPLAYS),
+    "relations-n3": Claim(verify_relations_n3, {"q": 2},
+                          ("q", "trials", "ext_degree", "seed"),
+                          {"points-multi": _replay_relations_n3}),
 }
 
 
 def run_claim(claim_id: str, config: Optional[RunConfig] = None,
               **params) -> VerificationReport:
-    if claim_id not in RUNNERS:
+    """Run a registered claim.  A parameter given as None counts as not
+    given."""
+    claim = RUNNERS.get(claim_id)
+    if claim is None:
         known = ", ".join(RUNNERS)
         raise UsageError(f"unknown claim {claim_id!r}; known claims: {known}")
-    return RUNNERS[claim_id](params, config or RunConfig())
+    given = {k: v for k, v in params.items() if v is not None}
+    extra = set(given) - set(claim.params)
+    if extra:
+        raise UsageError(f"unknown parameter(s): {', '.join(sorted(extra))}")
+    got = dict(claim.params, **given)
+    missing = [k for k, v in got.items() if v is _REQUIRED]
+    if missing:
+        raise UsageError(f"missing parameter(s): {', '.join(sorted(missing))}")
+    return claim.check(config=config or RunConfig(), **got)
 
 
 _ALT_GRID = tuple((n, p) for n in (3, 4, 5, 6) for p in (3, 5, 7))
@@ -834,27 +946,16 @@ _QUICK = (
     ("alt-dichotomy", {"n": 4, "p": 3}),
 )
 
-
-def _full_extra():
-    quick_alt = {cid: {tuple(sorted(ps.items())) for c2, ps in _QUICK if c2 == cid}
-                 for cid in ("alt-T", "alt-staircase", "alt-delta", "alt-dichotomy")}
-    out = [
-        ("sp4-c0", {"q": 3, "mode": "exact"}),
-        ("theorem-search", {"n": 2, "q": 7}),
-        ("theorem-search", {"n": 2, "q": 8}),
-        ("theorem-search", {"n": 3, "q": 8}),
-        ("theorem-search", {"n": 3, "q": 9}),
-        ("relations-n3", {"q": 2}),
-    ]
-    for cid in ("alt-T", "alt-staircase", "alt-delta", "alt-dichotomy"):
-        for n, p in _ALT_GRID:
-            key = tuple(sorted({"n": n, "p": p}.items()))
-            if key not in quick_alt[cid]:
-                out.append((cid, {"n": n, "p": p}))
-    return tuple(out)
-
-
-_FULL_EXTRA = _full_extra()
+_FULL_EXTRA = (
+    ("sp4-c0", {"q": 3, "mode": "exact"}),
+    ("theorem-search", {"n": 2, "q": 7}),
+    ("theorem-search", {"n": 2, "q": 8}),
+    ("theorem-search", {"n": 3, "q": 8}),
+    ("theorem-search", {"n": 3, "q": 9}),
+    ("relations-n3", {"q": 2}),
+) + tuple((cid, {"n": n, "p": p})
+          for cid in ("alt-T", "alt-staircase", "alt-delta", "alt-dichotomy")
+          for n, p in _ALT_GRID if (cid, {"n": n, "p": p}) not in _QUICK)
 
 
 def suite_claims(profile: str):
@@ -876,159 +977,16 @@ def run_suite(profile: str, config: Optional[RunConfig] = None) -> list:
     return [run_claim(cid, config, **ps) for cid, ps in suite_claims(profile)]
 
 
-# ---------------------------------------------------------------------------
-# Witness replay
-# ---------------------------------------------------------------------------
-
-
-def _replay_points(witness, nvars: int, sides, exact=None) -> bool:
-    """Re-evaluate every stored point.  A witness without points records
-    an exact refutation, so the exact comparison is run again."""
-    L, pts = _parse_points(witness)
-    if not pts:
-        if exact is None:
-            return False
-        lhs, rhs = exact()
-        return lhs != rhs
-    mismatch = witness.get("mismatch", None)
-    for k, P in enumerate(pts):
-        if len(P) != nvars:
-            return False
-        lv, rv = sides(P)
-        if str(lv) != witness["lhs"][k] or str(rv) != witness["rhs"][k]:
-            return False
-        if (lv != rv) != (mismatch == k):
-            return False
-    return True
-
-
-def _certificate_holds(cert: dict) -> bool:
-    """A parsed certificate with a zero remainder whose cofactors
-    re-multiply to its target."""
-    return cert["remainder"].is_zero() and MembershipCertificate(
-        cert["target"], cert["basis"], cert["cofactors"],
-        cert["remainder"]).check()
-
-
-def _replay_closure(params, witness) -> bool:
-    q = params["q"]
-    pres = sp4_presentation(q)
-    amb = pres.ring
-    u, v, w = amb.gen("u"), amb.gen("v"), amb.gen("w")
-    rel = pres.relations[0]
-    fixed = () if params.get("include_relation") is False else (rel,)
-    # the non-membership half
-    nf = normal_form(w, buchberger([u, v] + list(fixed)))
-    if nf.text() != witness["membership-remainder"]:
-        return False
-    e = witness.get("e")
-    if e is None:
-        stored = witness.get("failures", {})
-        e_max = max((int(k) for k in stored), default=0)
-        closure = frobenius_closure_search(w, [u, v], e_max, fixed=fixed)
-        return closure.e is None and \
-            {str(k): r.text() for k, r in closure.failures.items()} == stored
-    cert = parse_certificate_text(witness["certificate"])
-    if cert["ring"] != amb:
-        return False
-    if cert["target"] != frobenius_power(w, e) or not _certificate_holds(cert):
-        return False
-    # certificate basis must generate no more than the raised ideal
-    raised = frobenius_power_ideal([u, v], e) + list(fixed)
-    gb = buchberger(raised)
-    return all(normal_form(bel, gb).is_zero() for bel in cert["basis"])
-
-
-def _replay_exponents(params, witness) -> bool:
-    n, q = params["n"], params["q"]
-    m = 2 * n - 1
-    target = q ** (2 * n) - 1
-    for sol in witness["solutions"]:
-        if len(sol) != m or sol[0] > q - 2 or any(a > q - 1 or a < 0 for a in sol):
-            return False
-        if sum(a * (q ** i + 1) for i, a in enumerate(sol, start=1)) != target:
-            return False
-    lam = lambda_identity_check(n, q)
-    if _lam_json(lam) != witness["lambda"]:
-        return False
-    if q >= 4 * n - 4 and (witness["solutions"] or lam["solutions"]):
-        return False
-    return True
-
-
-def _alt_target(claim_id: str, ring: PolyRing, item: dict, p: int) -> Polynomial:
-    if claim_id == "alt-T":
-        return truncated_monomial_sum(ring, item["i"], item["j"])
-    if claim_id == "alt-staircase":
-        return staircase_monomial(ring, item["i"])
-    if claim_id == "alt-delta":
-        nf_mod = _factorial_mod(ring.nvars, p)
-        return vandermonde(ring) - _socle_monomial(ring).scale(nf_mod)
-    return vandermonde(ring)        # alt-dichotomy
-
-
-def _replay_certificates(claim_id, params, witness) -> bool:
-    n, p = params["n"], params["p"]
-    ring, gb = symmetric_ideal_gb(n, p)
-    for item in witness["items"]:
-        cert = parse_certificate_text(item["certificate"])
-        if cert["ring"] != ring:
-            return False
-        if cert["target"] != _alt_target(claim_id, ring, item, p):
-            return False
-        if not _certificate_holds(cert):
-            return False
-        if tuple(cert["basis"]) != gb.elements:
-            return False
-    return True
-
-
-def _replay_normal_form(claim_id, params, witness) -> bool:
-    n, p = params["n"], params["p"]
-    ring, gb = symmetric_ideal_gb(n, p)
-    parsed_ring, polys = parse_polys_text(witness["polys"])
-    if parsed_ring != ring or len(polys) != 2:
-        return False
-    target, remainder = polys
-    if claim_id not in ("alt-dichotomy", "alt-T", "alt-staircase", "alt-delta"):
-        return False
-    if target != _alt_target(claim_id, ring, witness, p):
-        return False
-    if remainder.is_zero():
-        return False
-    return normal_form(target, gb) == remainder
-
-
 def replay_witness(claim_id: str, params: dict, witness: dict,
                    config: Optional[RunConfig] = None) -> bool:
     """Re-validate a stored witness.  Certificates are re-multiplied,
     evaluation points re-evaluated, exponent tuples re-checked; no
     search is repeated."""
-    if witness is None:
+    claim = RUNNERS.get(claim_id)
+    if witness is None or claim is None:
         return False
-    kind = witness.get("kind")
-    if kind == "points" and claim_id == "sp4-c0":
-        terms = tuple((int(c), tuple(e)) for c, e in witness["terms"])
-        return _replay_points(witness, 4, *_c0_sides(params["q"], terms))
-    if kind == "points" and claim_id == "sp4-relation":
-        q, i = params["q"], witness["i"]
-        return _replay_points(witness, 4,
-                              lambda P: symplectic_relation_values(P, q, i),
-                              lambda: _sp4_relation_exact(q))
-    if kind == "points-multi" and claim_id == "relations-n3":
-        q = params["q"]
-        return all(_replay_points(
-            item, 6, lambda P, i=item["i"]: symplectic_relation_values(P, q, i))
-            for item in witness["items"])
-    if kind == "closure" and claim_id == "sp4-fpurity":
-        return _replay_closure(params, witness)
-    if kind == "exponents" and claim_id == "theorem-search":
-        return _replay_exponents(params, witness)
-    if kind == "certificates":
-        return _replay_certificates(claim_id, params, witness)
-    if kind == "normal-form":
-        return _replay_normal_form(claim_id, params, witness)
-    return False
+    replay = claim.replays.get(witness.get("kind"))
+    return bool(replay) and replay(claim_id, params, witness)
 
 
 def witness_document(report: VerificationReport) -> str:
@@ -1049,18 +1007,6 @@ def replay_document(text: str, config: Optional[RunConfig] = None) -> bool:
 # Report rendering
 # ---------------------------------------------------------------------------
 
-_PARAM_ORDER = {
-    "sp4-c0": ("q", "mode", "trials", "ext_degree", "seed"),
-    "sp4-fpurity": ("q", "e_max", "include_relation"),
-    "sp4-relation": ("q", "i", "mode", "trials", "ext_degree", "seed"),
-    "theorem-search": ("n", "q"),
-    "alt-T": ("n", "p"),
-    "alt-staircase": ("n", "p"),
-    "alt-delta": ("n", "p"),
-    "alt-dichotomy": ("n", "p"),
-    "relations-n3": ("q", "trials", "ext_degree", "seed"),
-}
-
 
 def bound_text(bound: Optional[Fraction]) -> str:
     if bound is None:
@@ -1074,7 +1020,8 @@ def bound_text(bound: Optional[Fraction]) -> str:
 
 
 def params_text(report: VerificationReport) -> str:
-    order = _PARAM_ORDER.get(report.claim_id, ())
+    claim = RUNNERS.get(report.claim_id)
+    order = claim.order if claim else ()
     keys = [k for k in order if k in report.parameters]
     keys += sorted(k for k in report.parameters if k not in order)
     return " ".join(f"{k}={report.parameters[k]}" for k in keys)
