@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 for verified/probable/member, 1 for refuted/non-member,
-2 for usage, parse, resource, file-access or decoding errors.  Every
-flag with an INVAR_* environment variable falls back to it; explicit
-flags win.
+2 for usage, parse, resource, file-access or decoding errors, 3 for an
+internal error (any other exception).  Every flag with an INVAR_*
+environment variable falls back to it; explicit flags win.
 """
 
 import functools
@@ -35,6 +35,9 @@ def _guard(fn):
                 OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
+        except Exception as exc:
+            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(3)
     return wrapper
 
 

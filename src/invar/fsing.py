@@ -733,46 +733,64 @@ def alt_fregularity_dichotomy(n: int, p: int,
 # Witness replay
 # ---------------------------------------------------------------------------
 #
-# A replay re-validates a witness without re-running any search.
+# A replay re-validates a witness without re-running any search and
+# returns the verdict the witness proves, or None when it does not hold.
 
 
-def _replay_points(witness, nvars: int, sides, exact=None) -> bool:
+def _replay_points(params, witness, nvars: int, sides,
+                   exact=None) -> Optional[str]:
     """Re-evaluate every stored point.  A witness without points records
-    an exact refutation, so the exact comparison is run again."""
+    an exact refutation, so the exact comparison is run again.  Only the
+    last point may separate the sides; without one, a sampled witness
+    holds one point per trial."""
     L, pts = _parse_points(witness)
     if not pts:
         if exact is None:
-            return False
+            return None
         lhs, rhs = exact()
-        return lhs != rhs
+        return REFUTED if lhs != rhs else None
     mismatch = witness.get("mismatch", None)
+    if mismatch is not None and mismatch != len(pts) - 1:
+        return None
     for k, P in enumerate(pts):
         if len(P) != nvars:
-            return False
+            return None
         lv, rv = sides(P)
         if (str(lv) != witness["lhs"][k] or str(rv) != witness["rhs"][k]
                 or (lv != rv) != (mismatch == k)):
-            return False
-    return True
+            return None
+    if mismatch is not None:
+        return REFUTED
+    if "trials" not in params:
+        return VERIFIED
+    return PROBABLE if len(pts) == params["trials"] else None
 
 
-def _replay_c0(claim_id, params, witness) -> bool:
+def _replay_c0(claim_id, params, witness) -> Optional[str]:
     terms = tuple((int(c), tuple(e)) for c, e in witness["terms"])
-    return _replay_points(witness, 4, *_c0_sides(params["q"], terms))
+    return _replay_points(params, witness, 4, *_c0_sides(params["q"], terms))
 
 
-def _replay_sp4_relation(claim_id, params, witness) -> bool:
+def _replay_sp4_relation(claim_id, params, witness) -> Optional[str]:
     q, i = params["q"], witness["i"]
-    return _replay_points(witness, 4,
+    return _replay_points(params, witness, 4,
                           lambda P: symplectic_relation_values(P, q, i),
                           lambda: _sp4_relation_exact(q))
 
 
-def _replay_relations_n3(claim_id, params, witness) -> bool:
+def _replay_relations_n3(claim_id, params, witness) -> Optional[str]:
+    """Items i = 1, 2 in order; the check stops early only at an item
+    that separates the sides."""
+    items = witness["items"]
+    shape = [(item.get("i"), item.get("mismatch") is not None) for item in items]
+    if shape not in ([(1, True)], [(1, False), (2, True)],
+                     [(1, False), (2, False)]):
+        return None
     q = params["q"]
-    return all(_replay_points(
-        item, 6, lambda P, i=item["i"]: symplectic_relation_values(P, q, i))
-        for item in witness["items"])
+    verdicts = [_replay_points(
+        params, item, 6, lambda P, i=item["i"]: symplectic_relation_values(P, q, i))
+        for item in items]
+    return None if None in verdicts else verdicts[-1]
 
 
 def _certificate_holds(cert: dict) -> bool:
@@ -783,7 +801,8 @@ def _certificate_holds(cert: dict) -> bool:
         cert["remainder"]).check()
 
 
-def _replay_closure(claim_id, params, witness) -> bool:
+def _replay_closure(claim_id, params, witness) -> Optional[str]:
+    """VERIFIED for a closure witness at e = 1 with w outside (u, v)."""
     q = params["q"]
     pres = sp4_presentation(q)
     amb = pres.ring
@@ -793,63 +812,87 @@ def _replay_closure(claim_id, params, witness) -> bool:
     # the non-membership half
     nf = normal_form(w, buchberger([u, v] + list(fixed)))
     if nf.text() != witness["membership-remainder"]:
-        return False
+        return None
     e = witness.get("e")
     if e is None:
         stored = witness.get("failures", {})
         e_max = max((int(k) for k in stored), default=0)
         closure = frobenius_closure_search(w, [u, v], e_max, fixed=fixed)
-        return closure.e is None and \
-            {str(k): r.text() for k, r in closure.failures.items()} == stored
+        failures = {str(k): r.text() for k, r in closure.failures.items()}
+        return REFUTED if closure.e is None and failures == stored else None
     cert = parse_certificate_text(witness["certificate"])
     if (cert["ring"] != amb or cert["target"] != frobenius_power(w, e)
             or not _certificate_holds(cert)):
-        return False
+        return None
     # certificate basis must generate no more than the raised ideal
     raised = frobenius_power_ideal([u, v], e) + list(fixed)
     gb = buchberger(raised)
-    return all(normal_form(bel, gb).is_zero() for bel in cert["basis"])
+    if not all(normal_form(bel, gb).is_zero() for bel in cert["basis"]):
+        return None
+    return VERIFIED if e == 1 and not nf.is_zero() else REFUTED
 
 
-def _replay_exponents(claim_id, params, witness) -> bool:
+def _replay_exponents(claim_id, params, witness) -> Optional[str]:
+    """REFUTED when the witness records a full enumeration that
+    disagrees with the pruned search."""
     n, q = params["n"], params["q"]
     m = 2 * n - 1
     target = q ** (2 * n) - 1
-    for sol in witness["solutions"]:
+    sols = witness["solutions"]
+    full = witness.get("full", sols)
+    for sol in sols + full:
         if len(sol) != m or sol[0] > q - 2 or any(a > q - 1 or a < 0 for a in sol):
-            return False
+            return None
         if sum(a * (q ** i + 1) for i, a in enumerate(sol, start=1)) != target:
-            return False
+            return None
     lam = lambda_identity_check(n, q)
     if _lam_json(lam) != witness["lambda"]:
-        return False
-    if q >= 4 * n - 4 and (witness["solutions"] or lam["solutions"]):
-        return False
-    return True
+        return None
+    if q >= 4 * n - 4 and (sols or lam["solutions"]):
+        return None
+    return REFUTED if full != sols else VERIFIED
 
 
-def _replay_certificates(claim_id, params, witness) -> bool:
+def _alt_verdict(claim_id: str, params, member: bool) -> str:
+    # the lemmas claim membership; the dichotomy claims it iff p <= n
+    expected = claim_id != "alt-dichotomy" or params["p"] <= params["n"]
+    return VERIFIED if member == expected else REFUTED
+
+
+def _replay_certificates(claim_id, params, witness) -> Optional[str]:
+    """One certificate per label of _alt_labels, in order."""
     n, p = params["n"], params["p"]
     ring, gb = symmetric_ideal_gb(n, p)
-    for item in witness["items"]:
+    items = witness["items"]
+    labels = [{k: v for k, v in item.items() if k != "certificate"}
+              for item in items]
+    if labels != _alt_labels(claim_id, n):
+        return None
+    for item in items:
         cert = parse_certificate_text(item["certificate"])
         if (cert["ring"] != ring or tuple(cert["basis"]) != gb.elements
                 or cert["target"] != _alt_target(claim_id, ring, item, p)
                 or not _certificate_holds(cert)):
-            return False
-    return True
+            return None
+    return _alt_verdict(claim_id, params, True)
 
 
-def _replay_normal_form(claim_id, params, witness) -> bool:
+def _replay_normal_form(claim_id, params, witness) -> Optional[str]:
+    """A nonzero normal form of one labelled target."""
     n, p = params["n"], params["p"]
     ring, gb = symmetric_ideal_gb(n, p)
+    label = {k: v for k, v in witness.items() if k not in ("kind", "polys")}
+    if label not in _alt_labels(claim_id, n):
+        return None
     parsed_ring, polys = parse_polys_text(witness["polys"])
     if parsed_ring != ring or len(polys) != 2:
-        return False
+        return None
     target, remainder = polys
-    if target != _alt_target(claim_id, ring, witness, p):
-        return False
-    return not remainder.is_zero() and normal_form(target, gb) == remainder
+    if target != _alt_target(claim_id, ring, label, p):
+        return None
+    if remainder.is_zero() or normal_form(target, gb) != remainder:
+        return None
+    return _alt_verdict(claim_id, params, False)
 
 
 # ---------------------------------------------------------------------------
@@ -865,7 +908,8 @@ class Claim:
     maps each parameter run_claim accepts to its default (_REQUIRED when
     there is none); order is the order in which reports list parameters,
     before any others; replays maps a witness kind to its
-    replay(claim_id, params, witness)."""
+    replay(claim_id, params, witness), which returns the verdict the
+    witness proves or None."""
     check: Callable[..., VerificationReport]
     params: dict
     order: tuple
@@ -977,16 +1021,20 @@ def run_suite(profile: str, config: Optional[RunConfig] = None) -> list:
     return [run_claim(cid, config, **ps) for cid, ps in suite_claims(profile)]
 
 
+def _replay(claim_id: str, params: dict, witness) -> Optional[str]:
+    claim = RUNNERS.get(claim_id)
+    if witness is None or claim is None:
+        return None
+    replay = claim.replays.get(witness.get("kind"))
+    return replay(claim_id, params, witness) if replay else None
+
+
 def replay_witness(claim_id: str, params: dict, witness: dict,
                    config: Optional[RunConfig] = None) -> bool:
     """Re-validate a stored witness.  Certificates are re-multiplied,
     evaluation points re-evaluated, exponent tuples re-checked; no
     search is repeated."""
-    claim = RUNNERS.get(claim_id)
-    if witness is None or claim is None:
-        return False
-    replay = claim.replays.get(witness.get("kind"))
-    return bool(replay) and replay(claim_id, params, witness)
+    return _replay(claim_id, params, witness) is not None
 
 
 def witness_document(report: VerificationReport) -> str:
@@ -999,8 +1047,10 @@ def witness_document(report: VerificationReport) -> str:
 
 
 def replay_document(text: str, config: Optional[RunConfig] = None) -> bool:
+    """Replay a witness document: the witness must hold and prove the
+    verdict the document records."""
     doc = json.loads(text)
-    return replay_witness(doc["claim"], doc["params"], doc["witness"], config)
+    return _replay(doc["claim"], doc["params"], doc["witness"]) == doc["verdict"]
 
 
 # ---------------------------------------------------------------------------

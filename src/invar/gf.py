@@ -180,6 +180,9 @@ def find_irreducible(p: int, e: int) -> tuple:
         raise UsageError(f"extension degree must be >= 1, got {e}")
     if e == 1:
         return (0, 1)
+    if p > ENUM_CAP:
+        raise ResourceLimit(f"no modulus search over GF({p}): p exceeds "
+                            f"{ENUM_CAP}; pass a modulus")
     # Candidates with constant term 0 are divisible by X, so start at 1.
     for c0 in range(1, p):
         for tail in product(range(p), repeat=e - 1):

@@ -204,7 +204,7 @@ def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     return mf * f - mg * g
 
 
-def buchberger(gens: Sequence[Polynomial], auto_reduce: bool = True) -> GroebnerBasis:
+def buchberger(gens: Sequence[Polynomial]) -> GroebnerBasis:
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise UsageError("no nonzero generators")
@@ -258,11 +258,7 @@ def buchberger(gens: Sequence[Polynomial], auto_reduce: bool = True) -> Groebner
         lme.append(r.leading_exponents())
         pending.update((t, new) for t in range(new))
 
-    if auto_reduce:
-        basis = _autoreduce(ring, basis)
-    else:
-        basis = sorted(basis, key=lambda b: b.leading_key())
-    return GroebnerBasis(ring, tuple(basis))
+    return GroebnerBasis(ring, tuple(_autoreduce(ring, basis)))
 
 
 def _autoreduce(ring: PolyRing, basis: list) -> list:

@@ -329,16 +329,6 @@ def parse_polys_text(text: str):
     return ring, polys
 
 
-def write_poly_file(path, ring: PolyRing, polys: Sequence[Polynomial]):
-    with open(path, "w") as fh:
-        fh.write(format_polys(ring, polys))
-
-
-def read_poly_file(path):
-    with open(path) as fh:
-        return parse_polys_text(fh.read())
-
-
 # ---------------------------------------------------------------------------
 # Membership certificates
 # ---------------------------------------------------------------------------

@@ -213,6 +213,25 @@ def test_unreadable_input_exits_two(runner, tmp_path, command):
     assert "error:" in res.output
 
 
+def test_modulus_search_for_large_p_exits_two(runner, tmp_path):
+    res = invoke(runner, ["dickson", "--p", "4294967291", "--e", "2", "--n", "1",
+                          "--cache-dir", str(tmp_path)])
+    assert res.exit_code == 2
+    assert "error:" in res.output and "pass a modulus" in res.output
+
+
+def test_internal_error_exits_three(runner, monkeypatch):
+    """An unexpected exception is an internal error (3), never the
+    refuted status (1)."""
+    def fail(*args, **kwargs):
+        raise RuntimeError("boom")
+    monkeypatch.setattr("invar.cli.run_claim", fail)
+    res = invoke(runner, ["verify", "sp4-fpurity", "--q", "2"])
+    assert res.exit_code == 3
+    assert "internal error: RuntimeError: boom" in res.output
+    assert "Traceback" not in res.output
+
+
 @pytest.mark.parametrize("command", ["altn", "gb", "member", "verify"])
 def test_failed_out_write_keeps_previous_file(runner, tmp_path, monkeypatch,
                                               command):

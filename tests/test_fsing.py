@@ -8,8 +8,11 @@ import pytest
 
 from invar.errors import UsageError
 from invar.gf import field
+from invar.groebner import normal_form
 from invar.mpoly import PolyRing
-from invar.invariants import dickson_invariants, symplectic_xi, xring
+from invar.invariants import (dickson_invariants, symplectic_xi,
+                              truncated_monomial_sum, xring)
+from invar.polyio import format_polys
 from invar.fsing import (C0_XI_TERMS, RunConfig, VerificationReport,
                          alt_delta_congruence, alt_fregularity_dichotomy,
                          alt_lemma_T, alt_lemma_staircase, bound_text,
@@ -18,7 +21,8 @@ from invar.fsing import (C0_XI_TERMS, RunConfig, VerificationReport,
                          render_machine, render_text, replay_document,
                          replay_witness, run_claim, run_suite,
                          sp4_fpurity_check, sp4_presentation, substitute,
-                         suite_claims, theorem_exponent_search,
+                         suite_claims, symmetric_ideal_gb,
+                         theorem_exponent_search,
                          verify_c0_expression, verify_relations_n3,
                          verify_sp4_relation, verify_theorem_search,
                          witness_document, RUNNERS)
@@ -452,3 +456,84 @@ def test_witness_document_roundtrip():
 def test_replay_missing_witness_is_false():
     assert not replay_witness("sp4-c0", {"q": 2}, None)
     assert not replay_witness("sp4-c0", {"q": 2}, {"kind": "nonsense"})
+
+
+# ---------------------------------------------------------------------------
+# replay binds the item set and the recorded verdict
+# ---------------------------------------------------------------------------
+
+def _document(claim_id, **params):
+    return json.loads(witness_document(run_claim(claim_id, FAST, **params)))
+
+
+def _replays(doc) -> bool:
+    return replay_document(json.dumps(doc))
+
+
+@pytest.mark.parametrize("keep", [1, 0])
+def test_certificates_replay_needs_every_item(keep):
+    doc = _document("alt-T", n=3, p=3)
+    assert len(doc["witness"]["items"]) == 6 and _replays(doc)
+    doc["witness"]["items"] = doc["witness"]["items"][:keep]
+    assert not _replays(doc)
+
+
+def test_certificates_replay_needs_item_order():
+    doc = _document("alt-staircase", n=3, p=5)
+    doc["witness"]["items"].reverse()
+    assert not _replays(doc)
+
+
+@pytest.mark.parametrize("keep", [1, 0])
+def test_relations_n3_replay_needs_both_items(keep):
+    doc = _document("relations-n3", q=2)
+    assert [item["i"] for item in doc["witness"]["items"]] == [1, 2]
+    doc["witness"]["items"] = doc["witness"]["items"][:keep]
+    assert not _replays(doc)
+
+
+@pytest.mark.parametrize("claim_id, params", [
+    ("alt-dichotomy", {"n": 3, "p": 5}),
+    ("sp4-fpurity", {"q": 2}),
+    ("theorem-search", {"n": 2, "q": 4}),
+    ("alt-delta", {"n": 3, "p": 3}),
+])
+def test_replay_binds_a_flipped_verdict(claim_id, params):
+    doc = _document(claim_id, **params)
+    assert doc["verdict"] == "VERIFIED" and _replays(doc)
+    doc["verdict"] = "REFUTED"
+    assert not _replays(doc)
+
+
+@pytest.mark.parametrize("mode, verdict, other", [
+    ("exact", "VERIFIED", "PROBABLE"),
+    ("probabilistic", "PROBABLE", "VERIFIED"),
+])
+def test_points_replay_binds_the_verdict(mode, verdict, other):
+    doc = _document("sp4-c0", q=2, mode=mode)
+    assert doc["verdict"] == verdict and _replays(doc)
+    for flipped in (other, "REFUTED"):
+        assert not _replays(dict(doc, verdict=flipped))
+
+
+def test_points_replay_binds_the_samples():
+    doc = _document("sp4-c0", q=2, mode="probabilistic")
+    witness = doc["witness"]
+    assert len(witness["points"]) == FAST.trials
+    # a mismatch index past the last point separates nothing
+    assert not _replays(dict(doc, verdict="REFUTED",
+                             witness=dict(witness, mismatch=99)))
+    # fewer points than trials do not carry the stated bound
+    cut = {key: witness[key][:2] for key in ("points", "lhs", "rhs")}
+    assert not _replays(dict(doc, witness=dict(witness, **cut)))
+
+
+def test_normal_form_replay_needs_a_claimed_label():
+    # T_2^1 lies outside (e_1, e_2, e_3), but alt-T claims only i >= j
+    R, gb = symmetric_ideal_gb(3, 3)
+    f = truncated_monomial_sum(R, 1, 2)
+    witness = {"kind": "normal-form", "i": 1, "j": 2,
+               "polys": format_polys(R, [f, normal_form(f, gb)])}
+    doc = {"claim": "alt-T", "params": {"n": 3, "p": 3},
+           "verdict": "REFUTED", "witness": witness}
+    assert not _replays(doc)

@@ -51,6 +51,16 @@ def test_irreducible_for_large_p():
     assert not is_irreducible((p - 1, 0, 1), p)
 
 
+def test_modulus_search_refuses_large_p():
+    p = 4294967291
+    with pytest.raises(ResourceLimit):
+        FieldSpec(p, 2)
+    with pytest.raises(ResourceLimit):
+        find_irreducible(p, 2)
+    assert FieldSpec(p, 2, (1, 0, 1)).order == p ** 2     # a given modulus
+    assert find_irreducible(p, 1) == (0, 1)
+
+
 def test_bad_parameters():
     with pytest.raises(UsageError):
         find_irreducible(4, 2)
