@@ -833,8 +833,10 @@ def _replay_closure(claim_id, params, witness) -> Optional[str]:
 
 
 def _replay_exponents(claim_id, params, witness) -> Optional[str]:
-    """REFUTED when the witness records a full enumeration that
-    disagrees with the pruned search."""
+    """REFUTED when the witness records a full enumeration holding a
+    solution the pruned search missed.  A full list that lacks one of
+    the pruned solutions cannot be an enumeration, so it proves
+    nothing."""
     n, q = params["n"], params["q"]
     m = 2 * n - 1
     target = q ** (2 * n) - 1
@@ -845,12 +847,14 @@ def _replay_exponents(claim_id, params, witness) -> Optional[str]:
             return None
         if sum(a * (q ** i + 1) for i, a in enumerate(sol, start=1)) != target:
             return None
+    if any(sol not in full for sol in sols):
+        return None
     lam = lambda_identity_check(n, q)
     if _lam_json(lam) != witness["lambda"]:
         return None
     if q >= 4 * n - 4 and (sols or lam["solutions"]):
         return None
-    return REFUTED if full != sols else VERIFIED
+    return REFUTED if any(sol not in sols for sol in full) else VERIFIED
 
 
 def _alt_verdict(claim_id: str, params, member: bool) -> str:

@@ -1,13 +1,22 @@
 """Groebner bases, ideal membership with certificates, and Frobenius
 closure searches.
 
-normal_form runs a heap-driven multivariate division: the pending terms
-of the intermediate representation sit in a max-heap of packed keys with
-lazy deletion, so each step pops the largest term in O(log t) and every
-key introduced by a reduction step is strictly smaller than the one it
-cancels.  Divisors are chosen deterministically: the first element whose
-leading monomial divides, scanning the basis in ascending leading
-monomial order.
+normal_form runs a heap-driven multivariate division.  The pending terms
+sit in a dict keyed by packed monomial, and their keys in a max-heap.
+Every key a reduction step adds is strictly smaller than the key it
+cancels, so no key is pushed twice: a key enters the heap when it first
+enters the dict, and its coefficient is read once, when it is popped.
+The heap thus holds only the distinct keys touched, with no stale
+entries.  Over GF(p) the dict holds unreduced ints, reduced mod p at the
+pop, where a zero is skipped; extension-field coefficients use the
+field's own vector arithmetic.  Each divisor carries its tail as (key
+shift, negated coefficient) pairs, and divisibility is one subtraction
+and mask on TermOrder.fields.  A reduction whose exponents reach EXP_CAP,
+or whose dict passes TERM_GUARD keys, raises ResourceLimit.  Divisors
+are chosen deterministically: the first element whose leading monomial
+divides, scanning the basis in ascending leading monomial order (index
+breaking ties), so quotients and remainders are those of the textbook
+division.
 
 buchberger uses the normal selection strategy (smallest lcm first) with
 the coprimality and chain criteria, then autoreduces, so the returned
@@ -72,81 +81,84 @@ def normal_form(f: Polynomial, basis, certificate: bool = False):
     for b in items:
         if b.ring != ring:
             raise ContextMismatch("basis element from a different ring")
+    order = ring.order
+    fields = order.fields
+    F = ring.field
+    prime = F.e == 1
+    p = F.p
 
-    # scan order: ascending leading monomial, original index breaks ties
+    # scan order: ascending leading monomial, original index breaks ties;
+    # a reduction by entry i adds factor * nb at key + d for (d, nb) in tail
     table = []
-    unpack = ring.order.unpack
     for i, b in enumerate(items):
         if b.is_zero():
             continue
         lmk = b.leading_key()
-        table.append((lmk, i, unpack(lmk), ring._cinv(b.terms[lmk]), b.terms))
-    table.sort(key=lambda t: (t[0], t[1]))
+        tail = [(kb - lmk, ring._cneg(cb)) for kb, cb in b.terms.items() if kb != lmk]
+        table.append((lmk, i, fields(lmk), ring._cinv(b.terms[lmk]), tail))
+    table.sort(key=lambda t: t[:2])
 
-    cadd, cneg, cmul = ring._cadd, ring._cneg, ring._cmul
-    off = ring.order.offset
-    acc = dict(f.terms)
+    G = order.guard
+    caps = order.every_field(mpoly.EXP_CAP)
+    off = order.offset
+    acc = dict(f.terms)         # prime field: unreduced ints
+    get = acc.get
     heap = [-k for k in acc]
     heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    vmul, vadd = F._vmul, F._vadd
     rem: dict = {}
     cof: Optional[list] = [{} for _ in items] if certificate else None
     guard = mpoly.TERM_GUARD
-    pushes = len(heap)
 
     while heap:
-        key = -heapq.heappop(heap)
-        c = acc.pop(key, None)
-        if c is None:
-            continue            # stale heap entry
-        exps = unpack(key)
+        key = -pop(heap)
+        c = acc[key]
+        if prime:
+            c %= p
+            if not c:
+                continue
+        elif not any(c):
+            continue
+        ag = fields(key) | G
+        if (ag - caps) & G:
+            raise ResourceLimit(f"reduction exponent reaches {mpoly.EXP_CAP}")
         hit = None
-        for lmk, i, lme, lcinv, bterms in table:
-            if lmk > key:
+        for entry in table:
+            if entry[0] > key:
                 break           # monomial order refines divisibility
-            ok = True
-            for a, bb in zip(exps, lme):
-                if a < bb:
-                    ok = False
-                    break
-            if ok:
-                hit = (lmk, i, lcinv, bterms)
+            if (ag - entry[2]) & G == G:
+                hit = entry
                 break
         if hit is None:
             rem[key] = c
             continue
-        lmk, i, lcinv, bterms = hit
-        factor = cmul(c, lcinv)
-        shift = key - lmk
-        for kb, cb in bterms.items():
-            if kb == lmk:
-                continue
-            k2 = kb + shift
-            delta = cneg(cmul(factor, cb))
-            cur = acc.get(k2)
-            if cur is None:
-                acc[k2] = delta
-                heapq.heappush(heap, -k2)
-                pushes += 1
-                if pushes > guard:
-                    raise ResourceLimit(f"reduction exceeded {guard} terms")
-            else:
-                s = cadd(cur, delta)
-                if s is None:
-                    del acc[k2]
+        lmk, i, _, lcinv, tail = hit
+        if prime:
+            factor = c * lcinv % p
+            for d, nb in tail:
+                k2 = key + d
+                cur = get(k2)
+                if cur is None:
+                    acc[k2] = factor * nb
+                    push(heap, -k2)
                 else:
-                    acc[k2] = s
+                    acc[k2] = cur + factor * nb
+        else:
+            factor = vmul(c, lcinv)
+            for d, nb in tail:
+                k2 = key + d
+                cur = get(k2)
+                if cur is None:
+                    acc[k2] = vmul(factor, nb)
+                    push(heap, -k2)
+                else:
+                    acc[k2] = vadd(cur, vmul(factor, nb))
+        if len(acc) > guard:
+            raise ResourceLimit(f"reduction exceeded {guard} terms")
         if certificate:
-            qk = key - lmk + off
-            ci = cof[i]
-            cur = ci.get(qk)
-            if cur is None:
-                ci[qk] = factor
-            else:
-                s = cadd(cur, factor)
-                if s is None:
-                    del ci[qk]
-                else:
-                    ci[qk] = s
+            # each key is popped once, so a quotient term is never revisited
+            cof[i][key - lmk + off] = factor
 
     remainder = Polynomial(ring, rem)
     if not certificate:

@@ -9,9 +9,12 @@ integers.
 
 Each exponent occupies a 28 bit field inside the key.  Per-variable
 exponents are capped at EXP_CAP and term counts during multiplication at
-TERM_GUARD; both are module-level and may be adjusted.  Grevlex keys
-carry an explicit total-degree field, so exponents stay far away from
-the 28 bit boundary for any computation these caps admit.
+TERM_GUARD; both are module-level and may be adjusted.  pack refuses an
+exponent at or above the cap, and so does every product (checked once
+per product from the two factors' degrees), so exponents stay far below
+the 28 bit boundary and no key wraps silently.  TermOrder.fields turns
+a key into plain exponent fields with a free guard bit on top of each,
+which makes divisibility one subtraction and one mask.
 
 Coefficients live in GF(p^e): stored as canonical ints in [1, p) when
 e = 1 and as coefficient tuples otherwise.
@@ -20,6 +23,8 @@ e = 1 and as coefficient tuples otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ContextMismatch, ResourceLimit, UsageError
@@ -45,7 +50,7 @@ class TermOrder:
     the first block.
     """
 
-    __slots__ = ("kind", "n", "block", "offset", "_top_shift")
+    __slots__ = ("kind", "n", "block", "offset", "guard", "_top_shift", "_fconst")
 
     def __init__(self, kind: str, n: int, block: int = 0):
         if kind not in _ORDER_KINDS:
@@ -59,6 +64,13 @@ class TermOrder:
         self.block = block if kind == "block" else 0
         self.offset = self._pack_raw((0,) * n)
         self._top_shift = _W * (n - 1)
+        # bit 27 of every field: free, since fields() values stay below it
+        self.guard = self.every_field(_M)
+        if kind == "grevlex":
+            self._fconst = _grevlex_consts(n)
+        elif kind == "block":
+            self._fconst = (_W * (n - block), _grevlex_consts(block),
+                            _grevlex_consts(n - block))
 
     # grevlex key of an exponent slice, totdeg field on top
     @staticmethod
@@ -115,6 +127,53 @@ class TermOrder:
         lo = self._grevlex_unpack(key & ((1 << lo_width) - 1), self.n - k)
         return hi + lo
 
+    def every_field(self, v: int) -> int:
+        """v in each of the n exponent fields."""
+        return _ones(self.n) * v
+
+    def fields(self, key: int) -> int:
+        """key's exponents as plain 28 bit fields: lex keys already are;
+        grevlex becomes [a_1][a_n]...[a_2]; block does that per block.
+        With G = self.guard and A, B the fields of a and b, b divides a
+        iff ((A | G) - B) & G == G: every field keeps its own borrow."""
+        if self.kind == "lex":
+            return key
+        if self.kind == "grevlex":
+            return _grevlex_fields(key, *self._fconst)
+        width, hi, lo = self._fconst
+        return ((_grevlex_fields(key >> width, *hi) << width)
+                | _grevlex_fields(key & ((1 << width) - 1), *lo))
+
+    def check_product(self, a: dict, b: dict) -> None:
+        """Raise ResourceLimit when the product of two nonzero
+        polynomials with these key sets has an exponent of EXP_CAP or
+        more.  Over a field deg_i(fg) = deg_i(f) + deg_i(g), so the
+        factors decide it.  A bound read from max(keys) (grevlex, block:
+        the total-degree fields) or from an OR of the keys (lex) settles
+        the usual case; only past it are the factors' keys unpacked."""
+        cap = EXP_CAP
+        if self.kind == "grevlex":
+            top = self._top_shift
+            if (max(a) >> top) + (max(b) >> top) < cap:
+                return
+        elif self.kind == "lex":
+            # each field of the sum stays below 2^28, so nothing carries
+            low = (1 << (cap.bit_length() - 1)) - 1
+            if not (reduce(or_, a) + reduce(or_, b)) & self.every_field(_FMASK - low):
+                return
+        else:
+            width, (hi_top, _, _), (lo_top, _, _) = self._fconst
+            lo_mask = (1 << width) - 1
+            if ((max(a) >> width >> hi_top) + (max(b) >> width >> hi_top) < cap
+                    and (max(k & lo_mask for k in a) >> lo_top)
+                    + (max(k & lo_mask for k in b) >> lo_top) < cap):
+                return
+        unpack = self.unpack
+        da = [max(col) for col in zip(*map(unpack, a))]
+        db = [max(col) for col in zip(*map(unpack, b))]
+        if any(x + y >= cap for x, y in zip(da, db)):
+            raise ResourceLimit(f"product exponent reaches {cap}")
+
     def mul_key(self, k1: int, k2: int) -> int:
         return k1 + k2 - self.offset
 
@@ -138,6 +197,22 @@ class TermOrder:
         if self.kind == "block":
             return f"block({self.block})"
         return self.kind
+
+
+def _ones(m: int) -> int:
+    """1 in each of m fields."""
+    return ((1 << (_W * m)) - 1) // _FMASK
+
+
+def _grevlex_consts(m: int) -> tuple:
+    top = _W * (m - 1)
+    return top, (1 << top) - 1, _ones(m - 1) * _M
+
+
+def _grevlex_fields(key: int, top: int, mask: int, bias: int) -> int:
+    rest = bias - (key & mask)          # fields a_m ... a_2, no borrows
+    # the fields sum to less than 2^28 - 1, and 2^28 = 1 mod 2^28 - 1
+    return (((key >> top) - rest % _FMASK) << top) | rest
 
 
 def _valid_name(name: str) -> bool:
@@ -457,7 +532,7 @@ class Polynomial:
             return self.ring.one
         if k == 1:
             return self
-        # cheap amplification guard; multiplication itself stays unchecked
+        # refuse before squaring; every product is checked as well
         unpack = self.ring.order.unpack
         max_exp = max(max(unpack(key)) for key in self.terms) if self.terms else 0
         if max_exp * k >= EXP_CAP:
@@ -579,6 +654,9 @@ def _mul(a: Polynomial, b: Polynomial) -> Polynomial:
     ring = a.ring
     if len(a.terms) > len(b.terms):
         a, b = b, a
+    if not a.terms or not b.terms:
+        return Polynomial(ring, {})
+    ring.order.check_product(a.terms, b.terms)
     off = ring.order.offset
     bt = b.terms
     guard = TERM_GUARD

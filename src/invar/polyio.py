@@ -170,8 +170,10 @@ def parse_poly(text: str, ring: PolyRing) -> Polynomial:
 
 
 def _parse_poly_expr(toks: _Tokens, ring: PolyRing) -> Polynomial:
-    F = ring.field
-    acc = ring.zero
+    """Terms merge into one dict, so a long polynomial parses in linear
+    time; only nonzero terms are packed (and so checked)."""
+    pack, coeff_of, cadd = ring.order.pack, ring._coeff, ring._cadd
+    terms: dict = {}
     sign = 1
     t = toks.peek()
     if t[0] in "+-":
@@ -179,9 +181,18 @@ def _parse_poly_expr(toks: _Tokens, ring: PolyRing) -> Polynomial:
         sign = -1 if t[0] == "-" else 1
     while True:
         coeff, exps = _parse_term(toks, ring)
-        if sign < 0:
-            coeff = -coeff
-        acc = acc + ring.monomial(exps, coeff)
+        c = coeff_of(-coeff if sign < 0 else coeff)
+        if c is not None:
+            key = pack(exps)
+            cur = terms.get(key)
+            if cur is None:
+                terms[key] = c
+            else:
+                s = cadd(cur, c)
+                if s is None:
+                    del terms[key]
+                else:
+                    terms[key] = s
         t = toks.peek()
         if t[0] == "+":
             sign = 1
@@ -190,7 +201,7 @@ def _parse_poly_expr(toks: _Tokens, ring: PolyRing) -> Polynomial:
             sign = -1
             toks.next()
         else:
-            return acc
+            return Polynomial(ring, terms)
 
 
 def _parse_term(toks: _Tokens, ring: PolyRing):

@@ -1,19 +1,21 @@
 """Independent reference implementations and helpers used only by tests.
 
-The references are is deliberately naive: dense exponent-tuple arithmetic,
+The references are deliberately naive: dense exponent-tuple arithmetic,
 reference comparators straight from the textbook definitions, and a
 linear-algebra ideal membership decision that never touches the
 Groebner machinery it is meant to check.
 """
 
+import heapq
 import random
 from itertools import product
-from typing import Sequence
+from typing import Optional, Sequence
 
-from invar.errors import ResourceLimit, UsageError
+import invar.mpoly as mpoly
+from invar.errors import ContextMismatch, ResourceLimit, UsageError
 from invar.fsing import C0_XI_TERMS
 from invar.gf import FieldSpec, field
-from invar.groebner import buchberger, change_ring
+from invar.groebner import MembershipCertificate, buchberger, change_ring
 from invar.invariants import MatrixGF, is_symplectic, symplectic_form, xring
 from invar.mpoly import PolyRing, Polynomial
 
@@ -201,6 +203,103 @@ def membership_by_linear_algebra(f, gens, degree_cap=12):
             factor = target[col]
             target = [(a - factor * b) % p for a, b in zip(target, pivot_row)]
     return not any(target)
+
+
+# -- reference division ------------------------------------------------------------
+
+
+def reference_normal_form(f: Polynomial, basis, certificate: bool = False):
+    """The lazy-deletion heap division that groebner.normal_form
+    replaced: same divisor choice (first divisor in ascending
+    leading-monomial order, index breaking ties), exponent tuples for
+    divisibility, one heap entry per push with stale entries skipped,
+    and the ring's coefficient methods for every term."""
+    items = list(basis)
+    ring = f.ring
+    for b in items:
+        if b.ring != ring:
+            raise ContextMismatch("basis element from a different ring")
+
+    # scan order: ascending leading monomial, original index breaks ties
+    table = []
+    unpack = ring.order.unpack
+    for i, b in enumerate(items):
+        if b.is_zero():
+            continue
+        lmk = b.leading_key()
+        table.append((lmk, i, unpack(lmk), ring._cinv(b.terms[lmk]), b.terms))
+    table.sort(key=lambda t: (t[0], t[1]))
+
+    cadd, cneg, cmul = ring._cadd, ring._cneg, ring._cmul
+    off = ring.order.offset
+    acc = dict(f.terms)
+    heap = [-k for k in acc]
+    heapq.heapify(heap)
+    rem: dict = {}
+    cof: Optional[list] = [{} for _ in items] if certificate else None
+    guard = mpoly.TERM_GUARD
+    pushes = len(heap)
+
+    while heap:
+        key = -heapq.heappop(heap)
+        c = acc.pop(key, None)
+        if c is None:
+            continue            # stale heap entry
+        exps = unpack(key)
+        hit = None
+        for lmk, i, lme, lcinv, bterms in table:
+            if lmk > key:
+                break           # monomial order refines divisibility
+            ok = True
+            for a, bb in zip(exps, lme):
+                if a < bb:
+                    ok = False
+                    break
+            if ok:
+                hit = (lmk, i, lcinv, bterms)
+                break
+        if hit is None:
+            rem[key] = c
+            continue
+        lmk, i, lcinv, bterms = hit
+        factor = cmul(c, lcinv)
+        shift = key - lmk
+        for kb, cb in bterms.items():
+            if kb == lmk:
+                continue
+            k2 = kb + shift
+            delta = cneg(cmul(factor, cb))
+            cur = acc.get(k2)
+            if cur is None:
+                acc[k2] = delta
+                heapq.heappush(heap, -k2)
+                pushes += 1
+                if pushes > guard:
+                    raise ResourceLimit(f"reduction exceeded {guard} terms")
+            else:
+                s = cadd(cur, delta)
+                if s is None:
+                    del acc[k2]
+                else:
+                    acc[k2] = s
+        if certificate:
+            qk = key - lmk + off
+            ci = cof[i]
+            cur = ci.get(qk)
+            if cur is None:
+                ci[qk] = factor
+            else:
+                s = cadd(cur, factor)
+                if s is None:
+                    del ci[qk]
+                else:
+                    ci[qk] = s
+
+    remainder = Polynomial(ring, rem)
+    if not certificate:
+        return remainder
+    cofactors = [Polynomial(ring, d) for d in cof]
+    return MembershipCertificate(f, items, cofactors, remainder)
 
 
 # -- Dickson invariants from the defining product ---------------------------------

@@ -505,6 +505,20 @@ def test_replay_binds_a_flipped_verdict(claim_id, params):
     assert not _replays(doc)
 
 
+def test_exponent_replay_needs_a_full_list_holding_the_solutions():
+    doc = _document("theorem-search", n=2, q=3)
+    witness = doc["witness"]
+    assert witness["solutions"] and _replays(doc)
+    # an empty "full enumeration" misses the pruned solutions: no proof
+    forged = dict(witness, full=[])
+    assert not _replays(dict(doc, verdict="REFUTED", witness=forged))
+    assert not _replays(dict(doc, witness=forged))
+    # a full list equal to the solutions agrees with them
+    same = dict(witness, full=witness["solutions"])
+    assert _replays(dict(doc, witness=same))
+    assert not _replays(dict(doc, verdict="REFUTED", witness=same))
+
+
 @pytest.mark.parametrize("mode, verdict, other", [
     ("exact", "VERIFIED", "PROBABLE"),
     ("probabilistic", "PROBABLE", "VERIFIED"),

@@ -3,17 +3,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import invar.groebner as groebner
 import invar.mpoly as mpoly
 from invar.errors import ContextMismatch, ResourceLimit, UsageError
 from invar.gf import field
-from invar.mpoly import PolyRing
+from invar.mpoly import PolyRing, TermOrder
 from invar.groebner import (GroebnerBasis, MembershipCertificate, buchberger,
                             change_ring, frobenius_closure_search,
                             frobenius_power_ideal, ideal_member, normal_form,
                             _spoly)
-from oracles import eliminate, membership_by_linear_algebra, random_poly
+from oracles import (eliminate, membership_by_linear_algebra, random_poly,
+                     reference_normal_form)
 
 
 @pytest.fixture
@@ -296,3 +299,120 @@ def test_reduction_term_guard(monkeypatch):
     monkeypatch.setattr(mpoly, "TERM_GUARD", 5)
     with pytest.raises(ResourceLimit):
         normal_form(f, [x ** 2 - y ** 5])
+
+
+def test_reduction_exponent_cap():
+    # grevlex division keeps the total degree, but moves it between
+    # variables: x - y turns x^a y^b into y^(a+b), past the cap
+    ring = PolyRing(field(5), ["x", "y"])
+    x, y = ring.gens()
+    top = ring.monomial((mpoly.EXP_CAP - 1, mpoly.EXP_CAP - 1))
+    with pytest.raises(ResourceLimit):
+        normal_form(top, [x - y])
+    x_top = ring.monomial((mpoly.EXP_CAP - 1, 0))
+    assert normal_form(top, [x_top - 1]) == ring.monomial((0, mpoly.EXP_CAP - 1))
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the division against the reference it replaced
+# ---------------------------------------------------------------------------
+
+_FIELDS = ((2, 1), (5, 1), (3, 2))
+
+
+@st.composite
+def _rings(draw, fields=_FIELDS):
+    p, e = draw(st.sampled_from(fields))
+    n = draw(st.integers(2, 4))
+    order = draw(st.sampled_from(("grevlex", "lex", "block")))
+    if order == "block":
+        order = ("block", draw(st.integers(1, n - 1)))
+    return PolyRing(field(p, e), [f"x{i}" for i in range(n)], order)
+
+
+def _poly(draw, ring, max_terms, max_deg, degree=None):
+    """Random polynomial; with degree given, homogeneous of that degree."""
+    exps = st.tuples(*[st.integers(0, max_deg)] * ring.nvars)
+    if degree is not None:
+        exps = exps.filter(lambda e: sum(e) == degree)
+    F = ring.field
+    terms = draw(st.dictionaries(exps, st.integers(1, F.order - 1), max_size=max_terms))
+    return ring.from_terms({e: F.from_index(c) for e, c in terms.items()})
+
+
+@st.composite
+def _division_cases(draw):
+    ring = draw(_rings())
+    f = _poly(draw, ring, 10, 6)
+    basis = [_poly(draw, ring, 4, 3) for _ in range(draw(st.integers(1, 4)))]
+    nonzero = [b for b in basis if not b.is_zero()]
+    if nonzero and draw(st.booleans()):
+        # a second element with the same leading monomial, another
+        # leading coefficient and a different tail
+        b = draw(st.sampled_from(nonzero))
+        lead = b.leading_key()
+        low = _poly(draw, ring, 4, 3)
+        low = mpoly.Polynomial(ring, {k: c for k, c in low.terms.items() if k < lead})
+        scale = ring.field.from_index(draw(st.integers(1, ring.field.order - 1)))
+        basis.insert(draw(st.integers(0, len(basis))), b.scale(scale) + low)
+    if draw(st.booleans()):
+        basis.insert(draw(st.integers(0, len(basis))), ring.zero)
+    return f, basis
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_division_cases())
+def test_normal_form_matches_reference(case):
+    f, basis = case
+    got = normal_form(f, basis, certificate=True)
+    ref = reference_normal_form(f, basis, certificate=True)
+    assert got.remainder == ref.remainder
+    assert got.cofactors == ref.cofactors
+    assert normal_form(f, basis) == ref.remainder
+    assert got.check()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_membership_matches_linear_algebra(data):
+    ring = data.draw(_rings(fields=((2, 1), (5, 1))))
+    gens = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        deg = data.draw(st.integers(1, 2))
+        gens.append(_poly(data.draw, ring, 3, deg, degree=deg))
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        gens = [ring.gen(0)]
+    d = data.draw(st.integers(2, 3))
+    f = _poly(data.draw, ring, 3, d, degree=d)
+    if data.draw(st.booleans()):
+        # a member, plus maybe one stray term
+        for g in gens:
+            k = d - g.total_degree()
+            if k >= 0:
+                f = f + _poly(data.draw, ring, 2, k, degree=k) * g
+    gb = buchberger(gens)
+    assert normal_form(f, gb).is_zero() == membership_by_linear_algebra(f, gens)
+
+
+_EXPONENTS = st.one_of(st.integers(0, 3),
+                       st.integers(0, mpoly.EXP_CAP - 1),
+                       st.sampled_from((mpoly.EXP_CAP - 2, mpoly.EXP_CAP - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_field_divisibility_matches_tuples(data):
+    n = data.draw(st.integers(1, 5))
+    kind = data.draw(st.sampled_from(("grevlex", "lex", "block") if n > 1
+                                     else ("grevlex", "lex")))
+    order = TermOrder(kind, n, data.draw(st.integers(1, n - 1)) if kind == "block" else 0)
+    a = data.draw(st.tuples(*[_EXPONENTS] * n))
+    # b near a in every coordinate, or anywhere
+    shifts = st.tuples(*[st.integers(-1, 1)] * n)
+    b = tuple(min(max(x + s, 0), mpoly.EXP_CAP - 1)
+              for x, s in zip(a, data.draw(shifts)))
+    if data.draw(st.booleans()):
+        b = data.draw(st.tuples(*[_EXPONENTS] * n))
+    A, B, G = order.fields(order.pack(a)), order.fields(order.pack(b)), order.guard
+    assert (((A | G) - B) & G == G) == all(x >= y for x, y in zip(a, b))

@@ -242,6 +242,34 @@ def test_exponent_cap(R3, monkeypatch):
     assert R3.monomial((7, 0, 0)).degree_in(0) == 7
 
 
+@pytest.mark.parametrize("order", ["lex", "grevlex", ("block", 1)])
+def test_product_exponent_never_wraps(order):
+    # 300 products by y^(2^20 - 1) used to carry into x's field in lex
+    R = PolyRing(field(3), ["x", "y"], order)
+    step = R.monomial((0, mpoly.EXP_CAP - 1))
+    f = R.one
+    with pytest.raises(ResourceLimit):
+        for _ in range(300):
+            f = f * step
+    assert f == step
+
+
+@pytest.mark.parametrize("order", ["lex", "grevlex", ("block", 1)])
+def test_product_exponent_check_is_exact(order):
+    R = PolyRing(field(3), ["x", "y"], order)
+    cap = mpoly.EXP_CAP
+    top = R.monomial((cap - 1, cap - 1))
+    assert R.monomial((cap - 1, 0)) * R.monomial((0, cap - 1)) == top
+    # the OR of x^(2^19) and x^(2^18) overstates the degree 2^19
+    f = R.monomial((cap // 2, 0)) + R.monomial((cap // 4, 0))
+    g = R.monomial((cap // 2 - 1, 0))
+    assert (f * g).degree_in(0) == cap - 1
+    with pytest.raises(ResourceLimit):
+        f * R.monomial((cap // 2, 1))
+    with pytest.raises(ResourceLimit):
+        top * R.gen(1)
+
+
 def test_term_guard(R3, monkeypatch):
     rng = random.Random(0)
     f = random_poly(R3, rng, nterms=12, maxdeg=6)
