@@ -1,6 +1,7 @@
 """Tests for division, Buchberger, membership, and closure search."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -330,11 +331,18 @@ def _rings(draw, fields=_FIELDS):
     return PolyRing(field(p, e), [f"x{i}" for i in range(n)], order)
 
 
-def _poly(draw, ring, max_terms, max_deg, degree=None):
-    """Random polynomial; with degree given, homogeneous of that degree."""
-    exps = st.tuples(*[st.integers(0, max_deg)] * ring.nvars)
-    if degree is not None:
-        exps = exps.filter(lambda e: sum(e) == degree)
+def _box(ring, max_deg):
+    """Exponent tuples with every entry at most max_deg."""
+    return st.tuples(*[st.integers(0, max_deg)] * ring.nvars)
+
+
+def _degree(ring, d):
+    """Exponent tuples of total degree d."""
+    return st.sampled_from([e for e in product(range(d + 1), repeat=ring.nvars)
+                            if sum(e) == d])
+
+
+def _poly(draw, ring, max_terms, exps):
     F = ring.field
     terms = draw(st.dictionaries(exps, st.integers(1, F.order - 1), max_size=max_terms))
     return ring.from_terms({e: F.from_index(c) for e, c in terms.items()})
@@ -343,15 +351,15 @@ def _poly(draw, ring, max_terms, max_deg, degree=None):
 @st.composite
 def _division_cases(draw):
     ring = draw(_rings())
-    f = _poly(draw, ring, 10, 6)
-    basis = [_poly(draw, ring, 4, 3) for _ in range(draw(st.integers(1, 4)))]
+    f = _poly(draw, ring, 10, _box(ring, 6))
+    basis = [_poly(draw, ring, 4, _box(ring, 3)) for _ in range(draw(st.integers(1, 4)))]
     nonzero = [b for b in basis if not b.is_zero()]
     if nonzero and draw(st.booleans()):
         # a second element with the same leading monomial, another
         # leading coefficient and a different tail
         b = draw(st.sampled_from(nonzero))
         lead = b.leading_key()
-        low = _poly(draw, ring, 4, 3)
+        low = _poly(draw, ring, 4, _box(ring, 3))
         low = mpoly.Polynomial(ring, {k: c for k, c in low.terms.items() if k < lead})
         scale = ring.field.from_index(draw(st.integers(1, ring.field.order - 1)))
         basis.insert(draw(st.integers(0, len(basis))), b.scale(scale) + low)
@@ -379,18 +387,17 @@ def test_membership_matches_linear_algebra(data):
     gens = []
     for _ in range(data.draw(st.integers(1, 3))):
         deg = data.draw(st.integers(1, 2))
-        gens.append(_poly(data.draw, ring, 3, deg, degree=deg))
+        gens.append(_poly(data.draw, ring, 3, _degree(ring, deg)))
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         gens = [ring.gen(0)]
     d = data.draw(st.integers(2, 3))
-    f = _poly(data.draw, ring, 3, d, degree=d)
-    if data.draw(st.booleans()):
-        # a member, plus maybe one stray term
-        for g in gens:
-            k = d - g.total_degree()
-            if k >= 0:
-                f = f + _poly(data.draw, ring, 2, k, degree=k) * g
+    # a random form (often empty) plus multiples of the generators
+    f = _poly(data.draw, ring, 2, _degree(ring, d))
+    for g in gens:
+        k = d - g.total_degree()
+        if k >= 0 and data.draw(st.booleans()):
+            f = f + _poly(data.draw, ring, 2, _degree(ring, k)) * g
     gb = buchberger(gens)
     assert normal_form(f, gb).is_zero() == membership_by_linear_algebra(f, gens)
 
