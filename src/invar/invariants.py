@@ -269,9 +269,6 @@ class MatrixGF:
             rows.append(tuple(row))
         return MatrixGF(self.spec, tuple(rows))
 
-    def transpose(self) -> "MatrixGF":
-        return MatrixGF(self.spec, tuple(zip(*self.rows)))
-
     def det(self) -> FieldElement:
         n = self.n
         m = [list(r) for r in self.rows]
@@ -320,23 +317,6 @@ class MatrixGF:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"<matrix {self.n}x{self.n} over {self.spec}: {body}>"
-
-
-def symplectic_form(spec: FieldSpec, n: int) -> MatrixGF:
-    """Block-diagonal J with 2x2 blocks [[0, 1], [-1, 0]]."""
-    size = 2 * n
-    rows = [[0] * size for _ in range(size)]
-    for k in range(n):
-        rows[2 * k][2 * k + 1] = 1
-        rows[2 * k + 1][2 * k] = -1
-    return MatrixGF.from_rows(spec, rows)
-
-
-def is_symplectic(M: MatrixGF) -> bool:
-    if M.n % 2:
-        return False
-    J = symplectic_form(M.spec, M.n // 2)
-    return M.transpose() * J * M == J
 
 
 def apply_matrix(f: Polynomial, M: MatrixGF) -> Polynomial:

@@ -18,6 +18,10 @@ which makes divisibility one subtraction and one mask.
 
 Coefficients live in GF(p^e): stored as canonical ints in [1, p) when
 e = 1 and as coefficient tuples otherwise.
+
+Every square goes through _sqr, which over GF(p) forms each cross term
+once and in characteristic 2 is the termwise Frobenius map; __pow__ and
+substitute square only through it.
 """
 
 from __future__ import annotations
@@ -481,17 +485,7 @@ class Polynomial:
         if len(big) < len(small):
             big, small = small, big
         out = dict(big)
-        cadd = self.ring._cadd
-        for k, c in small.items():
-            cur = out.get(k)
-            if cur is None:
-                out[k] = c
-            else:
-                s = cadd(cur, c)
-                if s is None:
-                    del out[k]
-                else:
-                    out[k] = s
+        _merge(out, small, self.ring._cadd)
         return Polynomial(self.ring, out)
 
     __radd__ = __add__
@@ -526,6 +520,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        """Square and multiply; the squarings go through _sqr."""
         if k < 0:
             raise UsageError("negative polynomial power")
         if k == 0:
@@ -545,7 +540,7 @@ class Polynomial:
                 result = base if result is None else _mul(result, base)
             k >>= 1
             if k:
-                base = _mul(base, base)
+                base = _sqr(base)
         return result
 
     def __eq__(self, other):
@@ -650,6 +645,20 @@ def _coeff_text(ring: PolyRing, c) -> str:
     return "(" + _poly_text(c) + ")"
 
 
+def _merge(out: dict, terms: dict, cadd) -> None:
+    """Add terms into out in place; keys that cancel are deleted."""
+    for k, c in terms.items():
+        cur = out.get(k)
+        if cur is None:
+            out[k] = c
+        else:
+            s = cadd(cur, c)
+            if s is None:
+                del out[k]
+            else:
+                out[k] = s
+
+
 def _mul(a: Polynomial, b: Polynomial) -> Polynomial:
     ring = a.ring
     if len(a.terms) > len(b.terms):
@@ -693,6 +702,43 @@ def _mul(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(ring, out)
 
 
+def _sqr(f: Polynomial) -> Polynomial:
+    """f * f with each cross term formed once.  In characteristic 2 the
+    cross terms vanish and the square is the termwise Frobenius map;
+    odd-characteristic extension fields take the general product."""
+    ring = f.ring
+    F = ring.field
+    if F.p == 2:
+        return frobenius_power(f, 1)
+    if F.e > 1:
+        return _mul(f, f)
+    if not f.terms:
+        return Polynomial(ring, {})
+    ring.order.check_product(f.terms, f.terms)
+    off = ring.order.offset
+    p = F.p
+    guard = TERM_GUARD
+    items = list(f.terms.items())
+    acc: dict = {}
+    get = acc.get
+    for i, (k1, c1) in enumerate(items):
+        base = k1 - off
+        k = base + k1
+        acc[k] = get(k, 0) + c1 * c1
+        twice = c1 + c1
+        for k2, c2 in items[i + 1:]:
+            k = base + k2
+            acc[k] = get(k, 0) + twice * c2
+        if len(acc) > guard:
+            raise ResourceLimit(f"product exceeds {guard} terms")
+    out = {}
+    for k, v in acc.items():
+        v %= p
+        if v:
+            out[k] = v
+    return Polynomial(ring, out)
+
+
 def frobenius_power(f: Polynomial, m: int) -> Polynomial:
     """f^(p^m), computed termwise: in characteristic p the map x -> x^p
     is additive, so exponents scale by p^m and coefficients are raised
@@ -717,7 +763,7 @@ def frobenius_power(f: Polynomial, m: int) -> Polynomial:
 def substitute(f: Polynomial, images: dict) -> Polynomial:
     """Ring map determined by name -> polynomial images (same
     coefficient field on both sides).  Powers of each image are built by
-    squaring and memoized, so every power is computed once."""
+    squaring through _sqr and memoized, so every power is computed once."""
     ring = f.ring
     target = None
     for g in images.values():
@@ -740,22 +786,23 @@ def substitute(f: Polynomial, images: dict) -> Polynomial:
             if k == 1:
                 got = imgs[i]
             else:
-                half = power(i, k // 2)
-                got = half * half
+                got = _sqr(power(i, k // 2))
                 if k % 2:
                     got = got * imgs[i]
             caches[i][k] = got
         return got
 
-    acc = target.zero
+    # one dict for the sum: acc + t would copy it once per term of f
+    acc: dict = {}
+    cadd = target._cadd
     unpack = ring.order.unpack
     for key, coeff in f.terms.items():
         t = target.constant(ring.coeff_element(coeff))
         for i, a in enumerate(unpack(key)):
             if a:
                 t = t * power(i, a)
-        acc = acc + t
-    return acc
+        _merge(acc, t.terms, cadd)
+    return Polynomial(target, acc)
 
 
 class IdentityResult(NamedTuple):

@@ -16,7 +16,7 @@ from invar.errors import ContextMismatch, ResourceLimit, UsageError
 from invar.fsing import C0_XI_TERMS
 from invar.gf import FieldSpec, field
 from invar.groebner import MembershipCertificate, buchberger, change_ring
-from invar.invariants import MatrixGF, is_symplectic, symplectic_form, xring
+from invar.invariants import MatrixGF, xring
 from invar.mpoly import PolyRing, Polynomial
 
 TREE_CAP = 64     # refuse the product-of-linear-forms oracle past q^n of this
@@ -380,7 +380,28 @@ def _demote(f: Polynomial, prime_ring: PolyRing) -> Polynomial:
     return Polynomial(prime_ring, terms)
 
 
-# -- random group elements -----------------------------------------------------------
+# -- symplectic forms and random group elements ---------------------------------------
+
+
+def transpose(M: MatrixGF) -> MatrixGF:
+    return MatrixGF(M.spec, tuple(zip(*M.rows)))
+
+
+def symplectic_form(spec: FieldSpec, n: int) -> MatrixGF:
+    """Block-diagonal J with 2x2 blocks [[0, 1], [-1, 0]]."""
+    size = 2 * n
+    rows = [[0] * size for _ in range(size)]
+    for k in range(n):
+        rows[2 * k][2 * k + 1] = 1
+        rows[2 * k + 1][2 * k] = -1
+    return MatrixGF.from_rows(spec, rows)
+
+
+def is_symplectic(M: MatrixGF) -> bool:
+    if M.n % 2:
+        return False
+    J = symplectic_form(M.spec, M.n // 2)
+    return transpose(M) * J * M == J
 
 
 def symplectic_transvection(spec: FieldSpec, n: int, v: Sequence, lam) -> MatrixGF:

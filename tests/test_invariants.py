@@ -9,15 +9,15 @@ from invar.gf import field
 from invar.groebner import buchberger, normal_form
 from invar.invariants import (MatrixGF, apply_matrix, dickson_at_point,
                               dickson_invariants, elementary_symmetric,
-                              is_symplectic, lift_coefficients,
-                              relation_side_degrees, staircase_monomial,
-                              symplectic_form, symplectic_relation_sides,
+                              lift_coefficients, relation_side_degrees,
+                              staircase_monomial, symplectic_relation_sides,
                               symplectic_relation_values, symplectic_xi,
                               symplectic_xi_value, truncated_monomial_sum,
                               vandermonde, xring)
 from invar.mpoly import PolyRing
-from oracles import (dickson_product_tree, random_invertible,
-                     random_symplectic, symplectic_transvection)
+from oracles import (dickson_product_tree, is_symplectic, random_invertible,
+                     random_symplectic, symplectic_form,
+                     symplectic_transvection, transpose)
 
 
 # -- Dickson invariants ---------------------------------------------------------
@@ -242,7 +242,7 @@ def test_matrix_basics():
     A = MatrixGF.from_rows(spec, [[1, 2], [3, 4]])
     B = MatrixGF.from_rows(spec, [[0, 1], [1, 0]])
     assert (A * B).rows == MatrixGF.from_rows(spec, [[2, 1], [4, 3]]).rows
-    assert A.transpose().rows == MatrixGF.from_rows(spec, [[1, 3], [2, 4]]).rows
+    assert transpose(A).rows == MatrixGF.from_rows(spec, [[1, 3], [2, 4]]).rows
     assert A.det() == spec.element(4 - 6)
     assert MatrixGF.identity(spec, 3).det() == spec.one
     assert not MatrixGF.from_rows(spec, [[1, 2], [2, 4]]).is_invertible()

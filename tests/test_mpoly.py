@@ -2,14 +2,17 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import invar.mpoly as mpoly
 from invar.errors import ContextMismatch, ResourceLimit, UsageError
 from invar.gf import field
-from invar.mpoly import (PolyRing, TermOrder, frobenius_power,
-                         verify_identity_probabilistic)
+from invar.mpoly import (PolyRing, TermOrder, _mul, _sqr, frobenius_power,
+                         substitute, verify_identity_probabilistic)
 from oracles import (block_sort_key, eval_by_substitution, grevlex_sort_key,
                      lex_sort_key, naive_mul, random_poly)
 
@@ -325,3 +328,100 @@ def test_text_canonical_ordering(R3):
     assert f.text() == "x1^2+2*x2+x3"
     assert R3.zero.text() == "0"
     assert (R3.one * 2).text() == "2"
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the squaring kernel against the general product
+# ---------------------------------------------------------------------------
+
+# GF(2), GF(3), GF(5), GF(4), GF(9): every branch of _sqr
+_SQR_FIELDS = ((2, 1), (3, 1), (5, 1), (2, 2), (3, 2))
+
+
+@st.composite
+def _rings(draw):
+    p, e = draw(st.sampled_from(_SQR_FIELDS))
+    n = draw(st.integers(1, 3))
+    orders = ("grevlex", "lex", "block") if n > 1 else ("grevlex", "lex")
+    order = draw(st.sampled_from(orders))
+    if order == "block":
+        order = ("block", draw(st.integers(1, n - 1)))
+    return PolyRing(field(p, e), [f"x{i}" for i in range(n)], order)
+
+
+def _poly(draw, ring, max_terms=8):
+    """Zero, constants and single terms come up often: max_deg 0 leaves
+    only the constant monomial, and dictionaries start small."""
+    F = ring.field
+    max_deg = draw(st.integers(0, 5))
+    exps = st.tuples(*[st.integers(0, max_deg)] * ring.nvars)
+    terms = draw(st.dictionaries(exps, st.integers(1, F.order - 1), max_size=max_terms))
+    return ring.from_terms({e: F.from_index(c) for e, c in terms.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sqr_matches_mul(data):
+    ring = data.draw(_rings())
+    f = _poly(data.draw, ring, max_terms=12)
+    assert _sqr(f) == _mul(f, f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pow_matches_chained_mul(data):
+    ring = data.draw(_rings())
+    f = _poly(data.draw, ring, max_terms=5)
+    for k in range(10):
+        assert f ** k == reduce(_mul, [f] * k, ring.one)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_substitute_matches_termwise_products(data):
+    ring = data.draw(_rings())
+    target = data.draw(_rings())
+    target = PolyRing(ring.field, target.names, target.order)
+    f = _poly(data.draw, ring)
+    images = {nm: _poly(data.draw, target, max_terms=4) for nm in ring.names}
+    expected = target.zero
+    for key, c in f.terms.items():
+        t = target.constant(ring.coeff_element(c))
+        for nm, a in zip(ring.names, ring.order.unpack(key)):
+            t = reduce(_mul, [images[nm]] * a, t)
+        expected = expected + t
+    assert substitute(f, images) == expected
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (5, 1), (3, 2)])
+@pytest.mark.parametrize("order", ["lex", "grevlex", ("block", 1), ("block", 2)])
+def test_sqr_exponent_cap(p, e, order):
+    R = PolyRing(field(p, e), ["x", "y", "z"], order)
+    c = R.field.from_index(R.field.order - 1)
+    half = mpoly.EXP_CAP // 2
+    for i in range(3):
+        exps = [1, 2, 3]
+        exps[i] = half
+        f = R.monomial(exps, c) + R.one
+        with pytest.raises(ResourceLimit):
+            _sqr(f)
+        with pytest.raises(ResourceLimit):
+            _mul(f, f)
+        exps[i] = half - 1
+        g = R.monomial(exps, c) + R.one
+        assert _sqr(g) == _mul(g, g)
+        assert _sqr(g).degree_in(i) == mpoly.EXP_CAP - 2
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2)])
+def test_sqr_term_guard_trips_with_mul(p, e, monkeypatch):
+    R = PolyRing(field(p, e), ["x", "y", "z"])
+    f = random_poly(R, random.Random(p * e), nterms=12, maxdeg=6)
+    keys = {k1 + k2 for k1 in f.terms for k2 in f.terms}
+    monkeypatch.setattr(mpoly, "TERM_GUARD", len(keys) - 1)
+    with pytest.raises(ResourceLimit):
+        _sqr(f)
+    with pytest.raises(ResourceLimit):
+        _mul(f, f)
+    monkeypatch.setattr(mpoly, "TERM_GUARD", len(keys))
+    assert _sqr(f) == _mul(f, f)
