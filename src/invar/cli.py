@@ -17,7 +17,7 @@ from . import cache
 from .errors import ParseError, ResourceLimit, UsageError
 from .fsing import (PROBABLE, REFUTED, RUNNERS, SKIPPED, VERIFIED, RunConfig,
                     bound_text, params_text, render_machine, render_text,
-                    run_claim, suite_claims, witness_document)
+                    run_claim, run_suite, witness_document)
 from .gf import field
 from .groebner import buchberger, change_ring, normal_form
 from .invariants import (dickson_invariants, elementary_symmetric,
@@ -250,7 +250,7 @@ def suite(profile, seed, trials, ext_degree, e_max, output, out):
     config = RunConfig(seed=seed, trials=trials, ext_degree=ext_degree,
                        e_max=e_max)
     t0 = time.perf_counter()
-    reports = [run_claim(cid, config, **ps) for cid, ps in suite_claims(profile)]
+    reports = run_suite(profile, config)
     lines = []
     if output == "machine":
         lines = [render_machine(r) for r in reports]

@@ -12,7 +12,7 @@ whose verdict is one of
 VERIFIED and REFUTED reports carry a replayable witness: a membership
 certificate, a set of exponent tuples, or evaluation points with the
 values of both sides.  replay_witness re-validates a witness without
-re-running any search.
+re-running any search.  run_claim times each claim.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from itertools import product
 from typing import Callable, Optional
 
 from .errors import ResourceLimit, UsageError
-from .gf import FieldSpec, field, is_prime
+from .gf import FieldSpec, _prime_factors, field, is_prime
 from .groebner import (MembershipCertificate, buchberger,
                        frobenius_closure_search, frobenius_power_ideal,
                        ideal_member, normal_form)
@@ -37,7 +37,8 @@ from .invariants import (dickson_at_point, dickson_invariants,
                          symplectic_relation_values, symplectic_xi,
                          symplectic_xi_value, truncated_monomial_sum,
                          vandermonde, xring)
-from .mpoly import Polynomial, PolyRing, frobenius_power, substitute
+from .mpoly import (Polynomial, PolyRing, frobenius_power, random_points,
+                    sample_sides, substitute)
 from .polyio import (format_certificate, format_polys, parse_certificate_text,
                      parse_element, parse_field_text, parse_poly,
                      parse_polys_text)
@@ -46,6 +47,9 @@ VERIFIED = "VERIFIED"
 PROBABLE = "PROBABLE"
 REFUTED = "REFUTED"
 SKIPPED = "SKIPPED"
+
+SEARCH_CAP = 10 ** 9    # full-enumeration ceiling of the exponent search
+AGREE_CAP = 10 ** 6     # below this, pruned vs full cross-check
 
 
 @dataclass(frozen=True)
@@ -57,21 +61,18 @@ class RunConfig:
     ext_degree: int = 32
     e_max: int = 4
     alt_nmax: int = 6
-    mode: str = "auto"             # exact | probabilistic | auto
-    search_cap: int = 10 ** 9      # full-enumeration ceiling
-    agree_cap: int = 10 ** 6       # below this, pruned vs full cross-check
 
     def __post_init__(self):
         if self.trials < 1 or self.ext_degree < 1:
             raise UsageError("trials and ext_degree must be positive")
         if self.e_max < 0 or self.alt_nmax < 2:
             raise UsageError("e_max must be >= 0 and alt_nmax >= 2")
-        if self.mode not in ("exact", "probabilistic", "auto"):
-            raise UsageError(f"unknown mode {self.mode!r}")
 
 
 @dataclass
 class VerificationReport:
+    """The outcome of one claim.  elapsed is the wall time run_claim
+    measured; a check function called directly leaves it at 0.0."""
     claim_id: str
     parameters: dict
     verdict: str
@@ -93,11 +94,6 @@ def _sub_rng(seed: int, label: str) -> random.Random:
 def _label(claim_id: str, params: dict) -> str:
     core = ",".join(f"{k}={params[k]}" for k in sorted(params))
     return f"{claim_id}|{core}"
-
-
-def _finish(report: VerificationReport, t0: float) -> VerificationReport:
-    report.elapsed = time.perf_counter() - t0
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +162,6 @@ def check_presentation(pres: Presentation) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _sample_points(L: FieldSpec, nvars: int, rng: random.Random, count: int):
-    return [tuple(L.random_element(rng) for _ in range(nvars))
-            for _ in range(count)]
-
-
 def _points_witness(L: FieldSpec, pts, lhs_vals, rhs_vals, extras: dict,
                     **more) -> dict:
     w = {
@@ -191,24 +182,8 @@ def _parse_points(witness: dict):
     return L, pts
 
 
-def _sample_sides(L: FieldSpec, nvars: int, rng: random.Random, trials: int,
-                  sides, extras: dict):
-    """Evaluate sides(P) at trials random points, stopping at the first
-    point that separates them.  Returns the points witness and the index
-    of that point, or None when every sample agrees."""
-    pts = _sample_points(L, nvars, rng, trials)
-    lhs, rhs = [], []
-    for k, P in enumerate(pts):
-        lv, rv = sides(P)
-        lhs.append(lv)
-        rhs.append(rv)
-        if lv != rv:
-            return _points_witness(L, pts[:k + 1], lhs, rhs, extras, mismatch=k), k
-    return _points_witness(L, pts, lhs, rhs, extras, mismatch=None), None
-
-
 def _verify_identity(claim_id: str, params: dict, config: RunConfig,
-                     mode: Optional[str], t0: float, sides, exact, degree: int,
+                     mode: str, sides, exact, degree: int,
                      extras: dict, detail: list, *, equal: str, differ: str,
                      separates: Optional[str], agree: str) -> VerificationReport:
     """Exact-then-sample check of an identity in 4 variables.
@@ -221,7 +196,6 @@ def _verify_identity(claim_id: str, params: dict, config: RunConfig,
     and differ ({terms}, {lead} of the difference) after an expansion,
     separates ({k}) and agree after sampling.
     """
-    mode = mode or config.mode
     if mode not in ("exact", "probabilistic", "auto"):
         raise UsageError(f"unknown mode {mode!r}")
     q = params["q"]
@@ -230,31 +204,28 @@ def _verify_identity(claim_id: str, params: dict, config: RunConfig,
     rng = _sub_rng(config.seed, _label(claim_id, {"q": q, "mode": mode}))
 
     def report(verdict, bound, witness):
-        return _finish(VerificationReport(claim_id, params, verdict, bound,
-                                          witness, detail=tuple(detail)), t0)
+        return VerificationReport(claim_id, params, verdict, bound, witness,
+                                  detail=tuple(detail))
 
     if mode in ("exact", "auto"):
         try:
             lhs, rhs = exact()
             if lhs == rhs:
-                pts = _sample_points(L, 4, rng, 3)
-                vals = [sides(P) for P in pts]
+                pts, lv, rv, _ = sample_sides(random_points(L, 4, rng, 3), sides)
                 detail.append(equal.format(terms=len(lhs),
                                            degree=lhs.total_degree()))
-                return report(VERIFIED, Fraction(0), _points_witness(
-                    L, pts, [v[0] for v in vals], [v[1] for v in vals], extras))
+                return report(VERIFIED, Fraction(0),
+                              _points_witness(L, pts, lv, rv, extras))
             diff = lhs - rhs
             detail.append(differ.format(terms=len(diff),
                                         lead=diff.leading_exponents()))
-            for _ in range(100):
-                P = _sample_points(L, 4, rng, 1)[0]
-                lv, rv = sides(P)
-                if lv != rv:
-                    return report(REFUTED, None, _points_witness(
-                        L, [P], [lv], [rv], extras, mismatch=0))
-            # the difference vanishes on every sample; replay re-expands
+            pts, lv, rv, k = sample_sides(random_points(L, 4, rng, 100), sides)
+            # the separating point alone refutes; without one replay
+            # re-expands
+            keep = slice(0, 0) if k is None else slice(k, k + 1)
             return report(REFUTED, None, _points_witness(
-                L, [], [], [], extras, mismatch=None))
+                L, pts[keep], lv[keep], rv[keep], extras,
+                mismatch=None if k is None else 0))
         except ResourceLimit as exc:
             if mode == "exact":
                 detail.append(f"resource guard: {exc}")
@@ -262,7 +233,8 @@ def _verify_identity(claim_id: str, params: dict, config: RunConfig,
             detail.append(f"exact path hit a guard ({exc}); sampling instead")
 
     params.update(trials=config.trials, ext_degree=config.ext_degree)
-    witness, k = _sample_sides(L, 4, rng, config.trials, sides, extras)
+    pts, lv, rv, k = sample_sides(random_points(L, 4, rng, config.trials), sides)
+    witness = _points_witness(L, pts, lv, rv, extras, mismatch=k)
     if k is not None:
         if separates:
             detail.append(separates.format(k=k + 1))
@@ -299,14 +271,11 @@ def _c0_degree_bound(q: int, terms) -> int:
     return max(q ** 4 - 1, cand)
 
 
-def verify_c0_expression(q: int, config: Optional[RunConfig] = None,
-                         mode: Optional[str] = None,
-                         terms=None) -> VerificationReport:
+def verify_c0_expression(q: int, config: RunConfig = RunConfig(),
+                         mode: str = "auto", terms=None) -> VerificationReport:
     """Does c_0 (4 variables, GL-invariant of degree q^4 - 1) equal the
     stored expression in xi_1, xi_2, xi_3?  terms overrides the stored
     expression, which is how the mutation controls are run."""
-    config = config or RunConfig()
-    t0 = time.perf_counter()
     if q not in (2, 3):
         raise UsageError("c0 expressions are stored for q = 2 and q = 3")
     used = C0_XI_TERMS[q] if terms is None else tuple(
@@ -317,7 +286,7 @@ def verify_c0_expression(q: int, config: Optional[RunConfig] = None,
     D = _c0_degree_bound(q, used)
     L = field(q, config.ext_degree)
     return _verify_identity(
-        "sp4-c0", {"q": q}, config, mode, t0, *_c0_sides(q, used), D,
+        "sp4-c0", {"q": q}, config, mode, *_c0_sides(q, used), D,
         {"terms": [[c, list(e)] for c, e in used], "mismatch": None}, detail,
         equal="exact expansion equal; {terms} terms of degree {degree}",
         differ="exact difference has {terms} terms; leading exponents {lead}",
@@ -338,17 +307,15 @@ def _sp4_relation_exact(q: int):
     return symplectic_relation_sides(R, spec, 1, cs, xis)
 
 
-def verify_sp4_relation(q: int, config: Optional[RunConfig] = None,
-                        mode: Optional[str] = None) -> VerificationReport:
+def verify_sp4_relation(q: int, config: RunConfig = RunConfig(),
+                        mode: str = "auto") -> VerificationReport:
     """The single rank-2 relation  xi_1 c_0 = xi_1^q c_2 - xi_2^q c_3 +
     xi_3^q, checked as materialized polynomials (or by sampling)."""
-    config = config or RunConfig()
-    t0 = time.perf_counter()
     if q not in (2, 3):
         raise UsageError("supported for q = 2 and q = 3")
     dl, dr = relation_side_degrees(q, 4, 1)
     return _verify_identity(
-        "sp4-relation", {"q": q, "i": 1}, config, mode, t0,
+        "sp4-relation", {"q": q, "i": 1}, config, mode,
         lambda P: symplectic_relation_values(P, q, 1),
         lambda: _sp4_relation_exact(q), max(dl, dr), {"i": 1}, [],
         equal="exact sides equal; {terms} terms of degree {degree}",
@@ -357,11 +324,9 @@ def verify_sp4_relation(q: int, config: Optional[RunConfig] = None,
 
 
 def verify_relations_n3(q: int = 2,
-                        config: Optional[RunConfig] = None) -> VerificationReport:
+                        config: RunConfig = RunConfig()) -> VerificationReport:
     """The relation family in 6 variables (i = 1 and 2), checked at
     random points only; the materialized sides are out of reach."""
-    config = config or RunConfig()
-    t0 = time.perf_counter()
     if not is_prime(q):
         raise UsageError("the 6-variable check needs a prime q")
     params = {"q": q, "trials": config.trials,
@@ -373,19 +338,19 @@ def verify_relations_n3(q: int = 2,
     verdict, worst = PROBABLE, Fraction(0)
     for i in (1, 2):
         dl, dr = relation_side_degrees(q, 6, i)
-        item, k = _sample_sides(L, 6, rng, config.trials,
-                                lambda P, i=i: symplectic_relation_values(P, q, i),
-                                {"i": i})
-        items.append(item)
+        pts, lv, rv, k = sample_sides(
+            random_points(L, 6, rng, config.trials),
+            lambda P, i=i: symplectic_relation_values(P, q, i))
+        items.append(_points_witness(L, pts, lv, rv, {"i": i}, mismatch=k))
         if k is not None:
             detail.append(f"i={i}: sample {k + 1} separates the sides")
             verdict, worst = REFUTED, None
             break
         worst = max(worst, Fraction(max(dl, dr), L.order) ** config.trials)
         detail.append(f"i={i}: {config.trials} samples agree; side degrees {dl}/{dr}")
-    return _finish(VerificationReport(
+    return VerificationReport(
         "relations-n3", params, verdict, worst,
-        {"kind": "points-multi", "items": items}, detail=tuple(detail)), t0)
+        {"kind": "points-multi", "items": items}, detail=tuple(detail))
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +358,12 @@ def verify_relations_n3(q: int = 2,
 # ---------------------------------------------------------------------------
 
 
-def sp4_fpurity_check(q: int, config: Optional[RunConfig] = None,
+def sp4_fpurity_check(q: int, config: RunConfig = RunConfig(),
                       include_relation: bool = True) -> VerificationReport:
     """In the hypersurface presentation: w is outside (u, v) + (rel) but
     w^q falls inside (u^q, v^q) + (rel), i.e. the Frobenius closure of
     (u, v) is strictly larger.  include_relation=False is a control: the
     closure witness must disappear without the relation."""
-    config = config or RunConfig()
-    t0 = time.perf_counter()
     pres = sp4_presentation(q)
     amb = pres.ring
     u, v, w = amb.gen("u"), amb.gen("v"), amb.gen("w")
@@ -442,9 +405,9 @@ def sp4_fpurity_check(q: int, config: Optional[RunConfig] = None,
         detail.append(f"Frobenius-closure witness at e = {closure.e}")
 
     ok = images_ok and not member and closure.e == 1
-    return _finish(VerificationReport(
+    return VerificationReport(
         "sp4-fpurity", params, VERIFIED if ok else REFUTED,
-        Fraction(0) if ok else None, witness, detail=tuple(detail)), t0)
+        Fraction(0) if ok else None, witness, detail=tuple(detail))
 
 
 # ---------------------------------------------------------------------------
@@ -452,20 +415,7 @@ def sp4_fpurity_check(q: int, config: Optional[RunConfig] = None,
 # ---------------------------------------------------------------------------
 
 
-def _is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            while q % d == 0:
-                q //= d
-            return q == 1
-        d += 1
-    return True
-
-
-def theorem_exponent_search(n: int, q: int, cap: int = 10 ** 9,
+def theorem_exponent_search(n: int, q: int, cap: int = SEARCH_CAP,
                             prune: bool = True) -> frozenset:
     """All (a_1, ..., a_{2n-1}) with a_1 <= q-2, a_i <= q-1 for i >= 2,
     and sum a_i (q^i + 1) = q^{2n} - 1.
@@ -477,7 +427,7 @@ def theorem_exponent_search(n: int, q: int, cap: int = 10 ** 9,
     """
     if n < 2:
         raise UsageError("need n >= 2")
-    if not _is_prime_power(q):
+    if len(_prime_factors(q)) != 1:
         raise UsageError(f"{q} is not a prime power")
     m = 2 * n - 1
     space = (q - 1) * q ** (m - 1)
@@ -523,60 +473,52 @@ def lambda_identity_check(n: int, q: int) -> dict:
 
 
 def verify_theorem_search(n: int, q: int,
-                          config: Optional[RunConfig] = None) -> VerificationReport:
+                          config: RunConfig = RunConfig()) -> VerificationReport:
     """For q >= 4n-4 the exponent search must come up empty (that is
     the no-F-purity argument); below the threshold the solution set is
     reported as found."""
-    config = config or RunConfig()
-    t0 = time.perf_counter()
     params = {"n": n, "q": q}
     detail = []
+
+    def report(verdict, witness):
+        return VerificationReport(
+            "theorem-search", params, verdict,
+            Fraction(0) if verdict == VERIFIED else None, witness,
+            detail=tuple(detail))
+
     m = 2 * n - 1
     space = (q - 1) * q ** (m - 1)
-    hyp = q >= 4 * n - 4
     lam = lambda_identity_check(n, q)
     try:
-        sols = theorem_exponent_search(n, q, cap=config.search_cap, prune=True)
+        sols = theorem_exponent_search(n, q, cap=SEARCH_CAP, prune=True)
     except ResourceLimit as exc:
         detail.append(str(exc))
-        return _finish(VerificationReport(
-            "theorem-search", params, SKIPPED, None, None,
-            detail=tuple(detail)), t0)
-    if space <= config.agree_cap:
-        full = theorem_exponent_search(n, q, cap=config.search_cap, prune=False)
-        if full != sols:
-            detail.append(f"pruned search {sorted(sols)} disagrees with full "
-                          f"enumeration {sorted(full)}")
-            return _finish(VerificationReport(
-                "theorem-search", params, REFUTED, None,
-                {"kind": "exponents", "solutions": [list(t) for t in sorted(sols)],
-                 "full": [list(t) for t in sorted(full)], "lambda": _lam_json(lam)},
-                detail=tuple(detail)), t0)
-        detail.append(f"pruned search agrees with full enumeration over {space} tuples")
-    else:
-        detail.append(f"space {space} above cross-check cap; digit search only")
+        return report(SKIPPED, None)
     witness = {"kind": "exponents",
                "solutions": [list(t) for t in sorted(sols)],
                "lambda": _lam_json(lam)}
+    if space <= AGREE_CAP:
+        full = theorem_exponent_search(n, q, cap=SEARCH_CAP, prune=False)
+        if full != sols:
+            detail.append(f"pruned search {sorted(sols)} disagrees with full "
+                          f"enumeration {sorted(full)}")
+            return report(REFUTED, dict(witness, full=[list(t) for t in sorted(full)]))
+        detail.append(f"pruned search agrees with full enumeration over {space} tuples")
+    else:
+        detail.append(f"space {space} above cross-check cap; digit search only")
     if lam["solutions"]:
         detail.append(f"lambda identity rhs={lam['rhs']}, admissible solutions {lam['solutions']}")
     else:
         detail.append(f"lambda identity rhs={lam['rhs']}, no admissible solution")
-    if hyp:
-        if sols or lam["solutions"]:
-            detail.append(f"q >= 4n-4 = {4 * n - 4} but solutions exist")
-            return _finish(VerificationReport(
-                "theorem-search", params, REFUTED, None, witness,
-                detail=tuple(detail)), t0)
+    if q < 4 * n - 4:
+        detail.append(f"theorem hypothesis q >= 4n-4 = {4 * n - 4} not met; "
+                      f"solution set {sorted(sols)} reported for reference")
+    elif sols or lam["solutions"]:
+        detail.append(f"q >= 4n-4 = {4 * n - 4} but solutions exist")
+        return report(REFUTED, witness)
+    else:
         detail.append(f"empty as required for q >= 4n-4 = {4 * n - 4}")
-        return _finish(VerificationReport(
-            "theorem-search", params, VERIFIED, Fraction(0), witness,
-            detail=tuple(detail)), t0)
-    detail.append(f"theorem hypothesis q >= 4n-4 = {4 * n - 4} not met; "
-                  f"solution set {sorted(sols)} reported for reference")
-    return _finish(VerificationReport(
-        "theorem-search", params, VERIFIED, Fraction(0), witness,
-        detail=tuple(detail)), t0)
+    return report(VERIFIED, witness)
 
 
 def _lam_json(lam: dict) -> dict:
@@ -647,11 +589,9 @@ def _alt_membership(claim_id: str, ring: PolyRing, gb, label: dict, p: int):
 
 
 def _alt_certificates(claim_id: str, n: int, p: int,
-                      config: Optional[RunConfig]) -> VerificationReport:
+                      config: RunConfig) -> VerificationReport:
     """Each target of _alt_labels must lie in (e_1..e_n): collect the
     certificates, or refute on the first failure."""
-    config = config or RunConfig()
-    t0 = time.perf_counter()
     _alt_validate(n, p, config)
     R, gb = symmetric_ideal_gb(n, p)
     params = {"n": n, "p": p}
@@ -659,15 +599,15 @@ def _alt_certificates(claim_id: str, n: int, p: int,
     for label in _alt_labels(claim_id, n):
         member, remainder, piece = _alt_membership(claim_id, R, gb, label, p)
         if not member:
-            return _finish(VerificationReport(
+            return VerificationReport(
                 claim_id, params, REFUTED, None, piece,
                 detail=(f"{label_text(label)} is NOT in the ideal; "
-                        f"normal form has {len(remainder)} terms",)), t0)
+                        f"normal form has {len(remainder)} terms",))
         items.append(piece)
-    return _finish(VerificationReport(
+    return VerificationReport(
         claim_id, params, VERIFIED, Fraction(0),
         {"kind": "certificates", "items": items},
-        detail=(f"{len(items)} memberships established",)), t0)
+        detail=(f"{len(items)} memberships established",))
 
 
 def label_text(label: dict) -> str:
@@ -675,14 +615,14 @@ def label_text(label: dict) -> str:
 
 
 def alt_lemma_T(n: int, p: int,
-                config: Optional[RunConfig] = None) -> VerificationReport:
+                config: RunConfig = RunConfig()) -> VerificationReport:
     """T_j^i (sum of the degree-i monomials in the last n-j+1 variables)
     lies in (e_1..e_n) whenever i >= j >= 1."""
     return _alt_certificates("alt-T", n, p, config)
 
 
 def alt_lemma_staircase(n: int, p: int,
-                        config: Optional[RunConfig] = None) -> VerificationReport:
+                        config: RunConfig = RunConfig()) -> VerificationReport:
     """The n staircase monomials X_i^i X_{i+1}^i ... X_n^{n-1} lie in
     (e_1..e_n)."""
     return _alt_certificates("alt-staircase", n, p, config)
@@ -696,7 +636,7 @@ def _factorial_mod(n: int, p: int) -> int:
 
 
 def alt_delta_congruence(n: int, p: int,
-                         config: Optional[RunConfig] = None) -> VerificationReport:
+                         config: RunConfig = RunConfig()) -> VerificationReport:
     """Delta = prod_{i<j}(X_j - X_i) is congruent to n! X_2 X_3^2 ...
     X_n^{n-1} modulo (e_1..e_n)."""
     report = _alt_certificates("alt-delta", n, p, config)
@@ -705,11 +645,9 @@ def alt_delta_congruence(n: int, p: int,
 
 
 def alt_fregularity_dichotomy(n: int, p: int,
-                              config: Optional[RunConfig] = None) -> VerificationReport:
+                              config: RunConfig = RunConfig()) -> VerificationReport:
     """Delta in (e_1..e_n) exactly when p <= n (p odd); membership is
     what separates the F-regular from the non-F-regular invariants."""
-    config = config or RunConfig()
-    t0 = time.perf_counter()
     _alt_validate(n, p, config)
     if n < 3:
         raise UsageError("the dichotomy grid starts at n = 3")
@@ -724,9 +662,9 @@ def alt_fregularity_dichotomy(n: int, p: int,
         witness = piece
         detail = "Delta not in I" + (" as required" if not expected else " but p <= n")
     ok = member == expected
-    return _finish(VerificationReport(
+    return VerificationReport(
         "alt-dichotomy", {"n": n, "p": p}, VERIFIED if ok else REFUTED,
-        Fraction(0) if ok else None, witness, detail=(detail,)), t0)
+        Fraction(0) if ok else None, witness, detail=(detail,))
 
 
 # ---------------------------------------------------------------------------
@@ -739,31 +677,29 @@ def alt_fregularity_dichotomy(n: int, p: int,
 
 def _replay_points(params, witness, nvars: int, sides,
                    exact=None) -> Optional[str]:
-    """Re-evaluate every stored point.  A witness without points records
-    an exact refutation, so the exact comparison is run again.  Only the
-    last point may separate the sides; without one, a sampled witness
-    holds one point per trial."""
+    """Re-evaluate the stored points through the sampling loop: the
+    values must match and only the last point may separate the sides.
+    A sampled witness holds one point per trial.  An exact verdict is
+    expanded again: equal sides for VERIFIED, and for a refutation
+    without points, sides that differ."""
     L, pts = _parse_points(witness)
-    if not pts:
-        if exact is None:
-            return None
-        lhs, rhs = exact()
-        return REFUTED if lhs != rhs else None
-    mismatch = witness.get("mismatch", None)
-    if mismatch is not None and mismatch != len(pts) - 1:
+    if any(len(P) != nvars for P in pts):
         return None
-    for k, P in enumerate(pts):
-        if len(P) != nvars:
-            return None
-        lv, rv = sides(P)
-        if (str(lv) != witness["lhs"][k] or str(rv) != witness["rhs"][k]
-                or (lv != rv) != (mismatch == k)):
-            return None
-    if mismatch is not None:
+    used, lv, rv, k = sample_sides(pts, sides)
+    if (k != witness.get("mismatch") or len(used) != len(pts)
+            or [str(v) for v in lv] != witness["lhs"]
+            or [str(v) for v in rv] != witness["rhs"]):
+        return None
+    if k is not None:
         return REFUTED
-    if "trials" not in params:
-        return VERIFIED
-    return PROBABLE if len(pts) == params["trials"] else None
+    if pts and "trials" in params:
+        return PROBABLE if len(pts) == params["trials"] else None
+    if exact is None:
+        return None
+    lhs, rhs = exact()
+    if (lhs == rhs) != bool(pts):
+        return None
+    return VERIFIED if pts else REFUTED
 
 
 def _replay_c0(claim_id, params, witness) -> Optional[str]:
@@ -926,12 +862,12 @@ _ALT_REPLAYS = {"certificates": _replay_certificates,
                 "normal-form": _replay_normal_form}
 
 RUNNERS = {
-    "sp4-c0": Claim(verify_c0_expression, {"q": _REQUIRED, "mode": None},
+    "sp4-c0": Claim(verify_c0_expression, {"q": _REQUIRED, "mode": "auto"},
                     ("q",) + _IDENTITY_ORDER, {"points": _replay_c0}),
     "sp4-fpurity": Claim(sp4_fpurity_check, {"q": _REQUIRED},
                          ("q", "e_max", "include_relation"),
                          {"closure": _replay_closure}),
-    "sp4-relation": Claim(verify_sp4_relation, {"q": _REQUIRED, "mode": None},
+    "sp4-relation": Claim(verify_sp4_relation, {"q": _REQUIRED, "mode": "auto"},
                           ("q", "i") + _IDENTITY_ORDER,
                           {"points": _replay_sp4_relation}),
     "theorem-search": Claim(verify_theorem_search,
@@ -950,10 +886,10 @@ RUNNERS = {
 }
 
 
-def run_claim(claim_id: str, config: Optional[RunConfig] = None,
+def run_claim(claim_id: str, config: RunConfig = RunConfig(),
               **params) -> VerificationReport:
-    """Run a registered claim.  A parameter given as None counts as not
-    given."""
+    """Run a registered claim and time it.  A parameter given as None
+    counts as not given."""
     claim = RUNNERS.get(claim_id)
     if claim is None:
         known = ", ".join(RUNNERS)
@@ -966,7 +902,10 @@ def run_claim(claim_id: str, config: Optional[RunConfig] = None,
     missing = [k for k, v in got.items() if v is _REQUIRED]
     if missing:
         raise UsageError(f"missing parameter(s): {', '.join(sorted(missing))}")
-    return claim.check(config=config or RunConfig(), **got)
+    t0 = time.perf_counter()
+    report = claim.check(config=config, **got)
+    report.elapsed = time.perf_counter() - t0
+    return report
 
 
 _ALT_GRID = tuple((n, p) for n in (3, 4, 5, 6) for p in (3, 5, 7))
@@ -1020,8 +959,7 @@ def suite_claims(profile: str):
     return tuple((cid, dict(ps)) for cid, ps in entries)
 
 
-def run_suite(profile: str, config: Optional[RunConfig] = None) -> list:
-    config = config or RunConfig()
+def run_suite(profile: str, config: RunConfig = RunConfig()) -> list:
     return [run_claim(cid, config, **ps) for cid, ps in suite_claims(profile)]
 
 
@@ -1033,11 +971,12 @@ def _replay(claim_id: str, params: dict, witness) -> Optional[str]:
     return replay(claim_id, params, witness) if replay else None
 
 
-def replay_witness(claim_id: str, params: dict, witness: dict,
-                   config: Optional[RunConfig] = None) -> bool:
+def replay_witness(claim_id: str, params: dict, witness: dict) -> bool:
     """Re-validate a stored witness.  Certificates are re-multiplied,
-    evaluation points re-evaluated, exponent tuples re-checked; no
-    search is repeated."""
+    evaluation points re-evaluated, exponent tuples re-checked, and an
+    exact (bound 0) identity verdict is expanded again: replay repeats an
+    expansion, never a search.  The exception is a closure witness with
+    no level, whose search is run again up to the largest stored level."""
     return _replay(claim_id, params, witness) is not None
 
 
@@ -1050,7 +989,7 @@ def witness_document(report: VerificationReport) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
-def replay_document(text: str, config: Optional[RunConfig] = None) -> bool:
+def replay_document(text: str) -> bool:
     """Replay a witness document: the witness must hold and prove the
     verdict the document records."""
     doc = json.loads(text)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ContextMismatch, ResourceLimit, UsageError
 from .gf import FieldElement, FieldSpec, _poly_text
@@ -177,13 +177,6 @@ class TermOrder:
         db = [max(col) for col in zip(*map(unpack, b))]
         if any(x + y >= cap for x, y in zip(da, db)):
             raise ResourceLimit(f"product exponent reaches {cap}")
-
-    def mul_key(self, k1: int, k2: int) -> int:
-        return k1 + k2 - self.offset
-
-    def quo_key(self, k_num: int, k_den: int) -> int:
-        """Key of the monomial quotient; caller guarantees divisibility."""
-        return k_num - k_den + self.offset
 
     def total_degree_of(self, key: int) -> int:
         if self.kind == "grevlex":
@@ -805,6 +798,29 @@ def substitute(f: Polynomial, images: dict) -> Polynomial:
     return Polynomial(target, acc)
 
 
+def random_points(L: FieldSpec, nvars: int, rng, count: int) -> Iterator[tuple]:
+    """count points of L^nvars drawn uniformly from rng, coordinate by
+    coordinate.  The draws are lazy: a caller that stops early draws
+    nothing more."""
+    for _ in range(count):
+        yield tuple(L.random_element(rng) for _ in range(nvars))
+
+
+def sample_sides(points: Iterable[tuple], sides: Callable):
+    """Evaluate sides(P) = (lhs, rhs) at each point in turn, stopping at
+    the first point that separates them.  Returns (points used, lhs
+    values, rhs values, index of the separating point or None)."""
+    used, lhs, rhs = [], [], []
+    for k, P in enumerate(points):
+        lv, rv = sides(P)
+        used.append(P)
+        lhs.append(lv)
+        rhs.append(rv)
+        if lv != rv:
+            return used, lhs, rhs, k
+    return used, lhs, rhs, None
+
+
 class IdentityResult(NamedTuple):
     """Outcome of a randomized polynomial identity test."""
     equal: bool
@@ -815,7 +831,7 @@ class IdentityResult(NamedTuple):
 
 def verify_identity_probabilistic(f: Polynomial, g: Polynomial,
                                   trials: int = 20, ext_degree: int = 32,
-                                  seed: int = 0, rng=None,
+                                  seed: int = 0,
                                   points: Optional[list] = None) -> IdentityResult:
     """Randomized equality check with an exact error bound.
 
@@ -838,14 +854,8 @@ def verify_identity_probabilistic(f: Polynomial, g: Polynomial,
     d = max(f.total_degree(), g.total_degree(), 0)
     L = _field(ring.field.p, ext_degree)
     if points is None:
-        if rng is None:
-            rng = _random.Random(seed)
-        points = [tuple(L.random_element(rng) for _ in range(ring.nvars))
-                  for _ in range(trials)]
-    used = []
-    for pt in points:
-        used.append(pt)
-        if f.evaluate(pt) != g.evaluate(pt):
-            return IdentityResult(False, Fraction(1), pt, used)
-    bound = Fraction(d, L.order) ** len(used)
-    return IdentityResult(True, bound, None, used)
+        points = random_points(L, ring.nvars, _random.Random(seed), trials)
+    used, _, _, k = sample_sides(points, lambda P: (f.evaluate(P), g.evaluate(P)))
+    if k is not None:
+        return IdentityResult(False, Fraction(1), used[k], used)
+    return IdentityResult(True, Fraction(d, L.order) ** len(used), None, used)

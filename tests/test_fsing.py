@@ -13,6 +13,7 @@ from invar.mpoly import PolyRing
 from invar.invariants import (dickson_invariants, symplectic_xi,
                               truncated_monomial_sum, xring)
 from invar.polyio import format_polys
+from invar import fsing
 from invar.fsing import (C0_XI_TERMS, RunConfig, VerificationReport,
                          alt_delta_congruence, alt_fregularity_dichotomy,
                          alt_lemma_T, alt_lemma_staircase, bound_text,
@@ -257,9 +258,9 @@ def test_theorem_below_hypothesis_reports_solutions():
     assert replay_witness(rep.claim_id, rep.parameters, rep.witness)
 
 
-def test_search_cap_skips():
-    cfg = RunConfig(search_cap=10)
-    rep = verify_theorem_search(3, 8, cfg)
+def test_search_cap_skips(monkeypatch):
+    monkeypatch.setattr(fsing, "SEARCH_CAP", 10)
+    rep = verify_theorem_search(3, 8)
     assert rep.verdict == "SKIPPED"
     assert rep.witness is None
 
@@ -273,9 +274,15 @@ def test_lambda_identity_values():
         assert lambda_identity_check(n, q)["solutions"] == ()
 
 
-def test_search_rejects_non_prime_power():
+@pytest.mark.parametrize("q", [0, 1, 6, 12])
+def test_search_rejects_non_prime_power(q):
     with pytest.raises(UsageError):
-        theorem_exponent_search(2, 6)
+        theorem_exponent_search(2, q)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_search_accepts_prime_powers(q):
+    assert theorem_exponent_search(2, q) == theorem_exponent_search(2, q, prune=False)
 
 
 def test_exponent_witness_tamper_detected():
@@ -425,7 +432,7 @@ def test_config_validation():
     with pytest.raises(UsageError):
         RunConfig(alt_nmax=1)
     with pytest.raises(UsageError):
-        RunConfig(mode="fuzzy")
+        run_claim("sp4-c0", q=2, mode="fuzzy")
 
 
 def test_bound_text():
@@ -433,6 +440,11 @@ def test_bound_text():
     assert bound_text(Fraction(0)) == "0"
     assert bound_text(Fraction(1, 2 ** 60)) == "2^-60"
     assert bound_text(Fraction(80, 3 ** 32) ** 20) == "2^-887"
+
+
+def test_run_claim_is_the_only_timer():
+    assert run_claim("alt-delta", n=3, p=3).elapsed > 0
+    assert alt_delta_congruence(3, 3).elapsed == 0.0
 
 
 def test_render_text_and_machine():
@@ -540,6 +552,27 @@ def test_points_replay_binds_the_samples():
     # fewer points than trials do not carry the stated bound
     cut = {key: witness[key][:2] for key in ("points", "lhs", "rhs")}
     assert not _replays(dict(doc, witness=dict(witness, **cut)))
+    # value lists shorter than the points are malformed, not an error
+    for key in ("lhs", "rhs"):
+        assert not _replays(dict(doc, witness=dict(witness, **{key: witness[key][:2]})))
+
+
+def test_exact_points_replay_expands_again():
+    """A bound-0 witness whose expression is false does not replay, even
+    when its stored points agree: the expansion is repeated."""
+    doc = _document("sp4-c0", q=3, mode="exact")
+    assert doc["verdict"] == "VERIFIED" and _replays(doc)
+    witness = doc["witness"]
+    terms = [[c, list(e)] for c, e in witness["terms"]]
+    terms[0][1][0] += 1
+    zeros = [["0"] * 4] * 3
+    sides, _ = fsing._c0_sides(3, tuple((c, tuple(e)) for c, e in terms))
+    L = field(3, FAST.ext_degree)
+    vals = [sides(tuple(L.zero for _ in range(4)))] * 3
+    forged = dict(witness, terms=terms, points=zeros,
+                  lhs=[str(v[0]) for v in vals], rhs=[str(v[1]) for v in vals])
+    assert vals[0][0] == vals[0][1]
+    assert not _replays(dict(doc, witness=forged))
 
 
 def test_normal_form_replay_needs_a_claimed_label():

@@ -12,7 +12,8 @@ import invar.mpoly as mpoly
 from invar.errors import ContextMismatch, ResourceLimit, UsageError
 from invar.gf import field
 from invar.mpoly import (PolyRing, TermOrder, _mul, _sqr, frobenius_power,
-                         substitute, verify_identity_probabilistic)
+                         random_points, sample_sides, substitute,
+                         verify_identity_probabilistic)
 from oracles import (block_sort_key, eval_by_substitution, grevlex_sort_key,
                      lex_sort_key, naive_mul, random_poly)
 
@@ -74,8 +75,7 @@ def test_order_isomorphism_random(kind, block):
         assert (ka > kb) == (ref(a) > ref(b))
         assert (ka == kb) == (a == b)
         assert order.unpack(ka) == a
-        assert order.mul_key(ka, kb) == order.pack(tuple(x + y for x, y in zip(a, b)))
-        assert order.quo_key(order.mul_key(ka, kb), kb) == ka
+        assert ka + kb - order.offset == order.pack(tuple(x + y for x, y in zip(a, b)))
 
 
 def test_grevlex_degree_two_chain(R3):
@@ -320,6 +320,22 @@ def test_identity_check_bound_formula(R3):
         assert res.bound == Fraction(81, 3 ** 8) ** 3
     else:
         assert res.witness is not None
+
+
+def test_random_points_are_lazy_and_sample_sides_stops_at_a_separation():
+    L = field(3, 8)
+    rng = random.Random(1)
+    pts = [tuple(L.random_element(rng) for _ in range(2)) for _ in range(5)]
+    assert list(random_points(L, 2, random.Random(1), 5)) == pts
+    assert sample_sides(pts, lambda P: (P[0], P[0])) == (pts, [P[0] for P in pts],
+                                                         [P[0] for P in pts], None)
+    # a caller that stops at the third point draws nothing more
+    rng = random.Random(1)
+    used, lhs, rhs, k = sample_sides(random_points(L, 2, rng, 5),
+                                     lambda P: (P[0], P[1] if P == pts[2] else P[0]))
+    assert (used, lhs, rhs, k) == (pts[:3], [P[0] for P in pts[:3]],
+                                   [pts[0][0], pts[1][0], pts[2][1]], 2)
+    assert tuple(L.random_element(rng) for _ in range(2)) == pts[3]
 
 
 def test_text_canonical_ordering(R3):
