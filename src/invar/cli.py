@@ -43,15 +43,18 @@ def _guard(fn):
 
 def _config_options(fn):
     decos = [
-        click.option("--seed", type=int, default=0, envvar="INVAR_SEED",
-                     show_default=True, help="Root seed for sampled points."),
-        click.option("--trials", type=int, default=20, envvar="INVAR_TRIALS",
-                     show_default=True, help="Samples per probabilistic check."),
-        click.option("--ext-degree", type=int, default=32,
+        click.option("--seed", type=int, default=RunConfig.seed,
+                     envvar="INVAR_SEED", show_default=True,
+                     help="Root seed for sampled points."),
+        click.option("--trials", type=int, default=RunConfig.trials,
+                     envvar="INVAR_TRIALS", show_default=True,
+                     help="Samples per probabilistic check."),
+        click.option("--ext-degree", type=int, default=RunConfig.ext_degree,
                      envvar="INVAR_EXT_DEGREE", show_default=True,
                      help="Extension degree of the sampling field."),
-        click.option("--e-max", type=int, default=4, envvar="INVAR_E_MAX",
-                     show_default=True, help="Frobenius closure search depth."),
+        click.option("--e-max", type=int, default=RunConfig.e_max,
+                     envvar="INVAR_E_MAX", show_default=True,
+                     help="Frobenius closure search depth."),
     ]
     for deco in reversed(decos):
         fn = deco(fn)

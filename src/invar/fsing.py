@@ -11,8 +11,11 @@ whose verdict is one of
 
 VERIFIED and REFUTED reports carry a replayable witness: a membership
 certificate, a set of exponent tuples, or evaluation points with the
-values of both sides.  replay_witness re-validates a witness without
-re-running any search.  run_claim times each claim.
+values of both sides.  replay_witness re-validates a certificate or
+exponent witness without re-running any search; an identity witness is
+replayed by running its claim again from the recorded seed, so its
+points must be the claim's own draws and replay costs what the claim
+cost.  run_claim times each claim.
 """
 
 from __future__ import annotations
@@ -40,8 +43,7 @@ from .invariants import (dickson_at_point, dickson_invariants,
 from .mpoly import (Polynomial, PolyRing, frobenius_power, random_points,
                     sample_sides, substitute)
 from .polyio import (format_certificate, format_polys, parse_certificate_text,
-                     parse_element, parse_field_text, parse_poly,
-                     parse_polys_text)
+                     parse_field_text, parse_polys_text)
 
 VERIFIED = "VERIFIED"
 PROBABLE = "PROBABLE"
@@ -176,12 +178,6 @@ def _points_witness(L: FieldSpec, pts, lhs_vals, rhs_vals, extras: dict,
     return w
 
 
-def _parse_points(witness: dict):
-    L = parse_field_text(witness["field"])
-    pts = [tuple(parse_element(t, L) for t in row) for row in witness["points"]]
-    return L, pts
-
-
 def _verify_identity(claim_id: str, params: dict, config: RunConfig,
                      mode: str, sides, exact, degree: int,
                      extras: dict, detail: list, *, equal: str, differ: str,
@@ -299,14 +295,6 @@ def verify_c0_expression(q: int, config: RunConfig = RunConfig(),
 # ---------------------------------------------------------------------------
 
 
-def _sp4_relation_exact(q: int):
-    spec = field(q)
-    R = xring(spec, 4)
-    cs = dickson_invariants(4, spec, R)
-    xis = [symplectic_xi(R, q, i) for i in (1, 2, 3)]
-    return symplectic_relation_sides(R, spec, 1, cs, xis)
-
-
 def verify_sp4_relation(q: int, config: RunConfig = RunConfig(),
                         mode: str = "auto") -> VerificationReport:
     """The single rank-2 relation  xi_1 c_0 = xi_1^q c_2 - xi_2^q c_3 +
@@ -314,10 +302,17 @@ def verify_sp4_relation(q: int, config: RunConfig = RunConfig(),
     if q not in (2, 3):
         raise UsageError("supported for q = 2 and q = 3")
     dl, dr = relation_side_degrees(q, 4, 1)
+
+    def exact():
+        spec = field(q)
+        R = xring(spec, 4)
+        xis = [symplectic_xi(R, q, i) for i in (1, 2, 3)]
+        return symplectic_relation_sides(R, spec, 1,
+                                         dickson_invariants(4, spec, R), xis)
     return _verify_identity(
         "sp4-relation", {"q": q, "i": 1}, config, mode,
         lambda P: symplectic_relation_values(P, q, 1),
-        lambda: _sp4_relation_exact(q), max(dl, dr), {"i": 1}, [],
+        exact, max(dl, dr), {"i": 1}, [],
         equal="exact sides equal; {terms} terms of degree {degree}",
         differ="sides differ by {terms} terms", separates=None,
         agree=f"side degrees {dl}/{dr}")
@@ -671,62 +666,34 @@ def alt_fregularity_dichotomy(n: int, p: int,
 # Witness replay
 # ---------------------------------------------------------------------------
 #
-# A replay re-validates a witness without re-running any search and
-# returns the verdict the witness proves, or None when it does not hold.
+# A replay returns the verdict the witness proves, or None when it does
+# not hold.
 
 
-def _replay_points(params, witness, nvars: int, sides,
-                   exact=None) -> Optional[str]:
-    """Re-evaluate the stored points through the sampling loop: the
-    values must match and only the last point may separate the sides.
-    A sampled witness holds one point per trial.  An exact verdict is
-    expanded again: equal sides for VERIFIED, and for a refutation
-    without points, sides that differ."""
-    L, pts = _parse_points(witness)
-    if any(len(P) != nvars for P in pts):
+def _replay_identity(claim_id, params, witness) -> Optional[str]:
+    """Run the claim again from what the document records and require
+    the same witness, so the stored points must be the claim's own draws
+    from the recorded seed.  The re-run samples as many points as the
+    first item holds; an item that does not stop at a mismatch must hold
+    one point per recorded trial, checked before anything runs."""
+    items = witness.get("items", [witness])
+    if "trials" in params and any(item.get("mismatch") is None
+                                  and len(item["points"]) != params["trials"]
+                                  for item in items):
         return None
-    used, lv, rv, k = sample_sides(pts, sides)
-    if (k != witness.get("mismatch") or len(used) != len(pts)
-            or [str(v) for v in lv] != witness["lhs"]
-            or [str(v) for v in rv] != witness["rhs"]):
+    ext = parse_field_text(items[0]["field"]).e
+    if params.get("ext_degree", ext) != ext:
         return None
-    if k is not None:
-        return REFUTED
-    if pts and "trials" in params:
-        return PROBABLE if len(pts) == params["trials"] else None
-    if exact is None:
+    config = RunConfig(seed=params["seed"], ext_degree=ext,
+                       trials=max(1, len(items[0]["points"])))
+    claim = RUNNERS[claim_id]
+    kw = {k: params[k] for k in claim.params if k in params}
+    if "terms" in witness:
+        kw["terms"] = witness["terms"]
+    fresh = claim.check(config=config, **kw)
+    if json.loads(json.dumps(fresh.witness)) != witness:
         return None
-    lhs, rhs = exact()
-    if (lhs == rhs) != bool(pts):
-        return None
-    return VERIFIED if pts else REFUTED
-
-
-def _replay_c0(claim_id, params, witness) -> Optional[str]:
-    terms = tuple((int(c), tuple(e)) for c, e in witness["terms"])
-    return _replay_points(params, witness, 4, *_c0_sides(params["q"], terms))
-
-
-def _replay_sp4_relation(claim_id, params, witness) -> Optional[str]:
-    q, i = params["q"], witness["i"]
-    return _replay_points(params, witness, 4,
-                          lambda P: symplectic_relation_values(P, q, i),
-                          lambda: _sp4_relation_exact(q))
-
-
-def _replay_relations_n3(claim_id, params, witness) -> Optional[str]:
-    """Items i = 1, 2 in order; the check stops early only at an item
-    that separates the sides."""
-    items = witness["items"]
-    shape = [(item.get("i"), item.get("mismatch") is not None) for item in items]
-    if shape not in ([(1, True)], [(1, False), (2, True)],
-                     [(1, False), (2, False)]):
-        return None
-    q = params["q"]
-    verdicts = [_replay_points(
-        params, item, 6, lambda P, i=item["i"]: symplectic_relation_values(P, q, i))
-        for item in items]
-    return None if None in verdicts else verdicts[-1]
+    return fresh.verdict
 
 
 def _certificate_holds(cert: dict) -> bool:
@@ -863,13 +830,13 @@ _ALT_REPLAYS = {"certificates": _replay_certificates,
 
 RUNNERS = {
     "sp4-c0": Claim(verify_c0_expression, {"q": _REQUIRED, "mode": "auto"},
-                    ("q",) + _IDENTITY_ORDER, {"points": _replay_c0}),
+                    ("q",) + _IDENTITY_ORDER, {"points": _replay_identity}),
     "sp4-fpurity": Claim(sp4_fpurity_check, {"q": _REQUIRED},
                          ("q", "e_max", "include_relation"),
                          {"closure": _replay_closure}),
     "sp4-relation": Claim(verify_sp4_relation, {"q": _REQUIRED, "mode": "auto"},
                           ("q", "i") + _IDENTITY_ORDER,
-                          {"points": _replay_sp4_relation}),
+                          {"points": _replay_identity}),
     "theorem-search": Claim(verify_theorem_search,
                             {"n": _REQUIRED, "q": _REQUIRED}, ("n", "q"),
                             {"exponents": _replay_exponents}),
@@ -882,7 +849,7 @@ RUNNERS = {
                            _ALT_REPLAYS),
     "relations-n3": Claim(verify_relations_n3, {"q": 2},
                           ("q", "trials", "ext_degree", "seed"),
-                          {"points-multi": _replay_relations_n3}),
+                          {"points-multi": _replay_identity}),
 }
 
 
@@ -968,15 +935,20 @@ def _replay(claim_id: str, params: dict, witness) -> Optional[str]:
     if witness is None or claim is None:
         return None
     replay = claim.replays.get(witness.get("kind"))
-    return replay(claim_id, params, witness) if replay else None
+    try:
+        return replay(claim_id, params, witness) if replay else None
+    except (KeyError, IndexError, TypeError, ValueError):
+        return None                 # a malformed witness proves nothing
 
 
 def replay_witness(claim_id: str, params: dict, witness: dict) -> bool:
-    """Re-validate a stored witness.  Certificates are re-multiplied,
-    evaluation points re-evaluated, exponent tuples re-checked, and an
-    exact (bound 0) identity verdict is expanded again: replay repeats an
-    expansion, never a search.  The exception is a closure witness with
-    no level, whose search is run again up to the largest stored level."""
+    """Re-validate a stored witness.  Certificates are re-multiplied and
+    exponent tuples re-checked without a search; the exception is a
+    closure witness with no level, whose search is run again up to the
+    largest stored level.  An identity witness is replayed by running its
+    claim again from the recorded seed and must equal the fresh witness:
+    its points must be the claim's own draws, and replay costs what the
+    claim cost.  A malformed witness replays False."""
     return _replay(claim_id, params, witness) is not None
 
 

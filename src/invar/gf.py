@@ -441,12 +441,6 @@ class FieldSpec:
             i = i * self.p + d
         return i
 
-    def enumerate_elements(self, cap: int = ENUM_CAP) -> list["FieldElement"]:
-        if self.order > cap:
-            raise ResourceLimit(
-                f"enumeration of {self} ({self.order} elements) exceeds cap {cap}")
-        return [FieldElement(self, rep) for rep in self._iter_reps()]
-
     def random_element(self, rng) -> "FieldElement":
         return self.from_index(rng.randrange(self.order))
 

@@ -289,31 +289,6 @@ class MatrixGF:
                         m[r][c] = m[r][c] - f * m[col][c]
         return det
 
-    def is_invertible(self) -> bool:
-        return bool(self.det())
-
-    def apply_point(self, point: Sequence[FieldElement]) -> tuple:
-        """Matrix-vector product; prime-field entries act on points of any
-        extension of the same characteristic."""
-        if len(point) != self.n:
-            raise UsageError("dimension mismatch")
-        L = point[0].spec
-        if self.spec.e == 1:
-            if L.p != self.spec.p:
-                raise ContextMismatch("characteristic mismatch")
-            out = []
-            for row in self.rows:
-                acc = L.zero
-                for a, x in zip(row, point):
-                    if a.rep[0]:
-                        acc = acc + a.rep[0] * x
-                out.append(acc)
-            return tuple(out)
-        if L != self.spec:
-            raise ContextMismatch("extension matrices act on their own field")
-        return tuple(sum((a * x for a, x in zip(row, point)), L.zero)
-                     for row in self.rows)
-
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"<matrix {self.n}x{self.n} over {self.spec}: {body}>"

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import invar.mpoly as mpoly
 from invar.errors import ContextMismatch, ResourceLimit, UsageError
 from invar.fsing import C0_XI_TERMS
-from invar.gf import FieldSpec, field
+from invar.gf import ENUM_CAP, FieldElement, FieldSpec, field
 from invar.groebner import MembershipCertificate, buchberger, change_ring
 from invar.invariants import MatrixGF, xring
 from invar.mpoly import PolyRing, Polynomial
@@ -92,6 +92,15 @@ def irreducible_by_trial_division(f: Sequence[int], p: int) -> bool:
             if not any(r):
                 return False
     return True
+
+
+def enumerate_elements(F: FieldSpec, cap: int = ENUM_CAP) -> list:
+    """Every element of F, reps in lexicographic order (rep[0] most
+    significant), refused past cap elements."""
+    if F.order > cap:
+        raise ResourceLimit(
+            f"enumeration of {F} ({F.order} elements) exceeds cap {cap}")
+    return [FieldElement(F, rep) for rep in product(range(F.p), repeat=F.e)]
 
 
 def naive_mul(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -439,11 +448,32 @@ def random_symplectic(spec: FieldSpec, n: int, rng, factors: int = 12) -> Matrix
     return M
 
 
+def is_invertible(M: MatrixGF) -> bool:
+    return bool(M.det())
+
+
+def apply_point(M: MatrixGF, point: Sequence) -> tuple:
+    """Matrix-vector product; prime-field entries act on points of any
+    extension of the same characteristic."""
+    if len(point) != M.n:
+        raise UsageError("dimension mismatch")
+    L = point[0].spec
+    if M.spec.e == 1:
+        if L.p != M.spec.p:
+            raise ContextMismatch("characteristic mismatch")
+        return tuple(sum((a.rep[0] * x for a, x in zip(row, point) if a.rep[0]),
+                         L.zero) for row in M.rows)
+    if L != M.spec:
+        raise ContextMismatch("extension matrices act on their own field")
+    return tuple(sum((a * x for a, x in zip(row, point)), L.zero)
+                 for row in M.rows)
+
+
 def random_invertible(spec: FieldSpec, n: int, rng) -> MatrixGF:
     while True:
         M = MatrixGF(spec, tuple(tuple(spec.random_element(rng) for _ in range(n))
                                  for _ in range(n)))
-        if M.is_invertible():
+        if is_invertible(M):
             return M
 
 

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from invar import cache
 from invar.cli import cli
-from invar.fsing import replay_document
+from invar.fsing import RunConfig, replay_document
 from invar.polyio import parse_certificate_text, parse_polys_text
 
 IDEAL = """\
@@ -335,6 +335,13 @@ def test_verify_env_output_override(runner):
                           "--output", "text"],
                  env={"INVAR_OUTPUT": "machine"})
     assert res.output.startswith("claim: alt-T")
+
+
+def test_verify_defaults_are_the_run_config_defaults():
+    defaults = {opt.name: opt.default for opt in cli.commands["verify"].params}
+    fields = ("seed", "trials", "ext_degree", "e_max")
+    assert {k: defaults[k] for k in fields} == \
+        {k: getattr(RunConfig(), k) for k in fields}
 
 
 def test_suite_quick_machine_one_line_per_claim(runner):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,9 @@ from invar.errors import UsageError
 from invar.gf import field
 from invar.groebner import normal_form
 from invar.mpoly import PolyRing
-from invar.invariants import (dickson_invariants, symplectic_xi,
-                              truncated_monomial_sum, xring)
-from invar.polyio import format_polys
+from invar.invariants import (dickson_invariants, symplectic_relation_values,
+                              symplectic_xi, truncated_monomial_sum, xring)
+from invar.polyio import format_polys, parse_field_text
 from invar import fsing
 from invar.fsing import (C0_XI_TERMS, RunConfig, VerificationReport,
                          alt_delta_congruence, alt_fregularity_dichotomy,
@@ -573,6 +574,87 @@ def test_exact_points_replay_expands_again():
                   lhs=[str(v[0]) for v in vals], rhs=[str(v[1]) for v in vals])
     assert vals[0][0] == vals[0][1]
     assert not _replays(dict(doc, witness=forged))
+
+
+def _zero_points(item, sides):
+    """The item with every stored point set to zero and both sides
+    evaluated there, so the stored values agree with the stored points."""
+    L = parse_field_text(item["field"])
+    zero = tuple(L.zero for _ in item["points"][0])
+    lhs, rhs = sides(zero)
+    assert lhs == rhs
+    k = len(item["points"])
+    return dict(item, points=[[str(x) for x in zero]] * k,
+                lhs=[str(lhs)] * k, rhs=[str(rhs)] * k)
+
+
+def _forge_c0(witness):
+    terms = [[c, list(e)] for c, e in witness["terms"]]
+    terms[0][0] += 1
+    sides, _ = fsing._c0_sides(3, tuple((c, tuple(e)) for c, e in terms))
+    return _zero_points(dict(witness, terms=terms), sides)
+
+
+def _forge_relation(q):
+    def forge(witness):
+        return dict(witness, items=[
+            _zero_points(item, lambda P, i=item["i"]:
+                         symplectic_relation_values(P, q, i))
+            for item in witness["items"]])
+    return forge
+
+
+@pytest.mark.parametrize("claim_id, params, forge", [
+    ("sp4-c0", {"q": 3, "mode": "probabilistic"}, _forge_c0),
+    ("sp4-relation", {"q": 3, "mode": "probabilistic"},
+     lambda w: _zero_points(w, lambda P: symplectic_relation_values(P, 3, 1))),
+    ("relations-n3", {"q": 2}, _forge_relation(2)),
+], ids=["sp4-c0", "sp4-relation", "relations-n3"])
+def test_points_replay_binds_the_points_to_the_seed(claim_id, params, forge):
+    """Points that agree but are not the claim's draws from the recorded
+    seed prove nothing: the Schwartz-Zippel bound needs random points."""
+    doc = json.loads(witness_document(run_claim(claim_id, **params)))
+    assert doc["verdict"] == "PROBABLE" and _replays(doc)
+    assert not _replays(dict(doc, witness=forge(doc["witness"])))
+
+
+@pytest.mark.parametrize("key, value", [("trials", 10 ** 9),
+                                        ("ext_degree", 10 ** 6)])
+def test_points_replay_never_draws_past_the_stored_points(key, value):
+    """Params that the stored points and field do not carry fail before
+    the claim runs again, however much work they ask for."""
+    doc = _document("sp4-c0", q=3, mode="probabilistic")
+    doc["params"][key] = value
+    t0 = time.perf_counter()
+    assert not _replays(doc)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def _drop(key):
+    def edit(witness):
+        del witness[key]
+    return edit
+
+
+def _bad_coordinate(witness):
+    witness["points"][0][0] = "zz"
+
+
+def _drop_certificate(witness):
+    del witness["items"][0]["certificate"]
+
+
+@pytest.mark.parametrize("claim_id, params, edit", [
+    ("sp4-c0", {"q": 2, "mode": "probabilistic"}, _drop("lhs")),
+    ("sp4-c0", {"q": 2, "mode": "probabilistic"}, _drop("points")),
+    ("sp4-c0", {"q": 2, "mode": "probabilistic"}, _drop("field")),
+    ("sp4-c0", {"q": 2, "mode": "probabilistic"}, _bad_coordinate),
+    ("alt-T", {"n": 3, "p": 3}, _drop_certificate),
+], ids=["no-lhs", "no-points", "no-field", "bad-coordinate", "no-certificate"])
+def test_malformed_witness_replays_false(claim_id, params, edit):
+    doc = _document(claim_id, **params)
+    edit(doc["witness"])
+    assert not _replays(doc)
 
 
 def test_normal_form_replay_needs_a_claimed_label():

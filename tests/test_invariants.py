@@ -15,9 +15,9 @@ from invar.invariants import (MatrixGF, apply_matrix, dickson_at_point,
                               symplectic_xi_value, truncated_monomial_sum,
                               vandermonde, xring)
 from invar.mpoly import PolyRing
-from oracles import (dickson_product_tree, is_symplectic, random_invertible,
-                     random_symplectic, symplectic_form,
-                     symplectic_transvection, transpose)
+from oracles import (apply_point, dickson_product_tree, is_invertible,
+                     is_symplectic, random_invertible, random_symplectic,
+                     symplectic_form, symplectic_transvection, transpose)
 
 
 # -- Dickson invariants ---------------------------------------------------------
@@ -105,7 +105,7 @@ def test_dickson_gl4_invariance_numeric():
     for _ in range(20):
         M = random_invertible(spec, 4, rng)
         P = tuple(L.random_element(rng) for _ in range(4))
-        assert dickson_at_point(M.apply_point(P), 3) == dickson_at_point(P, 3)
+        assert dickson_at_point(apply_point(M, P), 3) == dickson_at_point(P, 3)
 
 
 def test_dickson_vanishing_on_spanned_point():
@@ -165,7 +165,7 @@ def test_xi_not_gl_invariant():
     R = xring(spec, 4)
     xi1 = symplectic_xi(R, 3, 1)
     M = MatrixGF.diagonal(spec, [2, 1, 1, 1])
-    assert M.is_invertible() and not is_symplectic(M)
+    assert is_invertible(M) and not is_symplectic(M)
     assert apply_matrix(xi1, M) != xi1
 
 
@@ -245,7 +245,7 @@ def test_matrix_basics():
     assert transpose(A).rows == MatrixGF.from_rows(spec, [[1, 3], [2, 4]]).rows
     assert A.det() == spec.element(4 - 6)
     assert MatrixGF.identity(spec, 3).det() == spec.one
-    assert not MatrixGF.from_rows(spec, [[1, 2], [2, 4]]).is_invertible()
+    assert not is_invertible(MatrixGF.from_rows(spec, [[1, 2], [2, 4]]))
 
 
 def test_symplectic_form_and_membership():
@@ -298,9 +298,9 @@ def test_apply_point_embedding():
     L = field(3, 4)
     rng = random.Random(4)
     P = tuple(L.random_element(rng) for _ in range(2))
-    assert M.apply_point(P) == (P[0] + P[1], P[1])
+    assert apply_point(M, P) == (P[0] + P[1], P[1])
     with pytest.raises(ContextMismatch):
-        M.apply_point(tuple(field(2).one for _ in range(2)))
+        apply_point(M, tuple(field(2).one for _ in range(2)))
 
 
 def test_lift_coefficients():
