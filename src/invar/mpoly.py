@@ -321,21 +321,11 @@ class PolyRing:
         return self.gens()[name_or_index]
 
     def from_terms(self, mapping) -> "Polynomial":
-        terms = {}
-        pack = self.order.pack
+        terms: dict = {}
         for exps, coeff in mapping.items():
             c = self._coeff(coeff)
-            if c is None:
-                continue
-            key = pack(tuple(exps))
-            if key in terms:
-                merged = self._cadd(terms[key], c)
-                if merged is None:
-                    del terms[key]
-                else:
-                    terms[key] = merged
-            else:
-                terms[key] = c
+            if c is not None:
+                _merge(terms, {self.order.pack(tuple(exps)): c}, self._cadd)
         return Polynomial(self, terms)
 
     # -- internal coefficient arithmetic ---------------------------------------

@@ -10,6 +10,12 @@ A parenthesized gpoly in the generator symbol 'g' denotes an extension
 field coefficient, e.g. (g^2+2*g+1)*x1.  The canonical printer in
 mpoly emits exactly this grammar.
 
+parse_poly has two paths.  _parse_canonical reads the prime-field text
+Polynomial.text() prints (ASCII, no spaces or parentheses) in one pass
+of str.split.  Any other text, and any term reaching EXP_CAP, goes to
+the reference parser (_Tokens and the descent below), the only source
+of ParseError messages and of the exponent ResourceLimit.
+
 Poly files are line-oriented:
 
     field: 3^2 g^2+1
@@ -24,11 +30,12 @@ identity can be rechecked without recomputing anything.
 
 from __future__ import annotations
 
+import re
 from typing import Optional, Sequence
 
-from .errors import ParseError, UsageError
+from .errors import ParseError, ResourceLimit, UsageError
 from .gf import FieldElement, FieldSpec, field
-from .mpoly import Polynomial, PolyRing, TermOrder
+from .mpoly import Polynomial, PolyRing, TermOrder, _merge
 
 _SYMBOL = "g"
 
@@ -42,7 +49,6 @@ _PUNCT = set("^*+-()")
 
 class _Tokens:
     def __init__(self, text: str):
-        self.text = text
         toks = []
         i, n = 0, len(text)
         while i < n:
@@ -50,9 +56,9 @@ class _Tokens:
             if ch in " \t\r\n":
                 i += 1
                 continue
-            if ch.isdigit():
+            if "0" <= ch <= "9":
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and "0" <= text[j] <= "9":
                     j += 1
                 toks.append(("INT", text[i:j], i))
                 i = j
@@ -86,6 +92,27 @@ class _Tokens:
         return t
 
 
+def _int(tok) -> int:
+    try:
+        return int(tok[1])
+    except ValueError:           # more digits than int() converts
+        raise ParseError(f"integer of {len(tok[1])} digits", tok[2]) from None
+
+
+def _signed(toks: _Tokens, term):
+    """Yield (sign, term(toks)) over [sign] term (sign term)*."""
+    t = toks.peek()
+    while True:
+        sign = 1
+        if t[0] in "+-":
+            toks.next()
+            sign = -1 if t[0] == "-" else 1
+        yield sign, term(toks)
+        t = toks.peek()
+        if t[0] not in "+-":
+            return
+
+
 # ---------------------------------------------------------------------------
 # Extension field element text
 # ---------------------------------------------------------------------------
@@ -94,31 +121,18 @@ class _Tokens:
 def _parse_gpoly(toks: _Tokens, p: int, stop_at_paren: bool) -> dict:
     """Parse a polynomial in the symbol g into {degree: coefficient}."""
     coeffs: dict = {}
-    sign = 1
-    t = toks.peek()
-    if t[0] in "+-":
-        toks.next()
-        sign = -1 if t[0] == "-" else 1
-    while True:
-        c, d = _parse_gterm(toks, p)
+    for sign, (c, d) in _signed(toks, lambda tk: _parse_gterm(tk, p)):
         coeffs[d] = (coeffs.get(d, 0) + sign * c) % p
-        t = toks.peek()
-        if t[0] == "+":
-            sign = 1
-            toks.next()
-        elif t[0] == "-":
-            sign = -1
-            toks.next()
-        elif t[0] == "EOF" or (stop_at_paren and t[0] == ")"):
-            return coeffs
-        else:
-            raise ParseError(f"unexpected {t[1]!r} in field element", t[2])
+    t = toks.peek()
+    if t[0] != "EOF" and not (stop_at_paren and t[0] == ")"):
+        raise ParseError(f"unexpected {t[1]!r} in field element", t[2])
+    return coeffs
 
 
 def _parse_gterm(toks: _Tokens, p: int) -> tuple:
     t = toks.next()
     if t[0] == "INT":
-        c = int(t[1]) % p
+        c = _int(t) % p
         if toks.peek()[0] == "*":
             toks.next()
             t = toks.next()
@@ -131,28 +145,30 @@ def _parse_gterm(toks: _Tokens, p: int) -> tuple:
     d = 1
     if toks.peek()[0] == "^":
         toks.next()
-        d = int(toks.expect("INT")[1])
+        d = _int(toks.expect("INT"))
     return c, d
+
+
+def _gpoly_rep(toks: _Tokens, p: int, size: int, what: str,
+               position: int = -1, stop_at_paren: bool = False) -> tuple:
+    """Parse a polynomial in g into its first `size` coefficients."""
+    coeffs = _parse_gpoly(toks, p, stop_at_paren)
+    deg = max(coeffs) if coeffs else 0
+    if deg >= size:
+        raise ParseError(f"{what} degree {deg} not below {size}", position)
+    return tuple(coeffs.get(i, 0) for i in range(size))
 
 
 def parse_element(text: str, spec: FieldSpec) -> FieldElement:
     """Parse 'g^2+2*g+1' style text into an element of spec."""
-    toks = _Tokens(text)
-    coeffs = _parse_gpoly(toks, spec.p, stop_at_paren=False)
-    deg = max(coeffs) if coeffs else 0
-    if deg >= spec.e:
-        raise ParseError(f"element degree {deg} not below {spec.e}")
-    rep = tuple(coeffs.get(i, 0) for i in range(spec.e))
-    return FieldElement(spec, rep)
+    return FieldElement(spec, _gpoly_rep(_Tokens(text), spec.p, spec.e, "element"))
 
 
 def _parse_modulus(text: str, p: int, e: int) -> tuple:
-    toks = _Tokens(text)
-    coeffs = _parse_gpoly(toks, p, stop_at_paren=False)
-    deg = max(coeffs) if coeffs else 0
-    if deg != e:
-        raise ParseError(f"modulus degree {deg}, expected {e}")
-    return tuple(coeffs.get(i, 0) for i in range(e + 1))
+    rep = _gpoly_rep(_Tokens(text), p, e + 1, "modulus")
+    if rep[e] != 1:
+        raise ParseError(f"modulus must be monic of degree {e}")
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -161,47 +177,62 @@ def _parse_modulus(text: str, p: int, e: int) -> tuple:
 
 
 def parse_poly(text: str, ring: PolyRing) -> Polynomial:
+    poly = _parse_canonical(text, ring)
+    return poly if poly is not None else _parse_reference(text, ring)
+
+
+def _parse_reference(text: str, ring: PolyRing) -> Polynomial:
     toks = _Tokens(text)
-    poly = _parse_poly_expr(toks, ring)
+    terms: dict = {}
+    pack, cadd = ring.order.pack, ring._cadd
+    for sign, (coeff, exps) in _signed(toks, lambda tk: _parse_term(tk, ring)):
+        c = ring._coeff(-coeff if sign < 0 else coeff)
+        if c is not None:
+            _merge(terms, {pack(exps): c}, cadd)
     t = toks.peek()
     if t[0] != "EOF":
         raise ParseError(f"trailing input {t[1]!r}", t[2])
-    return poly
+    return Polynomial(ring, terms)
 
 
-def _parse_poly_expr(toks: _Tokens, ring: PolyRing) -> Polynomial:
-    """Terms merge into one dict, so a long polynomial parses in linear
-    time; only nonzero terms are packed (and so checked)."""
-    pack, coeff_of, cadd = ring.order.pack, ring._coeff, ring._cadd
+_SIGNS = re.compile(r"([+-])")
+
+
+def _parse_canonical(text: str, ring: PolyRing) -> Optional[Polynomial]:
+    """One pass over canonical prime-field text; None for any text the
+    reference parser must read (or reject)."""
+    if ring.field.e > 1 or not text.isascii():
+        return None
+    index, n, p = ring._index, ring.nvars, ring.field.p
+    seen: dict = {}                # factor text -> (variable index, exponent)
     terms: dict = {}
-    sign = 1
-    t = toks.peek()
-    if t[0] in "+-":
-        toks.next()
-        sign = -1 if t[0] == "-" else 1
-    while True:
-        coeff, exps = _parse_term(toks, ring)
-        c = coeff_of(-coeff if sign < 0 else coeff)
-        if c is not None:
-            key = pack(exps)
-            cur = terms.get(key)
-            if cur is None:
-                terms[key] = c
-            else:
-                s = cadd(cur, c)
-                if s is None:
-                    del terms[key]
-                else:
-                    terms[key] = s
-        t = toks.peek()
-        if t[0] == "+":
-            sign = 1
-            toks.next()
-        elif t[0] == "-":
-            sign = -1
-            toks.next()
-        else:
-            return Polynomial(ring, terms)
+    pack, cadd = ring.order.pack, ring._cadd
+    parts = _SIGNS.split(text)     # term, sign, term, ...; '' before a leading sign
+    try:
+        for k in range(2 if len(parts) > 1 and not parts[0] else 0, len(parts), 2):
+            c, exps = 1, [0] * n
+            for fac in parts[k].split("*"):
+                f = seen.get(fac)
+                if f is None:
+                    name, caret, a = fac.partition("^")
+                    i = index.get(name)
+                    if i is None:
+                        if caret or not name.isdigit():
+                            return None
+                        c *= int(name)
+                        continue
+                    if caret and not a.isdigit():
+                        return None
+                    f = seen[fac] = (i, int(a) if caret else 1)
+                exps[f[0]] += f[1]
+            c = (-c if k and parts[k - 1] == "-" else c) % p
+            if c:
+                _merge(terms, {pack(exps): c}, cadd)
+    except (ValueError, ResourceLimit):
+        # int() refuses very long digit strings, and an exponent reached
+        # EXP_CAP: the reference parser raises the error for either
+        return None
+    return Polynomial(ring, terms)
 
 
 def _parse_term(toks: _Tokens, ring: PolyRing):
@@ -211,7 +242,7 @@ def _parse_term(toks: _Tokens, ring: PolyRing):
     while True:
         t = toks.next()
         if t[0] == "INT":
-            coeff = coeff * int(t[1])
+            coeff = coeff * _int(t)
         elif t[0] == "NAME":
             name = t[1]
             if name not in ring._index:
@@ -219,17 +250,13 @@ def _parse_term(toks: _Tokens, ring: PolyRing):
             a = 1
             if toks.peek()[0] == "^":
                 toks.next()
-                a = int(toks.expect("INT")[1])
+                a = _int(toks.expect("INT"))
             exps[ring._index[name]] += a
         elif t[0] == "(":
             if F.e == 1:
                 raise ParseError("field element coefficient in a prime field ring", t[2])
-            coeffs = _parse_gpoly(toks, F.p, stop_at_paren=True)
+            rep = _gpoly_rep(toks, F.p, F.e, "coefficient", t[2], stop_at_paren=True)
             toks.expect(")")
-            deg = max(coeffs) if coeffs else 0
-            if deg >= F.e:
-                raise ParseError(f"coefficient degree {deg} not below {F.e}", t[2])
-            rep = tuple(coeffs.get(i, 0) for i in range(F.e))
             coeff = coeff * FieldElement(F, rep)
         else:
             raise ParseError(f"expected a factor, found {t[1]!r}", t[2])
@@ -281,14 +308,16 @@ def _tagged_lines(text: str):
 def parse_field_text(text: str) -> FieldSpec:
     """Parse a field description like "2^1" or "3^2 g^2+1"."""
     parts = text.split(None, 1)
-    base = parts[0]
+    base = parts[0] if parts else ""
     if "^" not in base:
         raise ParseError(f"field must look like p^e, got {base!r}")
     p_txt, _, e_txt = base.partition("^")
     try:
         p, e = int(p_txt), int(e_txt)
     except ValueError:
-        raise ParseError(f"bad field {base!r}") from None
+        p = e = 0
+    if p < 2 or e < 1:
+        raise ParseError(f"bad field {base!r}")
     if e > 1:
         if len(parts) != 2:
             raise ParseError("extension field needs a modulus")
@@ -309,13 +338,15 @@ def _parse_header(items):
             except ParseError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from None
         elif tag == "order":
-            parts = payload.split()
-            if parts[0] == "block":
-                if len(parts) != 2:
-                    raise ParseError(f"line {lineno}: block order needs a size")
-                order = ("block", int(parts[1]))
-            elif parts[0] in ("grevlex", "lex") and len(parts) == 1:
-                order = parts[0]
+            kind, *args = payload.split() or [""]
+            if kind == "block":
+                try:
+                    (size,) = args
+                    order = ("block", int(size))
+                except ValueError:
+                    raise ParseError(f"line {lineno}: block order needs a size") from None
+            elif kind in ("grevlex", "lex") and not args:
+                order = kind
             else:
                 raise ParseError(f"line {lineno}: unknown order {payload!r}")
         elif tag == "vars":
@@ -370,21 +401,27 @@ def parse_certificate_text(text: str) -> dict:
     remainder = None
     pending: Optional[int] = None
     for lineno, tag, payload in rest:
-        if tag == "target":
-            target = parse_poly(payload, ring)
-        elif tag == "basis":
-            basis.append(parse_poly(payload, ring))
-        elif tag == "cofactor-of":
-            pending = int(payload)
-        elif tag == "poly":
-            if pending is None:
-                raise ParseError(f"line {lineno}: cofactor poly without an index")
-            cofactors[pending] = parse_poly(payload, ring)
-            pending = None
-        elif tag == "remainder":
-            remainder = parse_poly(payload, ring)
-        else:
-            raise ParseError(f"line {lineno}: unexpected tag {tag!r}")
+        try:
+            if tag == "target":
+                target = parse_poly(payload, ring)
+            elif tag == "basis":
+                basis.append(parse_poly(payload, ring))
+            elif tag == "cofactor-of":
+                try:
+                    pending = int(payload)
+                except ValueError:
+                    raise ParseError(f"bad cofactor index {payload!r}") from None
+            elif tag == "poly":
+                if pending is None:
+                    raise ParseError("cofactor poly without an index")
+                cofactors[pending] = parse_poly(payload, ring)
+                pending = None
+            elif tag == "remainder":
+                remainder = parse_poly(payload, ring)
+            else:
+                raise ParseError(f"unexpected tag {tag!r}")
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
     if target is None or remainder is None:
         raise ParseError("certificate is missing a target or remainder line")
     if set(cofactors) != set(range(len(basis))):

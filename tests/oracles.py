@@ -11,6 +11,8 @@ import random
 from itertools import product
 from typing import Optional, Sequence
 
+from hypothesis import strategies as st
+
 import invar.mpoly as mpoly
 from invar.errors import ContextMismatch, ResourceLimit, UsageError
 from invar.fsing import C0_XI_TERMS
@@ -30,6 +32,29 @@ def random_poly(ring, rng, nterms=6, maxdeg=4):
         terms[exps] = rng.randrange(ring.field.order)
     return ring.from_terms({e: ring.field.from_index(c) if ring.field.e > 1 else c
                             for e, c in terms.items()})
+
+
+@st.composite
+def rings(draw, fields):
+    """A ring over one of the (p, e) fields in one to three variables
+    x0, x1, x2, in any order the arity allows."""
+    p, e = draw(st.sampled_from(fields))
+    n = draw(st.integers(1, 3))
+    orders = ("grevlex", "lex", "block") if n > 1 else ("grevlex", "lex")
+    order = draw(st.sampled_from(orders))
+    if order == "block":
+        order = ("block", draw(st.integers(1, n - 1)))
+    return PolyRing(field(p, e), [f"x{i}" for i in range(n)], order)
+
+
+def draw_poly(draw, ring, max_terms=8):
+    """Zero, constants and single terms come up often: max_deg 0 leaves
+    only the constant monomial, and dictionaries start small."""
+    F = ring.field
+    max_deg = draw(st.integers(0, 5))
+    exps = st.tuples(*[st.integers(0, max_deg)] * ring.nvars)
+    terms = draw(st.dictionaries(exps, st.integers(1, F.order - 1), max_size=max_terms))
+    return ring.from_terms({e: F.from_index(c) for e, c in terms.items()})
 
 
 # -- reference monomial comparators ------------------------------------------

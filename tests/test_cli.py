@@ -192,6 +192,35 @@ def test_parse_error_exits_two(runner, tmp_path):
     assert "error:" in res.output
 
 
+_HEAD = "field: 2^1\norder: grevlex\nvars: x y\n"
+
+
+_MALFORMED = {
+    "non-ASCII digit": (_HEAD + "poly: x^\u00b2\n", 4),
+    "long integer": (_HEAD + "poly: " + "1" * 4400 + "*x\n", 4),
+    "empty order": ("field: 2^1\norder:\nvars: x y\npoly: x\n", 2),
+    "block order without a size": (_HEAD.replace("grevlex", "block x") + "poly: x\n", 2),
+    "cofactor index": (_HEAD + "cofactor-of: a\npoly: x\n", 4),
+    "zero characteristic": ("field: 0^2 g^2+1\norder: lex\nvars: x\npoly: x\n", 1),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED)
+@pytest.mark.parametrize("command", ["gb", "member"])
+def test_malformed_input_exits_two(runner, tmp_path, command, case):
+    """A malformed file is a documented parse error (exit 2) naming its
+    line, never an internal error (exit 3)."""
+    text, line = _MALFORMED[case]
+    ideal = tmp_path / "ideal.poly"
+    ideal.write_text(IDEAL)
+    bad = tmp_path / "bad.poly"
+    bad.write_text(text, encoding="utf-8")
+    inputs = [str(bad)] if command == "gb" else [str(ideal), str(bad)]
+    res = invoke(runner, [command] + inputs)
+    assert res.exit_code == 2
+    assert res.output.startswith(f"error: line {line}: ")
+
+
 @pytest.mark.parametrize("command", ["gb", "member"])
 def test_unreadable_input_exits_two(runner, tmp_path, command):
     """Undecodable input and failed writes are errors (2), never the

@@ -14,8 +14,8 @@ from invar.gf import field
 from invar.mpoly import (PolyRing, TermOrder, _mul, _sqr, frobenius_power,
                          random_points, sample_sides, substitute,
                          verify_identity_probabilistic)
-from oracles import (block_sort_key, eval_by_substitution, grevlex_sort_key,
-                     lex_sort_key, naive_mul, random_poly)
+from oracles import (block_sort_key, draw_poly, eval_by_substitution,
+                     grevlex_sort_key, lex_sort_key, naive_mul, random_poly, rings)
 
 
 @pytest.fixture
@@ -354,40 +354,19 @@ def test_text_canonical_ordering(R3):
 _SQR_FIELDS = ((2, 1), (3, 1), (5, 1), (2, 2), (3, 2))
 
 
-@st.composite
-def _rings(draw):
-    p, e = draw(st.sampled_from(_SQR_FIELDS))
-    n = draw(st.integers(1, 3))
-    orders = ("grevlex", "lex", "block") if n > 1 else ("grevlex", "lex")
-    order = draw(st.sampled_from(orders))
-    if order == "block":
-        order = ("block", draw(st.integers(1, n - 1)))
-    return PolyRing(field(p, e), [f"x{i}" for i in range(n)], order)
-
-
-def _poly(draw, ring, max_terms=8):
-    """Zero, constants and single terms come up often: max_deg 0 leaves
-    only the constant monomial, and dictionaries start small."""
-    F = ring.field
-    max_deg = draw(st.integers(0, 5))
-    exps = st.tuples(*[st.integers(0, max_deg)] * ring.nvars)
-    terms = draw(st.dictionaries(exps, st.integers(1, F.order - 1), max_size=max_terms))
-    return ring.from_terms({e: F.from_index(c) for e, c in terms.items()})
-
-
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_sqr_matches_mul(data):
-    ring = data.draw(_rings())
-    f = _poly(data.draw, ring, max_terms=12)
+    ring = data.draw(rings(_SQR_FIELDS))
+    f = draw_poly(data.draw, ring, max_terms=12)
     assert _sqr(f) == _mul(f, f)
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_pow_matches_chained_mul(data):
-    ring = data.draw(_rings())
-    f = _poly(data.draw, ring, max_terms=5)
+    ring = data.draw(rings(_SQR_FIELDS))
+    f = draw_poly(data.draw, ring, max_terms=5)
     for k in range(10):
         assert f ** k == reduce(_mul, [f] * k, ring.one)
 
@@ -395,11 +374,11 @@ def test_pow_matches_chained_mul(data):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_substitute_matches_termwise_products(data):
-    ring = data.draw(_rings())
-    target = data.draw(_rings())
+    ring = data.draw(rings(_SQR_FIELDS))
+    target = data.draw(rings(_SQR_FIELDS))
     target = PolyRing(ring.field, target.names, target.order)
-    f = _poly(data.draw, ring)
-    images = {nm: _poly(data.draw, target, max_terms=4) for nm in ring.names}
+    f = draw_poly(data.draw, ring)
+    images = {nm: draw_poly(data.draw, target, max_terms=4) for nm in ring.names}
     expected = target.zero
     for key, c in f.terms.items():
         t = target.constant(ring.coeff_element(c))

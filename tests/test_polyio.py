@@ -1,12 +1,16 @@
 """Tests for polynomial text parsing and file round trips."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from invar.errors import ParseError, UsageError
+from invar.errors import ParseError, ResourceLimit, UsageError
 from invar.gf import field
-from invar.mpoly import PolyRing
-from invar.polyio import (format_certificate, format_polys, parse_certificate_text,
-                          parse_element, parse_poly, parse_polys_text)
+from invar.mpoly import EXP_CAP, PolyRing
+from invar.polyio import (_parse_canonical, _parse_reference, format_certificate,
+                          format_polys, parse_certificate_text, parse_element,
+                          parse_poly, parse_polys_text)
+from oracles import draw_poly, rings
 
 
 @pytest.fixture
@@ -175,3 +179,128 @@ def test_certificate_errors(R):
         parse_certificate_text(good.replace("remainder: x\n", ""))
     with pytest.raises(ParseError):
         parse_certificate_text(good.replace("cofactor-of: 0", "cofactor-of: 1"))
+
+
+# ---------------------------------------------------------------------------
+# malformed files: every one is a ParseError naming its line
+# ---------------------------------------------------------------------------
+
+HEAD = "field: 3^1\norder: grevlex\nvars: x y\n"
+
+MALFORMED = {
+    "non-ASCII digit": (HEAD + "poly: x^\u00b2\n", 4),
+    "Arabic-Indic digit": (HEAD + "poly: \u0663*x\n", 4),
+    "long integer": (HEAD + "poly: " + "1" * 4400 + "*x\n", 4),
+    "long exponent": (HEAD + "poly: x^" + "1" * 4400 + "\n", 4),
+    "empty order": ("field: 3^1\norder:\nvars: x y\npoly: x\n", 2),
+    "block order without a size": (HEAD.replace("grevlex", "block x"), 2),
+    "empty field": ("field:\norder: lex\nvars: x\npoly: x\n", 1),
+    "zero characteristic": ("field: 0^2 g^2+1\norder: lex\nvars: x\n", 1),
+    "cofactor index": (HEAD + "cofactor-of: a\npoly: x\n", 4),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_file_is_a_parse_error_with_its_line(name):
+    text, line = MALFORMED[name]
+    for parse in (parse_polys_text, parse_certificate_text):
+        with pytest.raises(ParseError, match=f"^line {line}: "):
+            parse(text)
+
+
+def test_certificate_poly_errors_name_their_line(R):
+    x, y, _ = R.gens()
+    good = format_certificate(R, x, [y], [R.zero], x)
+    for tag in ("target", "basis", "poly", "remainder"):
+        lines = good.splitlines()
+        k = next(i for i, ln in enumerate(lines) if ln.startswith(tag + ":"))
+        lines[k] = tag + ": x+w"
+        with pytest.raises(ParseError, match=f"^line {k + 1}: unknown variable"):
+            parse_certificate_text("\n".join(lines))
+
+
+def test_modulus_must_be_monic_of_full_degree():
+    for bad in ("3^2 g+1", "3^2 2*g^2+1", "3^2 g^3+1"):
+        with pytest.raises(ParseError):
+            parse_polys_text(f"field: {bad}\norder: lex\nvars: x\n")
+
+
+# ---------------------------------------------------------------------------
+# the one-pass parser against the reference parser
+# ---------------------------------------------------------------------------
+
+_FIELDS = ((2, 1), (5, 1), (3, 2))      # GF(9) text has parenthesised coefficients
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parse_round_trips_text(data):
+    R = data.draw(rings(_FIELDS))
+    f = draw_poly(data.draw, R)
+    text = f.text()
+    assert parse_poly(text, R) == f
+    if R.field.e == 1:
+        assert _parse_canonical(text, R) == f
+    elif "(" in text:
+        assert _parse_canonical(text, R) is None
+
+
+def _outcome(parse, text, R):
+    try:
+        return parse(text, R)
+    except (ParseError, ResourceLimit) as exc:
+        return type(exc), str(exc)
+
+
+# the characters an edit inserts or swaps in
+_EDITS = list("+-*^ 0123456789x(") + ["\u00b2", "\u0663", "\u00e9"]
+
+
+def _check_against_reference(text, R):
+    ref = _outcome(_parse_reference, text, R)
+    fast = _parse_canonical(text, R)
+    assert fast is None or fast == ref
+    assert _outcome(parse_poly, text, R) == ref
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_fast_path_agrees_with_reference_on_edited_text(data):
+    R = data.draw(rings(_FIELDS))
+    text = data.draw(st.sampled_from([
+        draw_poly(data.draw, R).text(),
+        f"x0^{EXP_CAP}+1",
+        f"2*x0^{EXP_CAP // 2}*x0^{EXP_CAP - EXP_CAP // 2}",
+    ]))
+    for _ in range(data.draw(st.integers(0, 3))):
+        i = data.draw(st.integers(0, len(text)))
+        op = data.draw(st.sampled_from(("insert", "delete", "swap")))
+        ch = data.draw(st.sampled_from(_EDITS))
+        if op == "insert":
+            text = text[:i] + ch + text[i:]
+        elif op == "delete":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + ch + text[i + 1:]
+    _check_against_reference(text, R)
+
+
+@pytest.mark.parametrize("text", [
+    f"x^{EXP_CAP}",
+    f"x^{EXP_CAP - 1}*x",
+    f"y+2*x^3*x^{EXP_CAP - 3}",
+    f"x^{EXP_CAP}+$",                    # the syntax error wins
+    f"0*x^{EXP_CAP}+y",                  # a zero term is never packed
+    "1" * 4400 + "*x",
+    "x^0012*y^0+-y",
+    "\u0663*x",
+])
+def test_fast_path_edge_cases_match_reference(R, text):
+    _check_against_reference(text, R)
+
+
+def test_fast_path_raises_the_reference_exponent_error(R):
+    for text in (f"x^{EXP_CAP}", f"x^{EXP_CAP // 2}*x^{EXP_CAP - EXP_CAP // 2}"):
+        assert _parse_canonical(text, R) is None
+        with pytest.raises(ResourceLimit, match=f"exponent {EXP_CAP} outside"):
+            parse_poly(text, R)
