@@ -10,8 +10,14 @@ For every record of ``suite_claims("full")`` at claim seeds 0 and 1,
 without its ``elapsed-ms=`` field, and the ``replay_document`` result.
 Running this file as a script prints that table.
 
+``FIELD_PINS`` holds the sha256 of the default moduli ``find_irreducible``
+finds, of the exp table of every table-backed field and of
+``is_irreducible`` over a seeded sample of polynomials.  Running this
+file as a script with the argument ``fields`` prints those digests.
+
 Any change to a verdict, a witness byte, a report line or a replay
-result of these claims fails here.
+result of these claims, or to a default modulus, a field table or an
+irreducibility verdict, fails here.
 """
 
 import functools
@@ -19,6 +25,7 @@ import hashlib
 import json
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +33,8 @@ import pytest
 from invar.fsing import (RunConfig, render_machine, render_text,
                          replay_document, run_claim, suite_claims,
                          verify_c0_expression, witness_document)
+from invar.gf import (_TABLE_CAP, field, find_irreducible, is_irreducible,
+                      is_prime)
 from oracles import mutated_c0_terms
 
 MODES = ("exact", "probabilistic", "auto")
@@ -199,8 +208,49 @@ def test_full_suite_record_pinned(key):
     assert _full_suite_digests(seed)[key] == FULL_PINS[key]
 
 
+def _moduli_text() -> str:
+    degrees = [(p, e) for p in (2, 3, 5, 7, 11, 13) for e in range(2, 11)]
+    degrees += [(p, 32) for p in (2, 3, 5, 7)]
+    return "".join(f"{p} {e} {find_irreducible(p, e)}\n" for p, e in degrees)
+
+
+def _exp_tables_text() -> str:
+    fields = [(p, e) for p in range(2, 33) if is_prime(p)
+              for e in range(2, 11) if p ** e <= _TABLE_CAP]
+    return "".join(f"{p} {e} {field(p, e)._exp}\n" for p, e in fields)
+
+
+def _irreducible_text() -> str:
+    rng = random.Random(2024)
+    lines = []
+    for p in (2, 3, 5, 7, 11, 13):
+        for e in range(1, 9):
+            for _ in range(40):
+                f = tuple(rng.randrange(p) for _ in range(e)) + (rng.randrange(1, p),)
+                lines.append(f"{p} {f} {is_irreducible(f, p)}\n")
+    return "".join(lines)
+
+
+FIELD_TEXTS = {"moduli": _moduli_text, "exp-tables": _exp_tables_text,
+               "irreducible-sample": _irreducible_text}
+
+FIELD_PINS = {
+    "exp-tables": "563bbecc2dee93f6992a294ddcfa2f14054f3e81ea011d7e55e66ca7f654da55",
+    "irreducible-sample": "fccdf7549c82caa4798735d48f2918ae5ff7e67c12293194e934fd2c75551e7d",
+    "moduli": "7ca6ebf0013bf0c71f44770356204d1de7c251168c42cc6c9f3719e54ee7315f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_TEXTS))
+def test_field_pinned(name):
+    assert _sha(FIELD_TEXTS[name]()) == FIELD_PINS[name]
+
+
 if __name__ == "__main__":
-    table = {}
-    for seed in SEEDS:
-        table.update(_full_suite_digests(seed))
+    if sys.argv[1:] == ["fields"]:
+        table = {name: _sha(text()) for name, text in FIELD_TEXTS.items()}
+    else:
+        table = {}
+        for seed in SEEDS:
+            table.update(_full_suite_digests(seed))
     print(json.dumps(table, indent=1, sort_keys=True))
