@@ -2,9 +2,9 @@
 atomic file write every output path uses.
 
 Each entry is a text file whose first line is "hash: <sha256 of the
-payload>"; the rest is the payload verbatim.  A digest mismatch is
-treated as a miss, so a corrupted entry is recomputed and overwritten,
-never silently reused.
+payload>"; the rest is the payload verbatim.  A digest mismatch or an
+entry that is not UTF-8 is treated as a miss, so a corrupted entry is
+recomputed and overwritten, never silently reused.
 """
 
 import hashlib
@@ -56,7 +56,7 @@ def fetch(cache_dir: str, key: str) -> Optional[str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError:
+    except (OSError, UnicodeDecodeError):
         return None
     head, _, payload = text.partition("\n")
     if not head.startswith("hash: "):

@@ -5,6 +5,11 @@ irreducible modulus chosen deterministically (lexicographically smallest,
 comparing coefficients from the constant term upward), so serialized
 elements are portable across runs and machines.
 
+The arithmetic of GF(p)[g]/(f) is written once, in _Quotient, for any
+monic f.  FieldSpec is that ring for an irreducible f; the Rabin
+irreducibility test that certifies the modulus runs on a _Quotient of
+the candidate itself.
+
 Element representations are canonical coefficient vectors; equality is
 structural.  Everything here is immutable after construction and every
 operation is pure.
@@ -58,115 +63,37 @@ def _prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Univariate polynomial helpers over GF(p).
+# Irreducible moduli over GF(p).
 #
-# Polynomials are tuples of coefficients, constant term first, with no
-# trailing zero coefficients (the zero polynomial is the empty tuple).
-# Only what the irreducibility test needs lives here.
+# A polynomial is a sequence of coefficients, constant term first.
 # ---------------------------------------------------------------------------
-
-
-def _trim(c: Sequence[int]) -> tuple:
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def _poly_rem(a: Sequence[int], m: tuple, p: int) -> tuple:
-    """Remainder of a modulo m; m need not be monic."""
-    a = list(a)
-    dm = len(m) - 1
-    lead_inv = pow(m[-1], p - 2, p)
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i] % p
-        if c:
-            f = (c * lead_inv) % p
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - f * m[j]) % p
-    return _trim(a[:dm])
-
-
-def _poly_gcd(a: tuple, b: tuple, p: int) -> tuple:
-    while b:
-        a, b = b, _poly_rem(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = tuple((c * inv) % p for c in a)
-    return a
-
-
-def _poly_mulmod(a: tuple, b: tuple, m: tuple, p: int) -> tuple:
-    if not a or not b:
-        return ()
-    conv = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            conv[i + j] += x * y
-    return _poly_rem([c % p for c in conv], m, p)
-
-
-def _poly_powmod(a: tuple, n: int, m: tuple, p: int) -> tuple:
-    """a^n mod m by square-and-multiply; deg m >= 1."""
-    result, base = (1,), _poly_rem(a, m, p)
-    while n:
-        if n & 1:
-            result = _poly_mulmod(result, base, m, p)
-        n >>= 1
-        if n:
-            base = _poly_mulmod(base, base, m, p)
-    return result
-
-
-def _frobenius_rows(m: tuple, p: int) -> list:
-    """Rows X^(i p) mod m for i < deg m.  Coefficients in GF(p) are
-    Frobenius-fixed, so h^p = sum h_i X^(i p) mod m: these rows are the
-    matrix of the GF(p)-linear map h -> h^p mod m."""
-    xp = _poly_powmod((0, 1), p, m, p)
-    rows = [(1,)]
-    for _ in range(2, len(m)):
-        rows.append(_poly_mulmod(rows[-1], xp, m, p))
-    return rows
-
-
-def _apply_rows(h: tuple, rows: list, p: int) -> tuple:
-    """sum h_i rows[i], reduced mod p."""
-    acc = [0] * len(rows)
-    for c, row in zip(h, rows):
-        if c:
-            for j, r in enumerate(row):
-                acc[j] += c * r
-    return _trim([a % p for a in acc])
 
 
 def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     """Rabin test: f of degree e over GF(p) is irreducible iff
     X^{p^e} = X mod f and gcd(X^{p^{e/l}} - X, f) = 1 for every prime l | e.
     """
-    f = _trim(tuple(c % p for c in coeffs))
+    f = [c % p for c in coeffs]
+    while f and not f[-1]:
+        f.pop()
     e = len(f) - 1
-    if e < 1:
-        return False
-    if e == 1:
-        return True
-    if f[0] == 0:
-        return False
-    rows = _frobenius_rows(f, p)
-    x = (0, 1)
-    powers = {}
-    h = x
-    for k in range(1, e + 1):
-        h = _apply_rows(h, rows, p)
-        powers[k] = h
+    if e < 2:
+        return e == 1
+    lead_inv = pow(f[-1], p - 2, p)
+    ring = _Quotient(p, e, tuple(c * lead_inv % p for c in f))
+    x = (0, 1) + (0,) * (e - 2)
+    powers = [x]                      # powers[k] = X^(p^k) mod f
+    for _ in range(e):
+        powers.append(ring._vfrob(powers[-1], 1))
     if powers[e] != x:
         return False
-    for ell in _prime_factors(e):
-        g = powers[e // ell]
-        diff = list(g) + [0] * (2 - len(g))
-        diff[1] = (diff[1] - 1) % p
-        if _poly_gcd(_trim(diff), f, p) != (1,):
-            return False
-    return True
+    # Now f divides X^(p^e) - X, the product of the monic irreducibles of
+    # degree dividing e, each once.  So GF(p)[X]/(f) is a product of fields
+    # GF(p^d) with d | e, in which every nonzero y has y^(p^e - 1) = 1:
+    # h is prime to f iff h^(p^e - 1) = 1.
+    n = p ** e - 1
+    return all(ring._vpow(ring._vsub(powers[e // ell], x), n) == ring._one
+               for ell in _prime_factors(e))
 
 
 def find_irreducible(p: int, e: int) -> tuple:
@@ -218,51 +145,35 @@ def _poly_text(coeffs: Sequence[int], symbol: str = "g") -> str:
 
 
 # ---------------------------------------------------------------------------
-# Field specs and elements.
+# Arithmetic in GF(p)[g]/(f).
 # ---------------------------------------------------------------------------
 
 
-class FieldSpec:
-    """Description of GF(p^e) together with its element arithmetic.
+class _Quotient:
+    """The ring GF(p)[g]/(f) for a monic f = modulus of degree e,
+    irreducible or not (modulus None is GF(p) itself, e = 1).
 
     Elements are coefficient tuples of length e (rep[i] multiplies g^i).
-    The enumeration index of an element orders reps lexicographically,
-    constant coefficient most significant.
-
-    Fields up to _TABLE_CAP elements multiply through exp/log tables.
-    Larger extensions multiply by Kronecker substitution: each operand is
-    packed into one int with a fixed-width slot per coefficient, wide
-    enough that no slot of the product carries into the next, so one
-    bigint product gives the convolution; it is then reduced by the
-    nonzero terms of the modulus.  The Frobenius a -> a^(p^k) is
-    GF(p)-linear, so it is a sum of a_i times the packed rows g^(i p^k).
+    Products are Kronecker substitutions: each operand is packed into one
+    int with a fixed-width slot per coefficient, wide enough that no slot
+    of the product carries into the next, so one bigint product gives the
+    convolution; it is then reduced by the nonzero terms of f.  The map
+    a -> a^p is a ring endomorphism fixing GF(p), so a^(p^k) is a sum of
+    a_i times the packed rows g^(i p^k).  A field subclass may set the
+    exp/log tables, which then take over multiply, inverse and Frobenius.
     """
 
-    __slots__ = ("p", "e", "order", "modulus", "_red", "_exp", "_log",
-                 "_slot", "_typecode", "_frob_rows", "zero", "one", "gen")
+    __slots__ = ("p", "e", "order", "modulus", "_red", "_slot", "_typecode",
+                 "_frob_rows", "_exp", "_log", "_zero", "_one")
 
-    def __init__(self, p: int, e: int = 1, modulus: Optional[Sequence[int]] = None):
-        if not is_prime(p):
-            raise UsageError(f"characteristic {p} is not prime")
-        if e < 1:
-            raise UsageError(f"extension degree must be >= 1, got {e}")
+    def __init__(self, p: int, e: int, modulus: Optional[tuple]):
         self.p = p
         self.e = e
         self.order = p ** e
-        if e == 1:
-            self.modulus = None
-            self._red = None
-        else:
-            if modulus is None:
-                modulus = find_irreducible(p, e)
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != e + 1 or modulus[-1] != 1:
-                raise UsageError("modulus must be monic of degree e")
-            if not is_irreducible(modulus, p):
-                raise UsageError("modulus is not irreducible")
-            self.modulus = modulus
-            # g^e = -(m_0 + m_1 g + ... + m_{e-1} g^{e-1}), nonzero terms only
-            self._red = tuple((i, (-c) % p) for i, c in enumerate(modulus[:e]) if c)
+        self.modulus = modulus
+        # g^e = -(m_0 + m_1 g + ... + m_{e-1} g^{e-1}), nonzero terms only
+        self._red = (None if modulus is None else
+                     tuple((i, (-c) % p) for i, c in enumerate(modulus[:e]) if c))
         # A product or Frobenius slot sums at most e terms below p^2.
         bound = e * (p - 1) ** 2
         self._typecode = next((tc for tc in "BHILQ"
@@ -272,13 +183,8 @@ class FieldSpec:
         self._frob_rows = {}
         self._exp = None
         self._log = None
-        self.zero = FieldElement(self, (0,) * e)
-        self.one = FieldElement(self, (1,) + (0,) * (e - 1))
-        self.gen = FieldElement(self, (0, 1) + (0,) * (e - 2)) if e > 1 else None
-        if e > 1 and self.order <= _TABLE_CAP:
-            self._build_tables()
-
-    # -- representation-level arithmetic ------------------------------------
+        self._zero = (0,) * e
+        self._one = (1,) + (0,) * (e - 1)
 
     def _vadd(self, a: tuple, b: tuple) -> tuple:
         p = self.p
@@ -322,8 +228,8 @@ class FieldSpec:
     def _vmul(self, a: tuple, b: tuple) -> tuple:
         log = self._log
         if log is not None:
-            if a == self.zero.rep or b == self.zero.rep:
-                return self.zero.rep
+            if a == self._zero or b == self._zero:
+                return self._zero
             return self._exp[(log[a] + log[b]) % (self.order - 1)]
         p, e = self.p, self.e
         if e == 1:
@@ -339,6 +245,7 @@ class FieldSpec:
         return tuple([c % p for c in conv[:e]])
 
     def _vinv(self, a: tuple) -> tuple:
+        """Inverse in a field: a^(p^e - 2)."""
         if not any(a):
             raise FieldZeroDivision(f"inversion of zero in {self}")
         log = self._log
@@ -350,7 +257,7 @@ class FieldSpec:
     def _vpow(self, a: tuple, k: int) -> tuple:
         if k < 0:
             return self._vpow(self._vinv(a), -k)
-        result = self.one.rep
+        result = self._one
         base = a
         while k:
             if k & 1:
@@ -360,7 +267,8 @@ class FieldSpec:
         return result
 
     def _vfrob(self, a: tuple, k: int) -> tuple:
-        """a^(p^k); k is taken mod e, so negative k inverts the map."""
+        """a^(p^k); k is taken mod e, which in a field makes negative k
+        invert the map."""
         k %= self.e
         if k == 0:
             return a
@@ -371,8 +279,8 @@ class FieldSpec:
             return self._exp[log[a] * self.p ** k % (self.order - 1)]
         rows = self._frob_rows.get(k)
         if rows is None:
-            h = self._vpow(self.gen.rep, self.p ** k)
-            rows, cur = [], self.one.rep
+            h = self._vpow((0, 1) + (0,) * (self.e - 2), self.p ** k)
+            rows, cur = [], self._one
             for _ in range(self.e):
                 rows.append(self._pack(cur))
                 cur = self._vmul(cur, h)
@@ -384,28 +292,63 @@ class FieldSpec:
         p = self.p
         return tuple([c % p for c in self._unpack(acc, self.e)])
 
+
+# ---------------------------------------------------------------------------
+# Field specs and elements.
+# ---------------------------------------------------------------------------
+
+
+class FieldSpec(_Quotient):
+    """Description of GF(p^e) together with its element arithmetic.
+
+    The enumeration index of an element orders reps lexicographically,
+    constant coefficient most significant.  Fields up to _TABLE_CAP
+    elements multiply through exp/log tables, larger ones through the
+    packed arithmetic of _Quotient.
+    """
+
+    __slots__ = ("zero", "one", "gen")
+
+    def __init__(self, p: int, e: int = 1, modulus: Optional[Sequence[int]] = None):
+        if not is_prime(p):
+            raise UsageError(f"characteristic {p} is not prime")
+        if e < 1:
+            raise UsageError(f"extension degree must be >= 1, got {e}")
+        if e == 1:
+            modulus = None
+        else:
+            if modulus is None:
+                modulus = find_irreducible(p, e)
+            modulus = tuple(c % p for c in modulus)
+            if len(modulus) != e + 1 or modulus[-1] != 1:
+                raise UsageError("modulus must be monic of degree e")
+            if not is_irreducible(modulus, p):
+                raise UsageError("modulus is not irreducible")
+        super().__init__(p, e, modulus)
+        self.zero = FieldElement(self, self._zero)
+        self.one = FieldElement(self, self._one)
+        self.gen = FieldElement(self, (0, 1) + (0,) * (e - 2)) if e > 1 else None
+        if e > 1 and self.order <= _TABLE_CAP:
+            self._build_tables()
+
     def _build_tables(self):
         # _log is still None here, so _vmul and _vpow take the packed path.
         n = self.order - 1
         factors = _prime_factors(n)
         g = None
-        for rep in self._iter_reps():
-            if not any(rep) or rep == self.one.rep:
+        for rep in product(range(self.p), repeat=self.e):
+            if not any(rep) or rep == self._one:
                 continue
-            if all(self._vpow(rep, n // ell) != self.one.rep for ell in factors):
+            if all(self._vpow(rep, n // ell) != self._one for ell in factors):
                 g = rep
                 break
-        exp = [self.one.rep]
-        cur = self.one.rep
+        exp = [self._one]
+        cur = self._one
         for _ in range(n - 1):
             cur = self._vmul(cur, g)
             exp.append(cur)
         self._exp = exp
         self._log = {rep: k for k, rep in enumerate(exp)}
-
-    def _iter_reps(self):
-        for digits in product(range(self.p), repeat=self.e):
-            yield digits
 
     # -- element construction ------------------------------------------------
 

@@ -10,8 +10,9 @@ The heap thus holds only the distinct keys touched, with no stale
 entries.  Over GF(p) the dict holds unreduced ints, reduced mod p at the
 pop, where a zero is skipped; extension-field coefficients use the
 field's own vector arithmetic.  Each divisor carries its tail as (key
-shift, negated coefficient) pairs, and divisibility is one subtraction
-and mask on TermOrder.fields.  A reduction whose exponents reach EXP_CAP,
+shift, negated coefficient) pairs.  Divisibility, here and in
+buchberger's chain criterion and autoreduction, is one subtraction and
+mask on TermOrder.fields.  A reduction whose exponents reach EXP_CAP,
 or whose dict passes TERM_GUARD keys, raises ResourceLimit.  Divisors
 are chosen deterministically: the first element whose leading monomial
 divides, scanning the basis in ascending leading monomial order (index
@@ -225,14 +226,11 @@ def buchberger(gens: Sequence[Polynomial]) -> GroebnerBasis:
         if g.ring != ring:
             raise ContextMismatch("generators from different rings")
 
+    fields, G = ring.order.fields, ring.order.guard
     basis = [g.monic() for g in gens]
     lm = [b.leading_key() for b in basis]
-    lme = [ring.order.unpack(k) for k in lm]
     pending = {(i, j) for j in range(len(basis)) for i in range(j)}
     processed = 0
-
-    def divides(a: tuple, b: tuple) -> bool:
-        return all(x <= y for x, y in zip(a, b))
 
     while pending:
         i, j = min(pending, key=lambda ij: (_lcm_key(ring, lm[ij[0]], lm[ij[1]]),
@@ -247,12 +245,12 @@ def buchberger(gens: Sequence[Polynomial]) -> GroebnerBasis:
             continue
         # chain criterion: skip when some k divides the lcm and both
         # companion pairs are already settled
-        lcme = ring.order.unpack(lcm)
+        lcm_fields = fields(lcm) | G
         skip = False
         for k in range(len(basis)):
             if k == i or k == j:
                 continue
-            if divides(lme[k], lcme):
+            if (lcm_fields - fields(lm[k])) & G == G:
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik not in pending and pjk not in pending:
@@ -267,18 +265,17 @@ def buchberger(gens: Sequence[Polynomial]) -> GroebnerBasis:
         new = len(basis)
         basis.append(r)
         lm.append(r.leading_key())
-        lme.append(r.leading_exponents())
         pending.update((t, new) for t in range(new))
 
     return GroebnerBasis(ring, tuple(_autoreduce(ring, basis)))
 
 
 def _autoreduce(ring: PolyRing, basis: list) -> list:
-    unpack = ring.order.unpack
+    fields, G = ring.order.fields, ring.order.guard
     keep = []
     for b in sorted(basis, key=lambda b: b.leading_key()):
-        e = b.leading_exponents()
-        if any(all(x <= y for x, y in zip(unpack(k.leading_key()), e)) for k in keep):
+        lead = fields(b.leading_key()) | G
+        if any((lead - fields(k.leading_key())) & G == G for k in keep):
             continue
         keep.append(b)
     out = []

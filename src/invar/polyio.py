@@ -322,40 +322,53 @@ def parse_field_text(text: str) -> FieldSpec:
         if len(parts) != 2:
             raise ParseError("extension field needs a modulus")
         return field(p, e, _parse_modulus(parts[1], p, e))
+    if len(parts) != 1:
+        raise ParseError(f"prime field takes no modulus, got {parts[1]!r}")
     return field(p)
 
 
 def _parse_header(items):
     """Consume field/order/vars lines; returns (ring, remaining items)."""
-    spec = None
-    order = None
-    names = None
+    header = {}                       # tag -> (line number, parsed value)
     rest = []
     for lineno, tag, payload in items:
-        if tag == "field":
-            try:
-                spec = parse_field_text(payload)
-            except ParseError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-        elif tag == "order":
-            kind, *args = payload.split() or [""]
-            if kind == "block":
-                try:
-                    (size,) = args
-                    order = ("block", int(size))
-                except ValueError:
-                    raise ParseError(f"line {lineno}: block order needs a size") from None
-            elif kind in ("grevlex", "lex") and not args:
-                order = kind
-            else:
-                raise ParseError(f"line {lineno}: unknown order {payload!r}")
-        elif tag == "vars":
-            names = tuple(payload.split())
-        else:
+        if tag not in ("field", "order", "vars"):
             rest.append((lineno, tag, payload))
-    if spec is None or order is None or names is None:
+            continue
+        try:
+            if tag in header:
+                raise ParseError(f"repeated {tag} line")
+            if tag == "field":
+                value = parse_field_text(payload)
+            elif tag == "vars":
+                value = tuple(payload.split())
+            else:
+                kind, *args = payload.split() or [""]
+                if kind == "block":
+                    try:
+                        (size,) = args
+                        value = ("block", int(size))
+                    except ValueError:
+                        raise ParseError("block order needs a size") from None
+                elif kind in ("grevlex", "lex") and not args:
+                    value = kind
+                else:
+                    raise ParseError(f"unknown order {payload!r}")
+        except (ParseError, UsageError) as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        header[tag] = (lineno, value)
+    if len(header) < 3:
         raise ParseError("file is missing a field, order, or vars line")
-    return PolyRing(spec, names, order), rest
+    spec = header["field"][1]
+    names = header["vars"][1]
+    # The names are checked under the default order first, so an error
+    # names the vars line, and an order that does not fit them the order line.
+    for lineno, order in (header["vars"][0], "grevlex"), header["order"]:
+        try:
+            ring = PolyRing(spec, names, order)
+        except UsageError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+    return ring, rest
 
 
 def parse_polys_text(text: str):

@@ -77,12 +77,14 @@ def test_dickson_corrupt_cache_recomputed(runner, tmp_path):
     args = ["dickson", "--p", "2", "--n", "3", "--cache-dir", str(tmp_path)]
     first = invoke(runner, args)
     path = tmp_path / "dickson-2-1-3.poly"
-    path.write_text(path.read_text().replace("x1^4", "x1^5"))
-    second = invoke(runner, args)
-    assert second.exit_code == 0
-    assert second.output == first.output
-    # and the cache file was healed
-    assert "x1^5" not in path.read_text()
+    entry = path.read_bytes()
+    for bad in (b"x1^5", b"x1^\xff"):                # edited; not UTF-8
+        path.write_bytes(entry.replace(b"x1^4", bad))
+        second = invoke(runner, args)
+        assert second.exit_code == 0
+        assert second.output == first.output
+        # and the cache file was healed
+        assert path.read_bytes() == entry
 
 
 def test_dickson_degree_guard(runner, tmp_path):
@@ -202,6 +204,12 @@ _MALFORMED = {
     "block order without a size": (_HEAD.replace("grevlex", "block x") + "poly: x\n", 2),
     "cofactor index": (_HEAD + "cofactor-of: a\npoly: x\n", 4),
     "zero characteristic": ("field: 0^2 g^2+1\norder: lex\nvars: x\npoly: x\n", 1),
+    "prime field with a modulus": ("field: 2^1 junk\norder: lex\nvars: x\npoly: x\n", 1),
+    "composite characteristic": ("field: 4^1\norder: lex\nvars: x\npoly: x\n", 1),
+    "bad variable name": ("field: 2^1\norder: lex\nvars: x 1y\npoly: x\n", 3),
+    "repeated variable": ("field: 2^1\norder: lex\nvars: x x\npoly: x\n", 3),
+    "block wider than the vars": (_HEAD.replace("grevlex", "block 5") + "poly: x\n", 2),
+    "repeated field line": (_HEAD + "field: 3^1\npoly: x\n", 4),
 }
 
 

@@ -197,6 +197,12 @@ MALFORMED = {
     "empty field": ("field:\norder: lex\nvars: x\npoly: x\n", 1),
     "zero characteristic": ("field: 0^2 g^2+1\norder: lex\nvars: x\n", 1),
     "cofactor index": (HEAD + "cofactor-of: a\npoly: x\n", 4),
+    "prime field with a modulus": ("field: 3^1 junk\norder: lex\nvars: x\n", 1),
+    "composite characteristic": ("field: 4^1\norder: lex\nvars: x\n", 1),
+    "bad variable name": ("field: 3^1\norder: lex\nvars: x 1y\n", 3),
+    "repeated variable": ("field: 3^1\norder: lex\nvars: x x\n", 3),
+    "block wider than the vars": (HEAD.replace("grevlex", "block 5"), 2),
+    "repeated field line": (HEAD + "field: 5^1\npoly: x\n", 4),
 }
 
 
