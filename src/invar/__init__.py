@@ -18,7 +18,6 @@ from .mpoly import (
     Polynomial,
     PolyRing,
     frobenius_power,
-    verify_identity_probabilistic,
 )
 from .groebner import (
     GroebnerBasis,
@@ -68,7 +67,6 @@ __all__ = [
     "Polynomial",
     "PolyRing",
     "frobenius_power",
-    "verify_identity_probabilistic",
     "GroebnerBasis",
     "MembershipCertificate",
     "buchberger",

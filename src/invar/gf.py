@@ -33,6 +33,11 @@ _TABLE_CAP = 1024
 _SWAP = sys.byteorder != "little"    # array items must be little-endian
 
 
+def slot_typecode(bound: int) -> Optional[str]:
+    """Typecode of the narrowest 1, 2, 4 or 8 byte slot above bound, or None."""
+    return next((tc for tc in "BHILQ" if bound < 1 << (8 * array(tc).itemsize)), None)
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -176,8 +181,7 @@ class _Quotient:
                      tuple((i, (-c) % p) for i, c in enumerate(modulus[:e]) if c))
         # A product or Frobenius slot sums at most e terms below p^2.
         bound = e * (p - 1) ** 2
-        self._typecode = next((tc for tc in "BHILQ"
-                               if bound < 1 << (8 * array(tc).itemsize)), None)
+        self._typecode = slot_typecode(bound)
         self._slot = (array(self._typecode).itemsize if self._typecode
                       else (bound.bit_length() + 7) // 8)
         self._frob_rows = {}

@@ -191,9 +191,6 @@ class GroebnerBasis:
         return (isinstance(other, GroebnerBasis) and self.ring == other.ring
                 and self.elements == other.elements)
 
-    def contains(self, f: Polynomial) -> bool:
-        return normal_form(f, self.elements).is_zero()
-
     def leading_exponents(self) -> list:
         return [b.leading_exponents() for b in self.elements]
 

@@ -233,16 +233,6 @@ class MatrixGF:
             out.append(tuple(spec.element(x) for x in row))
         return cls(spec, tuple(out))
 
-    @classmethod
-    def identity(cls, spec: FieldSpec, n: int) -> "MatrixGF":
-        return cls.diagonal(spec, [1] * n)
-
-    @classmethod
-    def diagonal(cls, spec: FieldSpec, entries) -> "MatrixGF":
-        n = len(entries)
-        rows = [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        return cls.from_rows(spec, rows)
-
     @property
     def n(self) -> int:
         return len(self.rows)

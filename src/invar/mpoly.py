@@ -19,23 +19,36 @@ which makes divisibility one subtraction and one mask.
 Coefficients live in GF(p^e): stored as canonical ints in [1, p) when
 e = 1 and as coefficient tuples otherwise.
 
-Every square goes through _sqr, which over GF(p) forms each cross term
-once and in characteristic 2 is the termwise Frobenius map; __pow__ and
-substitute square only through it.
+Over GF(p), a product runs by Kronecker substitution (_kronecker) when
+both factors are homogeneous, it has at least DENSE_FLOOR term pairs,
+the smaller factor has at least _DENSE_MIN terms per variable, and the
+packing takes at most _DENSE_SPAN slots per term pair.  Every other
+product, and every product over GF(p^e) with e > 1, runs the schoolbook
+loop.  check_product runs before either path, and TERM_GUARD trips at
+the same count on both.  Every square goes through _sqr, which in
+characteristic 2 is the termwise Frobenius map and otherwise the
+general product; __pow__ and substitute square only through it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from array import array
 from functools import reduce
-from operator import or_
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from itertools import compress
+from math import gcd, prod
+from operator import or_, sub
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ContextMismatch, ResourceLimit, UsageError
-from .gf import FieldElement, FieldSpec, _poly_text
+from .gf import _SWAP, FieldElement, FieldSpec, _poly_text, slot_typecode
 
 EXP_CAP = 1 << 20
 TERM_GUARD = 10 ** 7
+# Below these, unpacking each term and reading back each slot costs
+# more than the bigint multiply saves.
+DENSE_FLOOR = 2000
+_DENSE_MIN = 2
+_DENSE_SPAN = 8
 
 _W = 28
 _M = 1 << 27
@@ -131,6 +144,19 @@ class TermOrder:
         lo = self._grevlex_unpack(key & ((1 << lo_width) - 1), self.n - k)
         return hi + lo
 
+    def columns(self, keys: list) -> list:
+        """unpack of many keys at once: column i lists exponent i of
+        each key."""
+        if self.kind == "lex":
+            return [[(k >> s) & _FMASK for k in keys]
+                    for s in range(self._top_shift, -1, -_W)]
+        if self.kind == "grevlex":
+            return _grevlex_columns(keys, self.n)
+        width = _W * (self.n - self.block)
+        return (_grevlex_columns([k >> width for k in keys], self.block)
+                + _grevlex_columns([k & ((1 << width) - 1) for k in keys],
+                                   self.n - self.block))
+
     def every_field(self, v: int) -> int:
         """v in each of the n exponent fields."""
         return _ones(self.n) * v
@@ -172,9 +198,8 @@ class TermOrder:
                     and (max(k & lo_mask for k in a) >> lo_top)
                     + (max(k & lo_mask for k in b) >> lo_top) < cap):
                 return
-        unpack = self.unpack
-        da = [max(col) for col in zip(*map(unpack, a))]
-        db = [max(col) for col in zip(*map(unpack, b))]
+        da = list(map(max, self.columns(list(a))))
+        db = list(map(max, self.columns(list(b))))
         if any(x + y >= cap for x, y in zip(da, db)):
             raise ResourceLimit(f"product exponent reaches {cap}")
 
@@ -199,6 +224,15 @@ class TermOrder:
 def _ones(m: int) -> int:
     """1 in each of m fields."""
     return ((1 << (_W * m)) - 1) // _FMASK
+
+
+def _grevlex_columns(keys: list, m: int) -> list:
+    top = _W * (m - 1)
+    cols = [[k >> top for k in keys]]       # total degrees, then a_2 .. a_m
+    cols += [[_M - ((k >> s) & _FMASK) for k in keys] for s in range(0, top, _W)]
+    for c in cols[1:]:
+        cols[0] = list(map(sub, cols[0], c))
+    return cols
 
 
 def _grevlex_consts(m: int) -> tuple:
@@ -396,28 +430,6 @@ class Polynomial:
         tdeg = self.ring.order.total_degree_of
         return max(tdeg(k) for k in self.terms)
 
-    def degree_in(self, var) -> int:
-        if not self.terms:
-            return -1
-        i = self.ring._index[var] if isinstance(var, str) else var
-        unpack = self.ring.order.unpack
-        return max(unpack(k)[i] for k in self.terms)
-
-    def weighted_degree(self, weights: Sequence[int]) -> int:
-        if not self.terms:
-            return -1
-        unpack = self.ring.order.unpack
-        return max(sum(w * a for w, a in zip(weights, unpack(k))) for k in self.terms)
-
-    def is_homogeneous(self, weights: Optional[Sequence[int]] = None) -> bool:
-        if not self.terms:
-            return True
-        unpack = self.ring.order.unpack
-        if weights is None:
-            weights = (1,) * self.ring.nvars
-        degs = {sum(w * a for w, a in zip(weights, unpack(k))) for k in self.terms}
-        return len(degs) == 1
-
     def leading_key(self) -> int:
         if not self.terms:
             raise UsageError("zero polynomial has no leading term")
@@ -425,16 +437,6 @@ class Polynomial:
 
     def leading_exponents(self) -> tuple:
         return self.ring.order.unpack(self.leading_key())
-
-    def leading_coeff(self):
-        return self.ring.coeff_element(self.terms[self.leading_key()])
-
-    def leading_monomial(self) -> "Polynomial":
-        return Polynomial(self.ring, {self.leading_key(): self.ring._coeff(1)})
-
-    def leading_term(self) -> "Polynomial":
-        k = self.leading_key()
-        return Polynomial(self.ring, {k: self.terms[k]})
 
     def monic(self) -> "Polynomial":
         if not self.terms:
@@ -642,6 +644,81 @@ def _merge(out: dict, terms: dict, cadd) -> None:
                 out[k] = s
 
 
+def _kronecker(order: TermOrder, p: int, at: dict, bt: dict) -> Optional[dict]:
+    """at * bt over GF(p), or None where the path does not apply.  Past
+    a gcd per variable, a slice variable (fewest exponent pairs) and a
+    dropped one (fixed by homogeneity), the rest are packed in mixed
+    radix, digit max_a + max_b + 1, into slots holding min(len a, len b)
+    products below p^2: no digit or slot carries.  A key is affine in
+    the exponents, so it is a base plus one step per exponent."""
+    la, lb = len(at), len(bt)
+    tc = slot_typecode(min(la, lb) * (p - 1) ** 2)
+    if la * lb < DENSE_FLOOR or min(la, lb) < _DENSE_MIN * order.n or tc is None:
+        return None
+    ca, cb = order.columns(list(at)), order.columns(list(bt))
+    dega, degb = set(map(sum, zip(*ca))), set(map(sum, zip(*cb)))
+    if len(dega) > 1 or len(degb) > 1:
+        return None
+    axes = []       # (key step, gcd, a's and b's exponents / gcd, digit)
+    for i, (xa, xb) in enumerate(zip(ca, cb)):
+        g = gcd(*xa, *xb)
+        if g:
+            xa, xb = [x // g for x in xa], [x // g for x in xb]
+            step = order._pack_raw([int(j == i) for j in range(order.n)]) - order.offset
+            axes.append((step, g, xa, xb, max(xa) + max(xb) + 1))
+    cut = (0, 0, [0] * la, [0] * lb, 1)     # no slicing
+    if len(axes) > 2:
+        cut = min(axes, key=lambda v: len(set(v[2])) * len(set(v[3])))
+        axes.remove(cut)
+    drop = max(axes, key=lambda v: v[4])
+    axes.remove(drop)
+    if len(set(cut[2])) * len(set(cut[3])) * prod(v[4] for v in axes) > _DENSE_SPAN * la * lb:
+        return None
+    ia, ib, steps = [0] * la, [0] * lb, [0]   # slot of each term, key step of each slot
+    for key, g, xa, xb, digit in axes:
+        w = len(steps)
+        ia = [i + w * x for i, x in zip(ia, xa)]
+        ib = [i + w * x for i, x in zip(ib, xb)]
+        steps = [x * g * (key - drop[0]) + s for x in range(digit) for s in steps]
+    nbytes = len(steps) * array(tc).itemsize
+    pa = _pack_slices(tc, nbytes, cut[2], ia, at.values())
+    pb = pa if at is bt else _pack_slices(tc, nbytes, cut[3], ib, bt.values())
+    sums: dict = {}
+    for j, (ka, A) in enumerate(pa):
+        # a square forms each product of two distinct slices once, doubled
+        for kb, B in pb[j:] if pb is pa else pb:
+            sums[ka + kb] = sums.get(ka + kb, 0) + (A * B << (pb is pa and kb != ka))
+    base = order.offset + (dega.pop() + degb.pop()) * drop[0]
+    guard, found, out = TERM_GUARD, 0, {}
+    for k, P in sums.items():
+        vals = array(tc)
+        vals.frombytes(P.to_bytes(nbytes, "little"))
+        if _SWAP:
+            vals.byteswap()
+        hit = list(compress(range(len(steps)), vals))
+        # all coefficients are positive: a nonzero slot is one schoolbook key
+        found += len(hit)
+        if found > guard:
+            raise ResourceLimit(f"product exceeds {guard} terms")
+        kbase = base + k * cut[1] * (cut[0] - drop[0])
+        coeffs = [vals[i] % p for i in hit]
+        out.update(compress(zip([kbase + steps[i] for i in hit], coeffs), coeffs))
+    return out
+
+
+def _pack_slices(tc: str, nbytes: int, cuts: list, index: list, coeffs) -> list:
+    """(slice exponent, int) per slice, each coefficient in its slot."""
+    slices: dict = {}
+    for k, i, c in zip(cuts, index, coeffs):
+        if k not in slices:
+            slices[k] = array(tc, bytes(nbytes))
+        slices[k][i] = c
+    if _SWAP:
+        for vals in slices.values():
+            vals.byteswap()
+    return [(k, int.from_bytes(vals, "little")) for k, vals in slices.items()]
+
+
 def _mul(a: Polynomial, b: Polynomial) -> Polynomial:
     ring = a.ring
     if len(a.terms) > len(b.terms):
@@ -654,6 +731,9 @@ def _mul(a: Polynomial, b: Polynomial) -> Polynomial:
     guard = TERM_GUARD
     if ring.field.e == 1:
         p = ring.field.p
+        out = _kronecker(ring.order, p, a.terms, bt)
+        if out is not None:
+            return Polynomial(ring, out)
         acc: dict = {}
         get = acc.get
         for k1, c1 in a.terms.items():
@@ -686,40 +766,11 @@ def _mul(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def _sqr(f: Polynomial) -> Polynomial:
-    """f * f with each cross term formed once.  In characteristic 2 the
-    cross terms vanish and the square is the termwise Frobenius map;
-    odd-characteristic extension fields take the general product."""
-    ring = f.ring
-    F = ring.field
-    if F.p == 2:
+    """f * f.  In characteristic 2 the cross terms vanish and the square
+    is the termwise Frobenius map; otherwise it is the general product."""
+    if f.ring.field.p == 2:
         return frobenius_power(f, 1)
-    if F.e > 1:
-        return _mul(f, f)
-    if not f.terms:
-        return Polynomial(ring, {})
-    ring.order.check_product(f.terms, f.terms)
-    off = ring.order.offset
-    p = F.p
-    guard = TERM_GUARD
-    items = list(f.terms.items())
-    acc: dict = {}
-    get = acc.get
-    for i, (k1, c1) in enumerate(items):
-        base = k1 - off
-        k = base + k1
-        acc[k] = get(k, 0) + c1 * c1
-        twice = c1 + c1
-        for k2, c2 in items[i + 1:]:
-            k = base + k2
-            acc[k] = get(k, 0) + twice * c2
-        if len(acc) > guard:
-            raise ResourceLimit(f"product exceeds {guard} terms")
-    out = {}
-    for k, v in acc.items():
-        v %= p
-        if v:
-            out[k] = v
-    return Polynomial(ring, out)
+    return _mul(f, f)
 
 
 def frobenius_power(f: Polynomial, m: int) -> Polynomial:
@@ -809,43 +860,3 @@ def sample_sides(points: Iterable[tuple], sides: Callable):
         if lv != rv:
             return used, lhs, rhs, k
     return used, lhs, rhs, None
-
-
-class IdentityResult(NamedTuple):
-    """Outcome of a randomized polynomial identity test."""
-    equal: bool
-    bound: Fraction            # probability that agreement was coincidence
-    witness: Optional[tuple]   # point where values differ, if any
-    points: list               # all points sampled, replayable
-
-
-def verify_identity_probabilistic(f: Polynomial, g: Polynomial,
-                                  trials: int = 20, ext_degree: int = 32,
-                                  seed: int = 0,
-                                  points: Optional[list] = None) -> IdentityResult:
-    """Randomized equality check with an exact error bound.
-
-    Exact structural equality short-circuits with bound 0.  Otherwise
-    evaluates both sides at points drawn uniformly from L^n where
-    L = GF(p^ext_degree); if all trials agree the chance that f != g is
-    at most (max(deg f, deg g) / |L|)^trials, returned as a Fraction.
-    """
-    import random as _random
-
-    from .gf import field as _field
-
-    if f.ring != g.ring:
-        raise ContextMismatch("operands from different rings")
-    if f == g:
-        return IdentityResult(True, Fraction(0), None, [])
-    ring = f.ring
-    if ring.field.e != 1:
-        raise UsageError("probabilistic check expects prime-field coefficients")
-    d = max(f.total_degree(), g.total_degree(), 0)
-    L = _field(ring.field.p, ext_degree)
-    if points is None:
-        points = random_points(L, ring.nvars, _random.Random(seed), trials)
-    used, _, _, k = sample_sides(points, lambda P: (f.evaluate(P), g.evaluate(P)))
-    if k is not None:
-        return IdentityResult(False, Fraction(1), used[k], used)
-    return IdentityResult(True, Fraction(d, L.order) ** len(used), None, used)

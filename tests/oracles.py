@@ -8,8 +8,9 @@ Groebner machinery it is meant to check.
 
 import heapq
 import random
+from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from hypothesis import strategies as st
 
@@ -17,9 +18,10 @@ import invar.mpoly as mpoly
 from invar.errors import ContextMismatch, ResourceLimit, UsageError
 from invar.fsing import C0_XI_TERMS
 from invar.gf import ENUM_CAP, FieldElement, FieldSpec, field
-from invar.groebner import MembershipCertificate, buchberger, change_ring
+from invar.groebner import (GroebnerBasis, MembershipCertificate, buchberger,
+                            change_ring, normal_form)
 from invar.invariants import MatrixGF, xring
-from invar.mpoly import PolyRing, Polynomial
+from invar.mpoly import PolyRing, Polynomial, random_points, sample_sides
 
 TREE_CAP = 64     # refuse the product-of-linear-forms oracle past q^n of this
 
@@ -55,6 +57,96 @@ def draw_poly(draw, ring, max_terms=8):
     exps = st.tuples(*[st.integers(0, max_deg)] * ring.nvars)
     terms = draw(st.dictionaries(exps, st.integers(1, F.order - 1), max_size=max_terms))
     return ring.from_terms({e: F.from_index(c) for e, c in terms.items()})
+
+
+# -- queries and constructors that only tests use ----------------------------
+
+
+def degree_in(f: Polynomial, var) -> int:
+    """Degree of f in one variable, given by name or index; -1 for 0."""
+    if not f.terms:
+        return -1
+    i = f.ring._index[var] if isinstance(var, str) else var
+    return max(f.ring.order.columns(list(f.terms))[i])
+
+
+def weighted_degree(f: Polynomial, weights: Sequence[int]) -> int:
+    if not f.terms:
+        return -1
+    unpack = f.ring.order.unpack
+    return max(sum(w * a for w, a in zip(weights, unpack(k))) for k in f.terms)
+
+
+def is_homogeneous(f: Polynomial, weights: Optional[Sequence[int]] = None) -> bool:
+    if not f.terms:
+        return True
+    unpack = f.ring.order.unpack
+    if weights is None:
+        weights = (1,) * f.ring.nvars
+    return len({sum(w * a for w, a in zip(weights, unpack(k))) for k in f.terms}) == 1
+
+
+def leading_coeff(f: Polynomial):
+    return f.ring.coeff_element(f.terms[f.leading_key()])
+
+
+def leading_monomial(f: Polynomial) -> Polynomial:
+    return Polynomial(f.ring, {f.leading_key(): f.ring._coeff(1)})
+
+
+def leading_term(f: Polynomial) -> Polynomial:
+    k = f.leading_key()
+    return Polynomial(f.ring, {k: f.terms[k]})
+
+
+def contains(gb: GroebnerBasis, f: Polynomial) -> bool:
+    return normal_form(f, gb.elements).is_zero()
+
+
+def diagonal_matrix(spec: FieldSpec, entries) -> MatrixGF:
+    n = len(entries)
+    return MatrixGF.from_rows(spec, [[entries[i] if i == j else 0 for j in range(n)]
+                                     for i in range(n)])
+
+
+def identity_matrix(spec: FieldSpec, n: int) -> MatrixGF:
+    return diagonal_matrix(spec, [1] * n)
+
+
+class IdentityResult(NamedTuple):
+    """Outcome of a randomized polynomial identity test."""
+    equal: bool
+    bound: Fraction            # probability that agreement was coincidence
+    witness: Optional[tuple]   # point where values differ, if any
+    points: list               # all points sampled, replayable
+
+
+def verify_identity_probabilistic(f: Polynomial, g: Polynomial,
+                                  trials: int = 20, ext_degree: int = 32,
+                                  seed: int = 0,
+                                  points: Optional[list] = None) -> IdentityResult:
+    """Randomized equality check with an exact error bound.
+
+    Exact structural equality short-circuits with bound 0.  Otherwise
+    evaluates both sides at points drawn uniformly from L^n where
+    L = GF(p^ext_degree); if all trials agree the chance that f != g is
+    at most (max(deg f, deg g) / |L|)^trials, returned as a Fraction.
+    """
+    if f.ring != g.ring:
+        raise ContextMismatch("operands from different rings")
+    if f == g:
+        return IdentityResult(True, Fraction(0), None, [])
+    ring = f.ring
+    if ring.field.e != 1:
+        raise UsageError("probabilistic check expects prime-field coefficients")
+    d = max(f.total_degree(), g.total_degree(), 0)
+    L = field(ring.field.p, ext_degree)
+    if points is None:
+        points = random_points(L, ring.nvars, random.Random(seed), trials)
+    used, _, _, k = sample_sides(points, lambda P: (f.evaluate(P), g.evaluate(P)))
+    if k is not None:
+        return IdentityResult(False, Fraction(1), used[k], used)
+    return IdentityResult(True, Fraction(d, L.order) ** len(used), None, used)
 
 
 # -- reference monomial comparators ------------------------------------------
@@ -150,6 +242,24 @@ def naive_mul(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(ring, {ring.order.pack(e): c for e, c in acc.items()})
 
 
+def sqr_cross_terms_once(f: Polynomial) -> Polynomial:
+    """f * f over GF(p), p odd, forming each cross term once and
+    doubling it: the squaring loop that the general product replaced."""
+    ring = f.ring
+    p = ring.field.p
+    assert ring.field.e == 1 and p > 2
+    if f.terms:
+        ring.order.check_product(f.terms, f.terms)
+    off = ring.order.offset
+    items = list(f.terms.items())
+    acc: dict = {}
+    for i, (k1, c1) in enumerate(items):
+        acc[k1 - off + k1] = acc.get(k1 - off + k1, 0) + c1 * c1
+        for k2, c2 in items[i + 1:]:
+            acc[k1 - off + k2] = acc.get(k1 - off + k2, 0) + 2 * c1 * c2
+    return Polynomial(ring, {k: v % p for k, v in acc.items() if v % p})
+
+
 def eval_by_substitution(f: Polynomial, point):
     """Term-by-term evaluation using only field element arithmetic."""
     L = point[0].spec
@@ -184,7 +294,7 @@ def membership_by_linear_algebra(f, gens, degree_cap=12):
     d = f.total_degree()
     if f.is_zero():
         return True
-    assert f.is_homogeneous(), "homogeneous targets only"
+    assert is_homogeneous(f), "homogeneous targets only"
     assert d <= degree_cap
     unpack, pack = ring.order.unpack, ring.order.pack
 
@@ -197,7 +307,7 @@ def membership_by_linear_algebra(f, gens, degree_cap=12):
     for g in gens:
         if g.is_zero():
             continue
-        assert g.is_homogeneous()
+        assert is_homogeneous(g)
         dg = g.total_degree()
         if dg > d:
             continue
@@ -461,7 +571,7 @@ def symplectic_transvection(spec: FieldSpec, n: int, v: Sequence, lam) -> Matrix
 def random_symplectic(spec: FieldSpec, n: int, rng, factors: int = 12) -> MatrixGF:
     """Product of random symplectic transvections (they generate Sp_2n)."""
     size = 2 * n
-    M = MatrixGF.identity(spec, size)
+    M = identity_matrix(spec, size)
     for _ in range(factors):
         while True:
             v = [spec.random_element(rng) for _ in range(size)]

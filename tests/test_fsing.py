@@ -13,7 +13,7 @@ from invar.groebner import normal_form
 from invar.mpoly import PolyRing
 from invar.invariants import (dickson_invariants, symplectic_relation_values,
                               symplectic_xi, truncated_monomial_sum, xring)
-from invar.polyio import format_polys, parse_field_text
+from invar.polyio import format_polys, parse_field_text, parse_polys_text
 from invar import fsing
 from invar.fsing import (C0_XI_TERMS, RunConfig, VerificationReport,
                          alt_delta_congruence, alt_fregularity_dichotomy,
@@ -494,6 +494,25 @@ def test_certificates_replay_needs_every_item(keep):
 def test_certificates_replay_needs_item_order():
     doc = _document("alt-staircase", n=3, p=5)
     doc["witness"]["items"].reverse()
+    assert not _replays(doc)
+
+
+def test_certificates_replay_binds_each_target():
+    # two valid certificates swapped between items: the labels stay in
+    # order, but each certificate now proves another item's target
+    doc = _document("alt-T", n=3, p=3)
+    items = doc["witness"]["items"]
+    assert items[0]["certificate"] != items[1]["certificate"]
+    items[0]["certificate"], items[1]["certificate"] = (items[1]["certificate"],
+                                                        items[0]["certificate"])
+    assert not _replays(doc)
+
+
+def test_normal_form_replay_binds_the_remainder():
+    doc = _document("alt-dichotomy", n=3, p=5)
+    assert doc["witness"]["kind"] == "normal-form" and _replays(doc)
+    ring, (target, remainder) = parse_polys_text(doc["witness"]["polys"])
+    doc["witness"]["polys"] = format_polys(ring, [target, remainder * 2])
     assert not _replays(doc)
 
 

@@ -16,8 +16,8 @@ from invar.groebner import (GroebnerBasis, MembershipCertificate, buchberger,
                             change_ring, frobenius_closure_search,
                             frobenius_power_ideal, ideal_member, normal_form,
                             _spoly)
-from oracles import (eliminate, membership_by_linear_algebra, random_poly,
-                     reference_normal_form)
+from oracles import (contains, eliminate, leading_coeff, membership_by_linear_algebra,
+                     random_poly, reference_normal_form)
 
 
 @pytest.fixture
@@ -62,7 +62,7 @@ def test_zero_and_constant_edge_cases(R):
     assert normal_form(x, [R.zero, x]).is_zero()
     gb = buchberger([R.one * 3])
     assert gb.elements == (R.one,)
-    assert gb.contains(x ** 5 + y)
+    assert contains(gb, x ** 5 + y)
     with pytest.raises(UsageError):
         buchberger([R.zero])
     with pytest.raises(ContextMismatch):
@@ -90,7 +90,7 @@ def test_buchberger_criterion_holds():
             for j in range(i + 1, len(gb)):
                 assert normal_form(_spoly(gb[i], gb[j]), gb.elements).is_zero()
         for g in gens:
-            assert gb.contains(g)
+            assert contains(gb, g)
 
 
 def test_reduced_basis_is_unique_under_shuffling():
@@ -115,7 +115,7 @@ def test_reduced_basis_properties():
     assert keys == sorted(keys)
     unpack = ring.order.unpack
     for i, b in enumerate(gb):
-        assert b.leading_coeff() == ring.field.one
+        assert leading_coeff(b) == ring.field.one
         # no term of b is divisible by another element's leading monomial
         for j, other in enumerate(gb):
             if i == j:
@@ -144,7 +144,7 @@ def test_membership_matches_linear_algebra_oracle():
             f = ring.from_terms(terms)
             if f.is_zero():
                 continue
-            assert gb.contains(f) == membership_by_linear_algebra(f, gens)
+            assert contains(gb, f) == membership_by_linear_algebra(f, gens)
 
 
 def test_membership_oracle_four_vars_through_degree_12():
@@ -176,13 +176,13 @@ def test_membership_oracle_four_vars_through_degree_12():
             f = random_homogeneous(d)
             if f.is_zero():
                 continue
-            assert gb.contains(f) == membership_by_linear_algebra(f, gens)
+            assert contains(gb, f) == membership_by_linear_algebra(f, gens)
         if d >= 2:
             # a certified member of exact degree d
             g = random_monomial(d - 2) * gens[0] + \
                 random_monomial(d - 2) * gens[1]
             if not g.is_zero():
-                assert gb.contains(g)
+                assert contains(gb, g)
                 assert membership_by_linear_algebra(g, gens)
 
 

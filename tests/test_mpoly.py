@@ -1,8 +1,14 @@
 """Tests for sparse polynomial arithmetic and term orders."""
 
+import hashlib
+import json
 import random
+from array import array
+from collections import Counter
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import count, islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +17,18 @@ from hypothesis import strategies as st
 import invar.mpoly as mpoly
 from invar.errors import ContextMismatch, ResourceLimit, UsageError
 from invar.gf import field
+from invar.invariants import dickson_invariants
 from invar.mpoly import (PolyRing, TermOrder, _mul, _sqr, frobenius_power,
-                         random_points, sample_sides, substitute,
-                         verify_identity_probabilistic)
-from oracles import (block_sort_key, draw_poly, eval_by_substitution,
-                     grevlex_sort_key, lex_sort_key, naive_mul, random_poly, rings)
+                         random_points, sample_sides, substitute)
+from invar.polyio import format_polys
+from oracles import (block_sort_key, degree_in, draw_poly, eval_by_substitution,
+                     grevlex_sort_key, is_homogeneous, leading_coeff, leading_monomial,
+                     leading_term, lex_sort_key, naive_mul, random_poly, rings,
+                     sqr_cross_terms_once, verify_identity_probabilistic,
+                     weighted_degree)
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -75,6 +88,7 @@ def test_order_isomorphism_random(kind, block):
         assert (ka > kb) == (ref(a) > ref(b))
         assert (ka == kb) == (a == b)
         assert order.unpack(ka) == a
+        assert order.columns([ka, kb]) == [list(c) for c in zip(a, b)]
         assert ka + kb - order.offset == order.pack(tuple(x + y for x, y in zip(a, b)))
 
 
@@ -208,24 +222,24 @@ def test_degrees_and_homogeneity(R3):
     x1, x2, x3 = R3.gens()
     f = x1 ** 2 * x2 + x3 ** 3
     assert f.total_degree() == 3
-    assert f.is_homogeneous()
-    assert not (f + x1).is_homogeneous()
+    assert is_homogeneous(f)
+    assert not is_homogeneous(f + x1)
     assert R3.zero.total_degree() == -1
-    assert R3.zero.is_homogeneous()
+    assert is_homogeneous(R3.zero)
     g = x1 ** 3 + x2 * x3        # weights (2, 3, 3)
-    assert g.is_homogeneous(weights=(2, 3, 3))
-    assert g.weighted_degree((2, 3, 3)) == 6
-    assert f.degree_in("x3") == 3
-    assert f.degree_in(0) == 2
+    assert is_homogeneous(g, weights=(2, 3, 3))
+    assert weighted_degree(g, (2, 3, 3)) == 6
+    assert degree_in(f, "x3") == 3
+    assert degree_in(f, 0) == 2
 
 
 def test_leading_data(R3):
     x1, x2, x3 = R3.gens()
     f = 2 * x1 * x2 + x3 ** 2
     assert f.leading_exponents() == (1, 1, 0)
-    assert f.leading_coeff() == field(3).element(2)
-    assert f.leading_monomial() == x1 * x2
-    assert f.leading_term() == 2 * x1 * x2
+    assert leading_coeff(f) == field(3).element(2)
+    assert leading_monomial(f) == x1 * x2
+    assert leading_term(f) == 2 * x1 * x2
     assert f.monic() == x1 * x2 + 2 * x3 ** 2
     with pytest.raises(UsageError):
         R3.zero.leading_key()
@@ -242,7 +256,7 @@ def test_exponent_cap(R3, monkeypatch):
     monkeypatch.setattr(mpoly, "EXP_CAP", 8)
     with pytest.raises(ResourceLimit):
         R3.monomial((8, 0, 0))
-    assert R3.monomial((7, 0, 0)).degree_in(0) == 7
+    assert degree_in(R3.monomial((7, 0, 0)), 0) == 7
 
 
 @pytest.mark.parametrize("order", ["lex", "grevlex", ("block", 1)])
@@ -266,7 +280,7 @@ def test_product_exponent_check_is_exact(order):
     # the OR of x^(2^19) and x^(2^18) overstates the degree 2^19
     f = R.monomial((cap // 2, 0)) + R.monomial((cap // 4, 0))
     g = R.monomial((cap // 2 - 1, 0))
-    assert (f * g).degree_in(0) == cap - 1
+    assert degree_in(f * g, 0) == cap - 1
     with pytest.raises(ResourceLimit):
         f * R.monomial((cap // 2, 1))
     with pytest.raises(ResourceLimit):
@@ -347,7 +361,8 @@ def test_text_canonical_ordering(R3):
 
 
 # ---------------------------------------------------------------------------
-# differential tests: the squaring kernel against the general product
+# differential tests: squares and the Kronecker path against the schoolbook
+# product and the naive reference
 # ---------------------------------------------------------------------------
 
 # GF(2), GF(3), GF(5), GF(4), GF(9): every branch of _sqr
@@ -359,7 +374,150 @@ _SQR_FIELDS = ((2, 1), (3, 1), (5, 1), (2, 2), (3, 2))
 def test_sqr_matches_mul(data):
     ring = data.draw(rings(_SQR_FIELDS))
     f = draw_poly(data.draw, ring, max_terms=12)
-    assert _sqr(f) == _mul(f, f)
+    assert _sqr(f) == _mul(f, f) == naive_mul(f, f)
+    if ring.field.e == 1 and ring.field.p > 2:
+        assert _sqr(f) == sqr_cross_terms_once(f)
+
+
+def _schoolbook(f, g):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mpoly, "DENSE_FLOOR", float("inf"))
+        return _mul(f, g)
+
+
+def _dense(f, g):
+    """f * g from the Kronecker path alone, or None where it declines;
+    _mul never asks it for an extension-field product."""
+    if f.ring.field.e > 1:
+        return None
+    terms = mpoly._kronecker(f.ring.order, f.ring.field.p, f.terms, g.terms)
+    return None if terms is None else mpoly.Polynomial(f.ring, terms)
+
+
+@lru_cache(maxsize=None)
+def _monomials(n, degree, strides=None):
+    """Exponent vectors of one degree; exponent i a multiple of
+    strides[i] (0: the variable does not occur)."""
+    m, *rest = strides or (1,) * n
+    if n == 1:
+        return [(degree,)] if (degree % m == 0 if m else degree == 0) else []
+    return [(a,) + e for a in (range(0, degree + 1, m) if m else (0,))
+            for e in _monomials(n - 1, degree - a, tuple(rest) or None)]
+
+
+def _form(ring, exps, coeffs):
+    return ring.from_terms(dict(zip(exps, coeffs)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kronecker_matches_schoolbook_and_naive(data):
+    p = data.draw(st.sampled_from((2, 3, 5, 7, 2 ** 31 - 1)))
+    n = data.draw(st.integers(2, 4))
+    order = data.draw(st.sampled_from(["grevlex", "lex", "block"]))
+    if order == "block":
+        order = ("block", data.draw(st.integers(1, n - 1)))
+    ring = PolyRing(field(p), [f"x{i}" for i in range(n)], order)
+    scale = data.draw(st.sampled_from((1, 2, 4)))      # a common stride, as q - 1
+    strides = tuple(data.draw(st.sampled_from((1, 1, 2, 3))) for _ in range(n))
+    if n > 2 and data.draw(st.booleans()):
+        strides = strides[:-1] + (0,)                   # a variable that never occurs
+    top = data.draw(st.booleans())                      # every coefficient p - 1
+    rng = data.draw(st.randoms(use_true_random=False))
+    # the lowest degrees with 64 or more monomials: dense factors near the floor
+    degrees = list(islice((d for d in count(1) if len(_monomials(n, d, strides)) >= 64), 3))
+    f, g = [], []
+    for out in (f, g):
+        exps = _monomials(n, rng.choice(degrees), strides)
+        exps = rng.sample(exps, min(130, len(exps) * rng.randint(6, 10) // 10))
+        coeffs = [p - 1 if top else rng.randrange(1, p) for _ in exps]
+        out.append(_form(ring, [tuple(scale * a for a in e) for e in exps], coeffs))
+    f, g = f[0], g[0]
+    expected = _schoolbook(f, g)
+    assert expected == naive_mul(f, g)
+    dense = _dense(f, g)
+    assert dense is None or dense == expected
+    assert _mul(f, g) == expected and _mul(g, f) == expected
+    assert _sqr(f) == _schoolbook(f, f)
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex", ("block", 1), ("block", 2)])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_kronecker_path_taken_and_exact(p, order):
+    ring = PolyRing(field(p), ["x", "y", "z"], order)
+    rng = random.Random(p)
+    f = _form(ring, _monomials(3, 8), [rng.randrange(1, p) for _ in range(45)])
+    g = _form(ring, [tuple(4 * a for a in e) for e in _monomials(3, 11)],
+              [rng.randrange(1, p) for _ in range(78)])
+    for a, b in ((f, g), (f, f), (g, g)):
+        dense = _dense(a, b)
+        assert dense is not None
+        assert dense == _schoolbook(a, b) == naive_mul(a, b)
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex", ("block", 1)])
+@pytest.mark.parametrize("p,small,width", [(3, 63, 1), (3, 64, 2), (2 ** 31 - 1, 4, 8)])
+def test_kronecker_slot_width_edge(p, small, width, order):
+    """Every coefficient p - 1, and one key that every term of the
+    smaller factor reaches: its slot holds small * (p - 1)^2, the most
+    its width allows."""
+    assert array(mpoly.slot_typecode(small * (p - 1) ** 2)).itemsize == width
+    ring = PolyRing(field(p), ["x", "y"], order)
+    f = _form(ring, _monomials(2, small - 1), [p - 1] * small)
+    big = max(2 * small, -(-mpoly.DENSE_FLOOR // small))
+    g = _form(ring, _monomials(2, big - 1), [p - 1] * big)
+    pairs = Counter(k1 + k2 for k1 in f.terms for k2 in g.terms)
+    assert max(pairs.values()) == small
+    dense = _dense(f, g)
+    assert dense is not None and dense == _schoolbook(f, g) == naive_mul(f, g)
+
+
+def test_kronecker_declines_a_wide_prime_past_eight_bytes():
+    p = 2 ** 31 - 1
+    ring = PolyRing(field(p), ["x", "y"])
+    f = _form(ring, _monomials(2, 4), [p - 1] * 5)
+    g = _form(ring, _monomials(2, 499), [p - 1] * 500)
+    assert mpoly.slot_typecode(5 * (p - 1) ** 2) is None
+    assert _dense(f, g) is None
+    assert _mul(f, g) == naive_mul(f, g)
+
+
+def test_schoolbook_runs_outside_the_kronecker_path(monkeypatch):
+    """Extension fields, non-homogeneous factors and products below the
+    floor never get a product from the Kronecker path."""
+    results = []
+
+    def spy(order, p, at, bt):
+        out = kronecker(order, p, at, bt)
+        results.append(out is not None)
+        return out
+
+    kronecker = mpoly._kronecker
+    monkeypatch.setattr(mpoly, "_kronecker", spy)
+    big = _monomials(3, 8)
+    for spec in (field(5), field(3, 2)):
+        ring = PolyRing(spec, ["x", "y", "z"])
+        form = _form(ring, big, [1] * len(big))
+        x, y, _ = ring.gens()
+        results.clear()
+        assert form * form == naive_mul(form, form)
+        assert results == ([True] if spec.e == 1 else [])
+        results.clear()
+        for f, g in ((form + x, form), (form, form + x),        # not homogeneous
+                     (form + x, form + x),
+                     (form, _form(ring, big[:20], [1] * 20)),   # 900 term pairs
+                     (x + y, form)):                            # 2 terms: under 2 per variable
+            assert f * g == naive_mul(f, g)
+        assert _sqr(form + x) == naive_mul(form + x, form + x)
+        assert not any(results)
+
+
+def test_dickson_n4_q5_matches_the_pinned_digest():
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+    want = expected["exact"]["verdicts"]["dickson_invariants(4, GF(5))"]
+    polys = dickson_invariants(4, field(5))
+    text = format_polys(polys[0].ring, polys)
+    assert "polys " + hashlib.sha256(text.encode()).hexdigest() == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -405,18 +563,50 @@ def test_sqr_exponent_cap(p, e, order):
         exps[i] = half - 1
         g = R.monomial(exps, c) + R.one
         assert _sqr(g) == _mul(g, g)
-        assert _sqr(g).degree_in(i) == mpoly.EXP_CAP - 2
+        assert degree_in(_sqr(g), i) == mpoly.EXP_CAP - 2
+    # homogeneous, 45 terms: prime-field products take the Kronecker path
+    form = _form(R, _monomials(3, 8), [c] * 45)
+    for i in range(3):
+        for top in (half, half - 1):
+            f = form * R.monomial([top - 8 if j == i else 0 for j in range(3)])
+            if top == half:
+                for square in (_sqr, lambda f: _mul(f, f), lambda f: f * f):
+                    with pytest.raises(ResourceLimit):
+                        square(f)
+                continue
+            assert (_dense(f, f) is not None) == (e == 1)
+            assert _sqr(f) == _mul(f, f) == _schoolbook(f, f)
+            assert degree_in(_sqr(f), i) == mpoly.EXP_CAP - 2
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2)])
 def test_sqr_term_guard_trips_with_mul(p, e, monkeypatch):
+    """TERM_GUARD trips at len(keys) - 1 and not at len(keys), on sparse
+    factors and on homogeneous ones that take the Kronecker path."""
     R = PolyRing(field(p, e), ["x", "y", "z"])
-    f = random_poly(R, random.Random(p * e), nterms=12, maxdeg=6)
-    keys = {k1 + k2 for k1 in f.terms for k2 in f.terms}
-    monkeypatch.setattr(mpoly, "TERM_GUARD", len(keys) - 1)
-    with pytest.raises(ResourceLimit):
-        _sqr(f)
-    with pytest.raises(ResourceLimit):
-        _mul(f, f)
-    monkeypatch.setattr(mpoly, "TERM_GUARD", len(keys))
-    assert _sqr(f) == _mul(f, f)
+    rng = random.Random(p * e)
+    F = R.field
+    f = random_poly(R, rng, nterms=12, maxdeg=6)
+    h = _form(R, _monomials(3, 8), [F.from_index(rng.randrange(1, F.order))
+                                    for _ in range(45)])
+    k = _form(R, _monomials(3, 9), [F.from_index(rng.randrange(1, F.order))
+                                    for _ in range(55)])
+    assert _dense(f, f) is None
+    assert (_dense(h, h) is not None) == (_dense(h, k) is not None) == (e == 1)
+    guard = mpoly.TERM_GUARD
+    for a, b in ((f, f), (h, h), (h, k)):
+        expected = _schoolbook(a, b)
+        keys = {k1 + k2 for k1 in a.terms for k2 in b.terms}
+        monkeypatch.setattr(mpoly, "TERM_GUARD", len(keys) - 1)
+        with pytest.raises(ResourceLimit):
+            _mul(a, b)
+        with pytest.raises(ResourceLimit):
+            _schoolbook(a, b)
+        if a is b:
+            with pytest.raises(ResourceLimit):
+                _sqr(a)
+        monkeypatch.setattr(mpoly, "TERM_GUARD", len(keys))
+        assert _mul(a, b) == expected
+        if a is b:
+            assert _sqr(a) == expected
+        monkeypatch.setattr(mpoly, "TERM_GUARD", guard)
