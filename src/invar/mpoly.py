@@ -652,12 +652,12 @@ def _kronecker(order: TermOrder, p: int, at: dict, bt: dict) -> Optional[dict]:
     products below p^2: no digit or slot carries.  A key is affine in
     the exponents, so it is a base plus one step per exponent."""
     la, lb = len(at), len(bt)
-    tc = slot_typecode(min(la, lb) * (p - 1) ** 2)
-    if la * lb < DENSE_FLOOR or min(la, lb) < _DENSE_MIN * order.n or tc is None:
+    if la * lb < DENSE_FLOOR or min(la, lb) < _DENSE_MIN * order.n:
         return None
+    tc = slot_typecode(min(la, lb) * (p - 1) ** 2)
     ca, cb = order.columns(list(at)), order.columns(list(bt))
     dega, degb = set(map(sum, zip(*ca))), set(map(sum, zip(*cb)))
-    if len(dega) > 1 or len(degb) > 1:
+    if tc is None or len(dega) > 1 or len(degb) > 1:
         return None
     axes = []       # (key step, gcd, a's and b's exponents / gcd, digit)
     for i, (xa, xb) in enumerate(zip(ca, cb)):

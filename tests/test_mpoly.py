@@ -503,10 +503,11 @@ def test_schoolbook_runs_outside_the_kronecker_path(monkeypatch):
         assert form * form == naive_mul(form, form)
         assert results == ([True] if spec.e == 1 else [])
         results.clear()
+        wide = _form(ring, _monomials(3, 36), [1] * 703)
         for f, g in ((form + x, form), (form, form + x),        # not homogeneous
                      (form + x, form + x),
                      (form, _form(ring, big[:20], [1] * 20)),   # 900 term pairs
-                     (x + y, form)):                            # 2 terms: under 2 per variable
+                     (x * x + x * y + y * y, wide)):            # 3 terms, 3 variables
             assert f * g == naive_mul(f, g)
         assert _sqr(form + x) == naive_mul(form + x, form + x)
         assert not any(results)
