@@ -1,19 +1,35 @@
 """Groebner bases, ideal membership with certificates, and Frobenius
 closure searches.
 
-normal_form runs a heap-driven multivariate division.  The pending terms
-sit in a dict keyed by packed monomial, and their keys in a max-heap.
-Every key a reduction step adds is strictly smaller than the key it
-cancels, so no key is pushed twice: a key enters the heap when it first
-enters the dict, and its coefficient is read once, when it is popped.
-The heap thus holds only the distinct keys touched, with no stale
-entries.  Over GF(p) the dict holds unreduced ints, reduced mod p at the
+normal_form divides by one of two paths with the same quotients and
+remainder.  A triangular basis over GF(p) under grevlex (pure-power
+leading monomials x_v^a in distinct variables, no element holding an
+earlier leading variable; the reduced basis {h_k(x_k..x_n)} of
+(e_1..e_n) is one) is divided by _divide_staged, one element at a time:
+the pending terms are grouped by their x_v exponent, walked downward,
+and each group becomes quotient terms in one pass, with quotient * tail
+added by mpoly's schoolbook accumulation.  No heap and no divisor scan
+are needed, and the decomposition f = sum q_i b_i + r it finds is the
+unique one the first-divisor rule defines (the argument is in
+_divide_staged's docstring).  A basis is rejected on its leading
+monomials first, one fields() each, so the S-pair reductions of
+buchberger pay almost nothing for the test.
+
+Every other division (lex, block, GF(p^e), a target of total degree
+EXP_CAP or more, any other basis) runs the heap loop, _divide_heap.
+The pending terms sit in a dict keyed by packed monomial, and their
+keys in a max-heap.  Every key a reduction step adds is strictly
+smaller than the key it cancels, so no key is pushed twice: a key
+enters the heap when it first enters the dict, and its coefficient is
+read once, when it is popped.  The heap thus holds only the distinct
+keys touched, with no stale entries.  Over GF(p) the dict holds unreduced ints, reduced mod p at the
 pop, where a zero is skipped; extension-field coefficients use the
 field's own vector arithmetic.  Each divisor carries its tail as (key
 shift, negated coefficient) pairs.  Divisibility, here and in
 buchberger's chain criterion and autoreduction, is one subtraction and
 mask on TermOrder.fields.  A reduction whose exponents reach EXP_CAP,
-or whose dict passes TERM_GUARD keys, raises ResourceLimit.  Divisors
+or whose dict passes TERM_GUARD keys, raises ResourceLimit; the staged
+path checks its live term count after each step.  Divisors
 are chosen deterministically: the first element whose leading monomial
 divides, scanning the basis in ascending leading monomial order (index
 breaking ties), so quotients and remainders are those of the textbook
@@ -76,12 +92,38 @@ def _basis_list(basis) -> list:
 def normal_form(f: Polynomial, basis, certificate: bool = False):
     """Remainder of f under division by basis; with certificate=True,
     returns a MembershipCertificate whose cofactors align with the basis
-    as given."""
+    as given.  A triangular basis over GF(p) (see _triangular) is
+    divided by _divide_staged when the order is grevlex and f's total
+    degree is below EXP_CAP; every other division runs _divide_heap.
+    Both give the textbook quotients and remainder."""
     items = _basis_list(basis)
     ring = f.ring
     for b in items:
         if b.ring != ring:
             raise ContextMismatch("basis element from a different ring")
+    cof: Optional[list] = [{} for _ in items] if certificate else None
+    order = ring.order
+    stages = None
+    # grevlex division never raises the total degree, so below the cap
+    # no exponent on either path can reach it
+    if (order.kind == "grevlex" and ring.field.e == 1 and f.terms
+            and order.total_degree_of(max(f.terms)) < mpoly.EXP_CAP):
+        stages = _triangular(ring, items)
+    if stages is None:
+        rem = _divide_heap(ring, f.terms, items, cof)
+    else:
+        rem = _divide_staged(ring, f.terms, stages, cof)
+    remainder = Polynomial(ring, rem)
+    if not certificate:
+        return remainder
+    cofactors = [Polynomial(ring, d) for d in cof]
+    return MembershipCertificate(f, items, cofactors, remainder)
+
+
+def _divide_heap(ring: PolyRing, terms: dict, items: list,
+                 cof: Optional[list]) -> dict:
+    """The remainder of terms under division by items, by the heap loop;
+    quotient terms go into cof[i] when cof is given."""
     order = ring.order
     fields = order.fields
     F = ring.field
@@ -102,14 +144,13 @@ def normal_form(f: Polynomial, basis, certificate: bool = False):
     G = order.guard
     caps = order.every_field(mpoly.EXP_CAP)
     off = order.offset
-    acc = dict(f.terms)         # prime field: unreduced ints
+    acc = dict(terms)           # prime field: unreduced ints
     get = acc.get
     heap = [-k for k in acc]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     vmul, vadd = F._vmul, F._vadd
     rem: dict = {}
-    cof: Optional[list] = [{} for _ in items] if certificate else None
     guard = mpoly.TERM_GUARD
 
     while heap:
@@ -157,15 +198,140 @@ def normal_form(f: Polynomial, basis, certificate: bool = False):
                     acc[k2] = vadd(cur, vmul(factor, nb))
         if len(acc) > guard:
             raise ResourceLimit(f"reduction exceeded {guard} terms")
-        if certificate:
+        if cof is not None:
             # each key is popped once, so a quotient term is never revisited
             cof[i][key - lmk + off] = factor
+    return rem
 
-    remainder = Polynomial(ring, rem)
-    if not certificate:
-        return remainder
-    cofactors = [Polynomial(ring, d) for d in cof]
-    return MembershipCertificate(f, items, cofactors, remainder)
+
+def _triangular(ring: PolyRing, items: list) -> Optional[list]:
+    """The stages of _divide_staged when the nonzero items form a
+    triangular basis over GF(p), else None.  Triangular: every leading
+    monomial is a pure power x_v^a (a >= 1), no two use the same
+    variable, and in ascending leading-monomial order no element
+    contains the variable of an earlier element's leading monomial.
+    A stage is (index, v, a, leading key, inverse leading coefficient,
+    tail), with the tail's negated terms grouped by x_v exponent as
+    [(t, {key: coefficient})].
+
+    The leading monomials are tested first, one fields() each, so a
+    basis that fails there costs no unpacking."""
+    order = ring.order
+    fields, G = order.fields, order.guard
+    lead = []
+    seen = set()
+    for i, b in enumerate(items):
+        if not b.terms:
+            continue
+        lmk = b.leading_key()
+        A = fields(lmk)
+        # the guard bit just above A's lowest set bit tops that field;
+        # a pure power has no bit above it (a constant has no field)
+        above = G & -(A & -A)
+        top = above & -above
+        if not A < top or top in seen:
+            return None
+        seen.add(top)
+        lead.append((lmk, i))
+    lead.sort()
+    p, n = ring.field.p, ring.nvars
+    stages = []
+    done: list = []             # variables of earlier leading monomials
+    for lmk, i in lead:
+        terms = items[i].terms
+        keys = list(terms)
+        if any(any(order.column(keys, u)) for u in done):
+            return None
+        lme = order.unpack(lmk)
+        v = next(u for u in range(n) if lme[u])
+        tails: dict = {}
+        for k, t in zip(keys, order.column(keys, v)):
+            if k != lmk:
+                tails.setdefault(t, {})[k] = p - terms[k]
+        stages.append((i, v, lme[v], lmk, ring._cinv(terms[lmk]),
+                       sorted(tails.items())))
+        done.append(v)
+    return stages
+
+
+def _divide_staged(ring: PolyRing, terms: dict, stages: list,
+                   cof: Optional[list]) -> dict:
+    """The remainder of terms under division by a triangular basis over
+    GF(p), one stage (basis element) at a time in ascending leading
+    monomial order; quotient terms go into cof[i] when cof is given.
+
+    A stage with leading monomial x_v^a groups the pending terms by
+    their x_v exponent and walks it downward from the top to a.  Each
+    group becomes quotient terms (coefficient over the leading
+    coefficient) in one pass, and quotient * tail is added into lower
+    groups by the schoolbook accumulation of _mul: a tail term t has
+    deg_v t < a, since x_v^a dividing t would put t above x_v^a in any
+    monomial order, so each product term has a lower x_v exponent than
+    the term it cancels and a group is complete when it is reached.
+    The groups below a pass, reduced mod p, to the next stage.
+
+    Why the result is the heap division's, term for term.  A later
+    element contains no earlier leading variable, and the quotient of m
+    by x_v^a keeps m's other exponents, so no stage recreates a power
+    that an earlier stage removed; a stage reduces exactly the terms
+    divisible by its x_v^a and by no earlier leading monomial, which
+    are the terms the first-divisor rule gives it, and the last stage
+    leaves no term divisible by any leading monomial.  So both paths
+    write f = sum q_i b_i + r with supp(LM(b_i) q_i) inside cell i (the
+    monomials whose first divisor is b_i) and no term of r in any cell.
+    That decomposition is unique.  Subtract two of them: 0 = sum (q_i -
+    q'_i) b_i + (r - r').  The monomials LM(q_i - q'_i) LM(b_i) lie in
+    distinct cells and the terms of r - r' in none, so the largest
+    monomial among them occurs in exactly one summand, and every other
+    summand's terms lie below its own leading monomial: nothing cancels
+    it, so every difference is zero (Cox, Little and O'Shea, Ideals,
+    Varieties, and Algorithms, ch. 2 sec. 3)."""
+    order = ring.order
+    p, off = ring.field.p, order.offset
+    guard = mpoly.TERM_GUARD
+    pending = terms
+    for i, v, a, lmk, lcinv, tails in stages:
+        col = order.column(list(pending), v)
+        top = max(col, default=0)
+        if top < a:
+            continue
+        rest = {}               # x_v exponent below a: done at this stage
+        groups: dict = {}
+        for (k, c), e in zip(pending.items(), col):
+            if e < a:
+                rest[k] = c
+            else:
+                groups.setdefault(e, {})[k] = c
+        live = len(pending)
+        for e in range(top, a - 1, -1):
+            group = groups.pop(e, None)
+            if group is None:
+                continue
+            live -= len(group)
+            q = {}
+            for k, c in group.items():
+                c %= p
+                if c:
+                    q[k - lmk + off] = c * lcinv % p
+            for t, tail in tails:
+                low = rest if e - a + t < a else groups.setdefault(e - a + t, {})
+                live -= len(low)
+                # the shorter dict outside: the guard is checked per outer term
+                if len(q) < len(tail):
+                    mpoly._accumulate(low, q, tail, off)
+                else:
+                    mpoly._accumulate(low, tail, q, off)
+                live += len(low)
+            if live > guard:
+                raise ResourceLimit(f"reduction exceeded {guard} terms")
+            if cof is not None:
+                cof[i].update(q)
+        pending = {}
+        for k, c in rest.items():
+            c %= p
+            if c:
+                pending[k] = c
+    return dict(pending)
 
 
 class GroebnerBasis:

@@ -24,9 +24,10 @@ both factors are homogeneous, it has at least DENSE_FLOOR term pairs,
 the smaller factor has at least _DENSE_MIN terms per variable, and the
 packing takes at most _DENSE_SPAN slots per term pair.  Every other
 product, and every product over GF(p^e) with e > 1, runs the schoolbook
-loop.  check_product runs before either path, and TERM_GUARD trips at
-the same count on both.  Every square goes through _sqr, which in
-characteristic 2 is the termwise Frobenius map and otherwise the
+loop; over GF(p) that loop is _accumulate, which groebner's staged
+division shares.  check_product runs before either path, and TERM_GUARD
+trips at the same count on both.  Every square goes through _sqr, which
+in characteristic 2 is the termwise Frobenius map and otherwise the
 general product; __pow__ and substitute square only through it.
 """
 
@@ -156,6 +157,16 @@ class TermOrder:
         return (_grevlex_columns([k >> width for k in keys], self.block)
                 + _grevlex_columns([k & ((1 << width) - 1) for k in keys],
                                    self.n - self.block))
+
+    def column(self, keys: list, i: int) -> list:
+        """Exponent i of each key: columns(keys)[i] without the others."""
+        if self.kind != "grevlex":
+            return self.columns(keys)[i]
+        if i:
+            s = _W * (i - 1)
+            return [_M - ((k >> s) & _FMASK) for k in keys]
+        top, mask, bias = self._fconst
+        return [(k >> top) - (bias - (k & mask)) % _FMASK for k in keys]
 
     def every_field(self, v: int) -> int:
         """v in each of the n exponent fields."""
@@ -483,13 +494,13 @@ class Polynomial:
         o = self._check(other)
         if o is NotImplemented:
             return o
-        return self.__add__(-o)
+        return _sub(self, o)
 
     def __rsub__(self, other):
         o = self._check(other)
         if o is NotImplemented:
             return o
-        return o.__add__(-self)
+        return _sub(o, self)
 
     def __mul__(self, other):
         if isinstance(other, (int, FieldElement)):
@@ -584,25 +595,23 @@ class Polynomial:
         if not self.terms:
             return "0"
         ring = self.ring
-        names = ring.names
-        unpack = ring.order.unpack
+        keys = sorted(self.terms, reverse=True)
+        # per variable, each distinct exponent's factor text is built once
+        factors = []
+        for nm, col in zip(ring.names, ring.order.columns(keys)):
+            shown = {a: nm if a == 1 else f"{nm}^{a}" for a in set(col) if a}
+            factors.append([shown.get(a) for a in col])
+        terms = self.terms
         parts = []
-        for k in sorted(self.terms, reverse=True):
-            c = self.terms[k]
-            exps = unpack(k)
-            factors = []
-            for nm, a in zip(names, exps):
-                if a == 1:
-                    factors.append(nm)
-                elif a > 1:
-                    factors.append(f"{nm}^{a}")
-            ctxt = _coeff_text(ring, c)
-            if not factors:
+        for k, row in zip(keys, zip(*factors)):
+            mono = "*".join(filter(None, row))
+            ctxt = _coeff_text(ring, terms[k])
+            if not mono:
                 parts.append(ctxt)
             elif ctxt == "1":
-                parts.append("*".join(factors))
+                parts.append(mono)
             else:
-                parts.append(ctxt + "*" + "*".join(factors))
+                parts.append(ctxt + "*" + mono)
         return "+".join(parts)
 
     def __str__(self):
@@ -642,6 +651,35 @@ def _merge(out: dict, terms: dict, cadd) -> None:
                 del out[k]
             else:
                 out[k] = s
+
+
+def _sub(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a - b: b's terms go negated straight into a copy of a, with no
+    intermediate -b."""
+    out = dict(a.terms)
+    get = out.get
+    F = a.ring.field
+    if F.e == 1:
+        p = F.p
+        for k, c in b.terms.items():
+            cur = get(k)
+            if cur is None:
+                out[k] = p - c
+            elif cur == c:
+                del out[k]
+            else:
+                out[k] = (cur - c) % p
+    else:
+        vneg, vsub = F._vneg, F._vsub
+        for k, c in b.terms.items():
+            cur = get(k)
+            if cur is None:
+                out[k] = vneg(c)
+            elif cur == c:
+                del out[k]
+            else:
+                out[k] = vsub(cur, c)
+    return Polynomial(a.ring, out)
 
 
 def _kronecker(order: TermOrder, p: int, at: dict, bt: dict) -> Optional[dict]:
@@ -719,6 +757,21 @@ def _pack_slices(tc: str, nbytes: int, cuts: list, index: list, coeffs) -> list:
     return [(k, int.from_bytes(vals, "little")) for k, vals in slices.items()]
 
 
+def _accumulate(acc: dict, a: dict, b: dict, off: int) -> None:
+    """acc[ka + kb - off] += ca * cb for every term pair of two GF(p)
+    term dicts, as unreduced ints; TERM_GUARD is checked on acc once per
+    term of a."""
+    get = acc.get
+    guard = TERM_GUARD
+    for k1, c1 in a.items():
+        base = k1 - off
+        for k2, c2 in b.items():
+            k = base + k2
+            acc[k] = get(k, 0) + c1 * c2
+        if len(acc) > guard:
+            raise ResourceLimit(f"product exceeds {guard} terms")
+
+
 def _mul(a: Polynomial, b: Polynomial) -> Polynomial:
     ring = a.ring
     if len(a.terms) > len(b.terms):
@@ -735,14 +788,7 @@ def _mul(a: Polynomial, b: Polynomial) -> Polynomial:
         if out is not None:
             return Polynomial(ring, out)
         acc: dict = {}
-        get = acc.get
-        for k1, c1 in a.terms.items():
-            base = k1 - off
-            for k2, c2 in bt.items():
-                k = base + k2
-                acc[k] = get(k, 0) + c1 * c2
-            if len(acc) > guard:
-                raise ResourceLimit(f"product exceeds {guard} terms")
+        _accumulate(acc, a.terms, bt, off)
         out = {}
         for k, v in acc.items():
             v %= p

@@ -227,7 +227,11 @@ def _parse_canonical(text: str, ring: PolyRing) -> Optional[Polynomial]:
                 exps[f[0]] += f[1]
             c = (-c if k and parts[k - 1] == "-" else c) % p
             if c:
-                _merge(terms, {pack(exps): c}, cadd)
+                key = pack(exps)
+                if key in terms:
+                    _merge(terms, {key: c}, cadd)
+                else:
+                    terms[key] = c
     except (ValueError, ResourceLimit):
         # int() refuses very long digit strings, and an exponent reached
         # EXP_CAP: the reference parser raises the error for either

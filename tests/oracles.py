@@ -220,6 +220,30 @@ def enumerate_elements(F: FieldSpec, cap: int = ENUM_CAP) -> list:
     return [FieldElement(F, rep) for rep in product(range(F.p), repeat=F.e)]
 
 
+def reference_text(f: Polynomial) -> str:
+    """Polynomial.text() as it was written before it read exponents by
+    column: one unpack and one factor string per term."""
+    if not f.terms:
+        return "0"
+    ring = f.ring
+    parts = []
+    for k in sorted(f.terms, reverse=True):
+        factors = []
+        for nm, a in zip(ring.names, ring.order.unpack(k)):
+            if a == 1:
+                factors.append(nm)
+            elif a > 1:
+                factors.append(f"{nm}^{a}")
+        ctxt = mpoly._coeff_text(ring, f.terms[k])
+        if not factors:
+            parts.append(ctxt)
+        elif ctxt == "1":
+            parts.append("*".join(factors))
+        else:
+            parts.append(ctxt + "*" + "*".join(factors))
+    return "+".join(parts)
+
+
 def naive_mul(f: Polynomial, g: Polynomial) -> Polynomial:
     ring = f.ring
     unpack = ring.order.unpack

@@ -9,10 +9,11 @@ import pytest
 
 from invar.errors import UsageError
 from invar.gf import field
-from invar.groebner import normal_form
+from invar.groebner import change_ring, normal_form
 from invar.mpoly import PolyRing
 from invar.invariants import (dickson_invariants, symplectic_relation_values,
-                              symplectic_xi, truncated_monomial_sum, xring)
+                              symplectic_xi, truncated_monomial_sum, vandermonde,
+                              xring)
 from invar.polyio import format_polys, parse_field_text, parse_polys_text
 from invar import fsing
 from invar.fsing import (C0_XI_TERMS, RunConfig, VerificationReport,
@@ -514,6 +515,45 @@ def test_normal_form_replay_binds_the_remainder():
     ring, (target, remainder) = parse_polys_text(doc["witness"]["polys"])
     doc["witness"]["polys"] = format_polys(ring, [target, remainder * 2])
     assert not _replays(doc)
+
+
+def _forged_normal_form(rule):
+    """(document, verdict) whose normal-form witness breaks one rule of
+    the normal-form replay.  Only the target and zero-remainder forgeries
+    replay True with their rule removed.  The other two rules are
+    equivalent mutants: a target parsed in another ring never equals
+    the claim's target (polynomial equality compares rings), and
+    unpacking other than two polynomials raises ValueError, which replay
+    maps to False."""
+    doc = _document("alt-dichotomy", n=3, p=5)
+    witness = doc["witness"]
+    ring, (target, remainder) = parse_polys_text(witness["polys"])
+    if rule == "ring":
+        lex = PolyRing(ring.field, ring.names, "lex")
+        polys = [change_ring(target, lex), change_ring(remainder, lex)]
+    elif rule == "two polynomials":
+        polys = [target, remainder, remainder]
+    elif rule == "target":
+        # another target with the same nonzero normal form
+        e1 = sum(ring.gens(), ring.zero)
+        polys = [target + e1 * ring.gen(0), remainder]
+    else:
+        # Delta is in (e_1..e_3) over GF(3), so its true normal form is 0
+        doc = _document("alt-dichotomy", n=3, p=3)
+        ring, gb = symmetric_ideal_gb(3, 3)
+        delta = vandermonde(ring)
+        assert doc["verdict"] == "VERIFIED" and normal_form(delta, gb).is_zero()
+        doc["verdict"] = "REFUTED"       # what a nonzero remainder would prove
+        witness = {"kind": "normal-form", "target": "delta"}
+        polys = [delta, ring.zero]
+    doc["witness"] = dict(witness, polys=format_polys(polys[0].ring, polys))
+    return doc
+
+
+@pytest.mark.parametrize("rule", ["ring", "two polynomials", "target",
+                                  "zero remainder"])
+def test_normal_form_replay_checks_each_rule(rule):
+    assert not _replays(_forged_normal_form(rule))
 
 
 @pytest.mark.parametrize("keep", [1, 0])

@@ -423,3 +423,145 @@ def test_field_divisibility_matches_tuples(data):
         b = data.draw(st.tuples(*[_EXPONENTS] * n))
     A, B, G = order.fields(order.pack(a)), order.fields(order.pack(b)), order.guard
     assert (((A | G) - B) & G == G) == all(x >= y for x, y in zip(a, b))
+
+
+# ---------------------------------------------------------------------------
+# the staged division of triangular bases against the heap loop and the
+# reference division
+# ---------------------------------------------------------------------------
+
+def _spy_staged(mp) -> list:
+    """Record every call of the staged division path."""
+    calls = []
+    staged = groebner._divide_staged
+
+    def spy(*args):
+        calls.append(args)
+        return staged(*args)
+
+    mp.setattr(groebner, "_divide_staged", spy)
+    return calls
+
+
+@st.composite
+def _triangular_cases(draw):
+    """A random triangular basis over GF(p), in grevlex: pure-power
+    leading monomials in distinct variables; each element's tail (any
+    monomials below its lead, so often of lower degree) avoids the
+    variables of the leading monomials below it.  Elements come
+    shuffled, sometimes with a zero among them."""
+    p = draw(st.sampled_from((2, 3, 5, 2 ** 31 - 1)))
+    n = draw(st.integers(2, 5))
+    ring = PolyRing(field(p), [f"x{i}" for i in range(n)])
+    pack = ring.order.pack
+    coeff = st.integers(1, p - 1)
+    leads = []
+    for v in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)):
+        a = draw(st.integers(1, 3))
+        leads.append(tuple(a if u == v else 0 for u in range(n)))
+    leads.sort(key=pack)
+    basis, earlier = [], set()
+    for lead in leads:
+        box = st.tuples(*[st.just(0) if u in earlier else st.integers(0, max(lead))
+                          for u in range(n)])
+        tail = draw(st.dictionaries(box, coeff, max_size=6))
+        terms = {e: c for e, c in tail.items() if pack(e) < pack(lead)}
+        terms[lead] = draw(coeff)
+        basis.append(ring.from_terms(terms))
+        earlier.add(next(u for u in range(n) if lead[u]))
+    basis = list(draw(st.permutations(basis)))
+    if draw(st.booleans()):
+        basis.insert(draw(st.integers(0, len(basis))), ring.zero)
+    return _poly(draw, ring, 12, _box(ring, 5)), basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_triangular_cases())
+def test_staged_division_matches_heap_and_reference(case):
+    f, basis = case
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_staged(mp)
+        got = normal_form(f, basis, certificate=True)
+        plain = normal_form(f, basis)
+        assert len(calls) == (2 if f else 0)
+        mp.setattr(groebner, "_triangular", lambda ring, items: None)
+        heap = normal_form(f, basis, certificate=True)
+        assert len(calls) == (2 if f else 0)
+    ref = reference_normal_form(f, basis, certificate=True)
+    assert got.remainder == plain == heap.remainder == ref.remainder
+    assert got.cofactors == heap.cofactors == ref.cofactors
+    assert got.check()
+
+
+def _heap_cases():
+    """name -> (target, basis, the rule that rejects the basis shape):
+    "lead" for the leading-monomial rules, "terms" for a later element
+    holding an earlier leading variable, None for a triangular basis."""
+    R = PolyRing(field(5), ["x", "y", "z"])
+    x, y, z = R.gens()
+    f = (x + y + z + 1) ** 4
+    cap = mpoly.EXP_CAP
+    top = R.monomial((cap - 1, 0, 0))
+    cases = {
+        "non-pure-power lead": (f, [x * y + z, z ** 3], "lead"),
+        "repeated leading variable": (f, [x ** 2 + y, x ** 3 + z], "lead"),
+        "later element holds an earlier leading variable": (f, [x + y, y ** 2 + x], "terms"),
+        "total degree at the cap": (R.monomial((cap - 1, 1, 0)), [top + z], None),
+    }
+    for name, ring in (("GF(9)", PolyRing(field(3, 2), ["x", "y", "z"])),
+                       ("lex", PolyRing(field(5), ["x", "y", "z"], "lex"))):
+        a, b, c = ring.gens()
+        # triangular in both orders: the lead with the smaller key
+        # (x^2 in grevlex, y^3 in lex) is on no other element
+        cases[name] = ((a + b + c + 1) ** 4, [a ** 2 + c, b ** 3 + c], None)
+    return cases
+
+
+def _unpack_refused(*args):
+    raise AssertionError("a basis rejected on its leading monomials was unpacked")
+
+
+@pytest.mark.parametrize("name", sorted(_heap_cases()))
+def test_heap_path_serves_every_other_basis(name, monkeypatch):
+    f, basis, rule = _heap_cases()[name]
+    if rule is not None:
+        with monkeypatch.context() as mp:
+            if rule == "lead":
+                mp.setattr(TermOrder, "column", _unpack_refused)
+                mp.setattr(TermOrder, "columns", _unpack_refused)
+            assert groebner._triangular(f.ring, basis) is None
+    calls = _spy_staged(monkeypatch)
+    got = normal_form(f, basis, certificate=True)
+    assert not calls
+    if name != "total degree at the cap":
+        ref = reference_normal_form(f, basis, certificate=True)
+        assert got.remainder == ref.remainder and got.cofactors == ref.cofactors
+    assert got.check()
+
+
+def test_staged_path_boundaries(monkeypatch):
+    # the GF(9) basis and target over GF(5), and the cap case one degree
+    # lower, take the staged path
+    R = PolyRing(field(5), ["x", "y", "z"])
+    x, y, z = R.gens()
+    f, basis = (x + y + z + 1) ** 4, [x ** 2 + z, y ** 3 + z]
+    cap = mpoly.EXP_CAP
+    calls = _spy_staged(monkeypatch)
+    assert normal_form(f, basis) == reference_normal_form(f, basis)
+    target = R.monomial((cap - 2, 1, 0))
+    assert normal_form(target, [R.monomial((cap - 1, 0, 0)) + z]) == target
+    assert len(calls) == 2
+
+
+def test_staged_division_trips_term_guard(monkeypatch):
+    ring = PolyRing(field(5), ["x", "y", "z"])
+    x, y, z = ring.gens()
+    basis = [x ** 2 + y ** 2 + y * z + z ** 2 + y + z + 1]
+    # one term per x exponent: the first step adds six terms to a group
+    # of one, so only the live count over all groups passes the guard
+    f = sum((x ** k for k in range(12)), ring.zero)
+    calls = _spy_staged(monkeypatch)
+    monkeypatch.setattr(mpoly, "TERM_GUARD", 12)
+    with pytest.raises(ResourceLimit, match="reduction exceeded 12 terms"):
+        normal_form(f, basis)
+    assert calls

@@ -23,9 +23,9 @@ from invar.mpoly import (PolyRing, TermOrder, _mul, _sqr, frobenius_power,
 from invar.polyio import format_polys
 from oracles import (block_sort_key, degree_in, draw_poly, eval_by_substitution,
                      grevlex_sort_key, is_homogeneous, leading_coeff, leading_monomial,
-                     leading_term, lex_sort_key, naive_mul, random_poly, rings,
-                     sqr_cross_terms_once, verify_identity_probabilistic,
-                     weighted_degree)
+                     leading_term, lex_sort_key, naive_mul, random_poly,
+                     reference_text, rings, sqr_cross_terms_once,
+                     verify_identity_probabilistic, weighted_degree)
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -358,6 +358,21 @@ def test_text_canonical_ordering(R3):
     assert f.text() == "x1^2+2*x2+x3"
     assert R3.zero.text() == "0"
     assert (R3.one * 2).text() == "2"
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_text_and_difference_match_references(data):
+    ring = data.draw(rings(((2, 1), (5, 1), (2, 2), (3, 2))))
+    f = draw_poly(data.draw, ring)
+    h = draw_poly(data.draw, ring)
+    # g shares all, some or none of f's keys, so terms cancel too
+    g = data.draw(st.sampled_from((h, f, f + h, -f + h)))
+    for u in (f, g, f - g):
+        assert u.text() == reference_text(u)
+    assert f - g == f + (-g)
+    assert (f - g) + g == f
+    assert 2 - f == ring.constant(2) + (-f)
 
 
 # ---------------------------------------------------------------------------

@@ -310,3 +310,10 @@ def test_fast_path_raises_the_reference_exponent_error(R):
         assert _parse_canonical(text, R) is None
         with pytest.raises(ResourceLimit, match=f"exponent {EXP_CAP} outside"):
             parse_poly(text, R)
+
+
+def test_fast_path_merges_repeated_terms(R):
+    x, y, z = R.gens()
+    # over GF(3): x + x stays, x*y + 2*y*x and z - z cancel
+    assert _parse_canonical("x+x+x*y+2*y*x+z-z", R) == 2 * x
+    assert _parse_canonical("y*x-x*y", R).is_zero()
