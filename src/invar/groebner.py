@@ -2,38 +2,33 @@
 closure searches.
 
 normal_form divides by one of two paths with the same quotients and
-remainder.  A triangular basis over GF(p) under grevlex (pure-power
-leading monomials x_v^a in distinct variables, no element holding an
-earlier leading variable; the reduced basis {h_k(x_k..x_n)} of
-(e_1..e_n) is one) is divided by _divide_staged, one element at a time:
-the pending terms are grouped by their x_v exponent, walked downward,
-and each group becomes quotient terms in one pass, with quotient * tail
-added by mpoly's schoolbook accumulation.  No heap and no divisor scan
-are needed, and the decomposition f = sum q_i b_i + r it finds is the
-unique one the first-divisor rule defines (the argument is in
-_divide_staged's docstring).  A basis is rejected on its leading
-monomials first, one fields() each, so the S-pair reductions of
-buchberger pay almost nothing for the test.
+remainder.  A triangular basis over GF(p) under grevlex, such as the
+reduced basis {h_k(x_k..x_n)} of (e_1..e_n), is divided one element at a
+time by _divide_staged: the pending terms are grouped by the exponent of
+the element's leading variable, walked downward, and each group becomes
+quotient terms in one pass, with no heap and no divisor scan.  Both
+paths write f = sum q_i b_i + r with every term of LM(b_i) q_i in cell i
+(the monomials whose first divisor is b_i) and no term of r in any cell.
+That decomposition is unique, so the two paths agree term for term (the
+argument is in _divide_staged's docstring).
 
-Every other division (lex, block, GF(p^e), a target of total degree
-EXP_CAP or more, any other basis) runs the heap loop, _divide_heap.
-The pending terms sit in a dict keyed by packed monomial, and their
-keys in a max-heap.  Every key a reduction step adds is strictly
-smaller than the key it cancels, so no key is pushed twice: a key
-enters the heap when it first enters the dict, and its coefficient is
-read once, when it is popped.  The heap thus holds only the distinct
-keys touched, with no stale entries.  Over GF(p) the dict holds unreduced ints, reduced mod p at the
-pop, where a zero is skipped; extension-field coefficients use the
-field's own vector arithmetic.  Each divisor carries its tail as (key
-shift, negated coefficient) pairs.  Divisibility, here and in
+Every other division runs the heap loop, _divide_heap.  The pending
+terms sit in a dict keyed by packed monomial, and their keys in a
+max-heap.  Every key a reduction step adds is strictly smaller than the
+key it cancels, so no key is pushed twice: a key enters the heap when it
+first enters the dict, and its coefficient is read once, when it is
+popped.  The heap thus holds only the distinct keys touched, with no
+stale entries.  Over GF(p) the dict holds unreduced ints, reduced mod p
+at the pop, where a zero is skipped; extension-field coefficients use
+the field's own vector arithmetic.  Each divisor carries its tail as
+(key shift, negated coefficient) pairs.  Divisibility, here and in
 buchberger's chain criterion and autoreduction, is one subtraction and
-mask on TermOrder.fields.  A reduction whose exponents reach EXP_CAP,
-or whose dict passes TERM_GUARD keys, raises ResourceLimit; the staged
-path checks its live term count after each step.  Divisors
-are chosen deterministically: the first element whose leading monomial
-divides, scanning the basis in ascending leading monomial order (index
-breaking ties), so quotients and remainders are those of the textbook
-division.
+mask on TermOrder.fields.  A reduction whose exponents reach EXP_CAP, or
+whose dict passes TERM_GUARD keys, raises ResourceLimit; the staged path
+checks its live term count after each step.  Divisors are chosen
+deterministically: the first element whose leading monomial divides,
+scanning the basis in ascending leading monomial order (index breaking
+ties), so quotients and remainders are those of the textbook division.
 
 buchberger uses the normal selection strategy (smallest lcm first) with
 the coprimality and chain criteria, then autoreduces, so the returned
@@ -268,7 +263,8 @@ def _divide_staged(ring: PolyRing, terms: dict, stages: list,
     deg_v t < a, since x_v^a dividing t would put t above x_v^a in any
     monomial order, so each product term has a lower x_v exponent than
     the term it cancels and a group is complete when it is reached.
-    The groups below a pass, reduced mod p, to the next stage.
+    The terms below a, kept in one dict, pass reduced mod p to the next
+    stage.
 
     Why the result is the heap division's, term for term.  A later
     element contains no earlier leading variable, and the quotient of m
