@@ -89,7 +89,10 @@ def test_order_isomorphism_random(kind, block):
         assert (ka == kb) == (a == b)
         assert order.unpack(ka) == a
         assert order.columns([ka, kb]) == [list(c) for c in zip(a, b)]
+        assert [order.column([ka, kb], i) for i in range(n)] == order.columns([ka, kb])
         assert ka + kb - order.offset == order.pack(tuple(x + y for x, y in zip(a, b)))
+    top = order.pack((mpoly.EXP_CAP - 1,) * n)
+    assert [order.column([top], i) for i in range(n)] == [[mpoly.EXP_CAP - 1]] * n
 
 
 def test_grevlex_degree_two_chain(R3):
