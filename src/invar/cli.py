@@ -198,8 +198,7 @@ def member(ideal_file, element_file, out):
     gbasis = buchberger(gens)
     cert = normal_form(target, gbasis, certificate=True)
     if out:
-        cache.write_atomic(out, format_certificate(ring, cert.target, cert.basis,
-                                                   cert.cofactors, cert.remainder))
+        cache.write_atomic(out, format_certificate(cert))
     if cert.is_member:
         click.echo("member")
         sys.exit(0)

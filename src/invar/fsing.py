@@ -31,9 +31,8 @@ from typing import Callable, Optional
 
 from .errors import ResourceLimit, UsageError
 from .gf import FieldSpec, _prime_factors, field, is_prime
-from .groebner import (MembershipCertificate, buchberger,
-                       frobenius_closure_search, frobenius_power_ideal,
-                       ideal_member, normal_form)
+from .groebner import (buchberger, frobenius_closure_search,
+                       frobenius_power_ideal, ideal_member, normal_form)
 from .invariants import (dickson_at_point, dickson_invariants,
                          elementary_symmetric, relation_side_degrees,
                          staircase_monomial, symplectic_relation_sides,
@@ -391,9 +390,7 @@ def sp4_fpurity_check(q: int, config: RunConfig = RunConfig(),
         "failures": {str(e): r.text() for e, r in closure.failures.items()},
     }
     if closure.certificate is not None:
-        cert = closure.certificate
-        witness["certificate"] = format_certificate(
-            amb, cert.target, cert.basis, cert.cofactors, cert.remainder)
+        witness["certificate"] = format_certificate(closure.certificate)
     if closure.e is None:
         detail.append(f"no Frobenius-closure witness up to e_max = {config.e_max}")
     else:
@@ -577,8 +574,7 @@ def _alt_membership(claim_id: str, ring: PolyRing, gb, label: dict, p: int):
     f = _alt_target(claim_id, ring, label, p)
     member, cert = ideal_member(f, gb, certificate=True)
     if member:
-        return True, cert.remainder, dict(label, certificate=format_certificate(
-            ring, cert.target, cert.basis, cert.cofactors, cert.remainder))
+        return True, cert.remainder, dict(label, certificate=format_certificate(cert))
     return False, cert.remainder, dict(
         label, kind="normal-form", polys=format_polys(ring, [f, cert.remainder]))
 
@@ -696,14 +692,6 @@ def _replay_identity(claim_id, params, witness) -> Optional[str]:
     return fresh.verdict
 
 
-def _certificate_holds(cert: dict) -> bool:
-    """A parsed certificate with a zero remainder whose cofactors
-    re-multiply to its target."""
-    return cert["remainder"].is_zero() and MembershipCertificate(
-        cert["target"], cert["basis"], cert["cofactors"],
-        cert["remainder"]).check()
-
-
 def _replay_closure(claim_id, params, witness) -> Optional[str]:
     """VERIFIED for a closure witness at e = 1 with w outside (u, v)."""
     q = params["q"]
@@ -724,13 +712,13 @@ def _replay_closure(claim_id, params, witness) -> Optional[str]:
         failures = {str(k): r.text() for k, r in closure.failures.items()}
         return REFUTED if closure.e is None and failures == stored else None
     cert = parse_certificate_text(witness["certificate"])
-    if (cert["ring"] != amb or cert["target"] != frobenius_power(w, e)
-            or not _certificate_holds(cert)):
+    if (cert.target.ring != amb or cert.target != frobenius_power(w, e)
+            or not (cert.is_member and cert.check())):
         return None
     # certificate basis must generate no more than the raised ideal
     raised = frobenius_power_ideal([u, v], e) + list(fixed)
     gb = buchberger(raised)
-    if not all(normal_form(bel, gb).is_zero() for bel in cert["basis"]):
+    if not all(normal_form(bel, gb).is_zero() for bel in cert.basis):
         return None
     return VERIFIED if e == 1 and not nf.is_zero() else REFUTED
 
@@ -777,9 +765,9 @@ def _replay_certificates(claim_id, params, witness) -> Optional[str]:
         return None
     for item in items:
         cert = parse_certificate_text(item["certificate"])
-        if (cert["ring"] != ring or tuple(cert["basis"]) != gb.elements
-                or cert["target"] != _alt_target(claim_id, ring, item, p)
-                or not _certificate_holds(cert)):
+        if (cert.target.ring != ring or cert.basis != gb.elements
+                or cert.target != _alt_target(claim_id, ring, item, p)
+                or not (cert.is_member and cert.check())):
             return None
     return _alt_verdict(claim_id, params, True)
 

@@ -361,9 +361,8 @@ class GroebnerBasis:
 
 
 def _lcm_key(ring: PolyRing, ka: int, kb: int) -> int:
-    ea = ring.order.unpack(ka)
-    eb = ring.order.unpack(kb)
-    return ring.order._pack_raw(tuple(max(a, b) for a, b in zip(ea, eb)))
+    order = ring.order
+    return order.pack(list(map(max, order.unpack(ka), order.unpack(kb))))
 
 
 def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -388,17 +387,17 @@ def buchberger(gens: Sequence[Polynomial]) -> GroebnerBasis:
     fields, G = ring.order.fields, ring.order.guard
     basis = [g.monic() for g in gens]
     lm = [b.leading_key() for b in basis]
-    pending = {(i, j) for j in range(len(basis)) for i in range(j)}
+    # each pending pair with the key of its leading monomials' lcm
+    pending = {(i, j): _lcm_key(ring, lm[i], lm[j])
+               for j in range(len(basis)) for i in range(j)}
     processed = 0
 
     while pending:
-        i, j = min(pending, key=lambda ij: (_lcm_key(ring, lm[ij[0]], lm[ij[1]]),
-                                            ij[0], ij[1]))
-        pending.discard((i, j))
+        lcm, i, j = min((lcm, i, j) for (i, j), lcm in pending.items())
+        del pending[i, j]
         processed += 1
         if processed > PAIR_GUARD:
             raise ResourceLimit(f"more than {PAIR_GUARD} S-pairs")
-        lcm = _lcm_key(ring, lm[i], lm[j])
         # coprime leading monomials: S-polynomial reduces to zero
         if lcm == lm[i] + lm[j] - ring.order.offset:
             continue
@@ -424,7 +423,7 @@ def buchberger(gens: Sequence[Polynomial]) -> GroebnerBasis:
         new = len(basis)
         basis.append(r)
         lm.append(r.leading_key())
-        pending.update((t, new) for t in range(new))
+        pending.update(((t, new), _lcm_key(ring, lm[t], lm[new])) for t in range(new))
 
     return GroebnerBasis(ring, tuple(_autoreduce(ring, basis)))
 

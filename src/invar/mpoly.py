@@ -7,14 +7,19 @@ multiplication is key addition up to a constant offset.  This keeps the
 hot paths (merging, leading-term lookup, heap reduction) on machine
 integers.
 
-Each exponent occupies a 28 bit field inside the key.  Per-variable
-exponents are capped at EXP_CAP and term counts during multiplication at
-TERM_GUARD; both are module-level and may be adjusted.  pack refuses an
-exponent at or above the cap, and so does every product (checked once
-per product from the two factors' degrees), so exponents stay far below
-the 28 bit boundary and no key wraps silently.  TermOrder.fields turns
-a key into plain exponent fields with a free guard bit on top of each,
-which makes divisibility one subtraction and one mask.
+Every order has one key layout: a run of grevlex blocks, most
+significant first (grevlex is one block, block(k) two, lex one per
+variable), with one 28 bit field per variable.  A key is affine in the
+exponents, key = offset + sum a_i * TermOrder.steps[i], so a product's
+key is a sum of keys less offset and a Frobenius power's key is
+offset + p^m (key - offset).  Per-variable exponents are capped at
+EXP_CAP and term counts during multiplication at TERM_GUARD; both are
+module-level and may be adjusted.  pack refuses an exponent at or above
+the cap, and so does every product (checked once per product from the
+two factors' degrees) and every Frobenius power, so exponents stay far
+below the 28 bit boundary and no key wraps silently.  TermOrder.fields
+turns a key into plain exponent fields with a free guard bit on top of
+each, which makes divisibility one subtraction and one mask.
 
 Coefficients live in GF(p^e): stored as canonical ints in [1, p) when
 e = 1 and as coefficient tuples otherwise.
@@ -34,10 +39,9 @@ general product; __pow__ and substitute square only through it.
 from __future__ import annotations
 
 from array import array
-from functools import reduce
 from itertools import compress
 from math import gcd, prod
-from operator import or_, sub
+from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ContextMismatch, ResourceLimit, UsageError
@@ -61,14 +65,21 @@ _ORDER_KINDS = ("grevlex", "lex", "block")
 class TermOrder:
     """Monomial order realized as an order isomorphism into the integers.
 
-    grevlex: key fields are [totdeg][M - a_n][M - a_{n-1}]...[M - a_2],
-    most significant first, with bias M = 2^27.  lex: [a_1][a_2]...[a_n].
-    block(k): a grevlex key on the first k variables concatenated above a
-    grevlex key on the rest, which gives the elimination property for
-    the first block.
+    Every order is a run of grevlex blocks of consecutive variables, most
+    significant first: grevlex is one block of n, block(k) blocks of k
+    and n - k, lex n blocks of one.  A block on x_s..x_t holds the fields
+    [a_s + ... + a_t][M - a_t]...[M - a_{s+1}], most significant first,
+    with bias M = 2^27, so a one-variable block is the exponent itself.
+    Keys compare block by block, each by grevlex, which gives block(k)
+    the elimination property for the first block.
+
+    A key is affine in the exponents: key = offset + sum a_i * steps[i],
+    with offset the biases alone and steps[i] the key of x_i less
+    offset.
     """
 
-    __slots__ = ("kind", "n", "block", "offset", "guard", "_top_shift", "_fconst")
+    __slots__ = ("kind", "n", "block", "steps", "offset", "guard", "_pos",
+                 "_heads", "_blocks", "_degmask")
 
     def __init__(self, kind: str, n: int, block: int = 0):
         if kind not in _ORDER_KINDS:
@@ -80,46 +91,27 @@ class TermOrder:
         self.kind = kind
         self.n = n
         self.block = block if kind == "block" else 0
-        self.offset = self._pack_raw((0,) * n)
-        self._top_shift = _W * (n - 1)
+        sizes = ((n,) if kind == "grevlex" else (block, n - block)
+                 if kind == "block" else (1,) * n)
+        # per variable: the bit offset of its field (a block's first
+        # variable reads the block's total degree field) and, for a
+        # block's first variable, the block's (top, low, mask, bias)
+        pos, steps, heads = [], [], []
+        low = _W * n
+        for m in sizes:
+            low -= _W * m
+            top = low + _W * (m - 1)
+            rest = [low + _W * t for t in range(m - 1)]
+            pos += [top] + rest
+            steps += [1 << top] + [(1 << top) - (1 << s) for s in rest]
+            heads += [(top, low, (1 << (top - low)) - 1, _ones(m - 1) * _M)]
+            heads += [None] * (m - 1)
+        self._pos, self.steps, self._heads = pos, tuple(steps), heads
+        self._blocks = [h for h in heads if h]
+        self.offset = sum(bias << low for _, low, _, bias in self._blocks)
+        self._degmask = sum(_FMASK << h[0] for h in self._blocks)
         # bit 27 of every field: free, since fields() values stay below it
         self.guard = self.every_field(_M)
-        if kind == "grevlex":
-            self._fconst = _grevlex_consts(n)
-        elif kind == "block":
-            self._fconst = (_W * (n - block), _grevlex_consts(block),
-                            _grevlex_consts(n - block))
-
-    # grevlex key of an exponent slice, totdeg field on top
-    @staticmethod
-    def _grevlex_key(exps: Sequence[int]) -> int:
-        key = sum(exps)
-        for i in range(len(exps) - 1, 0, -1):
-            key = (key << _W) | (_M - exps[i])
-        return key
-
-    @staticmethod
-    def _grevlex_unpack(key: int, n: int) -> tuple:
-        rest = []
-        for _ in range(n - 1):
-            # bottom field is a_2, then a_3, ..., a_n
-            rest.append(_M - (key & _FMASK))
-            key >>= _W
-        total = key
-        return (total - sum(rest),) + tuple(rest)
-
-    def _pack_raw(self, exps: Sequence[int]) -> int:
-        if self.kind == "lex":
-            key = 0
-            for a in exps:
-                key = (key << _W) | a
-            return key
-        if self.kind == "grevlex":
-            return self._grevlex_key(exps)
-        k = self.block
-        hi = self._grevlex_key(exps[:k])
-        lo = self._grevlex_key(exps[k:])
-        return (hi << (_W * (self.n - k))) | lo
 
     def pack(self, exps: Sequence[int]) -> int:
         if len(exps) != self.n:
@@ -128,96 +120,65 @@ class TermOrder:
         for a in exps:
             if not 0 <= a < cap:
                 raise ResourceLimit(f"exponent {a} outside [0, {cap})")
-        return self._pack_raw(exps)
+        return self.offset + sum(map(mul, exps, self.steps))
 
     def unpack(self, key: int) -> tuple:
-        if self.kind == "lex":
-            out = []
-            for _ in range(self.n):
-                out.append(key & _FMASK)
-                key >>= _W
-            return tuple(reversed(out))
-        if self.kind == "grevlex":
-            return self._grevlex_unpack(key, self.n)
-        k = self.block
-        lo_width = _W * (self.n - k)
-        hi = self._grevlex_unpack(key >> lo_width, k)
-        lo = self._grevlex_unpack(key & ((1 << lo_width) - 1), self.n - k)
-        return hi + lo
+        f = self.fields(key)
+        return tuple([(f >> s) & _FMASK for s in self._pos])
 
     def columns(self, keys: list) -> list:
         """unpack of many keys at once: column i lists exponent i of
         each key."""
-        if self.kind == "lex":
-            return [[(k >> s) & _FMASK for k in keys]
-                    for s in range(self._top_shift, -1, -_W)]
-        if self.kind == "grevlex":
-            return _grevlex_columns(keys, self.n)
-        width = _W * (self.n - self.block)
-        return (_grevlex_columns([k >> width for k in keys], self.block)
-                + _grevlex_columns([k & ((1 << width) - 1) for k in keys],
-                                   self.n - self.block))
+        return [self.column(keys, i) for i in range(self.n)]
 
     def column(self, keys: list, i: int) -> list:
         """Exponent i of each key: columns(keys)[i] without the others."""
-        if self.kind != "grevlex":
-            return self.columns(keys)[i]
-        if i:
-            s = _W * (i - 1)
+        head = self._heads[i]
+        if head is None:
+            s = self._pos[i]
             return [_M - ((k >> s) & _FMASK) for k in keys]
-        top, mask, bias = self._fconst
-        return [(k >> top) - (bias - (k & mask)) % _FMASK for k in keys]
+        top, low, mask, bias = head
+        # the block's other exponents sum to less than 2^28 - 1, and
+        # 2^28 = 1 mod 2^28 - 1
+        return [((k >> top) & _FMASK) - (bias - ((k >> low) & mask)) % _FMASK
+                for k in keys]
 
     def every_field(self, v: int) -> int:
         """v in each of the n exponent fields."""
         return _ones(self.n) * v
 
     def fields(self, key: int) -> int:
-        """key's exponents as plain 28 bit fields: lex keys already are;
-        grevlex becomes [a_1][a_n]...[a_2]; block does that per block.
+        """key's exponents as plain 28 bit fields, in place of the block
+        fields: a block on x_s..x_t becomes [a_s][a_t]...[a_{s+1}].
         With G = self.guard and A, B the fields of a and b, b divides a
         iff ((A | G) - B) & G == G: every field keeps its own borrow."""
-        if self.kind == "lex":
-            return key
-        if self.kind == "grevlex":
-            return _grevlex_fields(key, *self._fconst)
-        width, hi, lo = self._fconst
-        return ((_grevlex_fields(key >> width, *hi) << width)
-                | _grevlex_fields(key & ((1 << width) - 1), *lo))
+        out = 0
+        for top, low, mask, bias in self._blocks:
+            rest = bias - ((key >> low) & mask)     # no borrows
+            out |= ((((key >> top) & _FMASK) - rest % _FMASK) << top) | (rest << low)
+        return out
 
     def check_product(self, a: dict, b: dict) -> None:
         """Raise ResourceLimit when the product of two nonzero
         polynomials with these key sets has an exponent of EXP_CAP or
         more.  Over a field deg_i(fg) = deg_i(f) + deg_i(g), so the
-        factors decide it.  A bound read from max(keys) (grevlex, block:
-        the total-degree fields) or from an OR of the keys (lex) settles
-        the usual case; only past it are the factors' keys unpacked."""
+        factors decide it.  A bound from each block's total degree
+        field (the first block's read from max(keys)) settles the usual
+        case; only past it are the factors' keys unpacked."""
         cap = EXP_CAP
-        if self.kind == "grevlex":
-            top = self._top_shift
-            if (max(a) >> top) + (max(b) >> top) < cap:
-                return
-        elif self.kind == "lex":
-            # each field of the sum stays below 2^28, so nothing carries
-            low = (1 << (cap.bit_length() - 1)) - 1
-            if not (reduce(or_, a) + reduce(or_, b)) & self.every_field(_FMASK - low):
-                return
-        else:
-            width, (hi_top, _, _), (lo_top, _, _) = self._fconst
-            lo_mask = (1 << width) - 1
-            if ((max(a) >> width >> hi_top) + (max(b) >> width >> hi_top) < cap
-                    and (max(k & lo_mask for k in a) >> lo_top)
-                    + (max(k & lo_mask for k in b) >> lo_top) < cap):
-                return
+        top = self._blocks[0][0]
+        if (max(a) >> top) + (max(b) >> top) < cap and all(
+                max((k >> t) & _FMASK for k in a) + max((k >> t) & _FMASK for k in b) < cap
+                for t, _, _, _ in self._blocks[1:]):
+            return
         da = list(map(max, self.columns(list(a))))
         db = list(map(max, self.columns(list(b))))
         if any(x + y >= cap for x, y in zip(da, db)):
             raise ResourceLimit(f"product exponent reaches {cap}")
 
     def total_degree_of(self, key: int) -> int:
-        if self.kind == "grevlex":
-            return key >> self._top_shift
-        return sum(self.unpack(key))
+        # the blocks' total degree fields, summed mod 2^28 - 1
+        return (key & self._degmask) % _FMASK
 
     def __eq__(self, other):
         return (isinstance(other, TermOrder) and self.kind == other.kind
@@ -235,26 +196,6 @@ class TermOrder:
 def _ones(m: int) -> int:
     """1 in each of m fields."""
     return ((1 << (_W * m)) - 1) // _FMASK
-
-
-def _grevlex_columns(keys: list, m: int) -> list:
-    top = _W * (m - 1)
-    cols = [[k >> top for k in keys]]       # total degrees, then a_2 .. a_m
-    cols += [[_M - ((k >> s) & _FMASK) for k in keys] for s in range(0, top, _W)]
-    for c in cols[1:]:
-        cols[0] = list(map(sub, cols[0], c))
-    return cols
-
-
-def _grevlex_consts(m: int) -> tuple:
-    top = _W * (m - 1)
-    return top, (1 << top) - 1, _ones(m - 1) * _M
-
-
-def _grevlex_fields(key: int, top: int, mask: int, bias: int) -> int:
-    rest = bias - (key & mask)          # fields a_m ... a_2, no borrows
-    # the fields sum to less than 2^28 - 1, and 2^28 = 1 mod 2^28 - 1
-    return (((key >> top) - rest % _FMASK) << top) | rest
 
 
 def _valid_name(name: str) -> bool:
@@ -367,10 +308,12 @@ class PolyRing:
 
     def from_terms(self, mapping) -> "Polynomial":
         terms: dict = {}
+        pack = self.order.pack
         for exps, coeff in mapping.items():
             c = self._coeff(coeff)
             if c is not None:
-                _merge(terms, {self.order.pack(tuple(exps)): c}, self._cadd)
+                # distinct exponent tuples never share a key
+                terms[pack(exps)] = c
         return Polynomial(self, terms)
 
     # -- internal coefficient arithmetic ---------------------------------------
@@ -524,9 +467,7 @@ class Polynomial:
         if k == 1:
             return self
         # refuse before squaring; every product is checked as well
-        unpack = self.ring.order.unpack
-        max_exp = max(max(unpack(key)) for key in self.terms) if self.terms else 0
-        if max_exp * k >= EXP_CAP:
+        if self.terms and _max_exponent(self) * k >= EXP_CAP:
             raise ResourceLimit(
                 f"power {k} would push exponents past {EXP_CAP}")
         result = None
@@ -702,8 +643,7 @@ def _kronecker(order: TermOrder, p: int, at: dict, bt: dict) -> Optional[dict]:
         g = gcd(*xa, *xb)
         if g:
             xa, xb = [x // g for x in xa], [x // g for x in xb]
-            step = order._pack_raw([int(j == i) for j in range(order.n)]) - order.offset
-            axes.append((step, g, xa, xb, max(xa) + max(xb) + 1))
+            axes.append((order.steps[i], g, xa, xb, max(xa) + max(xb) + 1))
     cut = (0, 0, [0] * la, [0] * lb, 1)     # no slicing
     if len(axes) > 2:
         cut = min(axes, key=lambda v: len(set(v[2])) * len(set(v[3])))
@@ -819,25 +759,29 @@ def _sqr(f: Polynomial) -> Polynomial:
     return _mul(f, f)
 
 
+def _max_exponent(f: Polynomial) -> int:
+    """The largest exponent of a nonzero f."""
+    return max(map(max, f.ring.order.columns(list(f.terms))))
+
+
 def frobenius_power(f: Polynomial, m: int) -> Polynomial:
     """f^(p^m), computed termwise: in characteristic p the map x -> x^p
     is additive, so exponents scale by p^m and coefficients are raised
-    to the p^m-th power (a no-op over the prime field)."""
+    to the p^m-th power (a no-op over the prime field).  A key is affine
+    in the exponents, so scaling them is offset + p^m (key - offset)."""
     if m < 0:
         raise UsageError("negative Frobenius power")
     if m == 0:
         return f
     ring = f.ring
     q = ring.field.p ** m
-    order = ring.order
-    ext = ring.field.e > 1
+    if f.terms and _max_exponent(f) * q >= EXP_CAP:
+        raise ResourceLimit(f"Frobenius power {q} would push exponents past {EXP_CAP}")
+    off = ring.order.offset
+    if ring.field.e == 1:
+        return Polynomial(ring, {off + q * (k - off): c for k, c in f.terms.items()})
     vfrob = ring.field._vfrob
-    out = {}
-    for key, c in f.terms.items():
-        exps = order.unpack(key)
-        new_key = order.pack(tuple(a * q for a in exps))
-        out[new_key] = vfrob(c, m) if ext else c
-    return Polynomial(ring, out)
+    return Polynomial(ring, {off + q * (k - off): vfrob(c, m) for k, c in f.terms.items()})
 
 
 def substitute(f: Polynomial, images: dict) -> Polynomial:

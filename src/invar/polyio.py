@@ -35,6 +35,7 @@ from typing import Optional, Sequence
 
 from .errors import ParseError, ResourceLimit, UsageError
 from .gf import FieldElement, FieldSpec, field
+from .groebner import MembershipCertificate
 from .mpoly import Polynomial, PolyRing, TermOrder, _merge
 
 _SYMBOL = "g"
@@ -188,7 +189,11 @@ def _parse_reference(text: str, ring: PolyRing) -> Polynomial:
     for sign, (coeff, exps) in _signed(toks, lambda tk: _parse_term(tk, ring)):
         c = ring._coeff(-coeff if sign < 0 else coeff)
         if c is not None:
-            _merge(terms, {pack(exps): c}, cadd)
+            key = pack(exps)
+            if key in terms:
+                _merge(terms, {key: c}, cadd)
+            else:
+                terms[key] = c
     t = toks.peek()
     if t[0] != "EOF":
         raise ParseError(f"trailing input {t[1]!r}", t[2])
@@ -393,24 +398,20 @@ def parse_polys_text(text: str):
 # ---------------------------------------------------------------------------
 
 
-def format_certificate(ring: PolyRing, target: Polynomial,
-                       basis: Sequence[Polynomial],
-                       cofactors: Sequence[Polynomial],
-                       remainder: Polynomial) -> str:
-    if len(basis) != len(cofactors):
-        raise UsageError("one cofactor per basis element")
-    lines = ring_header_lines(ring)
-    lines.append(f"target: {target.text()}")
-    for b in basis:
+def format_certificate(cert: MembershipCertificate) -> str:
+    """The certificate file of cert, in the ring of its target."""
+    lines = ring_header_lines(cert.target.ring)
+    lines.append(f"target: {cert.target.text()}")
+    for b in cert.basis:
         lines.append(f"basis: {b.text()}")
-    for i, h in enumerate(cofactors):
+    for i, h in enumerate(cert.cofactors):
         lines.append(f"cofactor-of: {i}")
         lines.append(f"poly: {h.text()}")
-    lines.append(f"remainder: {remainder.text()}")
+    lines.append(f"remainder: {cert.remainder.text()}")
     return "\n".join(lines) + "\n"
 
 
-def parse_certificate_text(text: str) -> dict:
+def parse_certificate_text(text: str) -> MembershipCertificate:
     ring, rest = _parse_header(_tagged_lines(text))
     target = None
     basis = []
@@ -443,10 +444,5 @@ def parse_certificate_text(text: str) -> dict:
         raise ParseError("certificate is missing a target or remainder line")
     if set(cofactors) != set(range(len(basis))):
         raise ParseError("cofactor indices do not match the basis")
-    return {
-        "ring": ring,
-        "target": target,
-        "basis": basis,
-        "cofactors": [cofactors[i] for i in range(len(basis))],
-        "remainder": remainder,
-    }
+    return MembershipCertificate(target, basis, [cofactors[i] for i in range(len(basis))],
+                                 remainder)

@@ -142,11 +142,11 @@ def test_member_yes_with_certificate(runner, tmp_path):
     assert res.exit_code == 0
     assert res.output.strip().endswith("member")
     cert = parse_certificate_text(cert_path.read_text())
-    assert cert["remainder"].is_zero()
-    acc = cert["remainder"]
-    for h, b in zip(cert["cofactors"], cert["basis"]):
+    assert cert.remainder.is_zero()
+    acc = cert.remainder
+    for h, b in zip(cert.cofactors, cert.basis):
         acc = acc + h * b
-    assert acc == cert["target"]
+    assert acc == cert.target
 
 
 def test_member_no_exits_one(runner, tmp_path):

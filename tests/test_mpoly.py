@@ -68,12 +68,13 @@ def test_cross_ring_operations_rejected(R3):
         R3.gen(0) * same_names_lex.gen(0)
 
 
-@pytest.mark.parametrize("kind,block", [("grevlex", 0), ("lex", 0), ("block", 2)])
+@pytest.mark.parametrize("kind,block", [("grevlex", 0), ("lex", 0)]
+                         + [("block", k) for k in range(1, 7)])
 def test_order_isomorphism_random(kind, block):
-    """Packed key comparison must agree with the textbook comparator and
-    key addition must implement monomial multiplication."""
-    n = 4
-    order = TermOrder(kind, n, block=block)
+    """Packed key comparison must agree with the textbook comparator,
+    key addition must implement monomial multiplication, and a key must
+    be offset + sum a_i * steps[i], in every n of 1, 2, 4, 7 the order
+    admits."""
     if kind == "grevlex":
         ref = grevlex_sort_key
     elif kind == "lex":
@@ -81,18 +82,23 @@ def test_order_isomorphism_random(kind, block):
     else:
         ref = lambda e: block_sort_key(e, block)
     rng = random.Random(5)
-    for _ in range(300):
-        a = tuple(rng.randrange(50) for _ in range(n))
-        b = tuple(rng.randrange(50) for _ in range(n))
-        ka, kb = order.pack(a), order.pack(b)
-        assert (ka > kb) == (ref(a) > ref(b))
-        assert (ka == kb) == (a == b)
-        assert order.unpack(ka) == a
-        assert order.columns([ka, kb]) == [list(c) for c in zip(a, b)]
-        assert [order.column([ka, kb], i) for i in range(n)] == order.columns([ka, kb])
-        assert ka + kb - order.offset == order.pack(tuple(x + y for x, y in zip(a, b)))
-    top = order.pack((mpoly.EXP_CAP - 1,) * n)
-    assert [order.column([top], i) for i in range(n)] == [[mpoly.EXP_CAP - 1]] * n
+    for n in [n for n in (1, 2, 4, 7) if n > block]:
+        order = TermOrder(kind, n, block=block)
+        for _ in range(200):
+            a = tuple(rng.randrange(50) for _ in range(n))
+            b = tuple(rng.randrange(50) for _ in range(n))
+            ka, kb = order.pack(a), order.pack(b)
+            assert (ka > kb) == (ref(a) > ref(b))
+            assert (ka == kb) == (a == b)
+            assert ka == order.offset + sum(x * s for x, s in zip(a, order.steps))
+            assert order.unpack(ka) == a
+            assert order.total_degree_of(ka) == sum(a)
+            assert order.columns([ka, kb]) == [list(c) for c in zip(a, b)]
+            assert [order.column([ka, kb], i) for i in range(n)] == order.columns([ka, kb])
+            assert ka + kb - order.offset == order.pack(tuple(x + y for x, y in zip(a, b)))
+        top = order.pack((mpoly.EXP_CAP - 1,) * n)
+        assert [order.column([top], i) for i in range(n)] == [[mpoly.EXP_CAP - 1]] * n
+        assert order.total_degree_of(top) == n * (mpoly.EXP_CAP - 1)
 
 
 def test_grevlex_degree_two_chain(R3):
@@ -256,6 +262,11 @@ def test_exponent_cap(R3, monkeypatch):
         x1 ** mpoly.EXP_CAP
     with pytest.raises(ResourceLimit):
         frobenius_power(R3.monomial((2048, 0, 0)), 20)
+    # the Frobenius boundary over GF(2): 2 * (2^19 - 1) < 2^20 <= 2 * 2^19
+    R2 = PolyRing(field(2), ["x", "y"])
+    assert frobenius_power(R2.monomial((2 ** 19 - 1, 0)), 1) == R2.monomial((2 ** 20 - 2, 0))
+    with pytest.raises(ResourceLimit):
+        frobenius_power(R2.monomial((2 ** 19, 0)), 1)
     monkeypatch.setattr(mpoly, "EXP_CAP", 8)
     with pytest.raises(ResourceLimit):
         R3.monomial((8, 0, 0))

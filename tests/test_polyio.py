@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from invar.errors import ParseError, ResourceLimit, UsageError
 from invar.gf import field
+from invar.groebner import MembershipCertificate
 from invar.mpoly import EXP_CAP, PolyRing
 from invar.polyio import (_parse_canonical, _parse_reference, format_certificate,
                           format_polys, parse_certificate_text, parse_element,
@@ -157,24 +158,22 @@ def test_certificate_round_trip(R):
     basis = [x, y ** 2]
     cof = [x ** 2, R.zero]
     rem = y
-    text = format_certificate(R, target, basis, cof, rem)
-    d = parse_certificate_text(text)
-    assert d["ring"] == R
-    assert d["target"] == target
-    assert d["basis"] == basis
-    assert d["cofactors"] == cof
-    assert d["remainder"] == rem
-    # formatting the parsed data reproduces the bytes
-    again = format_certificate(d["ring"], d["target"], d["basis"],
-                               d["cofactors"], d["remainder"])
-    assert again == text
+    text = format_certificate(MembershipCertificate(target, basis, cof, rem))
+    cert = parse_certificate_text(text)
+    assert cert.target.ring == R
+    assert cert.target == target
+    assert cert.basis == tuple(basis)
+    assert cert.cofactors == tuple(cof)
+    assert cert.remainder == rem
+    # formatting the parsed certificate reproduces the bytes
+    assert format_certificate(cert) == text
 
 
 def test_certificate_errors(R):
     x, y, _ = R.gens()
     with pytest.raises(UsageError):
-        format_certificate(R, x, [x, y], [x], y)
-    good = format_certificate(R, x, [y], [R.zero], x)
+        MembershipCertificate(x, [x, y], [x], y)
+    good = format_certificate(MembershipCertificate(x, [y], [R.zero], x))
     with pytest.raises(ParseError):
         parse_certificate_text(good.replace("remainder: x\n", ""))
     with pytest.raises(ParseError):
@@ -216,7 +215,7 @@ def test_malformed_file_is_a_parse_error_with_its_line(name):
 
 def test_certificate_poly_errors_name_their_line(R):
     x, y, _ = R.gens()
-    good = format_certificate(R, x, [y], [R.zero], x)
+    good = format_certificate(MembershipCertificate(x, [y], [R.zero], x))
     for tag in ("target", "basis", "poly", "remainder"):
         lines = good.splitlines()
         k = next(i for i, ln in enumerate(lines) if ln.startswith(tag + ":"))
