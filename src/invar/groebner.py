@@ -78,12 +78,6 @@ class MembershipCertificate:
         return f"<certificate: {verdict}, {len(self.basis)} basis elements>"
 
 
-def _basis_list(basis) -> list:
-    if isinstance(basis, GroebnerBasis):
-        return list(basis.elements)
-    return list(basis)
-
-
 def normal_form(f: Polynomial, basis, certificate: bool = False):
     """Remainder of f under division by basis; with certificate=True,
     returns a MembershipCertificate whose cofactors align with the basis
@@ -91,7 +85,7 @@ def normal_form(f: Polynomial, basis, certificate: bool = False):
     divided by _divide_staged when the order is grevlex and f's total
     degree is below EXP_CAP; every other division runs _divide_heap.
     Both give the textbook quotients and remainder."""
-    items = _basis_list(basis)
+    items = list(basis)
     ring = f.ring
     for b in items:
         if b.ring != ring:

@@ -34,8 +34,8 @@ from .gf import FieldElement, FieldSpec, field
 from .mpoly import Polynomial, PolyRing, frobenius_power, substitute
 
 
-def xring(spec: FieldSpec, n: int, prefix: str = "x", order="grevlex") -> PolyRing:
-    return PolyRing(spec, [f"{prefix}{i}" for i in range(1, n + 1)], order)
+def xring(spec: FieldSpec, n: int) -> PolyRing:
+    return PolyRing(spec, [f"x{i}" for i in range(1, n + 1)], "grevlex")
 
 
 def lift_coefficients(f: Polynomial, spec: FieldSpec) -> Polynomial:

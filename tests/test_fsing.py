@@ -9,12 +9,15 @@ import pytest
 
 from invar.errors import UsageError
 from invar.gf import field
-from invar.groebner import change_ring, normal_form
-from invar.mpoly import PolyRing
+from invar.groebner import (MembershipCertificate, buchberger, change_ring,
+                            frobenius_closure_search, frobenius_power_ideal,
+                            normal_form)
+from invar.mpoly import PolyRing, frobenius_power
 from invar.invariants import (dickson_invariants, symplectic_relation_values,
                               symplectic_xi, truncated_monomial_sum, vandermonde,
                               xring)
-from invar.polyio import format_polys, parse_field_text, parse_polys_text
+from invar.polyio import (format_certificate, format_polys, parse_field_text,
+                          parse_polys_text)
 from invar import fsing
 from invar.fsing import (C0_XI_TERMS, RunConfig, VerificationReport,
                          alt_delta_congruence, alt_fregularity_dichotomy,
@@ -193,8 +196,12 @@ def test_fpurity_witness(q):
 @pytest.mark.parametrize("q", [2, 3])
 def test_fpurity_control_needs_the_relation(q):
     """Dropping the hypersurface relation from the ideal must kill the
-    closure witness; this guards against the search passing vacuously."""
-    rep = sp4_fpurity_check(q, include_relation=False)
+    closure witness; this guards against the search passing vacuously.
+    A claim that searches no level past 0 refutes, and its report
+    replays through the rerun up to e_max."""
+    _, _, u, v, w = sp4_presentation(q).ring.gens()
+    assert frobenius_closure_search(w, [u, v], 4).e is None
+    rep = sp4_fpurity_check(q, RunConfig(e_max=0))
     assert rep.verdict == "REFUTED"
     assert rep.witness["e"] is None
     assert "no Frobenius-closure witness" in " ".join(rep.detail)
@@ -470,6 +477,8 @@ def test_witness_document_roundtrip():
 def test_replay_missing_witness_is_false():
     assert not replay_witness("sp4-c0", {"q": 2}, None)
     assert not replay_witness("sp4-c0", {"q": 2}, {"kind": "nonsense"})
+    assert not replay_witness("no-such-claim", {"q": 2}, {"kind": "points"})
+    assert not replay_witness("sp4-c0", {"q": 2}, ["kind"])
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +598,118 @@ def test_exponent_replay_needs_a_full_list_holding_the_solutions():
     same = dict(witness, full=witness["solutions"])
     assert _replays(dict(doc, witness=same))
     assert not _replays(dict(doc, verdict="REFUTED", witness=same))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("failures", [{"0": "u+v"}, {}])
+def test_closure_replay_rebuilds_the_failures(q, failures):
+    doc = _document("sp4-fpurity", q=q)
+    assert doc["verdict"] == "VERIFIED" and _replays(doc)
+    doc["witness"]["failures"] = failures
+    assert not _replays(doc)
+
+
+def test_exponent_replay_rebuilds_the_solutions():
+    doc = _document("theorem-search", n=2, q=3)
+    assert doc["witness"]["solutions"] == [[1, 2, 2]] and _replays(doc)
+    doc["witness"]["solutions"] = []
+    assert not _replays(doc)
+    doc = _document("theorem-search", n=2, q=3)
+    doc["witness"]["lambda"]["solutions"] = []
+    assert not _replays(doc)
+
+
+@pytest.mark.parametrize("claim_id, params, edit", [
+    ("sp4-fpurity", {"q": 2}, lambda doc: doc["witness"].update(e=40)),
+    ("sp4-fpurity", {"q": 2},
+     lambda doc: (doc["witness"].update(e=40), doc["params"].update(e_max=40))),
+    ("theorem-search", {"n": 2, "q": 3}, lambda doc: doc["params"].update(n=40)),
+], ids=["level-40", "level-40-e_max-40", "n-40"])
+def test_replay_past_a_guard_is_false(claim_id, params, edit):
+    """A level or a search space past a resource guard proves nothing:
+    replay answers False instead of raising."""
+    doc = _document(claim_id, **params)
+    edit(doc)
+    assert not _replays(doc)
+
+
+def _certificate_doc(rule):
+    """An alt-dichotomy n=3 p=5 document that claims Delta in (e_1..e_3),
+    which would refute the dichotomy, with a certificate that breaks one
+    rule of _proves."""
+    ring, gb = symmetric_ideal_gb(3, 5)
+    delta, zeros = vandermonde(ring), [ring.zero] * len(gb)
+    cert = {
+        # re-multiplies, but the remainder is Delta itself
+        "remainder": MembershipCertificate(delta, gb.elements, zeros, delta),
+        # remainder zero, cofactors that do not re-multiply
+        "cofactors": MembershipCertificate(delta, gb.elements, zeros, ring.zero),
+        # Delta = 1 * Delta over a basis that is not (e_1..e_3)'s
+        "basis": MembershipCertificate(delta, [delta], [ring.one], ring.zero),
+    }[rule]
+    item = {"target": "delta", "certificate": format_certificate(cert)}
+    return {"claim": "alt-dichotomy", "params": {"n": 3, "p": 5},
+            "verdict": "REFUTED",
+            "witness": {"kind": "certificates", "items": [item]}}
+
+
+@pytest.mark.parametrize("rule", ["remainder", "cofactors", "basis"])
+def test_certificate_replay_checks_each_rule(rule):
+    assert not _replays(_certificate_doc(rule))
+
+
+def _closure_certificate(q, e):
+    pres = sp4_presentation(q)
+    _, _, u, v, w = pres.ring.gens()
+    gb = buchberger(frobenius_power_ideal([u, v], e) + list(pres.relations))
+    cert = normal_form(frobenius_power(w, e), gb, certificate=True)
+    assert cert.is_member
+    return format_certificate(cert)
+
+
+def _forged_closure(rule):
+    """An sp4-fpurity q=2 document that breaks one rule of the closure
+    replay."""
+    doc = _document("sp4-fpurity", q=2)
+    witness = doc["witness"]
+    if rule == "membership remainder":
+        witness["membership-remainder"] = "u"
+    elif rule == "level past e_max":
+        doc["params"]["e_max"] = 0
+    elif rule == "lower level succeeds":
+        # a true certificate at level 2 over the failures of level 0 only
+        doc["verdict"] = "REFUTED"
+        witness.update(e=2, certificate=_closure_certificate(2, 2))
+    else:
+        # a true certificate, for another level's target
+        witness["certificate"] = _closure_certificate(2, 2)
+    return doc
+
+
+@pytest.mark.parametrize("rule", ["membership remainder", "level past e_max",
+                                  "lower level succeeds", "certificate target"])
+def test_closure_replay_checks_each_rule(rule):
+    assert not _replays(_forged_closure(rule))
+
+
+@pytest.mark.parametrize("n, q, extra", [
+    (2, 3, [1, 2, 2, 0]),            # shape: one entry too many
+    (8, 2, [1, 0, 0] + [1] * 12),    # a_1 = 1 > q - 2
+    (2, 3, [0, 8, 0]),               # an entry above q - 1
+    (2, 3, [0, 0, 0]),               # weighted sum 0
+], ids=["shape", "first-entry", "entry-range", "weighted-sum"])
+def test_exponent_replay_checks_each_full_tuple(n, q, extra):
+    """A full enumeration holding one tuple the pruned search lacks
+    would refute; each such tuple breaks one rule.  All but the last
+    satisfy the weighted sum."""
+    weights = [q ** i + 1 for i in range(1, len(extra) + 1)]
+    assert (sum(a * wt for a, wt in zip(extra, weights)) == q ** (2 * n) - 1) \
+        == (extra != [0, 0, 0])
+    doc = _document("theorem-search", n=n, q=q)
+    witness = doc["witness"]
+    doc["verdict"] = "REFUTED"
+    doc["witness"] = dict(witness, full=witness["solutions"] + [extra])
+    assert not _replays(doc)
 
 
 @pytest.mark.parametrize("mode, verdict, other", [
