@@ -160,7 +160,7 @@ def check_presentation(pres: Presentation) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Identity claims: one driver for sp4-c0, sp4-relation and relations-n3
+# Identity claims: _verify_identity serves sp4-c0 and sp4-relation (relations-n3 has its own loop)
 # ---------------------------------------------------------------------------
 
 
@@ -406,7 +406,7 @@ def sp4_fpurity_check(q: int,
 def theorem_exponent_search(n: int, q: int, prune: bool = True) -> frozenset:
     """All (a_1, ..., a_{2n-1}) with a_1 <= q-2, a_i <= q-1 for i >= 2,
     and sum a_i (q^i + 1) = q^{2n} - 1.  A search space above SEARCH_CAP,
-    read at the call, raises ResourceLimit.
+    read at the call, raises ResourceLimit before q is factored.
 
     prune=True drives the base-q digit argument: writing s = sum a_i =
     lambda*q - 1, every digit of q^{2n-1} - lambda is forced, so only
@@ -415,12 +415,19 @@ def theorem_exponent_search(n: int, q: int, prune: bool = True) -> frozenset:
     """
     if n < 2:
         raise UsageError("need n >= 2")
-    if len(_prime_factors(q)) != 1:
+    if q < 2:
         raise UsageError(f"{q} is not a prime power")
     m = 2 * n - 1
-    space = (q - 1) * q ** (m - 1)
+    # q^(m-1) has at least (m-1)(bits(q)-1) bits: a space past 2^14300 is
+    # refused before its power is built, and one of more than the 4300
+    # digits str() prints by default is named by its factors
+    space = (q - 1) * q ** (m - 1) if (m - 1) * (q.bit_length() - 1) <= 14300 else None
+    if space is None or space >= 10 ** 4300:
+        raise ResourceLimit(f"search space {q - 1}*{q}^{m - 1} exceeds cap {SEARCH_CAP}")
     if space > SEARCH_CAP:
         raise ResourceLimit(f"search space {space} exceeds cap {SEARCH_CAP}")
+    if len(_prime_factors(q)) != 1:
+        raise UsageError(f"{q} is not a prime power")
     if prune:
         smax = (q - 2) + (m - 1) * (q - 1)
         sols = set()
@@ -474,12 +481,12 @@ def verify_theorem_search(n: int, q: int,
             Fraction(0) if verdict == VERIFIED else None, witness,
             detail=tuple(detail))
 
-    space = (q - 1) * q ** (2 * n - 2)
     try:
         sols, lam, witness = _exponent_witness(n, q)
     except ResourceLimit as exc:
         detail.append(str(exc))
         return report(SKIPPED, None)
+    space = (q - 1) * q ** (2 * n - 2)
     if space <= AGREE_CAP:
         full = theorem_exponent_search(n, q, prune=False)
         if full != sols:
@@ -922,8 +929,12 @@ def witness_document(report: VerificationReport) -> str:
 
 def replay_document(text: str) -> bool:
     """Replay a witness document: the witness must hold and prove the
-    verdict the document records."""
+    verdict the document records.  A document that is not a JSON object,
+    or lacks its claim, params, verdict or witness, replays False; text
+    that is not JSON raises json.JSONDecodeError."""
     doc = json.loads(text)
+    if not isinstance(doc, dict) or not {"claim", "params", "verdict", "witness"} <= doc.keys():
+        return False
     return _replay(doc["claim"], doc["params"], doc["witness"]) == doc["verdict"]
 
 

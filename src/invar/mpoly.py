@@ -22,7 +22,9 @@ turns a key into plain exponent fields with a free guard bit on top of
 each, which makes divisibility one subtraction and one mask.
 
 Coefficients live in GF(p^e): stored as canonical ints in [1, p) when
-e = 1 and as coefficient tuples otherwise.
+e = 1 and as coefficient tuples otherwise.  Every sum or difference of
+term dicts (+, -, substitute, and the parsers' repeated monomials) goes
+through _merge, in place.
 
 Over GF(p), a product runs by Kronecker substitution (_kronecker) when
 both factors are homogeneous, it has at least DENSE_FLOOR term pairs,
@@ -278,16 +280,10 @@ class PolyRing:
         return self.constant(1)
 
     def constant(self, value) -> "Polynomial":
-        c = self._coeff(value)
-        if c is None:
-            return Polynomial(self, {})
-        return Polynomial(self, {self.order.pack((0,) * self.nvars): c})
+        return self.monomial((0,) * self.nvars, value)
 
     def monomial(self, exps: Sequence[int], coeff=1) -> "Polynomial":
-        c = self._coeff(coeff)
-        if c is None:
-            return Polynomial(self, {})
-        return Polynomial(self, {self.order.pack(exps): c})
+        return self.from_terms({tuple(exps): coeff})
 
     def gens(self) -> tuple:
         if self._gens is None:
@@ -317,14 +313,6 @@ class PolyRing:
         return Polynomial(self, terms)
 
     # -- internal coefficient arithmetic ---------------------------------------
-
-    def _cadd(self, c1, c2):
-        F = self.field
-        if F.e == 1:
-            s = (c1 + c2) % F.p
-            return s or None
-        s = F._vadd(c1, c2)
-        return s if any(s) else None
 
     def _cneg(self, c):
         F = self.field
@@ -399,7 +387,7 @@ class Polynomial:
         return self.scale(inv)
 
     def scale(self, c) -> "Polynomial":
-        cc = self.ring._coeff(c) if not _is_internal_coeff(self.ring, c) else c
+        cc = self.ring._coeff(c)
         if cc is None:
             return Polynomial(self.ring, {})
         cmul = self.ring._cmul
@@ -424,7 +412,7 @@ class Polynomial:
         if len(big) < len(small):
             big, small = small, big
         out = dict(big)
-        _merge(out, small, self.ring._cadd)
+        _merge(out, small, self.ring.field)
         return Polynomial(self.ring, out)
 
     __radd__ = __add__
@@ -437,20 +425,19 @@ class Polynomial:
         o = self._check(other)
         if o is NotImplemented:
             return o
-        return _sub(self, o)
+        out = dict(self.terms)
+        _merge(out, o.terms, self.ring.field, -1)
+        return Polynomial(self.ring, out)
 
     def __rsub__(self, other):
         o = self._check(other)
         if o is NotImplemented:
             return o
-        return _sub(o, self)
+        return o - self
 
     def __mul__(self, other):
         if isinstance(other, (int, FieldElement)):
-            c = self.ring._coeff(other)
-            if c is None:
-                return Polynomial(self.ring, {})
-            return self.scale(c)
+            return self.scale(other)
         o = self._check(other)
         if o is NotImplemented:
             return o
@@ -565,12 +552,6 @@ class Polynomial:
         return f"<{t}>"
 
 
-def _is_internal_coeff(ring: PolyRing, c) -> bool:
-    if ring.field.e == 1:
-        return isinstance(c, int) and 0 < c < ring.field.p
-    return isinstance(c, tuple) and len(c) == ring.field.e
-
-
 def _coeff_text(ring: PolyRing, c) -> str:
     if isinstance(c, int):
         return str(c)
@@ -580,47 +561,36 @@ def _coeff_text(ring: PolyRing, c) -> str:
     return "(" + _poly_text(c) + ")"
 
 
-def _merge(out: dict, terms: dict, cadd) -> None:
-    """Add terms into out in place; keys that cancel are deleted."""
-    for k, c in terms.items():
-        cur = out.get(k)
-        if cur is None:
-            out[k] = c
-        else:
-            s = cadd(cur, c)
-            if s is None:
-                del out[k]
-            else:
-                out[k] = s
-
-
-def _sub(a: Polynomial, b: Polynomial) -> Polynomial:
-    """a - b: b's terms go negated straight into a copy of a, with no
-    intermediate -b."""
-    out = dict(a.terms)
+def _merge(out: dict, terms: dict, field: FieldSpec, sign: int = 1) -> None:
+    """out += terms (sign 1) or out -= terms (sign -1) in place, over
+    the coefficient field; keys that cancel are deleted."""
     get = out.get
-    F = a.ring.field
-    if F.e == 1:
-        p = F.p
-        for k, c in b.terms.items():
+    if field.e == 1:
+        p = field.p
+        for k, c in terms.items():
             cur = get(k)
+            if sign < 0:
+                c = p - c
             if cur is None:
-                out[k] = p - c
-            elif cur == c:
-                del out[k]
+                out[k] = c
             else:
-                out[k] = (cur - c) % p
-    else:
-        vneg, vsub = F._vneg, F._vsub
-        for k, c in b.terms.items():
-            cur = get(k)
-            if cur is None:
-                out[k] = vneg(c)
-            elif cur == c:
-                del out[k]
+                s = (cur + c) % p
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        return
+    vop, vneg = (field._vadd, None) if sign > 0 else (field._vsub, field._vneg)
+    for k, c in terms.items():
+        cur = get(k)
+        if cur is None:
+            out[k] = vneg(c) if vneg else c
+        else:
+            s = vop(cur, c)
+            if any(s):
+                out[k] = s
             else:
-                out[k] = vsub(cur, c)
-    return Polynomial(a.ring, out)
+                del out[k]
 
 
 def _kronecker(order: TermOrder, p: int, at: dict, bt: dict) -> Optional[dict]:
@@ -818,14 +788,13 @@ def substitute(f: Polynomial, images: dict) -> Polynomial:
 
     # one dict for the sum: acc + t would copy it once per term of f
     acc: dict = {}
-    cadd = target._cadd
     unpack = ring.order.unpack
     for key, coeff in f.terms.items():
         t = target.constant(ring.coeff_element(coeff))
         for i, a in enumerate(unpack(key)):
             if a:
                 t = t * power(i, a)
-        _merge(acc, t.terms, cadd)
+        _merge(acc, t.terms, target.field)
     return Polynomial(target, acc)
 
 

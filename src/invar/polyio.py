@@ -4,17 +4,21 @@ Polynomial grammar (whitespace-insensitive):
 
     poly   := [sign] term (sign term)*
     term   := factor ('*' factor)*
-    factor := INT | NAME ['^' INT] | '(' gpoly ')'
+    factor := INT | NAME ['^' INT] | '(' element ')'
 
-A parenthesized gpoly in the generator symbol 'g' denotes an extension
-field coefficient, e.g. (g^2+2*g+1)*x1.  The canonical printer in
-mpoly emits exactly this grammar.
+INT is a run of ASCII digits and NAME a run of word characters that
+starts with a letter or '_'; one regex (_TOKEN) splits the text.  A
+field element or an extension modulus is a poly in the one name 'g',
+without parentheses: 'g^2+2*g+1', and also 'g*2' or '2*g*g'.  A
+parenthesized element is an extension field coefficient, e.g.
+(g^2+2*g+1)*x1.  The canonical printer in mpoly emits this grammar.
 
 parse_poly has two paths.  _parse_canonical reads the prime-field text
 Polynomial.text() prints (ASCII, no spaces or parentheses) in one pass
 of str.split.  Any other text, and any term reaching EXP_CAP, goes to
-the reference parser (_Tokens and the descent below), the only source
-of ParseError messages and of the exponent ResourceLimit.
+the reference parser (_Tokens and _parse_term, which also reads element
+text), the only source of ParseError messages and of the exponent
+ResourceLimit.  Repeated monomials are summed by mpoly._merge.
 
 Poly files are line-oriented:
 
@@ -38,43 +42,31 @@ from .gf import FieldElement, FieldSpec, field
 from .groebner import MembershipCertificate
 from .mpoly import Polynomial, PolyRing, TermOrder, _merge
 
-_SYMBOL = "g"
+_G = {"g": 0}           # the one name of element and modulus text
 
 
 # ---------------------------------------------------------------------------
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-_PUNCT = set("^*+-()")
+# INT, NAME, punctuation, skipped whitespace, or any other character
+_TOKEN = re.compile(r"([0-9]+)|(\w+)|([-^*+()])|[ \t\r\n]+|(.)", re.S)
+_KINDS = (None, "INT", "NAME")
 
 
 class _Tokens:
     def __init__(self, text: str):
         toks = []
-        i, n = 0, len(text)
-        while i < n:
-            ch = text[i]
-            if ch in " \t\r\n":
-                i += 1
+        for m in _TOKEN.finditer(text):
+            kind = m.lastindex
+            if kind is None:
                 continue
-            if "0" <= ch <= "9":
-                j = i
-                while j < n and "0" <= text[j] <= "9":
-                    j += 1
-                toks.append(("INT", text[i:j], i))
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                toks.append(("NAME", text[i:j], i))
-                i = j
-            elif ch in _PUNCT:
-                toks.append((ch, ch, i))
-                i += 1
-            else:
-                raise ParseError(f"unexpected character {ch!r}", i)
-        toks.append(("EOF", "", n))
+            s = m.group(kind)
+            # \w also matches numerals such as '²': a NAME starts with a letter or '_'
+            if kind == 4 or (kind == 2 and not (s[0].isalpha() or s[0] == "_")):
+                raise ParseError(f"unexpected character {s[0]!r}", m.start())
+            toks.append((_KINDS[kind] if kind < 3 else s, s, m.start()))
+        toks.append(("EOF", "", len(text)))
         self.toks = toks
         self.k = 0
 
@@ -114,47 +106,56 @@ def _signed(toks: _Tokens, term):
             return
 
 
+def _parse_term(toks: _Tokens, index: dict, F: Optional[FieldSpec]):
+    """term := factor ('*' factor)*, read as (coefficient, exponents of
+    the names in index).  F is the coefficient field, whose elements
+    may stand in parentheses; with F None the coefficient is an int and
+    a parenthesis is no factor."""
+    coeff = 1 if F is None else F.one
+    exps = [0] * len(index)
+    while True:
+        t = toks.next()
+        if t[0] == "INT":
+            coeff = coeff * _int(t)
+        elif t[0] == "NAME":
+            i = index.get(t[1])
+            if i is None:
+                raise ParseError(f"unknown variable {t[1]!r}", t[2])
+            a = 1
+            if toks.peek()[0] == "^":
+                toks.next()
+                a = _int(toks.expect("INT"))
+            exps[i] += a
+        elif t[0] == "(" and F is not None:
+            if F.e == 1:
+                raise ParseError("field element coefficient in a prime field ring", t[2])
+            rep = _gpoly_rep(toks, F.p, F.e, "coefficient", t[2], stop_at_paren=True)
+            toks.expect(")")
+            coeff = coeff * FieldElement(F, rep)
+        else:
+            raise ParseError(f"expected a factor, found {t[1]!r}", t[2])
+        if toks.peek()[0] == "*":
+            toks.next()
+        else:
+            return coeff, exps
+
+
 # ---------------------------------------------------------------------------
 # Extension field element text
 # ---------------------------------------------------------------------------
 
 
-def _parse_gpoly(toks: _Tokens, p: int, stop_at_paren: bool) -> dict:
-    """Parse a polynomial in the symbol g into {degree: coefficient}."""
+def _gpoly_rep(toks: _Tokens, p: int, size: int, what: str,
+               position: int = -1, stop_at_paren: bool = False) -> tuple:
+    """Parse a polynomial in g into its first `size` coefficients mod p.
+    A term whose coefficient vanishes still counts toward the degree."""
     coeffs: dict = {}
-    for sign, (c, d) in _signed(toks, lambda tk: _parse_gterm(tk, p)):
+    for sign, (c, (d,)) in _signed(toks, lambda tk: _parse_term(tk, _G, None)):
         coeffs[d] = (coeffs.get(d, 0) + sign * c) % p
     t = toks.peek()
     if t[0] != "EOF" and not (stop_at_paren and t[0] == ")"):
         raise ParseError(f"unexpected {t[1]!r} in field element", t[2])
-    return coeffs
-
-
-def _parse_gterm(toks: _Tokens, p: int) -> tuple:
-    t = toks.next()
-    if t[0] == "INT":
-        c = _int(t) % p
-        if toks.peek()[0] == "*":
-            toks.next()
-            t = toks.next()
-        else:
-            return c, 0
-    else:
-        c = 1
-    if t[0] != "NAME" or t[1] != _SYMBOL:
-        raise ParseError(f"expected {_SYMBOL!r}, found {t[1]!r}", t[2])
-    d = 1
-    if toks.peek()[0] == "^":
-        toks.next()
-        d = _int(toks.expect("INT"))
-    return c, d
-
-
-def _gpoly_rep(toks: _Tokens, p: int, size: int, what: str,
-               position: int = -1, stop_at_paren: bool = False) -> tuple:
-    """Parse a polynomial in g into its first `size` coefficients."""
-    coeffs = _parse_gpoly(toks, p, stop_at_paren)
-    deg = max(coeffs) if coeffs else 0
+    deg = max(coeffs)
     if deg >= size:
         raise ParseError(f"{what} degree {deg} not below {size}", position)
     return tuple(coeffs.get(i, 0) for i in range(size))
@@ -163,13 +164,6 @@ def _gpoly_rep(toks: _Tokens, p: int, size: int, what: str,
 def parse_element(text: str, spec: FieldSpec) -> FieldElement:
     """Parse 'g^2+2*g+1' style text into an element of spec."""
     return FieldElement(spec, _gpoly_rep(_Tokens(text), spec.p, spec.e, "element"))
-
-
-def _parse_modulus(text: str, p: int, e: int) -> tuple:
-    rep = _gpoly_rep(_Tokens(text), p, e + 1, "modulus")
-    if rep[e] != 1:
-        raise ParseError(f"modulus must be monic of degree {e}")
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +179,11 @@ def parse_poly(text: str, ring: PolyRing) -> Polynomial:
 def _parse_reference(text: str, ring: PolyRing) -> Polynomial:
     toks = _Tokens(text)
     terms: dict = {}
-    pack, cadd = ring.order.pack, ring._cadd
-    for sign, (coeff, exps) in _signed(toks, lambda tk: _parse_term(tk, ring)):
+    pack, index, F = ring.order.pack, ring._index, ring.field
+    for sign, (coeff, exps) in _signed(toks, lambda tk: _parse_term(tk, index, F)):
         c = ring._coeff(-coeff if sign < 0 else coeff)
         if c is not None:
-            key = pack(exps)
-            if key in terms:
-                _merge(terms, {key: c}, cadd)
-            else:
-                terms[key] = c
+            _merge(terms, {pack(exps): c}, F)
     t = toks.peek()
     if t[0] != "EOF":
         raise ParseError(f"trailing input {t[1]!r}", t[2])
@@ -211,7 +201,7 @@ def _parse_canonical(text: str, ring: PolyRing) -> Optional[Polynomial]:
     index, n, p = ring._index, ring.nvars, ring.field.p
     seen: dict = {}                # factor text -> (variable index, exponent)
     terms: dict = {}
-    pack, cadd = ring.order.pack, ring._cadd
+    pack, F = ring.order.pack, ring.field
     parts = _SIGNS.split(text)     # term, sign, term, ...; '' before a leading sign
     try:
         for k in range(2 if len(parts) > 1 and not parts[0] else 0, len(parts), 2):
@@ -234,7 +224,7 @@ def _parse_canonical(text: str, ring: PolyRing) -> Optional[Polynomial]:
             if c:
                 key = pack(exps)
                 if key in terms:
-                    _merge(terms, {key: c}, cadd)
+                    _merge(terms, {key: c}, F)
                 else:
                     terms[key] = c
     except (ValueError, ResourceLimit):
@@ -242,37 +232,6 @@ def _parse_canonical(text: str, ring: PolyRing) -> Optional[Polynomial]:
         # EXP_CAP: the reference parser raises the error for either
         return None
     return Polynomial(ring, terms)
-
-
-def _parse_term(toks: _Tokens, ring: PolyRing):
-    F = ring.field
-    coeff = F.one
-    exps = [0] * ring.nvars
-    while True:
-        t = toks.next()
-        if t[0] == "INT":
-            coeff = coeff * _int(t)
-        elif t[0] == "NAME":
-            name = t[1]
-            if name not in ring._index:
-                raise ParseError(f"unknown variable {name!r}", t[2])
-            a = 1
-            if toks.peek()[0] == "^":
-                toks.next()
-                a = _int(toks.expect("INT"))
-            exps[ring._index[name]] += a
-        elif t[0] == "(":
-            if F.e == 1:
-                raise ParseError("field element coefficient in a prime field ring", t[2])
-            rep = _gpoly_rep(toks, F.p, F.e, "coefficient", t[2], stop_at_paren=True)
-            toks.expect(")")
-            coeff = coeff * FieldElement(F, rep)
-        else:
-            raise ParseError(f"expected a factor, found {t[1]!r}", t[2])
-        if toks.peek()[0] == "*":
-            toks.next()
-        else:
-            return coeff, exps
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +289,10 @@ def parse_field_text(text: str) -> FieldSpec:
     if e > 1:
         if len(parts) != 2:
             raise ParseError("extension field needs a modulus")
-        return field(p, e, _parse_modulus(parts[1], p, e))
+        modulus = _gpoly_rep(_Tokens(parts[1]), p, e + 1, "modulus")
+        if modulus[e] != 1:
+            raise ParseError(f"modulus must be monic of degree {e}")
+        return field(p, e, modulus)
     if len(parts) != 1:
         raise ParseError(f"prime field takes no modulus, got {parts[1]!r}")
     return field(p)

@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Mutation check of the witness replay rules.
+"""Mutation check of the witness replay rules and the text they read.
 
     python3 tests/mutate_replay.py
 
-Each mutant of src/invar/fsing.py breaks one rule of a replay function:
-it sets one `if` test (or conditional expression) to False, or drops one
-operand of an `and`/`or` by putting True (for `and`) or False (for `or`)
-in its place.  The mutant is written into a copy of src/, and the replay
-tests run against it; a mutant that passes them all survives.  The run
-lists every survivor and exits 1 when one is not in EQUIVALENT, the
-mutants that no input can tell apart from the original.  pytest does not
-collect this file (its name does not start with test_).
+Each mutant breaks one rule of a target function (TARGETS lists them by
+file): it sets one `if` test (or conditional expression) to False, or
+drops one operand of an `and`/`or` by putting True (for `and`) or False
+(for `or`) in its place; a function in RETURN_TRUE also has each of its
+return values set to True.  A target named Class lists every method of
+the class, and Class.method one method.  The mutant is written into a
+copy of src/, and the tests run against it; a mutant that passes them
+all survives.  The run lists every survivor and exits 1 when one is not
+in EQUIVALENT, the mutants that no input can tell apart from the
+original.  pytest does not collect this file (its name does not start
+with test_).
 """
 
 import ast
@@ -22,10 +25,17 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FUNCTIONS = ("_replay", "_replay_identity", "_replay_closure", "_replay_exponents",
-             "_replay_certificates", "_replay_normal_form", "_proves")
+TARGETS = (
+    ("src/invar/fsing.py", ("_replay", "_replay_identity", "_replay_closure",
+                            "_replay_exponents", "_replay_certificates",
+                            "_replay_normal_form", "_proves")),
+    ("src/invar/groebner.py", ("MembershipCertificate.check",)),
+    ("src/invar/polyio.py", ("_parse_header", "_Tokens", "_parse_term", "_gpoly_rep")),
+)
+# MembershipCertificate.check has no if, and or or to mutate
+RETURN_TRUE = ("MembershipCertificate.check",)
 TESTS = ("tests/test_fsing.py", "tests/test_byte_pin.py",
-         "tests/test_acceptance.py", "tests/test_cli.py")
+         "tests/test_acceptance.py", "tests/test_cli.py", "tests/test_polyio.py")
 
 EQUIVALENT = {
     "_replay_exponents: if any((tuple(t) not in sols for t in full)) -> False":
@@ -41,24 +51,39 @@ EQUIVALENT = {
 }
 
 
-def _sites(tree):
-    """(name, apply) for every rule of the replay functions, in source
+def _targets(tree, names):
+    """(name, node) for each function, class or Class.method of tree
+    named in names, in source order."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names:
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                name = f"{node.name}.{getattr(item, 'name', '')}"
+                if isinstance(item, ast.FunctionDef) and name in names:
+                    yield name, item
+
+
+def _sites(tree, names):
+    """(name, apply) for every rule of the named functions, in source
     order; apply() mutates tree in place."""
     sites = []
-    for func in tree.body:
-        if not (isinstance(func, ast.FunctionDef) and func.name in FUNCTIONS):
-            continue
-        for node in ast.walk(func):
+    for func, top in _targets(tree, names):
+        for node in ast.walk(top):
             if isinstance(node, (ast.If, ast.IfExp)):
-                sites.append((f"{func.name}: if {ast.unparse(node.test)} -> False",
+                sites.append((f"{func}: if {ast.unparse(node.test)} -> False",
                               lambda node=node: setattr(node, "test",
                                                         ast.Constant(False))))
             elif isinstance(node, ast.BoolOp):
                 neutral = isinstance(node.op, ast.And)
                 for k, operand in enumerate(node.values):
-                    sites.append((f"{func.name}: drop {ast.unparse(operand)}",
+                    sites.append((f"{func}: drop {ast.unparse(operand)}",
                                   lambda node=node, k=k, neutral=neutral:
                                   node.values.__setitem__(k, ast.Constant(neutral))))
+            elif isinstance(node, ast.Return) and func in RETURN_TRUE:
+                sites.append((f"{func}: return {ast.unparse(node.value)} -> True",
+                              lambda node=node: setattr(node, "value",
+                                                        ast.Constant(True))))
     return sites
 
 
@@ -74,32 +99,34 @@ def _passes(env) -> bool:
 
 
 def main() -> int:
-    path = ROOT / "src" / "invar" / "fsing.py"
-    source = path.read_text()
-    count = len(_sites(ast.parse(source)))
-    survivors = []
+    survivors, count = [], 0
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(ROOT / "src", Path(tmp) / "src")
-        target = Path(tmp) / "src" / "invar" / "fsing.py"
         env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"),
                    PYTHONDONTWRITEBYTECODE="1")
         loaded = subprocess.run(
-            [sys.executable, "-c", "import invar.fsing; print(invar.fsing.__file__)"],
+            [sys.executable, "-c", "import invar; print(invar.__file__)"],
             env=env, capture_output=True, text=True, check=True).stdout.strip()
-        if Path(loaded) != target:
+        if not Path(loaded).is_relative_to(tmp):
             raise SystemExit(f"the mutants would not be imported: {loaded}")
-        target.write_text(ast.unparse(ast.parse(source)) + "\n")
+        sources = {path: (ROOT / path).read_text() for path, _ in TARGETS}
+        for path, source in sources.items():
+            (Path(tmp) / path).write_text(ast.unparse(ast.parse(source)) + "\n")
         if not _passes(env):
             raise SystemExit("the tests fail on the unmutated code")
-        for k in range(count):
-            tree = ast.parse(source)
-            name, apply = _sites(tree)[k]
-            apply()
-            target.write_text(ast.unparse(tree) + "\n")
-            alive = _passes(env)
-            print(f"{'SURVIVED' if alive else 'killed  '} {name}", flush=True)
-            if alive:
-                survivors.append(name)
+        for path, names in TARGETS:
+            target = Path(tmp) / path
+            for k in range(len(_sites(ast.parse(sources[path]), names))):
+                tree = ast.parse(sources[path])
+                name, apply = _sites(tree, names)[k]
+                apply()
+                target.write_text(ast.unparse(tree) + "\n")
+                alive = _passes(env)
+                count += 1
+                print(f"{'SURVIVED' if alive else 'killed  '} {name}", flush=True)
+                if alive:
+                    survivors.append(name)
+            target.write_text(ast.unparse(ast.parse(sources[path])) + "\n")
     unexplained = [s for s in survivors if s not in EQUIVALENT]
     print(f"{count} mutants, {count - len(survivors)} killed, "
           f"{len(survivors)} survived ({len(survivors) - len(unexplained)} "

@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional, Sequence
 from hypothesis import strategies as st
 
 import invar.mpoly as mpoly
-from invar.errors import ContextMismatch, ResourceLimit, UsageError
+from invar.errors import ContextMismatch, ParseError, ResourceLimit, UsageError
 from invar.fsing import C0_XI_TERMS
 from invar.gf import ENUM_CAP, FieldElement, FieldSpec, field
 from invar.groebner import (GroebnerBasis, MembershipCertificate, buchberger,
@@ -220,6 +220,40 @@ def enumerate_elements(F: FieldSpec, cap: int = ENUM_CAP) -> list:
     return [FieldElement(F, rep) for rep in product(range(F.p), repeat=F.e)]
 
 
+class ReferenceTokens:
+    """The character-by-character lexer that polyio._Tokens replaced:
+    .toks lists (kind, text, position) and ends with EOF, or the
+    constructor raises the ParseError of the first bad character."""
+
+    def __init__(self, text: str):
+        toks = []
+        i, n = 0, len(text)
+        while i < n:
+            ch = text[i]
+            if ch in " \t\r\n":
+                i += 1
+                continue
+            if "0" <= ch <= "9":
+                j = i
+                while j < n and "0" <= text[j] <= "9":
+                    j += 1
+                toks.append(("INT", text[i:j], i))
+                i = j
+            elif ch.isalpha() or ch == "_":
+                j = i
+                while j < n and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                toks.append(("NAME", text[i:j], i))
+                i = j
+            elif ch in "^*+-()":
+                toks.append((ch, ch, i))
+                i += 1
+            else:
+                raise ParseError(f"unexpected character {ch!r}", i)
+        toks.append(("EOF", "", n))
+        self.toks = toks
+
+
 def reference_text(f: Polynomial) -> str:
     """Polynomial.text() as it was written before it read exponents by
     column: one unpack and one factor string per term."""
@@ -244,6 +278,27 @@ def reference_text(f: Polynomial) -> str:
     return "+".join(parts)
 
 
+def coeff_sum(ring: PolyRing, c1, c2):
+    """The sum of two internal coefficients, added entry by entry mod p;
+    None for zero."""
+    p = ring.field.p
+    if ring.field.e == 1:
+        return (c1 + c2) % p or None
+    s = tuple((a + b) % p for a, b in zip(c1, c2))
+    return s if any(s) else None
+
+
+def reference_sum(f: Polynomial, g: Polynomial, sign: int = 1) -> Polynomial:
+    """f + sign * g over exponent tuples and field elements."""
+    ring = f.ring
+    acc: dict = {}
+    for poly, s in ((f, 1), (g, sign)):
+        for k, c in poly.terms.items():
+            e = ring.order.unpack(k)
+            acc[e] = acc.get(e, ring.field.zero) + ring.coeff_element(c) * s
+    return ring.from_terms(acc)
+
+
 def naive_mul(f: Polynomial, g: Polynomial) -> Polynomial:
     ring = f.ring
     unpack = ring.order.unpack
@@ -258,7 +313,7 @@ def naive_mul(f: Polynomial, g: Polynomial) -> Polynomial:
             if cur is None:
                 acc[e] = prod
             else:
-                s = ring._cadd(cur, prod)
+                s = coeff_sum(ring, cur, prod)
                 if s is None:
                     del acc[e]
                 else:
@@ -398,7 +453,7 @@ def reference_normal_form(f: Polynomial, basis, certificate: bool = False):
         table.append((lmk, i, unpack(lmk), ring._cinv(b.terms[lmk]), b.terms))
     table.sort(key=lambda t: (t[0], t[1]))
 
-    cadd, cneg, cmul = ring._cadd, ring._cneg, ring._cmul
+    cneg, cmul = ring._cneg, ring._cmul
     off = ring.order.offset
     acc = dict(f.terms)
     heap = [-k for k in acc]
@@ -445,7 +500,7 @@ def reference_normal_form(f: Polynomial, basis, certificate: bool = False):
                 if pushes > guard:
                     raise ResourceLimit(f"reduction exceeded {guard} terms")
             else:
-                s = cadd(cur, delta)
+                s = coeff_sum(ring, cur, delta)
                 if s is None:
                     del acc[k2]
                 else:
@@ -457,7 +512,7 @@ def reference_normal_form(f: Polynomial, basis, certificate: bool = False):
             if cur is None:
                 ci[qk] = factor
             else:
-                s = cadd(cur, factor)
+                s = coeff_sum(ring, cur, factor)
                 if s is None:
                     del ci[qk]
                 else:

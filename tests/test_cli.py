@@ -341,6 +341,13 @@ def test_verify_writes_replayable_witness(runner, tmp_path):
     assert replay_document(wit.read_text())
 
 
+def test_verify_theorem_search_past_the_cap_is_skipped(runner):
+    res = invoke(runner, ["verify", "theorem-search", "--n", "5000", "--q", "3"])
+    assert res.exit_code == 2
+    assert "verdict: SKIPPED" in res.output
+    assert "exceeds cap 1000000000" in res.output
+
+
 def test_verify_machine_format(runner):
     res = invoke(runner, ["verify", "alt-dichotomy", "--n", "3", "--p", "5",
                           "--output", "machine"])

@@ -274,6 +274,48 @@ def test_search_cap_skips(monkeypatch):
     assert rep.witness is None
 
 
+def _refuse_factoring(q):
+    raise AssertionError(f"factored {q} before the cap check")
+
+
+@pytest.mark.parametrize("n, q, note", [
+    (5000, 3, "search space 2*3^9998 exceeds cap 1000000000"),
+    (3_000_000, 3, "search space 2*3^5999998 exceeds cap 1000000000"),
+    (2, 10 ** 12 + 39,
+     f"search space {(10 ** 12 + 38) * (10 ** 12 + 39) ** 2} exceeds cap 1000000000"),
+    # the largest space of at most 4300 digits is still printed whole
+    (7143, 2, f"search space {2 ** 14284} exceeds cap 1000000000"),
+    (7144, 2, "search space 1*2^14286 exceeds cap 1000000000"),
+], ids=["n=5000", "n=3000000", "q=10^12+39", "printed-whole", "named-by-factors"])
+def test_search_cap_comes_before_factoring(monkeypatch, n, q, note):
+    """A space past SEARCH_CAP is refused before q is factored or a
+    huge power is built; one too long to print is named by its factors."""
+    monkeypatch.setattr(fsing, "_prime_factors", _refuse_factoring)
+    rep = verify_theorem_search(n, q)
+    assert rep.verdict == "SKIPPED" and rep.detail == (note,)
+    doc = {"claim": "theorem-search", "params": {"n": n, "q": q},
+           "verdict": "VERIFIED", "witness": {"kind": "exponents", "solutions": [],
+                                               "lambda": {"rhs": 0, "solutions": []}}}
+    t0 = time.perf_counter()
+    assert not replay_document(json.dumps(doc))
+    assert time.perf_counter() - t0 < 0.5
+
+
+@pytest.mark.parametrize("text", [
+    "[]", "3", "null", '"theorem-search"',
+    '{"claim": "alt-T"}',
+    '{"claim": "theorem-search", "params": {"n": 2, "q": 3}, "verdict": "VERIFIED"}',
+    '{"params": {"n": 2, "q": 3}, "verdict": "VERIFIED", "witness": {}}',
+])
+def test_replay_document_that_is_not_a_full_object_is_false(text):
+    assert replay_document(text) is False
+
+
+def test_replay_document_of_text_that_is_not_json_raises():
+    with pytest.raises(json.JSONDecodeError):
+        replay_document("{")
+
+
 def test_lambda_identity_values():
     got = lambda_identity_check(2, 3)
     assert got["rhs"] == 2 * 2 * 3 - 2 * 2 - 3 + 3

@@ -24,7 +24,7 @@ from invar.polyio import format_polys
 from oracles import (block_sort_key, degree_in, draw_poly, eval_by_substitution,
                      grevlex_sort_key, is_homogeneous, leading_coeff, leading_monomial,
                      leading_term, lex_sort_key, naive_mul, random_poly,
-                     reference_text, rings, sqr_cross_terms_once,
+                     reference_sum, reference_text, rings, sqr_cross_terms_once,
                      verify_identity_probabilistic, weighted_degree)
 
 
@@ -387,6 +387,42 @@ def test_text_and_difference_match_references(data):
     assert f - g == f + (-g)
     assert (f - g) + g == f
     assert 2 - f == ring.constant(2) + (-f)
+
+
+# GF(2), GF(3), a prime near 2^31 and GF(9): both branches of _merge
+_SUM_FIELDS = ((2, 1), (3, 1), (2 ** 31 - 1, 1), (3, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sums_and_differences_match_the_reference_sum(data):
+    ring = data.draw(rings(_SUM_FIELDS))
+    f = draw_poly(data.draw, ring)
+    h = draw_poly(data.draw, ring)
+    # g shares all, some or none of f's keys, so terms cancel too
+    g = data.draw(st.sampled_from((h, f, f + h, -f)))
+    assert f + g == reference_sum(f, g)
+    assert f - g == reference_sum(f, g, -1)
+    assert g - f == reference_sum(g, f, -1)
+    assert (f - f).is_zero() and (g - g).is_zero()
+    assert 1 - f == reference_sum(ring.one, f, -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_substitute_matches_the_reference_sum(data):
+    ring = data.draw(rings(_SUM_FIELDS))
+    target = data.draw(rings(_SUM_FIELDS))
+    target = PolyRing(ring.field, target.names, target.order)
+    f = draw_poly(data.draw, ring)
+    images = {nm: draw_poly(data.draw, target, max_terms=4) for nm in ring.names}
+    expected = target.zero
+    for key, c in f.terms.items():
+        t = target.constant(ring.coeff_element(c))
+        for nm, a in zip(ring.names, ring.order.unpack(key)):
+            t = reduce(naive_mul, [images[nm]] * a, t)
+        expected = reference_sum(expected, t)
+    assert substitute(f, images) == expected
 
 
 # ---------------------------------------------------------------------------

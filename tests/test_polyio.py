@@ -8,10 +8,11 @@ from invar.errors import ParseError, ResourceLimit, UsageError
 from invar.gf import field
 from invar.groebner import MembershipCertificate
 from invar.mpoly import EXP_CAP, PolyRing
-from invar.polyio import (_parse_canonical, _parse_reference, format_certificate,
+from invar.gf import _poly_text
+from invar.polyio import (_Tokens, _parse_canonical, _parse_reference, format_certificate,
                           format_polys, parse_certificate_text, parse_element,
-                          parse_poly, parse_polys_text)
-from oracles import draw_poly, rings
+                          parse_field_text, parse_poly, parse_polys_text)
+from oracles import ReferenceTokens, draw_poly, enumerate_elements, rings
 
 
 @pytest.fixture
@@ -202,6 +203,9 @@ MALFORMED = {
     "repeated variable": ("field: 3^1\norder: lex\nvars: x x\n", 3),
     "block wider than the vars": (HEAD.replace("grevlex", "block 5"), 2),
     "repeated field line": (HEAD + "field: 5^1\npoly: x\n", 4),
+    "order with an argument": (HEAD.replace("grevlex", "grevlex x"), 2),
+    # the order line's own error comes before a later line's
+    "unknown order, then a repeated line": ("field: 3^1\norder: fancy\nvars: x\nvars: y\n", 2),
 }
 
 
@@ -316,3 +320,129 @@ def test_fast_path_merges_repeated_terms(R):
     # over GF(3): x + x stays, x*y + 2*y*x and z - z cancel
     assert _parse_canonical("x+x+x*y+2*y*x+z-z", R) == 2 * x
     assert _parse_canonical("y*x-x*y", R).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# one grammar: the regex tokenizer, and element text read as a polynomial
+# in g
+# ---------------------------------------------------------------------------
+
+# ASCII token characters, and the characters where str methods and \w could
+# part ways: numerals, a letter with an accent, a combining mark, \f, \v,
+# NBSP, a letter-number, an ordinal, a titlecase letter, NUL, a math digit
+_LEXER_ALPHABET = list("ab_xyzgX019 \t\r\n^*+-()$.") + [
+    "\u00b2", "\u0663", "\u00e9", "\u0301", "\f", "\v", "\u00a0", "\u216b",
+    "\u00aa", "\u01c5", "\x00", "\U0001d7d8"]
+
+
+def _lex(lexer, text):
+    try:
+        return lexer(text).toks
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(alphabet=_LEXER_ALPHABET, max_size=12))
+def test_regex_tokenizer_matches_the_reference_lexer(text):
+    assert _lex(_Tokens, text) == _lex(ReferenceTokens, text)
+
+
+@pytest.mark.parametrize("p,e,modulus", [
+    (2, 2, None), (2, 3, None), (3, 2, None), (3, 2, (2, 2, 1)), (5, 2, None),
+    (2, 4, (1, 1, 0, 0, 1)), (3, 3, None)])
+def test_printed_elements_and_moduli_round_trip(p, e, modulus):
+    F = field(p, e, modulus)
+    assert parse_field_text(F.serialize()) is F
+    assert parse_field_text(f"{p}^{e} {_poly_text(F.modulus)}") is F
+    for x in enumerate_elements(F):
+        assert parse_element(_poly_text(x.rep), F) == x
+        assert parse_element(str(x), F) == x
+
+
+def test_large_field_elements_round_trip():
+    import random
+    rng = random.Random(7)
+    for F in (field(2, 32), field(3, 32)):
+        assert parse_field_text(F.serialize()) is F
+        for _ in range(20):
+            x = F.random_element(rng)
+            assert parse_element(str(x), F) == x
+
+
+@pytest.mark.parametrize("text, rep", [
+    ("g*2", (0, 2, 0)),
+    ("12*1", (0, 0, 0)),            # 12 = 0 in GF(3)
+    ("2*g*g", (0, 0, 2)),
+    ("g^1*g+g*1", (0, 1, 1)),
+    ("2*2+g", (1, 1, 0)),
+    ("g*2*g^0-1*1", (2, 2, 0)),
+])
+def test_element_text_takes_products_of_factors(text, rep):
+    """Products of factors in g, which the grammar of polynomials reads
+    and element text now shares."""
+    F27 = field(3, 3)
+    assert parse_element(text, F27).rep == rep
+    R = PolyRing(F27, ["x"])
+    assert parse_poly(f"({text})*x", R) == R.monomial((1,), parse_element(text, F27))
+
+
+def test_modulus_text_takes_products_of_factors():
+    assert parse_field_text("3^2 g*g+1") is parse_field_text("3^2 g^2+1")
+    assert parse_field_text("2^3 g*g^2+g*1+1") is field(2, 3, (1, 1, 0, 1))
+
+
+# Malformed element, coefficient and modulus text, with the position the
+# grammar before element text took products reported; none of them has a
+# '*' after a factor in g.
+_ELEMENT_ERRORS = [
+    ("", 0), ("-", 1), ("+", 1), ("h+1", 0), ("g h", 2), ("2*", 2), ("2 3", 2),
+    ("g^", 2), ("(g)", 0), ("g)", 1), ("2g", 1), ("g2", 0), ("g^2^3", 3),
+    ("--g", 1), ("g+", 2), ("g^x", 2), ("g $", 2), ("1+(g", 2), ("2**g", 2),
+    ("*g", 0), ("g-", 2), ("g+g^", 4), ("\u00b2", 0), ("g \u00b2", 2),
+    ("g^-1", 2), ("g^5", -1), ("g^2-g^2", -1), ("3*g^2", -1),
+]
+_COEFFICIENT_ERRORS = [
+    ("(g x)*x", 3), ("(g", 2), ("(g))", 3), ("(h)*x", 1), ("()*x", 1),
+    ("(g^2)*x", 0), ("(2 3)*x", 3), ("(g+)*x", 3), ("((g))*x", 1),
+    ("(g^9999999999999)*x", 0), ("(g^2+g+1", 0), ("x*(g+1", 6),
+    ("(g^2 x)*x", 5),                   # the stray token before the degree
+]
+_MODULUS_ERRORS = [
+    ("3^2 h^2+1", 0), ("3^2 g^2+1)", 5), ("3^2 g^2+1 x", 6), ("3^2 (g^2+1)", 0),
+    ("3^2 2*g^2+1", -1), ("3^2 g^3", -1), ("3^2 g^2+1+3*g^5", -1),
+]
+
+
+@pytest.mark.parametrize("text, position", _ELEMENT_ERRORS)
+def test_malformed_element_text_keeps_its_position(text, position):
+    with pytest.raises(ParseError) as exc:
+        parse_element(text, field(3, 2))
+    assert exc.value.position == position
+
+
+@pytest.mark.parametrize("text, position", _COEFFICIENT_ERRORS)
+def test_malformed_coefficient_text_keeps_its_position(text, position):
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text, PolyRing(field(3, 2), ["x", "y"]))
+    assert exc.value.position == position
+
+
+@pytest.mark.parametrize("text, position", _MODULUS_ERRORS)
+def test_malformed_modulus_text_keeps_its_position(text, position):
+    with pytest.raises(ParseError) as exc:
+        parse_field_text(text)
+    assert exc.value.position == position
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x + ^", "expected a factor, found '^' (at position 4)"),
+    ("x*)", "expected a factor, found ')' (at position 2)"),
+    ("(1)*x", "field element coefficient in a prime field ring (at position 0)"),
+])
+def test_prime_field_factor_errors(R, text, message):
+    """A token that starts no factor, and a parenthesis over GF(p) even
+    around a constant."""
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text, R)
+    assert str(exc.value) == message
