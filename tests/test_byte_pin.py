@@ -11,13 +11,16 @@ without its ``elapsed-ms=`` field, and the ``replay_document`` result.
 Running this file as a script prints that table.
 
 ``FIELD_PINS`` holds the sha256 of the default moduli ``find_irreducible``
-finds, of the exp table of every table-backed field and of
-``is_irreducible`` over a seeded sample of polynomials.  Running this
-file as a script with the argument ``fields`` prints those digests.
+finds, of the exp table of every table-backed field, of
+``is_irreducible`` over a seeded sample of polynomials and of the text
+and index of a seeded ``random_element`` sequence in each of seven
+fields.  Running this file as a script with the argument ``fields``
+prints those digests.
 
 Any change to a verdict, a witness byte, a report line or a replay
-result of these claims, or to a default modulus, a field table or an
-irreducibility verdict, fails here.
+result of these claims, or to a default modulus, a field table, an
+irreducibility verdict, an element's text or index or a random draw,
+fails here.
 """
 
 import functools
@@ -231,10 +234,22 @@ def _irreducible_text() -> str:
     return "".join(lines)
 
 
+def _elements_text() -> str:
+    rng = random.Random(2026)
+    lines = []
+    for p, e in ((7, 1), (3, 2), (2, 8), (3, 6), (2, 32), (3, 32), (65521, 2)):
+        F = field(p, e)
+        for _ in range(40):
+            x = F.random_element(rng)
+            lines.append(f"{p} {e} {x} {F.index(x)}\n")
+    return "".join(lines)
+
+
 FIELD_TEXTS = {"moduli": _moduli_text, "exp-tables": _exp_tables_text,
-               "irreducible-sample": _irreducible_text}
+               "irreducible-sample": _irreducible_text, "elements": _elements_text}
 
 FIELD_PINS = {
+    "elements": "fe0fab195f08d8f4ad20d8654661a563a5569ed2c177ca19e05843d9d5332ee8",
     "exp-tables": "563bbecc2dee93f6992a294ddcfa2f14054f3e81ea011d7e55e66ca7f654da55",
     "irreducible-sample": "fccdf7549c82caa4798735d48f2918ae5ff7e67c12293194e934fd2c75551e7d",
     "moduli": "7ca6ebf0013bf0c71f44770356204d1de7c251168c42cc6c9f3719e54ee7315f",
