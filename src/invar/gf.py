@@ -10,9 +10,11 @@ monic f.  FieldSpec is that ring for an irreducible f; the Rabin
 irreducibility test that certifies the modulus runs on a _Quotient of
 the candidate itself.
 
-Element representations are canonical coefficient vectors; equality is
-structural.  Everything here is immutable after construction and every
-operation is pure.
+An element is one int in _Quotient's slot layout: slot i holds the
+coefficient of g^i in [0, p).  So a GF(p) element is its own value, an
+int c < p is the constant c in every field, and equality is structural.
+Every field runs the same packed arithmetic.  Everything here is
+immutable after construction and every operation is pure.
 """
 
 from __future__ import annotations
@@ -25,10 +27,6 @@ from typing import Optional, Sequence
 from .errors import ContextMismatch, FieldZeroDivision, ResourceLimit, UsageError
 
 ENUM_CAP = 1 << 20
-
-# Build exp/log tables for extension fields up to this order; beyond it,
-# multiplication is a Kronecker-packed product plus modulus reduction.
-_TABLE_CAP = 1024
 
 _SWAP = sys.byteorder != "little"    # array items must be little-endian
 
@@ -86,7 +84,7 @@ def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
         return e == 1
     lead_inv = pow(f[-1], p - 2, p)
     ring = _Quotient(p, e, tuple(c * lead_inv % p for c in f))
-    x = (0, 1) + (0,) * (e - 2)
+    x = ring._gen
     powers = [x]                      # powers[k] = X^(p^k) mod f
     for _ in range(e):
         powers.append(ring._vfrob(powers[-1], 1))
@@ -97,7 +95,7 @@ def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     # GF(p^d) with d | e, in which every nonzero y has y^(p^e - 1) = 1:
     # h is prime to f iff h^(p^e - 1) = 1.
     n = p ** e - 1
-    return all(ring._vpow(ring._vsub(powers[e // ell], x), n) == ring._one
+    return all(ring._vpow(ring._vsub(powers[e // ell], x), n) == 1
                for ell in _prime_factors(e))
 
 
@@ -158,18 +156,18 @@ class _Quotient:
     """The ring GF(p)[g]/(f) for a monic f = modulus of degree e,
     irreducible or not (modulus None is GF(p) itself, e = 1).
 
-    Elements are coefficient tuples of length e (rep[i] multiplies g^i).
-    Products are Kronecker substitutions: each operand is packed into one
-    int with a fixed-width slot per coefficient, wide enough that no slot
-    of the product carries into the next, so one bigint product gives the
-    convolution; it is then reduced by the nonzero terms of f.  The map
-    a -> a^p is a ring endomorphism fixing GF(p), so a^(p^k) is a sum of
-    a_i times the packed rows g^(i p^k).  A field subclass may set the
-    exp/log tables, which then take over multiply, inverse and Frobenius.
+    An element is one int: slot i, _slot bytes wide from byte offset
+    i * _slot, holds the coefficient of g^i in [0, p).  A slot is wide
+    enough for e products below p^2, so a sum, a difference (against p
+    in every slot) or a whole product is one int operation that carries
+    nothing between slots; _mod then reduces every slot mod p, through
+    one bytes.translate when slots are bytes.  A product is reduced by
+    the nonzero terms of f.  The map a -> a^p is a ring endomorphism
+    fixing GF(p), so a^(p^k) is a sum of a_i times the rows g^(i p^k).
     """
 
     __slots__ = ("p", "e", "order", "modulus", "_red", "_slot", "_typecode",
-                 "_frob_rows", "_exp", "_log", "_zero", "_one")
+                 "_frob_rows", "_modp", "_pones", "_gen")
 
     def __init__(self, p: int, e: int, modulus: Optional[tuple]):
         self.p = p
@@ -185,22 +183,9 @@ class _Quotient:
         self._slot = (array(self._typecode).itemsize if self._typecode
                       else (bound.bit_length() + 7) // 8)
         self._frob_rows = {}
-        self._exp = None
-        self._log = None
-        self._zero = (0,) * e
-        self._one = (1,) + (0,) * (e - 1)
-
-    def _vadd(self, a: tuple, b: tuple) -> tuple:
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def _vsub(self, a: tuple, b: tuple) -> tuple:
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def _vneg(self, a: tuple) -> tuple:
-        p = self.p
-        return tuple((-x) % p for x in a)
+        self._modp = bytes(i % p for i in range(256)) if self._slot == 1 else None
+        self._pones = self._pack([p] * e)
+        self._gen = 1 << 8 * self._slot
 
     def _pack(self, a: Sequence[int]) -> int:
         """Coefficients (each below 2^(8 * slot)) as one int, slot i at
@@ -229,16 +214,33 @@ class _Quotient:
             arr.byteswap()
         return arr.tolist()
 
-    def _vmul(self, a: tuple, b: tuple) -> tuple:
-        log = self._log
-        if log is not None:
-            if a == self._zero or b == self._zero:
-                return self._zero
-            return self._exp[(log[a] + log[b]) % (self.order - 1)]
+    def _mod(self, n: int) -> int:
+        """Every slot of n reduced mod p."""
+        if self.e == 1:
+            return n % self.p
+        table = self._modp
+        if table is not None:
+            return int.from_bytes(n.to_bytes(self.e, "little").translate(table),
+                                  "little")
+        p = self.p
+        return self._pack([c % p for c in self._unpack(n, self.e)])
+
+    def _vadd(self, a: int, b: int) -> int:
+        return self._mod(a + b)
+
+    def _vsub(self, a: int, b: int) -> int:
+        return self._mod(a + self._pones - b)
+
+    def _vneg(self, a: int) -> int:
+        if self.e == 1:
+            return -a % self.p
+        return self._mod(self._pones - a)
+
+    def _vmul(self, a: int, b: int) -> int:
         p, e = self.p, self.e
         if e == 1:
-            return ((a[0] * b[0]) % p,)
-        conv = self._unpack(self._pack(a) * self._pack(b), 2 * e - 1)
+            return a * b % p
+        conv = self._unpack(a * b, 2 * e - 1)
         red = self._red
         for i in range(2 * e - 2, e - 1, -1):
             c = conv[i] % p
@@ -246,22 +248,20 @@ class _Quotient:
                 base = i - e
                 for j, rj in red:
                     conv[base + j] += c * rj
-        return tuple([c % p for c in conv[:e]])
+        return self._pack([c % p for c in conv[:e]])
 
-    def _vinv(self, a: tuple) -> tuple:
+    def _vinv(self, a: int) -> int:
         """Inverse in a field: a^(p^e - 2)."""
-        if not any(a):
+        if not a:
             raise FieldZeroDivision(f"inversion of zero in {self}")
-        log = self._log
-        if log is not None:
-            n = self.order - 1
-            return self._exp[(n - log[a]) % n]
         return self._vpow(a, self.order - 2)
 
-    def _vpow(self, a: tuple, k: int) -> tuple:
+    def _vpow(self, a: int, k: int) -> int:
         if k < 0:
             return self._vpow(self._vinv(a), -k)
-        result = self._one
+        if self.e == 1:
+            return pow(a, k, self.p)
+        result = 1
         base = a
         while k:
             if k & 1:
@@ -270,31 +270,25 @@ class _Quotient:
             k >>= 1
         return result
 
-    def _vfrob(self, a: tuple, k: int) -> tuple:
+    def _vfrob(self, a: int, k: int) -> int:
         """a^(p^k); k is taken mod e, which in a field makes negative k
         invert the map."""
         k %= self.e
         if k == 0:
             return a
-        log = self._log
-        if log is not None:
-            if not any(a):
-                return a
-            return self._exp[log[a] * self.p ** k % (self.order - 1)]
         rows = self._frob_rows.get(k)
         if rows is None:
-            h = self._vpow((0, 1) + (0,) * (self.e - 2), self.p ** k)
-            rows, cur = [], self._one
+            h = self._vpow(self._gen, self.p ** k)
+            rows, cur = [], 1
             for _ in range(self.e):
-                rows.append(self._pack(cur))
+                rows.append(cur)
                 cur = self._vmul(cur, h)
             self._frob_rows[k] = rows
         acc = 0
-        for c, row in zip(a, rows):
+        for c, row in zip(self._unpack(a, self.e), rows):
             if c:
                 acc += c * row
-        p = self.p
-        return tuple([c % p for c in self._unpack(acc, self.e)])
+        return self._mod(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +299,8 @@ class _Quotient:
 class FieldSpec(_Quotient):
     """Description of GF(p^e) together with its element arithmetic.
 
-    The enumeration index of an element orders reps lexicographically,
-    constant coefficient most significant.  Fields up to _TABLE_CAP
-    elements multiply through exp/log tables, larger ones through the
-    packed arithmetic of _Quotient.
+    The enumeration index of an element orders coefficient tuples
+    lexicographically, constant coefficient most significant.
     """
 
     __slots__ = ("zero", "one", "gen")
@@ -329,48 +321,31 @@ class FieldSpec(_Quotient):
             if not is_irreducible(modulus, p):
                 raise UsageError("modulus is not irreducible")
         super().__init__(p, e, modulus)
-        self.zero = FieldElement(self, self._zero)
-        self.one = FieldElement(self, self._one)
-        self.gen = FieldElement(self, (0, 1) + (0,) * (e - 2)) if e > 1 else None
-        if e > 1 and self.order <= _TABLE_CAP:
-            self._build_tables()
-
-    def _build_tables(self):
-        # _log is still None here, so _vmul and _vpow take the packed path.
-        n = self.order - 1
-        factors = _prime_factors(n)
-        g = None
-        for rep in product(range(self.p), repeat=self.e):
-            if not any(rep) or rep == self._one:
-                continue
-            if all(self._vpow(rep, n // ell) != self._one for ell in factors):
-                g = rep
-                break
-        exp = [self._one]
-        cur = self._one
-        for _ in range(n - 1):
-            cur = self._vmul(cur, g)
-            exp.append(cur)
-        self._exp = exp
-        self._log = {rep: k for k, rep in enumerate(exp)}
+        self.zero = FieldElement(self, 0)
+        self.one = FieldElement(self, 1)
+        self.gen = FieldElement(self, self._gen) if e > 1 else None
 
     # -- element construction ------------------------------------------------
 
     def element(self, value) -> "FieldElement":
-        """Coerce an integer (reduced mod p, embedded as a constant), a rep
-        tuple, or an element of this same field."""
+        """Coerce an integer (reduced mod p, embedded as a constant), a
+        coefficient tuple (constant term first), or an element of this
+        same field."""
         if isinstance(value, FieldElement):
             if value.spec != self:
                 raise ContextMismatch(f"element of {value.spec} used in {self}")
             return value
         if isinstance(value, int):
-            rep = (value % self.p,) + (0,) * (self.e - 1)
-            return FieldElement(self, rep)
+            return FieldElement(self, value % self.p)
         if isinstance(value, tuple):
             if len(value) != self.e:
                 raise UsageError(f"rep length {len(value)} != {self.e}")
-            return FieldElement(self, tuple(c % self.p for c in value))
+            return FieldElement(self, self._pack([c % self.p for c in value]))
         raise UsageError(f"cannot coerce {value!r} into {self}")
+
+    def coeffs(self, rep: int) -> tuple:
+        """The coefficient tuple of a rep, constant term first."""
+        return tuple(self._unpack(rep, self.e))
 
     def from_index(self, i: int) -> "FieldElement":
         if not 0 <= i < self.order:
@@ -379,12 +354,14 @@ class FieldSpec(_Quotient):
         for _ in range(self.e):
             i, d = divmod(i, self.p)
             digits.append(d)
-        # index orders reps lexicographically, rep[0] most significant
-        return FieldElement(self, tuple(reversed(digits)))
+        # the constant coefficient is the most significant digit
+        return FieldElement(self, self._pack(digits[::-1]))
 
     def index(self, elem: "FieldElement") -> int:
+        if elem.spec != self:
+            raise ContextMismatch(f"element of {elem.spec} used in {self}")
         i = 0
-        for d in elem.rep:
+        for d in self.coeffs(elem.rep):
             i = i * self.p + d
         return i
 
@@ -438,11 +415,11 @@ def field(p: int, e: int = 1, modulus: Optional[Sequence[int]] = None) -> FieldS
 
 
 class FieldElement:
-    """An element of GF(p^e): a spec plus a canonical coefficient vector."""
+    """An element of GF(p^e): a spec plus its canonical packed int."""
 
     __slots__ = ("spec", "rep")
 
-    def __init__(self, spec: FieldSpec, rep: tuple):
+    def __init__(self, spec: FieldSpec, rep: int):
         self.spec = spec
         self.rep = rep
 
@@ -510,7 +487,7 @@ class FieldElement:
         return FieldElement(self.spec, self.spec._vfrob(self.rep, k))
 
     def __bool__(self):
-        return any(self.rep)
+        return self.rep != 0
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -522,9 +499,7 @@ class FieldElement:
         return hash((self.spec, self.rep))
 
     def __str__(self):
-        if self.spec.e == 1:
-            return str(self.rep[0])
-        return _poly_text(self.rep)
+        return _poly_text(self.spec.coeffs(self.rep))
 
     def __repr__(self):
         return f"<{self} in {self.spec}>"

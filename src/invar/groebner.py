@@ -19,13 +19,14 @@ key it cancels, so no key is pushed twice: a key enters the heap when it
 first enters the dict, and its coefficient is read once, when it is
 popped.  The heap thus holds only the distinct keys touched, with no
 stale entries.  Over GF(p) the dict holds unreduced ints, reduced mod p
-at the pop, where a zero is skipped; extension-field coefficients use
-the field's own vector arithmetic.  Each divisor carries its tail as
-(key shift, negated coefficient) pairs.  Divisibility, here and in
-buchberger's chain criterion and autoreduction, is one subtraction and
-mask on TermOrder.fields.  A reduction whose exponents reach EXP_CAP, or
-whose dict passes TERM_GUARD keys, raises ResourceLimit; the staged path
-checks its live term count after each step.  Divisors are chosen
+at the pop, where a zero is skipped; extension-field coefficients are
+the field's packed ints, combined by its _vadd and _vmul.  Each
+divisor carries its tail as (key shift, negated coefficient) pairs.
+Divisibility, here and in buchberger's chain criterion and
+autoreduction, is one subtraction and mask on TermOrder.fields.  A
+reduction whose exponents reach EXP_CAP, or whose dict passes
+TERM_GUARD keys, raises ResourceLimit; the staged path checks its live
+term count after each step.  Divisors are chosen
 deterministically: the first element whose leading monomial divides,
 scanning the basis in ascending leading monomial order (index breaking
 ties), so quotients and remainders are those of the textbook division.
@@ -126,8 +127,8 @@ def _divide_heap(ring: PolyRing, terms: dict, items: list,
         if b.is_zero():
             continue
         lmk = b.leading_key()
-        tail = [(kb - lmk, ring._cneg(cb)) for kb, cb in b.terms.items() if kb != lmk]
-        table.append((lmk, i, fields(lmk), ring._cinv(b.terms[lmk]), tail))
+        tail = [(kb - lmk, F._vneg(cb)) for kb, cb in b.terms.items() if kb != lmk]
+        table.append((lmk, i, fields(lmk), F._vinv(b.terms[lmk]), tail))
     table.sort(key=lambda t: t[:2])
 
     G = order.guard
@@ -147,9 +148,7 @@ def _divide_heap(ring: PolyRing, terms: dict, items: list,
         c = acc[key]
         if prime:
             c %= p
-            if not c:
-                continue
-        elif not any(c):
+        if not c:
             continue
         ag = fields(key) | G
         if (ag - caps) & G:
@@ -237,7 +236,7 @@ def _triangular(ring: PolyRing, items: list) -> Optional[list]:
         for k, t in zip(keys, order.column(keys, v)):
             if k != lmk:
                 tails.setdefault(t, {})[k] = p - terms[k]
-        stages.append((i, v, lme[v], lmk, ring._cinv(terms[lmk]),
+        stages.append((i, v, lme[v], lmk, ring.field._vinv(terms[lmk]),
                        sorted(tails.items())))
         done.append(v)
     return stages
@@ -364,8 +363,9 @@ def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     kf, kg = f.leading_key(), g.leading_key()
     lcm = _lcm_key(ring, kf, kg)
     off = ring.order.offset
-    mf = Polynomial(ring, {lcm - kf + off: ring._cinv(f.terms[kf])})
-    mg = Polynomial(ring, {lcm - kg + off: ring._cinv(g.terms[kg])})
+    inv = ring.field._vinv
+    mf = Polynomial(ring, {lcm - kf + off: inv(f.terms[kf])})
+    mg = Polynomial(ring, {lcm - kg + off: inv(g.terms[kg])})
     return mf * f - mg * g
 
 

@@ -40,15 +40,13 @@ def xring(spec: FieldSpec, n: int) -> PolyRing:
 
 def lift_coefficients(f: Polynomial, spec: FieldSpec) -> Polynomial:
     """The same polynomial with prime-field coefficients embedded into an
-    extension of the same characteristic."""
+    extension of the same characteristic, where each is the same int."""
     ring = f.ring
     if ring.field == spec:
         return f
     if ring.field.e != 1 or spec.p != ring.field.p:
         raise ContextMismatch("can only lift prime-field coefficients")
-    new_ring = PolyRing(spec, ring.names, ring.order)
-    pad = (0,) * (spec.e - 1)
-    return Polynomial(new_ring, {k: (c,) + pad for k, c in f.terms.items()})
+    return Polynomial(PolyRing(spec, ring.names, ring.order), dict(f.terms))
 
 
 # ---------------------------------------------------------------------------

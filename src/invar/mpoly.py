@@ -21,10 +21,11 @@ below the 28 bit boundary and no key wraps silently.  TermOrder.fields
 turns a key into plain exponent fields with a free guard bit on top of
 each, which makes divisibility one subtraction and one mask.
 
-Coefficients live in GF(p^e): stored as canonical ints in [1, p) when
-e = 1 and as coefficient tuples otherwise.  Every sum or difference of
-term dicts (+, -, substitute, and the parsers' repeated monomials) goes
-through _merge, in place.
+Coefficients live in GF(p^e) and are stored as the field's nonzero
+packed ints (gf), so a GF(p) coefficient is an int in [1, p), and a
+prime-field coefficient is the same int in every extension.  Every sum
+or difference of term dicts (+, -, substitute, and the parsers'
+repeated monomials) goes through _merge, in place.
 
 Over GF(p), a product runs by Kronecker substitution (_kronecker) when
 both factors are homogeneous, it has at least DENSE_FLOOR term pairs,
@@ -248,25 +249,15 @@ class PolyRing:
         if isinstance(value, FieldElement):
             if value.spec != F:
                 raise ContextMismatch(f"coefficient from {value.spec} in ring over {F}")
-            if F.e == 1:
-                return value.rep[0] or None
-            return value.rep if any(value.rep) else None
+            return value.rep or None
         if isinstance(value, int):
-            v = value % F.p
-            if F.e == 1:
-                return v or None
-            return ((v,) + (0,) * (F.e - 1)) if v else None
+            return value % F.p or None
         if isinstance(value, tuple) and F.e > 1:
-            if len(value) != F.e:
-                raise UsageError("coefficient tuple has wrong length")
-            rep = tuple(c % F.p for c in value)
-            return rep if any(rep) else None
+            return F.element(value).rep or None
         raise UsageError(f"cannot use {value!r} as a coefficient")
 
     def coeff_element(self, c) -> FieldElement:
         """Internal coefficient back to a field element."""
-        if isinstance(c, int):
-            return self.field.element(c)
         return FieldElement(self.field, c)
 
     # -- construction ----------------------------------------------------------
@@ -311,26 +302,6 @@ class PolyRing:
                 # distinct exponent tuples never share a key
                 terms[pack(exps)] = c
         return Polynomial(self, terms)
-
-    # -- internal coefficient arithmetic ---------------------------------------
-
-    def _cneg(self, c):
-        F = self.field
-        if F.e == 1:
-            return (-c) % F.p
-        return F._vneg(c)
-
-    def _cmul(self, c1, c2):
-        F = self.field
-        if F.e == 1:
-            return (c1 * c2) % F.p
-        return F._vmul(c1, c2)
-
-    def _cinv(self, c):
-        F = self.field
-        if F.e == 1:
-            return pow(c, F.p - 2, F.p)
-        return F._vinv(c)
 
     # -- identity ---------------------------------------------------------------
 
@@ -383,15 +354,15 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if not self.terms:
             return self
-        inv = self.ring._cinv(self.terms[self.leading_key()])
+        inv = self.ring.field._vinv(self.terms[self.leading_key()])
         return self.scale(inv)
 
     def scale(self, c) -> "Polynomial":
         cc = self.ring._coeff(c)
         if cc is None:
             return Polynomial(self.ring, {})
-        cmul = self.ring._cmul
-        return Polynomial(self.ring, {k: cmul(v, cc) for k, v in self.terms.items()})
+        vmul = self.ring.field._vmul
+        return Polynomial(self.ring, {k: vmul(v, cc) for k, v in self.terms.items()})
 
     # -- ring operations -----------------------------------------------------------
 
@@ -418,8 +389,8 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        cneg = self.ring._cneg
-        return Polynomial(self.ring, {k: cneg(c) for k, c in self.terms.items()})
+        vneg = self.ring.field._vneg
+        return Polynomial(self.ring, {k: vneg(c) for k, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._check(other)
@@ -481,8 +452,8 @@ class Polynomial:
         """Evaluate at a point with coordinates in one field L.
 
         L must share the characteristic; prime-field coefficients embed
-        into any such L, extension coefficients require L to be the
-        coefficient field itself.
+        into any such L as the same ints, extension coefficients require
+        L to be the coefficient field itself.
         """
         ring = self.ring
         if len(point) != ring.nvars:
@@ -493,18 +464,16 @@ class Polynomial:
                 raise ContextMismatch("point coordinates from different fields")
         if L.p != ring.field.p:
             raise ContextMismatch("point field has different characteristic")
-        ext = ring.field.e > 1
-        if ext and L != ring.field:
+        if ring.field.e > 1 and L != ring.field:
             raise ContextMismatch(
                 "extension coefficients require evaluation in the same field")
         unpack = ring.order.unpack
         vmul, vadd, vpow = L._vmul, L._vadd, L._vpow
         caches: list[dict] = [{} for _ in range(ring.nvars)]
         reps = [x.rep for x in point]
-        total = L.zero.rep
-        for key, c in self.terms.items():
+        total = 0
+        for key, acc in self.terms.items():
             exps = unpack(key)
-            acc = c if ext else ((c % L.p,) + (0,) * (L.e - 1))
             for i, a in enumerate(exps):
                 if a:
                     cache = caches[i]
@@ -552,13 +521,11 @@ class Polynomial:
         return f"<{t}>"
 
 
-def _coeff_text(ring: PolyRing, c) -> str:
-    if isinstance(c, int):
+def _coeff_text(ring: PolyRing, c: int) -> str:
+    # a constant is below p; any other element has a slot above the first
+    if c < ring.field.p:
         return str(c)
-    nz = [i for i, v in enumerate(c) if v]
-    if nz == [0]:
-        return str(c[0])
-    return "(" + _poly_text(c) + ")"
+    return "(" + _poly_text(ring.field.coeffs(c)) + ")"
 
 
 def _merge(out: dict, terms: dict, field: FieldSpec, sign: int = 1) -> None:
@@ -587,7 +554,7 @@ def _merge(out: dict, terms: dict, field: FieldSpec, sign: int = 1) -> None:
             out[k] = vneg(c) if vneg else c
         else:
             s = vop(cur, c)
-            if any(s):
+            if s:
                 out[k] = s
             else:
                 del out[k]
@@ -717,7 +684,7 @@ def _mul(a: Polynomial, b: Polynomial) -> Polynomial:
             acc[k] = prod if cur is None else vadd(cur, prod)
         if len(acc) > guard:
             raise ResourceLimit(f"product exceeds {guard} terms")
-    out = {k: v for k, v in acc.items() if any(v)}
+    out = {k: v for k, v in acc.items() if v}
     return Polynomial(ring, out)
 
 

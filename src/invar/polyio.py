@@ -131,7 +131,7 @@ def _parse_term(toks: _Tokens, index: dict, F: Optional[FieldSpec]):
                 raise ParseError("field element coefficient in a prime field ring", t[2])
             rep = _gpoly_rep(toks, F.p, F.e, "coefficient", t[2], stop_at_paren=True)
             toks.expect(")")
-            coeff = coeff * FieldElement(F, rep)
+            coeff = coeff * F.element(rep)
         else:
             raise ParseError(f"expected a factor, found {t[1]!r}", t[2])
         if toks.peek()[0] == "*":
@@ -163,7 +163,7 @@ def _gpoly_rep(toks: _Tokens, p: int, size: int, what: str,
 
 def parse_element(text: str, spec: FieldSpec) -> FieldElement:
     """Parse 'g^2+2*g+1' style text into an element of spec."""
-    return FieldElement(spec, _gpoly_rep(_Tokens(text), spec.p, spec.e, "element"))
+    return spec.element(_gpoly_rep(_Tokens(text), spec.p, spec.e, "element"))
 
 
 # ---------------------------------------------------------------------------

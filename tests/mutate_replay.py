@@ -9,9 +9,11 @@ drops one operand of an `and`/`or` by putting True (for `and`) or False
 (for `or`) in its place; a function in RETURN_TRUE also has each of its
 return values set to True.  A target named Class lists every method of
 the class, and Class.method one method.  The mutant is written into a
-copy of src/, and the tests run against it; a mutant that passes them
-all survives.  The run lists every survivor and exits 1 when one is not
-in EQUIVALENT, the mutants that no input can tell apart from the
+copy of src/, and the tests run against it: first, under -x, the test
+modules TARGETS names for its file, then, only if those pass, every
+module in TESTS.  A mutant that passes TESTS survives, so the first run
+only saves time.  The run lists every survivor and exits 1 when one is
+not in EQUIVALENT, the mutants that no input can tell apart from the
 original.  pytest does not collect this file (its name does not start
 with test_).
 """
@@ -25,12 +27,16 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# (file, target functions, the modules of TESTS that run first)
 TARGETS = (
     ("src/invar/fsing.py", ("_replay", "_replay_identity", "_replay_closure",
                             "_replay_exponents", "_replay_certificates",
-                            "_replay_normal_form", "_proves")),
-    ("src/invar/groebner.py", ("MembershipCertificate.check",)),
-    ("src/invar/polyio.py", ("_parse_header", "_Tokens", "_parse_term", "_gpoly_rep")),
+                            "_replay_normal_form", "_proves"),
+     ("tests/test_fsing.py",)),
+    ("src/invar/groebner.py", ("MembershipCertificate.check",),
+     ("tests/test_fsing.py",)),
+    ("src/invar/polyio.py", ("_parse_header", "_Tokens", "_parse_term", "_gpoly_rep"),
+     ("tests/test_polyio.py",)),
 )
 # MembershipCertificate.check has no if, and or or to mutate
 RETURN_TRUE = ("MembershipCertificate.check",)
@@ -87,18 +93,20 @@ def _sites(tree, names):
     return sites
 
 
-def _passes(env) -> bool:
-    """Do the replay tests pass?  A run past the timeout counts as a fail."""
+def _passes(env, tests=TESTS) -> bool:
+    """Do the tests pass?  A run past the timeout counts as a fail."""
     try:
         run = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             *TESTS], cwd=ROOT, env=env, capture_output=True, timeout=600)
+             *tests], cwd=ROOT, env=env, capture_output=True, timeout=600)
     except subprocess.TimeoutExpired:
         return False
     return run.returncode == 0
 
 
 def main() -> int:
+    if not all(set(own) <= set(TESTS) for _, _, own in TARGETS):
+        raise SystemExit("a target's own test modules must be among TESTS")
     survivors, count = [], 0
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(ROOT / "src", Path(tmp) / "src")
@@ -109,19 +117,19 @@ def main() -> int:
             env=env, capture_output=True, text=True, check=True).stdout.strip()
         if not Path(loaded).is_relative_to(tmp):
             raise SystemExit(f"the mutants would not be imported: {loaded}")
-        sources = {path: (ROOT / path).read_text() for path, _ in TARGETS}
+        sources = {path: (ROOT / path).read_text() for path, _, _ in TARGETS}
         for path, source in sources.items():
             (Path(tmp) / path).write_text(ast.unparse(ast.parse(source)) + "\n")
         if not _passes(env):
             raise SystemExit("the tests fail on the unmutated code")
-        for path, names in TARGETS:
+        for path, names, own in TARGETS:
             target = Path(tmp) / path
             for k in range(len(_sites(ast.parse(sources[path]), names))):
                 tree = ast.parse(sources[path])
                 name, apply = _sites(tree, names)[k]
                 apply()
                 target.write_text(ast.unparse(tree) + "\n")
-                alive = _passes(env)
+                alive = _passes(env, own) and _passes(env)
                 count += 1
                 print(f"{'SURVIVED' if alive else 'killed  '} {name}", flush=True)
                 if alive:

@@ -15,9 +15,10 @@ from typing import NamedTuple, Optional, Sequence
 from hypothesis import strategies as st
 
 import invar.mpoly as mpoly
-from invar.errors import ContextMismatch, ParseError, ResourceLimit, UsageError
+from invar.errors import (ContextMismatch, FieldZeroDivision, ParseError, ResourceLimit,
+                          UsageError)
 from invar.fsing import C0_XI_TERMS
-from invar.gf import ENUM_CAP, FieldElement, FieldSpec, field
+from invar.gf import ENUM_CAP, FieldSpec, field
 from invar.groebner import (GroebnerBasis, MembershipCertificate, buchberger,
                             change_ring, normal_form)
 from invar.invariants import MatrixGF, xring
@@ -167,6 +168,49 @@ def block_sort_key(exps, k):
 # -- dense reference arithmetic ------------------------------------------------
 
 
+class TupleField:
+    """GF(p^e) on coefficient tuples (rep[i] multiplies g^i), entry by
+    entry mod p: the arithmetic gf ran before elements became packed
+    ints, kept as the reference for it.  Products are schoolbook_vmul,
+    and the inverse and the Frobenius map are plain powers."""
+
+    def __init__(self, spec: FieldSpec):
+        self.spec, self.p, self.e = spec, spec.p, spec.e
+        self.zero = (0,) * spec.e
+        self.one = (1,) + self.zero[1:]
+
+    def add(self, a: tuple, b: tuple) -> tuple:
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def sub(self, a: tuple, b: tuple) -> tuple:
+        return tuple((x - y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a: tuple) -> tuple:
+        return tuple(-x % self.p for x in a)
+
+    def mul(self, a: tuple, b: tuple) -> tuple:
+        return schoolbook_vmul(self.spec, a, b)
+
+    def inv(self, a: tuple) -> tuple:
+        if not any(a):
+            raise FieldZeroDivision("inversion of zero")
+        return self.pow(a, self.p ** self.e - 2)
+
+    def pow(self, a: tuple, k: int) -> tuple:
+        if k < 0:
+            return self.pow(self.inv(a), -k)
+        result = self.one
+        while k:
+            if k & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            k >>= 1
+        return result
+
+    def frob(self, a: tuple, k: int) -> tuple:
+        return self.pow(a, self.p ** (k % self.e))
+
+
 def schoolbook_vmul(spec: FieldSpec, a: tuple, b: tuple) -> tuple:
     """Product of two GF(p^e) reps: convolution, then reduction by
     g^e = -(m_0 + ... + m_{e-1} g^{e-1}) walking every modulus entry."""
@@ -217,7 +261,7 @@ def enumerate_elements(F: FieldSpec, cap: int = ENUM_CAP) -> list:
     if F.order > cap:
         raise ResourceLimit(
             f"enumeration of {F} ({F.order} elements) exceeds cap {cap}")
-    return [FieldElement(F, rep) for rep in product(range(F.p), repeat=F.e)]
+    return [F.element(rep) for rep in product(range(F.p), repeat=F.e)]
 
 
 class ReferenceTokens:
@@ -279,13 +323,10 @@ def reference_text(f: Polynomial) -> str:
 
 
 def coeff_sum(ring: PolyRing, c1, c2):
-    """The sum of two internal coefficients, added entry by entry mod p;
-    None for zero."""
-    p = ring.field.p
-    if ring.field.e == 1:
-        return (c1 + c2) % p or None
-    s = tuple((a + b) % p for a, b in zip(c1, c2))
-    return s if any(s) else None
+    """The sum of two internal coefficients, added entry by entry mod p
+    on their coefficient tuples; None for zero."""
+    F = ring.field
+    return F.element(TupleField(F).add(F.coeffs(c1), F.coeffs(c2))).rep or None
 
 
 def reference_sum(f: Polynomial, g: Polynomial, sign: int = 1) -> Polynomial:
@@ -308,7 +349,7 @@ def naive_mul(f: Polynomial, g: Polynomial) -> Polynomial:
         for kg, cg in g.terms.items():
             eg = unpack(kg)
             e = tuple(a + b for a, b in zip(ef, eg))
-            prod = ring._cmul(cf, cg)
+            prod = ring.field._vmul(cf, cg)
             cur = acc.get(e)
             if cur is None:
                 acc[e] = prod
@@ -450,10 +491,10 @@ def reference_normal_form(f: Polynomial, basis, certificate: bool = False):
         if b.is_zero():
             continue
         lmk = b.leading_key()
-        table.append((lmk, i, unpack(lmk), ring._cinv(b.terms[lmk]), b.terms))
+        table.append((lmk, i, unpack(lmk), ring.field._vinv(b.terms[lmk]), b.terms))
     table.sort(key=lambda t: (t[0], t[1]))
 
-    cneg, cmul = ring._cneg, ring._cmul
+    cneg, cmul = ring.field._vneg, ring.field._vmul
     off = ring.order.offset
     acc = dict(f.terms)
     heap = [-k for k in acc]
@@ -593,14 +634,11 @@ def _tmul(a: dict, b: dict) -> dict:
 def _demote(f: Polynomial, prime_ring: PolyRing) -> Polynomial:
     """Extension-coefficient polynomial whose coefficients are constants,
     rewritten over the prime field."""
-    if f.ring.field.e == 1:
-        return Polynomial(prime_ring, dict(f.terms))
-    terms = {}
-    for k, rep in f.terms.items():
-        if any(rep[1:]):
+    F = f.ring.field
+    for rep in f.terms.values():
+        if any(F.coeffs(rep)[1:]):
             raise AssertionError("coefficient does not lie in the prime field")
-        terms[k] = rep[0]
-    return Polynomial(prime_ring, terms)
+    return Polynomial(prime_ring, dict(f.terms))
 
 
 # -- symplectic forms and random group elements ---------------------------------------
@@ -675,7 +713,7 @@ def apply_point(M: MatrixGF, point: Sequence) -> tuple:
     if M.spec.e == 1:
         if L.p != M.spec.p:
             raise ContextMismatch("characteristic mismatch")
-        return tuple(sum((a.rep[0] * x for a, x in zip(row, point) if a.rep[0]),
+        return tuple(sum((a.rep * x for a, x in zip(row, point) if a.rep),
                          L.zero) for row in M.rows)
     if L != M.spec:
         raise ContextMismatch("extension matrices act on their own field")

@@ -11,16 +11,14 @@ without its ``elapsed-ms=`` field, and the ``replay_document`` result.
 Running this file as a script prints that table.
 
 ``FIELD_PINS`` holds the sha256 of the default moduli ``find_irreducible``
-finds, of the exp table of every table-backed field, of
-``is_irreducible`` over a seeded sample of polynomials and of the text
-and index of a seeded ``random_element`` sequence in each of seven
-fields.  Running this file as a script with the argument ``fields``
-prints those digests.
+finds, of ``is_irreducible`` over a seeded sample of polynomials and of
+the text and index of a seeded ``random_element`` sequence in each of
+seven fields.  Running this file as a script with the argument
+``fields`` prints those digests.
 
 Any change to a verdict, a witness byte, a report line or a replay
-result of these claims, or to a default modulus, a field table, an
-irreducibility verdict, an element's text or index or a random draw,
-fails here.
+result of these claims, or to a default modulus, an irreducibility
+verdict, an element's text or index or a random draw, fails here.
 """
 
 import functools
@@ -36,8 +34,7 @@ import pytest
 from invar.fsing import (RunConfig, render_machine, render_text,
                          replay_document, run_claim, suite_claims,
                          verify_c0_expression, witness_document)
-from invar.gf import (_TABLE_CAP, field, find_irreducible, is_irreducible,
-                      is_prime)
+from invar.gf import field, find_irreducible, is_irreducible
 from oracles import mutated_c0_terms
 
 MODES = ("exact", "probabilistic", "auto")
@@ -217,12 +214,6 @@ def _moduli_text() -> str:
     return "".join(f"{p} {e} {find_irreducible(p, e)}\n" for p, e in degrees)
 
 
-def _exp_tables_text() -> str:
-    fields = [(p, e) for p in range(2, 33) if is_prime(p)
-              for e in range(2, 11) if p ** e <= _TABLE_CAP]
-    return "".join(f"{p} {e} {field(p, e)._exp}\n" for p, e in fields)
-
-
 def _irreducible_text() -> str:
     rng = random.Random(2024)
     lines = []
@@ -245,12 +236,11 @@ def _elements_text() -> str:
     return "".join(lines)
 
 
-FIELD_TEXTS = {"moduli": _moduli_text, "exp-tables": _exp_tables_text,
-               "irreducible-sample": _irreducible_text, "elements": _elements_text}
+FIELD_TEXTS = {"moduli": _moduli_text, "irreducible-sample": _irreducible_text,
+               "elements": _elements_text}
 
 FIELD_PINS = {
     "elements": "fe0fab195f08d8f4ad20d8654661a563a5569ed2c177ca19e05843d9d5332ee8",
-    "exp-tables": "563bbecc2dee93f6992a294ddcfa2f14054f3e81ea011d7e55e66ca7f654da55",
     "irreducible-sample": "fccdf7549c82caa4798735d48f2918ae5ff7e67c12293194e934fd2c75551e7d",
     "moduli": "7ca6ebf0013bf0c71f44770356204d1de7c251168c42cc6c9f3719e54ee7315f",
 }

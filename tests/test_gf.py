@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from invar import field, find_irreducible, is_irreducible
 from invar.errors import ContextMismatch, FieldZeroDivision, ResourceLimit, UsageError
 from invar.gf import ENUM_CAP, FieldSpec
-from oracles import (enumerate_elements, irreducible_by_trial_division,
-                     schoolbook_vmul)
+from oracles import TupleField, enumerate_elements, irreducible_by_trial_division
 
 
 def test_smallest_moduli():
@@ -138,6 +137,15 @@ def test_mixed_field_operands_rejected():
         F.gen + G.gen
 
 
+def test_index_rejects_foreign_element():
+    F9, F27 = field(3, 2), field(3, 3)
+    assert F27.index(F27.gen) == 3
+    with pytest.raises(ContextMismatch):
+        F9.index(F27.gen)
+    with pytest.raises(ContextMismatch):
+        field(7).index(field(5).one)
+
+
 def test_zero_division():
     F = field(3, 2)
     with pytest.raises(FieldZeroDivision):
@@ -151,7 +159,7 @@ def test_enumeration_order_and_index():
     elems = enumerate_elements(F27)
     assert len(elems) == 27
     assert elems[0] == F27.zero
-    reps = [x.rep for x in elems]
+    reps = [F27.coeffs(x.rep) for x in elems]
     assert reps == sorted(reps)
     for i, x in enumerate(elems):
         assert F27.index(x) == i
@@ -204,24 +212,33 @@ def test_negative_and_large_powers():
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (7, 1),
                                  (2, 2), (2, 3), (3, 2), (3, 3), (7, 2), (3, 4)])
 def test_field_axioms_exhaustive(p, e):
-    """Every axiom on every tuple, for orders up to 81."""
+    """Every axiom on every element, for orders up to 81, and every
+    operation against the tuple reference."""
     F = field(p, e)
+    T = TupleField(F)
     reps = [x.rep for x in enumerate_elements(F)]
     zero, one = F.zero.rep, F.one.rep
+    assert (F.coeffs(zero), F.coeffs(one)) == (T.zero, T.one)
     add, mul = F._vadd, F._vmul
     for a in reps:
+        ta = F.coeffs(a)
         assert add(a, zero) == a
         assert mul(a, one) == a
         assert add(a, F._vneg(a)) == zero
-        if any(a):
+        assert F.coeffs(F._vneg(a)) == T.neg(ta)
+        assert F.coeffs(F._vfrob(a, 1)) == T.frob(ta, 1)
+        assert F.coeffs(F._vpow(a, 5)) == T.pow(ta, 5)
+        if a:
             assert mul(a, F._vinv(a)) == one
+            assert F.coeffs(F._vinv(a)) == T.inv(ta)
     for a in reps:
         for b in reps:
             assert add(a, b) == add(b, a)
             assert mul(a, b) == mul(b, a)
-            if F._log is not None:
-                # table path must agree with schoolbook reduction
-                assert mul(a, b) == schoolbook_vmul(F, a, b)
+            ta, tb = F.coeffs(a), F.coeffs(b)
+            assert F.coeffs(add(a, b)) == T.add(ta, tb)
+            assert F.coeffs(F._vsub(a, b)) == T.sub(ta, tb)
+            assert F.coeffs(mul(a, b)) == T.mul(ta, tb)
     for a in reps:
         for b in reps:
             ab_add = add(a, b)
@@ -246,26 +263,45 @@ def test_large_field_spot_axioms():
                 assert a * a.inverse() == F.one
 
 
-# (p, e, modulus, slot bytes): the default GF(p^32) moduli, the table
-# fields GF(9) and GF(256), a prime field, and GF(p^2) for p = 2^32 - 5,
+# (p, e, modulus, slot bytes): the default GF(p^32) moduli, GF(9),
+# GF(256) and GF(729), a prime field, and GF(p^2) for p = 2^32 - 5,
 # whose product slots (e (p-1)^2 >= 2^64) fit no array typecode.
 DIFF_FIELDS = [(2, 32, None, 1), (3, 32, None, 1), (5, 32, None, 2),
                (7, 32, None, 2), (3, 2, None, 1), (2, 8, None, 1),
-               (7, 1, None, 1), (4294967291, 2, (1, 0, 1), 9)]
+               (3, 6, None, 1), (7, 1, None, 1), (4294967291, 2, (1, 0, 1), 9)]
 
 
-def _reps(F):
-    return st.tuples(*[st.integers(0, F.p - 1)] * F.e)
+def _tuples(F):
+    """Coefficient tuples, zero and one among them."""
+    zero, one = (0,) * F.e, (1,) + (0,) * (F.e - 1)
+    return st.one_of(st.sampled_from([zero, one]),
+                     st.tuples(*[st.integers(0, F.p - 1)] * F.e))
 
 
 @pytest.mark.parametrize("p,e,modulus,slot", DIFF_FIELDS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_packed_mul_matches_schoolbook(p, e, modulus, slot, data):
+    """+, -, negation, product, inverse and powers of the packed ints
+    against the tuple reference."""
     F = field(p, e, modulus)
     assert F._slot == slot
-    a, b = data.draw(_reps(F)), data.draw(_reps(F))
-    assert F._vmul(a, b) == schoolbook_vmul(F, a, b)
+    T = TupleField(F)
+    ta, tb = data.draw(_tuples(F)), data.draw(_tuples(F))
+    a, b = F.element(ta).rep, F.element(tb).rep
+    assert F.coeffs(a) == ta
+    assert F.coeffs(F._vadd(a, b)) == T.add(ta, tb)
+    assert F.coeffs(F._vsub(a, b)) == T.sub(ta, tb)
+    assert F.coeffs(F._vneg(a)) == T.neg(ta)
+    assert F.coeffs(F._vmul(a, b)) == T.mul(ta, tb)
+    k = data.draw(st.integers(-3, 40))
+    if a:
+        assert F.coeffs(F._vinv(a)) == T.inv(ta)
+        assert F.coeffs(F._vpow(a, k)) == T.pow(ta, k)
+    else:
+        with pytest.raises(FieldZeroDivision):
+            F._vinv(a)
+        assert F._vpow(a, abs(k)) == F.element(T.pow(ta, abs(k))).rep
 
 
 @pytest.mark.parametrize("p,e,modulus,slot", DIFF_FIELDS)
@@ -273,7 +309,8 @@ def test_packed_mul_matches_schoolbook(p, e, modulus, slot, data):
 @given(data=st.data())
 def test_frobenius_map_matches_power(p, e, modulus, slot, data):
     F = field(p, e, modulus)
-    a = data.draw(_reps(F))
+    a = data.draw(_tuples(F))
     k = data.draw(st.sampled_from([0, 1, e - 1, e, e + 1, 2 * e + 1]))
     x = F.element(a)
     assert x.frobenius(k) == x ** (p ** k)
+    assert F.coeffs(x.frobenius(k).rep) == TupleField(F).frob(a, k)

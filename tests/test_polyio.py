@@ -356,7 +356,7 @@ def test_printed_elements_and_moduli_round_trip(p, e, modulus):
     assert parse_field_text(F.serialize()) is F
     assert parse_field_text(f"{p}^{e} {_poly_text(F.modulus)}") is F
     for x in enumerate_elements(F):
-        assert parse_element(_poly_text(x.rep), F) == x
+        assert parse_element(_poly_text(F.coeffs(x.rep)), F) == x
         assert parse_element(str(x), F) == x
 
 
@@ -382,7 +382,7 @@ def test_element_text_takes_products_of_factors(text, rep):
     """Products of factors in g, which the grammar of polynomials reads
     and element text now shares."""
     F27 = field(3, 3)
-    assert parse_element(text, F27).rep == rep
+    assert F27.coeffs(parse_element(text, F27).rep) == rep
     R = PolyRing(F27, ["x"])
     assert parse_poly(f"({text})*x", R) == R.monomial((1,), parse_element(text, F27))
 
