@@ -33,8 +33,7 @@ def random_poly(ring, rng, nterms=6, maxdeg=4):
     for _ in range(nterms):
         exps = tuple(rng.randrange(maxdeg + 1) for _ in range(ring.nvars))
         terms[exps] = rng.randrange(ring.field.order)
-    return ring.from_terms({e: ring.field.from_index(c) if ring.field.e > 1 else c
-                            for e, c in terms.items()})
+    return ring.from_terms({e: ring.field.from_index(c) for e, c in terms.items()})
 
 
 @st.composite

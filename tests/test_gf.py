@@ -268,7 +268,7 @@ def test_large_field_spot_axioms():
 # whose product slots (e (p-1)^2 >= 2^64) fit no array typecode.
 DIFF_FIELDS = [(2, 32, None, 1), (3, 32, None, 1), (5, 32, None, 2),
                (7, 32, None, 2), (3, 2, None, 1), (2, 8, None, 1),
-               (3, 6, None, 1), (7, 1, None, 1), (4294967291, 2, (1, 0, 1), 9)]
+               (7, 1, None, 1), (4294967291, 2, (1, 0, 1), 9), (3, 6, None, 1)]
 
 
 def _tuples(F):
