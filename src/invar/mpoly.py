@@ -354,13 +354,16 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if not self.terms:
             return self
-        inv = self.ring.field._vinv(self.terms[self.leading_key()])
-        return self.scale(inv)
+        return self._times(self.ring.field._vinv(self.terms[self.leading_key()]))
 
     def scale(self, c) -> "Polynomial":
         cc = self.ring._coeff(c)
         if cc is None:
             return Polynomial(self.ring, {})
+        return self._times(cc)
+
+    def _times(self, cc: int) -> "Polynomial":
+        """Every coefficient times the nonzero internal coefficient cc."""
         vmul = self.ring.field._vmul
         return Polynomial(self.ring, {k: vmul(v, cc) for k, v in self.terms.items()})
 

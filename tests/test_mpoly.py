@@ -254,6 +254,26 @@ def test_leading_data(R3):
         R3.zero.leading_key()
 
 
+@pytest.mark.parametrize("p,e", [(3, 2), (2, 8), (3, 32)])
+def test_monic_over_extension_fields(p, e):
+    """A leading coefficient outside GF(p) is inverted as an element,
+    never read as a prime-field constant."""
+    F = field(p, e)
+    R = PolyRing(F, ["x", "y"])
+    x, y = R.gens()
+    g = F.gen
+    assert (g * x + 1).monic() == x + g.inverse()
+    rng = random.Random(p * 100 + e)
+    for _ in range(20):
+        f = random_poly(R, rng, nterms=4, maxdeg=3)
+        if f.is_zero():
+            continue
+        m = f.monic()
+        lc = leading_coeff(f)
+        assert leading_coeff(m) == F.one
+        assert m == f.scale(lc.inverse()) and m.scale(lc) == f
+
+
 def test_exponent_cap(R3, monkeypatch):
     with pytest.raises(ResourceLimit):
         R3.monomial((mpoly.EXP_CAP, 0, 0))
