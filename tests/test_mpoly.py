@@ -252,26 +252,13 @@ def test_leading_data(R3):
     assert f.monic() == x1 * x2 + 2 * x3 ** 2
     with pytest.raises(UsageError):
         R3.zero.leading_key()
-
-
-@pytest.mark.parametrize("p,e", [(3, 2), (2, 8), (3, 32)])
-def test_monic_over_extension_fields(p, e):
-    """A leading coefficient outside GF(p) is inverted as an element,
-    never read as a prime-field constant."""
-    F = field(p, e)
-    R = PolyRing(F, ["x", "y"])
-    x, y = R.gens()
-    g = F.gen
-    assert (g * x + 1).monic() == x + g.inverse()
-    rng = random.Random(p * 100 + e)
-    for _ in range(20):
-        f = random_poly(R, rng, nterms=4, maxdeg=3)
-        if f.is_zero():
-            continue
-        m = f.monic()
-        lc = leading_coeff(f)
-        assert leading_coeff(m) == F.one
-        assert m == f.scale(lc.inverse()) and m.scale(lc) == f
+    # a leading coefficient outside GF(p) is inverted as an element
+    for F in (field(3, 2), field(2, 8), field(3, 32)):
+        x, y = PolyRing(F, ["x", "y"]).gens()
+        g = F.gen
+        assert (g * x + 1).monic() == x + g.inverse()
+        f = (g + 1) * x * y + g * y + 1
+        assert f.monic().scale(g + 1) == f
 
 
 def test_exponent_cap(R3, monkeypatch):
