@@ -13,8 +13,10 @@ the candidate itself.
 An element is one int in _Quotient's slot layout: slot i holds the
 coefficient of g^i in [0, p).  So a GF(p) element is its own value, an
 int c < p is the constant c in every field, and equality is structural.
-Every field runs the same packed arithmetic.  Everything here is
-immutable after construction and every operation is pure.
+Every field runs the same packed arithmetic, which reduces products by
+the modulus and applies Frobenius maps through precomputed tables.
+Everything here is immutable after construction and every operation is
+pure.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     x = ring._gen
     powers = [x]                      # powers[k] = X^(p^k) mod f
     for _ in range(e):
-        powers.append(ring._vfrob(powers[-1], 1))
+        powers.append(ring._vpow(powers[-1], p))
     if powers[e] != x:
         return False
     # Now f divides X^(p^e) - X, the product of the monic irreducibles of
@@ -152,6 +154,21 @@ def _poly_text(coeffs: Sequence[int], symbol: str = "g") -> str:
 # ---------------------------------------------------------------------------
 
 
+def _fold(tables: tuple, data: bytes, acc: int) -> int:
+    """acc plus, for each (cut, table), the entry table[data[cut]]."""
+    for cut, table in tables:
+        acc += table[data[cut]]
+    return acc
+
+
+class _Row(int):
+    """A one-row table for p > 256: the entry for a slot's bytes is its
+    value times the row, so no table holds p entries."""
+
+    def __getitem__(self, key: bytes) -> int:
+        return int.from_bytes(key, "little") * self
+
+
 class _Quotient:
     """The ring GF(p)[g]/(f) for a monic f = modulus of degree e,
     irreducible or not (modulus None is GF(p) itself, e = 1).
@@ -161,38 +178,78 @@ class _Quotient:
     enough for e products below p^2, so a sum, a difference (against p
     in every slot) or a whole product is one int operation that carries
     nothing between slots; _mod then reduces every slot mod p, through
-    one bytes.translate when slots are bytes.  A product is reduced by
-    the nonzero terms of f.  The map a -> a^p is a ring endomorphism
-    fixing GF(p), so a^(p^k) is a sum of a_i times the rows g^(i p^k).
+    one bytes.translate when slots are bytes.
+
+    Reduction by f and each Frobenius map are GF(p)-linear, so each is
+    one _fold of slot bytes through chunk tables.  A product, reduced mod
+    p, folds its high e - 1 slots through the rows g^e .. g^(2e-2) mod f.
+    As a -> a^p is a ring endomorphism fixing GF(p), a^(p^k) folds the
+    slots of a through the rows g^(i p^k).  A table holds every
+    GF(p)-combination of _chunk rows: with wide, the most rows whose
+    combinations fit 256 entries, else one row.
     """
 
-    __slots__ = ("p", "e", "order", "modulus", "_red", "_slot", "_typecode",
-                 "_frob_rows", "_modp", "_pones", "_gen")
+    __slots__ = ("p", "e", "order", "modulus", "_slot", "_typecode", "_chunk",
+                 "_keys", "_high", "_low", "_frob", "_modp", "_pones", "_gen")
 
-    def __init__(self, p: int, e: int, modulus: Optional[tuple]):
+    def __init__(self, p: int, e: int, modulus: Optional[tuple], wide: bool = False):
         self.p = p
         self.e = e
         self.order = p ** e
         self.modulus = modulus
-        # g^e = -(m_0 + m_1 g + ... + m_{e-1} g^{e-1}), nonzero terms only
-        self._red = (None if modulus is None else
-                     tuple((i, (-c) % p) for i, c in enumerate(modulus[:e]) if c))
         # A product or Frobenius slot sums at most e terms below p^2.
         bound = e * (p - 1) ** 2
         self._typecode = slot_typecode(bound)
         self._slot = (array(self._typecode).itemsize if self._typecode
                       else (bound.bit_length() + 7) // 8)
-        self._frob_rows = {}
+        self._chunk = max((k for k in range(2, 9) if p ** k <= 256), default=1) if wide else 1
+        self._frob = {}
         self._modp = bytes(i % p for i in range(256)) if self._slot == 1 else None
         self._pones = self._pack([p] * e)
         self._gen = 1 << 8 * self._slot
+        self._low = self._gen ** e - 1
+        # _keys[m]: the bytes of m slots for each GF(p)-combination, in table order
+        self._keys = [[b""]]
+        while p <= 256 and len(self._keys) <= self._chunk:
+            self._keys.append([key + c.to_bytes(self._slot, "little")
+                               for c in range(p) for key in self._keys[-1]])
+        if modulus is not None:
+            # g^e = -(m_0 + ... + m_{e-1} g^{e-1}); g^(i+1) is g^i shifted
+            # up one slot, its top coefficient times g^e added back
+            rows = [self._pack([(-c) % p for c in modulus[:e]])]
+            for _ in range(e - 2):
+                top, rest = divmod(rows[-1], self._gen ** (e - 1))
+                rows.append(self._mod(rest * self._gen + top * rows[0]))
+            self._high = self._tables(rows, e)
+
+    def _tables(self, rows: list, start: int) -> tuple:
+        """(cut, table) for each chunk of _chunk rows, the first at slot
+        start: table[data[cut]] is the unreduced sum of c_j * row_j over
+        the chunk's slots c_j in [0, p) of data.  A table is built whole,
+        by doubling: a dict from slot bytes, or a list indexed by the
+        byte when the chunk is one byte.  Past p = 256 it is a _Row."""
+        p, w, k = self.p, self._slot, self._chunk
+        out = []
+        for i in range(0, len(rows), k):
+            chunk = rows[i:i + k]
+            at, end = (start + i) * w, (start + i + len(chunk)) * w
+            if p <= 256:
+                vals = [0]
+                for row in chunk:
+                    vals = [v + c * row for c in range(p) for v in vals]
+                out.append((at, vals) if end - at == 1 else
+                           (slice(at, end), dict(zip(self._keys[len(chunk)], vals))))
+            else:
+                out.append((slice(at, end), _Row(chunk[0])))
+        return tuple(out)
 
     def _pack(self, a: Sequence[int]) -> int:
         """Coefficients (each below 2^(8 * slot)) as one int, slot i at
         byte offset i * slot."""
-        tc = self._typecode
+        w, tc = self._slot, self._typecode
+        if w == 1:
+            return int.from_bytes(bytes(a), "little")
         if tc is None:
-            w = self._slot
             return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in a),
                                   "little")
         arr = array(tc, a)
@@ -202,9 +259,10 @@ class _Quotient:
 
     def _unpack(self, n: int, count: int) -> list:
         """The first count slots of a packed int."""
-        w = self._slot
+        w, tc = self._slot, self._typecode
         data = n.to_bytes(count * w, "little")
-        tc = self._typecode
+        if w == 1:
+            return list(data)
         if tc is None:
             return [int.from_bytes(data[i:i + w], "little")
                     for i in range(0, count * w, w)]
@@ -214,16 +272,17 @@ class _Quotient:
             arr.byteswap()
         return arr.tolist()
 
-    def _mod(self, n: int) -> int:
-        """Every slot of n reduced mod p."""
+    def _mod(self, n: int, count: int = 0) -> int:
+        """Every slot of n, or of its first count slots, reduced mod p."""
         if self.e == 1:
             return n % self.p
+        count = count or self.e
         table = self._modp
         if table is not None:
-            return int.from_bytes(n.to_bytes(self.e, "little").translate(table),
+            return int.from_bytes(n.to_bytes(count, "little").translate(table),
                                   "little")
         p = self.p
-        return self._pack([c % p for c in self._unpack(n, self.e)])
+        return self._pack([c % p for c in self._unpack(n, count)])
 
     def _vadd(self, a: int, b: int) -> int:
         return self._mod(a + b)
@@ -237,18 +296,12 @@ class _Quotient:
         return self._mod(self._pones - a)
 
     def _vmul(self, a: int, b: int) -> int:
-        p, e = self.p, self.e
+        e = self.e
         if e == 1:
-            return a * b % p
-        conv = self._unpack(a * b, 2 * e - 1)
-        red = self._red
-        for i in range(2 * e - 2, e - 1, -1):
-            c = conv[i] % p
-            if c:
-                base = i - e
-                for j, rj in red:
-                    conv[base + j] += c * rj
-        return self._pack([c % p for c in conv[:e]])
+            return a * b % self.p
+        n = self._mod(a * b, 2 * e - 1)
+        data = n.to_bytes((2 * e - 1) * self._slot, "little")
+        return self._mod(_fold(self._high, data, n & self._low))
 
     def _vinv(self, a: int) -> int:
         """Inverse in a field: a^(p^e - 2)."""
@@ -261,13 +314,11 @@ class _Quotient:
             return self._vpow(self._vinv(a), -k)
         if self.e == 1:
             return pow(a, k, self.p)
-        result = 1
-        base = a
-        while k:
-            if k & 1:
-                result = self._vmul(result, base)
-            base = self._vmul(base, base)
-            k >>= 1
+        result = 1 if k == 0 else a
+        for bit in bin(k)[3:]:          # the bits of k below its top one
+            result = self._vmul(result, result)
+            if bit == "1":
+                result = self._vmul(result, a)
         return result
 
     def _vfrob(self, a: int, k: int) -> int:
@@ -276,19 +327,14 @@ class _Quotient:
         k %= self.e
         if k == 0:
             return a
-        rows = self._frob_rows.get(k)
-        if rows is None:
+        tables = self._frob.get(k)
+        if tables is None:
             h = self._vpow(self._gen, self.p ** k)
-            rows, cur = [], 1
-            for _ in range(self.e):
-                rows.append(cur)
-                cur = self._vmul(cur, h)
-            self._frob_rows[k] = rows
-        acc = 0
-        for c, row in zip(self._unpack(a, self.e), rows):
-            if c:
-                acc += c * row
-        return self._mod(acc)
+            rows = [1]
+            for _ in range(self.e - 1):
+                rows.append(self._vmul(rows[-1], h))
+            tables = self._frob[k] = self._tables(rows, 0)
+        return self._mod(_fold(tables, a.to_bytes(self.e * self._slot, "little"), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +366,7 @@ class FieldSpec(_Quotient):
                 raise UsageError("modulus must be monic of degree e")
             if not is_irreducible(modulus, p):
                 raise UsageError("modulus is not irreducible")
-        super().__init__(p, e, modulus)
+        super().__init__(p, e, modulus, wide=True)
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
         self.gen = FieldElement(self, self._gen) if e > 1 else None

@@ -533,14 +533,25 @@ def _coeff_text(ring: PolyRing, c: int) -> str:
 
 def _merge(out: dict, terms: dict, field: FieldSpec, sign: int = 1) -> None:
     """out += terms (sign 1) or out -= terms (sign -1) in place, over
-    the coefficient field; keys that cancel are deleted."""
+    the coefficient field; keys that cancel are deleted.  Over GF(p)
+    each sign has its own loop, so no term tests the sign."""
     get = out.get
-    if field.e == 1:
-        p = field.p
+    p = field.p
+    if field.e > 1:
+        vop, vneg = (field._vadd, None) if sign > 0 else (field._vsub, field._vneg)
         for k, c in terms.items():
             cur = get(k)
-            if sign < 0:
-                c = p - c
+            if cur is None:
+                out[k] = vneg(c) if vneg else c
+            else:
+                s = vop(cur, c)
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+    elif sign > 0:
+        for k, c in terms.items():
+            cur = get(k)
             if cur is None:
                 out[k] = c
             else:
@@ -549,18 +560,17 @@ def _merge(out: dict, terms: dict, field: FieldSpec, sign: int = 1) -> None:
                     out[k] = s
                 else:
                     del out[k]
-        return
-    vop, vneg = (field._vadd, None) if sign > 0 else (field._vsub, field._vneg)
-    for k, c in terms.items():
-        cur = get(k)
-        if cur is None:
-            out[k] = vneg(c) if vneg else c
-        else:
-            s = vop(cur, c)
-            if s:
-                out[k] = s
+    else:
+        for k, c in terms.items():
+            cur = get(k)
+            if cur is None:
+                out[k] = p - c
             else:
-                del out[k]
+                s = (cur - c) % p
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
 
 
 def _kronecker(order: TermOrder, p: int, at: dict, bt: dict) -> Optional[dict]:

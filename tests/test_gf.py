@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from invar import field, find_irreducible, is_irreducible
 from invar.errors import ContextMismatch, FieldZeroDivision, ResourceLimit, UsageError
+from invar import gf
 from invar.gf import ENUM_CAP, FieldSpec
 from oracles import TupleField, enumerate_elements, irreducible_by_trial_division
 
@@ -49,6 +50,39 @@ def test_irreducible_for_large_p():
     p = 4294967291                    # p = 3 mod 4, so -1 is not a square
     assert is_irreducible((1, 0, 1), p)
     assert not is_irreducible((p - 1, 0, 1), p)
+
+
+def test_table_sizes(monkeypatch):
+    """A FieldSpec table holds at most 256 entries, the most rows of
+    GF(p) that fit; the quotient of each Rabin test holds one row per
+    table, so no table of it has more than p entries (past p = 256 a row
+    scaled on lookup, never p entries)."""
+    for p, e, modulus, chunk in [(2, 32, None, 8), (3, 32, None, 5), (5, 32, None, 3),
+                                 (2, 8, None, 8), (17, 2, None, 1),
+                                 (4294967291, 2, (1, 0, 1), 1)]:
+        F = field(p, e, modulus)
+        F._vfrob(F._gen, 1)
+        assert F._chunk == chunk
+        for _, table in F._high + F._frob[1]:
+            assert isinstance(table, gf._Row) if p > 256 else len(table) <= 256
+    built = []
+
+    class Spy(gf._Quotient):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    cases = [(p, find_irreducible(p, e)) for p, e in [(2, 32), (3, 32), (5, 32), (17, 3)]]
+    cases.append((4294967291, (1, 0, 1)))
+    monkeypatch.setattr(gf, "_Quotient", Spy)
+    assert all(is_irreducible(f, p) for p, f in cases)
+    assert [q.p for q in built] == [p for p, _ in cases]
+    for q in built:
+        assert q._chunk == 1
+        for _, table in q._high + tuple(t for ts in q._frob.values() for t in ts):
+            assert isinstance(table, gf._Row) if q.p > 256 else len(table) <= q.p
 
 
 def test_modulus_search_refuses_large_p():
@@ -264,11 +298,16 @@ def test_large_field_spot_axioms():
 
 
 # (p, e, modulus, slot bytes): the default GF(p^32) moduli, GF(9),
-# GF(256) and GF(729), a prime field, and GF(p^2) for p = 2^32 - 5,
-# whose product slots (e (p-1)^2 >= 2^64) fit no array typecode.
+# GF(256) and GF(729), a prime field, and GF(p^2) for p = 65521 and
+# p = 2^32 - 5, whose product slots (e (p-1)^2 >= 2^64) fit no array
+# typecode.  Their reduction and Frobenius tables cover every chunk
+# width: 8 rows of GF(2), 5 of GF(3) (the last chunk of GF(3^32) is one
+# row), 3 of GF(5) in 2-byte slots, 2 of GF(7), and for p > 256 one row
+# scaled on lookup.
 DIFF_FIELDS = [(2, 32, None, 1), (3, 32, None, 1), (5, 32, None, 2),
                (7, 32, None, 2), (3, 2, None, 1), (2, 8, None, 1),
-               (7, 1, None, 1), (4294967291, 2, (1, 0, 1), 9), (3, 6, None, 1)]
+               (7, 1, None, 1), (4294967291, 2, (1, 0, 1), 9), (3, 6, None, 1),
+               (65521, 2, None, 8)]
 
 
 def _tuples(F):
@@ -308,9 +347,11 @@ def test_packed_mul_matches_schoolbook(p, e, modulus, slot, data):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_frobenius_map_matches_power(p, e, modulus, slot, data):
+    """frobenius(k) for k in [-e, 2e], where k acts mod e."""
     F = field(p, e, modulus)
     a = data.draw(_tuples(F))
-    k = data.draw(st.sampled_from([0, 1, e - 1, e, e + 1, 2 * e + 1]))
+    k = data.draw(st.one_of(st.sampled_from([-e, -1, 0, 1, e - 1, e, 2 * e]),
+                            st.integers(-e, 2 * e)))
     x = F.element(a)
-    assert x.frobenius(k) == x ** (p ** k)
+    assert x.frobenius(k) == x ** (p ** (k % e))
     assert F.coeffs(x.frobenius(k).rep) == TupleField(F).frob(a, k)
