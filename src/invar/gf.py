@@ -208,12 +208,12 @@ class _Quotient:
         self._pones = self._pack([p] * e)
         self._gen = 1 << 8 * self._slot
         self._low = self._gen ** e - 1
-        # _keys[m]: the bytes of m slots for each GF(p)-combination, in table order
-        self._keys = [[b""]]
-        while p <= 256 and len(self._keys) <= self._chunk:
-            self._keys.append([key + c.to_bytes(self._slot, "little")
-                               for c in range(p) for key in self._keys[-1]])
         if modulus is not None:
+            # _keys[m]: the bytes of m slots for each GF(p)-combination, in table order
+            self._keys = [[b""]]
+            while p <= 256 and len(self._keys) <= self._chunk:
+                self._keys.append([key + c.to_bytes(self._slot, "little")
+                                   for c in range(p) for key in self._keys[-1]])
             # g^e = -(m_0 + ... + m_{e-1} g^{e-1}); g^(i+1) is g^i shifted
             # up one slot, its top coefficient times g^e added back
             rows = [self._pack([(-c) % p for c in modulus[:e]])]

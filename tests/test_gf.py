@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invar import field, find_irreducible, is_irreducible
+from invar import field, find_irreducible, gf, is_irreducible
 from invar.errors import ContextMismatch, FieldZeroDivision, ResourceLimit, UsageError
-from invar import gf
 from invar.gf import ENUM_CAP, FieldSpec
 from oracles import TupleField, enumerate_elements, irreducible_by_trial_division
 
@@ -347,11 +346,12 @@ def test_packed_mul_matches_schoolbook(p, e, modulus, slot, data):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_frobenius_map_matches_power(p, e, modulus, slot, data):
-    """frobenius(k) for k in [-e, 2e], where k acts mod e."""
+    """frobenius(k) for k in [-e, 2e + 1]: the power p^k for k >= 0, and
+    for k < 0 the inverse map, the power p^(k mod e)."""
     F = field(p, e, modulus)
     a = data.draw(_tuples(F))
-    k = data.draw(st.one_of(st.sampled_from([-e, -1, 0, 1, e - 1, e, 2 * e]),
+    k = data.draw(st.one_of(st.sampled_from([-e, -1, 0, 1, e - 1, e, e + 1, 2 * e, 2 * e + 1]),
                             st.integers(-e, 2 * e)))
     x = F.element(a)
-    assert x.frobenius(k) == x ** (p ** (k % e))
+    assert x.frobenius(k) == x ** (p ** (k if k >= 0 else k % e))
     assert F.coeffs(x.frobenius(k).rep) == TupleField(F).frob(a, k)
