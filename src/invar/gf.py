@@ -13,10 +13,8 @@ the candidate itself.
 An element is one int in _Quotient's slot layout: slot i holds the
 coefficient of g^i in [0, p).  So a GF(p) element is its own value, an
 int c < p is the constant c in every field, and equality is structural.
-Every field runs the same packed arithmetic, which reduces products by
-the modulus and applies Frobenius maps through precomputed tables.
-Everything here is immutable after construction and every operation is
-pure.
+Every field runs the same packed arithmetic.  Everything here is
+immutable after construction and every operation is pure.
 """
 
 from __future__ import annotations
@@ -24,11 +22,14 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import product
+from math import isqrt
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import ContextMismatch, FieldZeroDivision, ResourceLimit, UsageError
 
 ENUM_CAP = 1 << 20
+_TABLE_BYTES = 1 << 17    # slot bytes of the rows in the tables of one map
 
 _SWAP = sys.byteorder != "little"    # array items must be little-endian
 
@@ -39,32 +40,19 @@ def slot_typecode(bound: int) -> Optional[str]:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n == 2 or (n > 2 and n % 2 == 1 and
+                      all(n % d for d in range(3, isqrt(n) + 1, 2)))
 
 
 def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
+    out, d = [], 2
     while d * d <= n:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
         d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return out + [n] if n > 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -154,21 +142,6 @@ def _poly_text(coeffs: Sequence[int], symbol: str = "g") -> str:
 # ---------------------------------------------------------------------------
 
 
-def _fold(tables: tuple, data: bytes, acc: int) -> int:
-    """acc plus, for each (cut, table), the entry table[data[cut]]."""
-    for cut, table in tables:
-        acc += table[data[cut]]
-    return acc
-
-
-class _Row(int):
-    """A one-row table for p > 256: the entry for a slot's bytes is its
-    value times the row, so no table holds p entries."""
-
-    def __getitem__(self, key: bytes) -> int:
-        return int.from_bytes(key, "little") * self
-
-
 class _Quotient:
     """The ring GF(p)[g]/(f) for a monic f = modulus of degree e,
     irreducible or not (modulus None is GF(p) itself, e = 1).
@@ -180,17 +153,15 @@ class _Quotient:
     nothing between slots; _mod then reduces every slot mod p, through
     one bytes.translate when slots are bytes.
 
-    Reduction by f and each Frobenius map are GF(p)-linear, so each is
-    one _fold of slot bytes through chunk tables.  A product, reduced mod
-    p, folds its high e - 1 slots through the rows g^e .. g^(2e-2) mod f.
-    As a -> a^p is a ring endomorphism fixing GF(p), a^(p^k) folds the
-    slots of a through the rows g^(i p^k).  A table holds every
-    GF(p)-combination of _chunk rows: with wide, the most rows whose
-    combinations fit 256 entries, else one row.
+    Reduction by f and a -> a^(p^k) are GF(p)-linear (the Frobenius map
+    is a ring endomorphism fixing GF(p)), so each is one _fold of
+    reduced slots through the images of the g^i: a product's high e - 1
+    slots through the rows g^e .. g^(2e-2) mod f, the slots of a through
+    the rows g^(i p^k).
     """
 
     __slots__ = ("p", "e", "order", "modulus", "_slot", "_typecode", "_chunk",
-                 "_keys", "_high", "_low", "_frob", "_modp", "_pones", "_gen")
+                 "_high", "_frob", "_modp", "_pones", "_gen", "_shift")
 
     def __init__(self, p: int, e: int, modulus: Optional[tuple], wide: bool = False):
         self.p = p
@@ -202,46 +173,53 @@ class _Quotient:
         self._typecode = slot_typecode(bound)
         self._slot = (array(self._typecode).itemsize if self._typecode
                       else (bound.bit_length() + 7) // 8)
-        self._chunk = max((k for k in range(2, 9) if p ** k <= 256), default=1) if wide else 1
+        self._chunk = max((k for k in range(1, 9) if p ** k <= 256 and
+                           -(-e // k) * p ** k * e * self._slot <= _TABLE_BYTES),
+                          default=0) if wide else 0
         self._frob = {}
         self._modp = bytes(i % p for i in range(256)) if self._slot == 1 else None
         self._pones = self._pack([p] * e)
         self._gen = 1 << 8 * self._slot
-        self._low = self._gen ** e - 1
+        self._shift = 8 * self._slot * e
         if modulus is not None:
-            # _keys[m]: the bytes of m slots for each GF(p)-combination, in table order
-            self._keys = [[b""]]
-            while p <= 256 and len(self._keys) <= self._chunk:
-                self._keys.append([key + c.to_bytes(self._slot, "little")
-                                   for c in range(p) for key in self._keys[-1]])
             # g^e = -(m_0 + ... + m_{e-1} g^{e-1}); g^(i+1) is g^i shifted
             # up one slot, its top coefficient times g^e added back
             rows = [self._pack([(-c) % p for c in modulus[:e]])]
             for _ in range(e - 2):
                 top, rest = divmod(rows[-1], self._gen ** (e - 1))
                 rows.append(self._mod(rest * self._gen + top * rows[0]))
-            self._high = self._tables(rows, e)
+            self._high = self._tables(rows)
 
-    def _tables(self, rows: list, start: int) -> tuple:
-        """(cut, table) for each chunk of _chunk rows, the first at slot
-        start: table[data[cut]] is the unreduced sum of c_j * row_j over
-        the chunk's slots c_j in [0, p) of data.  A table is built whole,
-        by doubling: a dict from slot bytes, or a list indexed by the
-        byte when the chunk is one byte.  Past p = 256 it is a _Row."""
-        p, w, k = self.p, self._slot, self._chunk
+    def _tables(self, rows: list) -> tuple:
+        """The map sending slot i to rows[i], as _fold reads it.  With
+        wide (a FieldSpec) and p <= 256, _chunk is the most slots whose
+        GF(p)-combinations fit 256 entries and whose tables for one map
+        hold at most _TABLE_BYTES of rows, and the map is (cut, table)
+        for each run of _chunk slots: cut picks the low byte of each
+        slot, table maps those bytes c_j to the unreduced sum of
+        c_j * row_j, built whole by doubling.  Otherwise it is the rows."""
+        k, w, p = self._chunk, self._slot, self.p
+        if not k:
+            return tuple(rows)
+        digits = [bytes((c,)) for c in range(p)]
         out = []
         for i in range(0, len(rows), k):
-            chunk = rows[i:i + k]
-            at, end = (start + i) * w, (start + i + len(chunk)) * w
-            if p <= 256:
-                vals = [0]
-                for row in chunk:
-                    vals = [v + c * row for c in range(p) for v in vals]
-                out.append((at, vals) if end - at == 1 else
-                           (slice(at, end), dict(zip(self._keys[len(chunk)], vals))))
-            else:
-                out.append((slice(at, end), _Row(chunk[0])))
+            table = {b"": 0}
+            for row in rows[i:i + k]:
+                table = {key + digits[c]: v + c * row
+                         for c in range(p) for key, v in table.items()}
+            out.append((slice(i * w, (i + k) * w, w), table))
         return tuple(out)
+
+    def _fold(self, tables: tuple, n: int, count: int, acc: int) -> int:
+        """acc plus the image under tables of the first count slots of
+        n, each below p."""
+        if not self._chunk:
+            return sum(map(mul, self._unpack(n, count), tables), acc)
+        data = n.to_bytes(count * self._slot, "little")
+        for cut, table in tables:
+            acc += table[data[cut]]
+        return acc
 
     def _pack(self, a: Sequence[int]) -> int:
         """Coefficients (each below 2^(8 * slot)) as one int, slot i at
@@ -300,8 +278,8 @@ class _Quotient:
         if e == 1:
             return a * b % self.p
         n = self._mod(a * b, 2 * e - 1)
-        data = n.to_bytes((2 * e - 1) * self._slot, "little")
-        return self._mod(_fold(self._high, data, n & self._low))
+        return self._mod(self._fold(self._high, n >> self._shift, e - 1,
+                                    n & (1 << self._shift) - 1))
 
     def _vinv(self, a: int) -> int:
         """Inverse in a field: a^(p^e - 2)."""
@@ -333,8 +311,8 @@ class _Quotient:
             rows = [1]
             for _ in range(self.e - 1):
                 rows.append(self._vmul(rows[-1], h))
-            tables = self._frob[k] = self._tables(rows, 0)
-        return self._mod(_fold(tables, a.to_bytes(self.e * self._slot, "little"), 0))
+            tables = self._frob[k] = self._tables(rows)
+        return self._mod(self._fold(tables, a, self.e, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -441,22 +419,12 @@ def field(p: int, e: int = 1, modulus: Optional[Sequence[int]] = None) -> FieldS
     One instance per (p, e, modulus), whether the modulus was given
     explicitly or resolved to the default.
     """
-    if e > 1 and modulus is None:
-        spec = _SPEC_CACHE.get((p, e, None))
-        if spec is not None:
-            return spec
-        m = find_irreducible(p, e)
-        spec = _SPEC_CACHE.get((p, e, m))
-        if spec is None:
-            spec = FieldSpec(p, e, m)
-            _SPEC_CACHE[(p, e, m)] = spec
-        _SPEC_CACHE[(p, e, None)] = spec
-        return spec
-    key = (p, e, tuple(modulus) if modulus is not None else None)
+    key = (p, e, None if modulus is None else tuple(modulus))
     spec = _SPEC_CACHE.get(key)
     if spec is None:
-        spec = FieldSpec(p, e, modulus)
-        _SPEC_CACHE[key] = spec
+        spec = _SPEC_CACHE[key] = (field(p, e, find_irreducible(p, e))
+                                   if e > 1 and modulus is None else
+                                   FieldSpec(p, e, modulus))
     return spec
 
 

@@ -533,44 +533,25 @@ def _coeff_text(ring: PolyRing, c: int) -> str:
 
 def _merge(out: dict, terms: dict, field: FieldSpec, sign: int = 1) -> None:
     """out += terms (sign 1) or out -= terms (sign -1) in place, over
-    the coefficient field; keys that cancel are deleted.  Over GF(p)
-    each sign has its own loop, so no term tests the sign."""
-    get = out.get
+    the coefficient field; keys that cancel are deleted.  One loop serves
+    every field and sign: a difference reads terms through a negating
+    map, and red reduces a sum of two coefficients."""
     p = field.p
-    if field.e > 1:
-        vop, vneg = (field._vadd, None) if sign > 0 else (field._vsub, field._vneg)
-        for k, c in terms.items():
-            cur = get(k)
-            if cur is None:
-                out[k] = vneg(c) if vneg else c
+    items = terms.items()
+    if sign < 0:
+        items = zip(terms, map(field._vneg if field.e > 1 else p.__sub__, terms.values()))
+    red = field._mod if field.e > 1 else p.__rmod__
+    get = out.get
+    for k, c in items:
+        cur = get(k)
+        if cur is None:
+            out[k] = c
+        else:
+            s = red(cur + c)
+            if s:
+                out[k] = s
             else:
-                s = vop(cur, c)
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-    elif sign > 0:
-        for k, c in terms.items():
-            cur = get(k)
-            if cur is None:
-                out[k] = c
-            else:
-                s = (cur + c) % p
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-    else:
-        for k, c in terms.items():
-            cur = get(k)
-            if cur is None:
-                out[k] = p - c
-            else:
-                s = (cur - c) % p
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+                del out[k]
 
 
 def _kronecker(order: TermOrder, p: int, at: dict, bt: dict) -> Optional[dict]:

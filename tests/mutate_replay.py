@@ -38,11 +38,11 @@ TARGETS = (
      ("tests/test_fsing.py",)),
     ("src/invar/polyio.py", ("_parse_header", "_Tokens", "_parse_term", "_gpoly_rep"),
      ("tests/test_polyio.py",)),
-    ("src/invar/gf.py", ("_Quotient._tables", "_fold", "_Quotient._vmul"),
+    ("src/invar/gf.py", ("_Quotient._tables", "_Quotient._fold", "_Quotient._vmul"),
      ("tests/test_gf.py",)),
 )
-# MembershipCertificate.check and _fold have no if, and or or to mutate
-RETURN_TRUE = ("MembershipCertificate.check", "_fold")
+# MembershipCertificate.check has no if, and or or to mutate
+RETURN_TRUE = ("MembershipCertificate.check",)
 TESTS = ("tests/test_fsing.py", "tests/test_byte_pin.py",
          "tests/test_acceptance.py", "tests/test_cli.py", "tests/test_polyio.py",
          "tests/test_gf.py")
@@ -58,9 +58,6 @@ EQUIVALENT = {
         "for q >= 4n-4 both sols and the lambda solutions are empty",
     "_replay_exponents: drop lam['solutions']":
         "for q >= 4n-4 both sols and the lambda solutions are empty",
-    "_Quotient._tables: if end - at == 1 -> False":
-        "a one-byte chunk read as bytes through its dict gives the same "
-        "entries as its list read by the byte; the list is only faster",
 }
 
 

@@ -52,18 +52,23 @@ def test_irreducible_for_large_p():
 
 
 def test_table_sizes(monkeypatch):
-    """A FieldSpec table holds at most 256 entries, the most rows of
-    GF(p) that fit; the quotient of each Rabin test holds one row per
-    table, so no table of it has more than p entries (past p = 256 a row
-    scaled on lookup, never p entries)."""
+    """A FieldSpec table holds at most 256 entries, the most slots of
+    GF(p) that fit while the tables of one map hold at most _TABLE_BYTES
+    of rows; past that, or past p = 256, the map is its rows.  The
+    quotient of each Rabin test holds only rows, so no table of p
+    entries."""
     for p, e, modulus, chunk in [(2, 32, None, 8), (3, 32, None, 5), (5, 32, None, 3),
-                                 (2, 8, None, 8), (17, 2, None, 1),
-                                 (4294967291, 2, (1, 0, 1), 1)]:
+                                 (2, 8, None, 8), (17, 2, None, 1), (2, 128, None, 5),
+                                 (251, 12, None, 0), (4294967291, 2, (1, 0, 1), 0)]:
         F = field(p, e, modulus)
         F._vfrob(F._gen, 1)
         assert F._chunk == chunk
-        for _, table in F._high + F._frob[1]:
-            assert isinstance(table, gf._Row) if p > 256 else len(table) <= 256
+        for tables in (F._high, F._frob[1]):
+            if chunk:
+                assert all(len(table) <= 256 for _, table in tables)
+                assert sum(len(table) for _, table in tables) * e * F._slot <= gf._TABLE_BYTES
+            else:
+                assert all(isinstance(row, int) for row in tables)
     built = []
 
     class Spy(gf._Quotient):
@@ -79,9 +84,8 @@ def test_table_sizes(monkeypatch):
     assert all(is_irreducible(f, p) for p, f in cases)
     assert [q.p for q in built] == [p for p, _ in cases]
     for q in built:
-        assert q._chunk == 1
-        for _, table in q._high + tuple(t for ts in q._frob.values() for t in ts):
-            assert isinstance(table, gf._Row) if q.p > 256 else len(table) <= q.p
+        assert q._chunk == 0
+        assert all(isinstance(row, int) for row in q._high)
 
 
 def test_modulus_search_refuses_large_p():
@@ -299,14 +303,15 @@ def test_large_field_spot_axioms():
 # (p, e, modulus, slot bytes): the default GF(p^32) moduli, GF(9),
 # GF(256) and GF(729), a prime field, and GF(p^2) for p = 65521 and
 # p = 2^32 - 5, whose product slots (e (p-1)^2 >= 2^64) fit no array
-# typecode.  Their reduction and Frobenius tables cover every chunk
-# width: 8 rows of GF(2), 5 of GF(3) (the last chunk of GF(3^32) is one
-# row), 3 of GF(5) in 2-byte slots, 2 of GF(7), and for p > 256 one row
-# scaled on lookup.
+# typecode.  Their reduction and Frobenius maps cover every fold: tables
+# of 8 slots of GF(2), 5 of GF(3) (the last table of GF(3^32) has one
+# slot), 3 of GF(5) in 2-byte slots, 2 of GF(7), one table per map of
+# GF(9); and rows, for p > 256 and for GF(251^12), whose tables would
+# pass _TABLE_BYTES.
 DIFF_FIELDS = [(2, 32, None, 1), (3, 32, None, 1), (5, 32, None, 2),
                (7, 32, None, 2), (3, 2, None, 1), (2, 8, None, 1),
                (7, 1, None, 1), (4294967291, 2, (1, 0, 1), 9), (3, 6, None, 1),
-               (65521, 2, None, 8)]
+               (65521, 2, None, 8), (251, 12, None, 4)]
 
 
 def _tuples(F):
