@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import product
+from itertools import compress, product
 from math import isqrt
 from operator import mul
 from typing import Optional, Sequence
@@ -40,8 +40,7 @@ def slot_typecode(bound: int) -> Optional[str]:
 
 
 def is_prime(n: int) -> bool:
-    return n == 2 or (n > 2 and n % 2 == 1 and
-                      all(n % d for d in range(3, isqrt(n) + 1, 2)))
+    return n == 2 or n > 2 and n % 2 == 1 and all(n % d for d in range(3, isqrt(n) + 1, 2))
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -153,15 +152,15 @@ class _Quotient:
     nothing between slots; _mod then reduces every slot mod p, through
     one bytes.translate when slots are bytes.
 
-    Reduction by f and a -> a^(p^k) are GF(p)-linear (the Frobenius map
-    is a ring endomorphism fixing GF(p)), so each is one _fold of
-    reduced slots through the images of the g^i: a product's high e - 1
-    slots through the rows g^e .. g^(2e-2) mod f, the slots of a through
-    the rows g^(i p^k).
+    Reduction by f and a -> a^(p^k) are GF(p)-linear, so each is a _fold
+    of reduced slots through the images of the g^i: a product's high
+    e - 1 slots through g^e .. g^(2e-2) mod f, the slots of a through
+    g^(i p^k).  Without tables (_chunk 0, see _tables) a product is
+    instead reduced degree by degree by the nonzero terms of f.
     """
 
     __slots__ = ("p", "e", "order", "modulus", "_slot", "_typecode", "_chunk",
-                 "_high", "_frob", "_modp", "_pones", "_gen", "_shift")
+                 "_red", "_high", "_frob", "_modp", "_pones", "_gen")
 
     def __init__(self, p: int, e: int, modulus: Optional[tuple], wide: bool = False):
         self.p = p
@@ -173,34 +172,31 @@ class _Quotient:
         self._typecode = slot_typecode(bound)
         self._slot = (array(self._typecode).itemsize if self._typecode
                       else (bound.bit_length() + 7) // 8)
-        self._chunk = max((k for k in range(1, 9) if p ** k <= 256 and
-                           -(-e // k) * p ** k * e * self._slot <= _TABLE_BYTES),
-                          default=0) if wide else 0
+        self._chunk = 0
         self._frob = {}
         self._modp = bytes(i % p for i in range(256)) if self._slot == 1 else None
         self._pones = self._pack([p] * e)
         self._gen = 1 << 8 * self._slot
-        self._shift = 8 * self._slot * e
         if modulus is not None:
-            # g^e = -(m_0 + ... + m_{e-1} g^{e-1}); g^(i+1) is g^i shifted
-            # up one slot, its top coefficient times g^e added back
-            rows = [self._pack([(-c) % p for c in modulus[:e]])]
-            for _ in range(e - 2):
-                top, rest = divmod(rows[-1], self._gen ** (e - 1))
-                rows.append(self._mod(rest * self._gen + top * rows[0]))
-            self._high = self._tables(rows)
+            # g^e = -(m_0 + m_1 g + ... + m_{e-1} g^{e-1}), nonzero terms only
+            self._red = tuple((i, (-c) % p) for i, c in enumerate(modulus[:e]) if c)
+        if modulus is not None and wide and self._slot == 1:
+            rows = [self._gen ** (e - 1)]       # g^(e-1) .. g^(2e-2), by _red
+            for _ in range(e - 1):
+                rows.append(self._vmul(rows[-1], self._gen))
+            # byte slots keep e * p * e <= 2 * 255^2: one-slot tables fit
+            self._chunk = max(k for k in range(1, 9) if p ** k <= 256 and
+                              -(-e // k) * p ** k * e <= _TABLE_BYTES)
+            self._high = self._tables(rows[1:])
 
     def _tables(self, rows: list) -> tuple:
-        """The map sending slot i to rows[i], as _fold reads it.  With
-        wide (a FieldSpec) and p <= 256, _chunk is the most slots whose
-        GF(p)-combinations fit 256 entries and whose tables for one map
-        hold at most _TABLE_BYTES of rows, and the map is (cut, table)
-        for each run of _chunk slots: cut picks the low byte of each
-        slot, table maps those bytes c_j to the unreduced sum of
-        c_j * row_j, built whole by doubling.  Otherwise it is the rows."""
-        k, w, p = self._chunk, self._slot, self.p
-        if not k:
-            return tuple(rows)
+        """The map sending slot i to rows[i] as (cut, table) for each run
+        of _chunk slots, built only on a FieldSpec with one-byte slots:
+        table maps the run's bytes c_j to the unreduced sum of c_j * row_j,
+        built whole by doubling.  _chunk is the most slots whose
+        combinations fit 256 entries, the tables of one map holding at
+        most _TABLE_BYTES of rows."""
+        k, p = self._chunk, self.p
         digits = [bytes((c,)) for c in range(p)]
         out = []
         for i in range(0, len(rows), k):
@@ -208,15 +204,15 @@ class _Quotient:
             for row in rows[i:i + k]:
                 table = {key + digits[c]: v + c * row
                          for c in range(p) for key, v in table.items()}
-            out.append((slice(i * w, (i + k) * w, w), table))
+            out.append((slice(i, i + k), table))
         return tuple(out)
 
     def _fold(self, tables: tuple, n: int, count: int, acc: int) -> int:
-        """acc plus the image under tables of the first count slots of
-        n, each below p."""
+        """acc plus the image of count reduced slots of n; tables are rows if _chunk is 0."""
         if not self._chunk:
-            return sum(map(mul, self._unpack(n, count), tables), acc)
-        data = n.to_bytes(count * self._slot, "little")
+            cs = self._unpack(n, count)
+            return sum(map(mul, compress(cs, cs), compress(tables, cs)), acc)
+        data = n.to_bytes(count, "little")
         for cut, table in tables:
             acc += table[data[cut]]
         return acc
@@ -274,12 +270,20 @@ class _Quotient:
         return self._mod(self._pones - a)
 
     def _vmul(self, a: int, b: int) -> int:
-        e = self.e
+        p, e = self.p, self.e
         if e == 1:
-            return a * b % self.p
-        n = self._mod(a * b, 2 * e - 1)
-        return self._mod(self._fold(self._high, n >> self._shift, e - 1,
-                                    n & (1 << self._shift) - 1))
+            return a * b % p
+        if self._chunk:
+            n = self._mod(a * b, 2 * e - 1)
+            return self._mod(self._fold(self._high, n >> 8 * e, e - 1,
+                                        n & (1 << 8 * e) - 1))
+        conv = self._unpack(a * b, 2 * e - 1)
+        for i in range(2 * e - 2, e - 1, -1):
+            c = conv[i] % p
+            if c:
+                for j, rj in self._red:
+                    conv[i - e + j] += c * rj
+        return self._pack([c % p for c in conv[:e]])
 
     def _vinv(self, a: int) -> int:
         """Inverse in a field: a^(p^e - 2)."""
@@ -311,7 +315,7 @@ class _Quotient:
             rows = [1]
             for _ in range(self.e - 1):
                 rows.append(self._vmul(rows[-1], h))
-            tables = self._frob[k] = self._tables(rows)
+            tables = self._frob[k] = self._tables(rows) if self._chunk else rows
         return self._mod(self._fold(tables, a, self.e, 0))
 
 

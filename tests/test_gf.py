@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from invar import field, find_irreducible, gf, is_irreducible
 from invar.errors import ContextMismatch, FieldZeroDivision, ResourceLimit, UsageError
 from invar.gf import ENUM_CAP, FieldSpec
-from oracles import TupleField, enumerate_elements, irreducible_by_trial_division
+from oracles import (TupleField, enumerate_elements, irreducible_by_trial_division,
+                     schoolbook_vmul)
 
 
 def test_smallest_moduli():
@@ -52,23 +53,24 @@ def test_irreducible_for_large_p():
 
 
 def test_table_sizes(monkeypatch):
-    """A FieldSpec table holds at most 256 entries, the most slots of
-    GF(p) that fit while the tables of one map hold at most _TABLE_BYTES
-    of rows; past that, or past p = 256, the map is its rows.  The
-    quotient of each Rabin test holds only rows, so no table of p
-    entries."""
-    for p, e, modulus, chunk in [(2, 32, None, 8), (3, 32, None, 5), (5, 32, None, 3),
-                                 (2, 8, None, 8), (17, 2, None, 1), (2, 128, None, 5),
-                                 (251, 12, None, 0), (4294967291, 2, (1, 0, 1), 0)]:
+    """A FieldSpec with one-byte slots reduces and maps through tables
+    of at most 256 entries, the most slots of GF(p) that fit while the
+    tables of one map hold at most _TABLE_BYTES of rows; any other field
+    keeps the rows of its Frobenius maps and no table.  The quotient of
+    each Rabin test builds no table at all."""
+    for p, e, modulus, chunk in [(2, 32, None, 8), (3, 32, None, 5), (2, 8, None, 8),
+                                 (3, 6, None, 5), (2, 100, None, 6), (5, 32, None, 0),
+                                 (17, 2, None, 0), (4294967291, 2, (1, 0, 1), 0)]:
         F = field(p, e, modulus)
         F._vfrob(F._gen, 1)
         assert F._chunk == chunk
-        for tables in (F._high, F._frob[1]):
-            if chunk:
+        if chunk:
+            for tables in (F._high, F._frob[1]):
                 assert all(len(table) <= 256 for _, table in tables)
-                assert sum(len(table) for _, table in tables) * e * F._slot <= gf._TABLE_BYTES
-            else:
-                assert all(isinstance(row, int) for row in tables)
+                assert sum(len(table) for _, table in tables) * e <= gf._TABLE_BYTES
+        else:
+            assert not hasattr(F, "_high")
+            assert all(isinstance(row, int) for row in F._frob[1])
     built = []
 
     class Spy(gf._Quotient):
@@ -84,8 +86,21 @@ def test_table_sizes(monkeypatch):
     assert all(is_irreducible(f, p) for p, f in cases)
     assert [q.p for q in built] == [p for p, _ in cases]
     for q in built:
-        assert q._chunk == 0
-        assert all(isinstance(row, int) for row in q._high)
+        assert q._chunk == 0 and not hasattr(q, "_high") and not q._frob
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_narrowed_tables_match_schoolbook(data):
+    """GF(2^100), whose tables hold 6 slots rather than 8 to stay within
+    _TABLE_BYTES: products and a -> a^2, a^4 against the schoolbook."""
+    F = field(2, 100)
+    ta, tb = data.draw(_tuples(F)), data.draw(_tuples(F))
+    a, b = F.element(ta).rep, F.element(tb).rep
+    assert F.coeffs(F._vmul(a, b)) == schoolbook_vmul(F, ta, tb)
+    square = schoolbook_vmul(F, ta, ta)
+    assert F.coeffs(F._vfrob(a, 1)) == square
+    assert F.coeffs(F._vfrob(a, 2)) == schoolbook_vmul(F, square, square)
 
 
 def test_modulus_search_refuses_large_p():
@@ -303,11 +318,11 @@ def test_large_field_spot_axioms():
 # (p, e, modulus, slot bytes): the default GF(p^32) moduli, GF(9),
 # GF(256) and GF(729), a prime field, and GF(p^2) for p = 65521 and
 # p = 2^32 - 5, whose product slots (e (p-1)^2 >= 2^64) fit no array
-# typecode.  Their reduction and Frobenius maps cover every fold: tables
-# of 8 slots of GF(2), 5 of GF(3) (the last table of GF(3^32) has one
-# slot), 3 of GF(5) in 2-byte slots, 2 of GF(7), one table per map of
-# GF(9); and rows, for p > 256 and for GF(251^12), whose tables would
-# pass _TABLE_BYTES.
+# typecode.  The one-byte fields reduce through tables of every width
+# in use: 8 slots of GF(2), 5 of GF(3) (the last table of GF(3^32) has
+# one slot), one table per map of GF(9); the others (GF(5^32) and
+# GF(7^32) in 2-byte slots, p > 256, GF(251^12)) reduce by the modulus
+# terms and map through rows.
 DIFF_FIELDS = [(2, 32, None, 1), (3, 32, None, 1), (5, 32, None, 2),
                (7, 32, None, 2), (3, 2, None, 1), (2, 8, None, 1),
                (7, 1, None, 1), (4294967291, 2, (1, 0, 1), 9), (3, 6, None, 1),
