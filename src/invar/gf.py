@@ -76,7 +76,7 @@ def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     x = ring._gen
     powers = [x]                      # powers[k] = X^(p^k) mod f
     for _ in range(e):
-        powers.append(ring._vpow(powers[-1], p))
+        powers.append(ring._vfrob(powers[-1], 1))
     if powers[e] != x:
         return False
     # Now f divides X^(p^e) - X, the product of the monic irreducibles of
