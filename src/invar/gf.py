@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import compress, product
+from itertools import accumulate, compress, product, repeat
 from math import isqrt
 from operator import mul
 from typing import Optional, Sequence
@@ -44,14 +44,17 @@ def is_prime(n: int) -> bool:
 
 
 def _prime_factors(n: int) -> list[int]:
-    out, d = [], 2
+    out = []
+    d = 2
     while d * d <= n:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
         d += 1
-    return out + [n] if n > 1 else out
+    if n > 1:
+        out.append(n)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +184,9 @@ class _Quotient:
             # g^e = -(m_0 + m_1 g + ... + m_{e-1} g^{e-1}), nonzero terms only
             self._red = tuple((i, (-c) % p) for i, c in enumerate(modulus[:e]) if c)
         if modulus is not None and wide and self._slot == 1:
-            rows = [self._gen ** (e - 1)]       # g^(e-1) .. g^(2e-2), by _red
-            for _ in range(e - 1):
-                rows.append(self._vmul(rows[-1], self._gen))
+            # g^(e-1) .. g^(2e-2), reduced by _red
+            rows = list(accumulate(repeat(self._gen, e - 1), self._vmul,
+                                   initial=self._gen ** (e - 1)))
             # byte slots keep e * p * e <= 2 * 255^2: one-slot tables fit
             self._chunk = max(k for k in range(1, 9) if p ** k <= 256 and
                               -(-e // k) * p ** k * e <= _TABLE_BYTES)
@@ -197,12 +200,11 @@ class _Quotient:
         combinations fit 256 entries, the tables of one map holding at
         most _TABLE_BYTES of rows."""
         k, p = self._chunk, self.p
-        digits = [bytes((c,)) for c in range(p)]
         out = []
         for i in range(0, len(rows), k):
             table = {b"": 0}
             for row in rows[i:i + k]:
-                table = {key + digits[c]: v + c * row
+                table = {key + bytes((c,)): v + c * row
                          for c in range(p) for key, v in table.items()}
             out.append((slice(i, i + k), table))
         return tuple(out)
@@ -312,9 +314,7 @@ class _Quotient:
         tables = self._frob.get(k)
         if tables is None:
             h = self._vpow(self._gen, self.p ** k)
-            rows = [1]
-            for _ in range(self.e - 1):
-                rows.append(self._vmul(rows[-1], h))
+            rows = list(accumulate(repeat(h, self.e - 1), self._vmul, initial=1))
             tables = self._frob[k] = self._tables(rows) if self._chunk else rows
         return self._mod(self._fold(tables, a, self.e, 0))
 

@@ -56,8 +56,8 @@ def test_table_sizes(monkeypatch):
     """A FieldSpec with one-byte slots reduces and maps through tables
     of at most 256 entries, the most slots of GF(p) that fit while the
     tables of one map hold at most _TABLE_BYTES of rows; any other field
-    keeps the rows of its Frobenius maps and no table.  The quotient of
-    each Rabin test builds no table at all."""
+    keeps the rows of its Frobenius maps and no table, and so does the
+    quotient of each Rabin test."""
     for p, e, modulus, chunk in [(2, 32, None, 8), (3, 32, None, 5), (2, 8, None, 8),
                                  (3, 6, None, 5), (2, 100, None, 6), (5, 32, None, 0),
                                  (17, 2, None, 0), (4294967291, 2, (1, 0, 1), 0)]:
@@ -86,7 +86,8 @@ def test_table_sizes(monkeypatch):
     assert all(is_irreducible(f, p) for p, f in cases)
     assert [q.p for q in built] == [p for p, _ in cases]
     for q in built:
-        assert q._chunk == 0 and not hasattr(q, "_high") and not q._frob
+        assert q._chunk == 0 and not hasattr(q, "_high")
+        assert all(isinstance(row, int) for rows in q._frob.values() for row in rows)
 
 
 @settings(max_examples=15, deadline=None)
