@@ -180,9 +180,8 @@ class _Quotient:
         self._modp = bytes(i % p for i in range(256)) if self._slot == 1 else None
         self._pones = self._pack([p] * e)
         self._gen = 1 << 8 * self._slot
-        if modulus is not None:
-            # g^e = -(m_0 + m_1 g + ... + m_{e-1} g^{e-1}), nonzero terms only
-            self._red = tuple((i, (-c) % p) for i, c in enumerate(modulus[:e]) if c)
+        # g^e = -(m_0 + m_1 g + ... + m_{e-1} g^{e-1}), nonzero terms only
+        self._red = tuple((i, (-c) % p) for i, c in enumerate(modulus[:e]) if c) if modulus else ()
         if modulus is not None and wide and self._slot == 1:
             # g^(e-1) .. g^(2e-2), reduced by _red
             rows = list(accumulate(repeat(self._gen, e - 1), self._vmul,
@@ -272,7 +271,7 @@ class _Quotient:
         return self._mod(self._pones - a)
 
     def _vmul(self, a: int, b: int) -> int:
-        p, e = self.p, self.e
+        p, e, red = self.p, self.e, self._red
         if e == 1:
             return a * b % p
         if self._chunk:
@@ -283,7 +282,7 @@ class _Quotient:
         for i in range(2 * e - 2, e - 1, -1):
             c = conv[i] % p
             if c:
-                for j, rj in self._red:
+                for j, rj in red:
                     conv[i - e + j] += c * rj
         return self._pack([c % p for c in conv[:e]])
 
