@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import accumulate, compress, product, repeat
+from itertools import accumulate, product, repeat
 from math import isqrt
-from operator import mul
 from typing import Optional, Sequence
 
 from .errors import ContextMismatch, FieldZeroDivision, ResourceLimit, UsageError
@@ -192,12 +191,11 @@ class _Quotient:
             self._high = self._tables(rows[1:])
 
     def _tables(self, rows: list) -> tuple:
-        """The map sending slot i to rows[i] as (cut, table) for each run
-        of _chunk slots, built only on a FieldSpec with one-byte slots:
-        table maps the run's bytes c_j to the unreduced sum of c_j * row_j,
-        built whole by doubling.  _chunk is the most slots whose
-        combinations fit 256 entries, the tables of one map holding at
-        most _TABLE_BYTES of rows."""
+        """The map sending slot i to rows[i] as (cut, table) for each run of
+        _chunk slots (one byte each): table maps the run's bytes c_j to the
+        unreduced sum of c_j * row_j, built whole by doubling.  _chunk is
+        the most slots whose combinations fit 256 entries while the tables
+        of one map hold at most _TABLE_BYTES of rows."""
         k, p = self._chunk, self.p
         out = []
         for i in range(0, len(rows), k):
@@ -211,8 +209,10 @@ class _Quotient:
     def _fold(self, tables: tuple, n: int, count: int, acc: int) -> int:
         """acc plus the image of count reduced slots of n; tables are rows if _chunk is 0."""
         if not self._chunk:
-            cs = self._unpack(n, count)
-            return sum(map(mul, compress(cs, cs), compress(tables, cs)), acc)
+            for c, row in zip(self._unpack(n, count), tables):
+                if c:
+                    acc += c * row
+            return acc
         data = n.to_bytes(count, "little")
         for cut, table in tables:
             acc += table[data[cut]]
@@ -282,8 +282,9 @@ class _Quotient:
         for i in range(2 * e - 2, e - 1, -1):
             c = conv[i] % p
             if c:
+                base = i - e
                 for j, rj in red:
-                    conv[i - e + j] += c * rj
+                    conv[base + j] += c * rj
         return self._pack([c % p for c in conv[:e]])
 
     def _vinv(self, a: int) -> int:
