@@ -15,9 +15,9 @@ import click
 
 from . import cache
 from .errors import ParseError, ResourceLimit, UsageError
-from .fsing import (PROBABLE, REFUTED, RUNNERS, SKIPPED, VERIFIED, RunConfig,
-                    bound_text, params_text, render_machine, render_text,
-                    run_claim, run_suite, witness_document)
+from .fsing import (MODES, PROBABLE, REFUTED, RUNNERS, SKIPPED, VERIFIED,
+                    RunConfig, bound_text, params_text, render_machine,
+                    render_text, run_claim, run_suite, witness_document)
 from .gf import field
 from .groebner import buchberger, change_ring, normal_form
 from .invariants import (dickson_invariants, elementary_symmetric,
@@ -206,12 +206,13 @@ def member(ideal_file, element_file, out):
     sys.exit(1)
 
 
-@cli.command()
+@cli.command(help="Run one claim check.  CLAIM is one of: "
+             + ", ".join(RUNNERS) + ".")
 @click.argument("claim_id", metavar="CLAIM")
 @click.option("--q", type=int, default=None, help="Field size parameter.")
 @click.option("--n", type=int, default=None, help="Rank / variable count.")
 @click.option("--p", type=int, default=None, help="Coefficient prime.")
-@click.option("--mode", type=click.Choice(["auto", "exact", "probabilistic"]),
+@click.option("--mode", type=click.Choice(MODES),
               default=None, help="Identity-check strategy.")
 @_config_options
 @_output_option
@@ -219,9 +220,6 @@ def member(ideal_file, element_file, out):
 @_guard
 def verify(claim_id, q, n, p, mode, seed, trials, ext_degree, e_max,
            output, out):
-    """Run one claim check.  CLAIM is one of: sp4-c0, sp4-fpurity,
-    sp4-relation, theorem-search, alt-T, alt-staircase, alt-delta,
-    alt-dichotomy, relations-n3."""
     config = RunConfig(seed=seed, trials=trials, ext_degree=ext_degree,
                        e_max=e_max)
     report = run_claim(claim_id, config, q=q, n=n, p=p, mode=mode)

@@ -27,7 +27,9 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from itertools import product
+from math import factorial
 from typing import Callable, Optional
 
 from .errors import ResourceLimit, UsageError
@@ -52,6 +54,8 @@ SKIPPED = "SKIPPED"
 
 SEARCH_CAP = 10 ** 9    # full-enumeration ceiling of the exponent search
 AGREE_CAP = 10 ** 6     # below this, pruned vs full cross-check
+
+MODES = ("auto", "exact", "probabilistic")    # identity-check strategies
 
 
 @dataclass(frozen=True)
@@ -137,19 +141,24 @@ def c0_terms_poly(ring: PolyRing, terms) -> Polynomial:
     return ring.from_terms(data)
 
 
+def _sp4_polys(q: int):
+    """(ring, [c_0..c_3], [xi_1, xi_2, xi_3]): the rank-2 symplectic
+    invariants over GF(q), in 4 variables."""
+    R = xring(field(q), 4)
+    return (R, dickson_invariants(4, R.field, R),
+            [symplectic_xi(R, q, i) for i in (1, 2, 3)])
+
+
 def sp4_presentation(q: int) -> Presentation:
     """The rank-2 symplectic invariant ring as a hypersurface: variables
     (a, b, u, v, w) mapping to (c_2, c_3, xi_1, xi_2, xi_3), one
     relation  u*c0(u,v,w) - (u^q a - v^q b + w^q)."""
     if q not in (2, 3):
         raise UsageError("presentation data covers q = 2 and q = 3 only")
-    spec = field(q)
-    amb = PolyRing(spec, PRES_VARS, "grevlex")
+    amb = PolyRing(field(q), PRES_VARS, "grevlex")
     a, b, u, v, w = amb.gens()
     rel = u * c0_terms_poly(amb, C0_XI_TERMS[q]) - (u ** q * a - v ** q * b + w ** q)
-    X = xring(spec, 4)
-    cs = dickson_invariants(4, spec, X)
-    xis = [symplectic_xi(X, q, i) for i in (1, 2, 3)]
+    _, cs, xis = _sp4_polys(q)
     images = {"a": cs[2], "b": cs[3], "u": xis[0], "v": xis[1], "w": xis[2]}
     return Presentation(amb, (rel,), images)
 
@@ -160,7 +169,8 @@ def check_presentation(pres: Presentation) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Identity claims: _verify_identity serves sp4-c0 and sp4-relation (relations-n3 has its own loop)
+# Identity claims: the points witness all three share, and the
+# exact-then-sample driver of sp4-c0 and sp4-relation
 # ---------------------------------------------------------------------------
 
 
@@ -192,16 +202,16 @@ def _verify_identity(claim_id: str, params: dict, config: RunConfig,
     and differ ({terms}, {lead} of the difference) after an expansion,
     separates ({k}) and agree after sampling.
     """
-    if mode not in ("exact", "probabilistic", "auto"):
+    if mode not in MODES:
         raise UsageError(f"unknown mode {mode!r}")
     q = params["q"]
-    params = dict(params, mode=mode, seed=config.seed)
+    params = dict(params, mode=mode)
     L = field(q, config.ext_degree)
     rng = _sub_rng(config.seed, _label(claim_id, {"q": q, "mode": mode}))
 
     def report(verdict, bound, witness):
-        return VerificationReport(claim_id, params, verdict, bound, witness,
-                                  detail=tuple(detail))
+        return VerificationReport(claim_id, dict(params, seed=config.seed),
+                                  verdict, bound, witness, detail=tuple(detail))
 
     if mode in ("exact", "auto"):
         try:
@@ -246,18 +256,15 @@ def _verify_identity(claim_id: str, params: dict, config: RunConfig,
 
 def _c0_sides(q: int, terms):
     """(sides, exact) of c_0 = the expression terms in xi_1, xi_2, xi_3."""
-    spec = field(q)
-    expr = c0_terms_poly(PolyRing(spec, ("u", "v", "w")), terms)
+    expr = c0_terms_poly(PolyRing(field(q), ("u", "v", "w")), terms)
 
     def sides(P):
         xis = [symplectic_xi_value(P, q, i) for i in (1, 2, 3)]
         return dickson_at_point(P, q)[0], expr.evaluate(xis)
 
     def exact():
-        R = xring(spec, 4)
-        xis = [symplectic_xi(R, q, i) for i in (1, 2, 3)]
-        return (dickson_invariants(4, spec, R)[0],
-                substitute(expr, dict(zip(("u", "v", "w"), xis))))
+        _, cs, xis = _sp4_polys(q)
+        return cs[0], substitute(expr, dict(zip(("u", "v", "w"), xis)))
     return sides, exact
 
 
@@ -304,11 +311,8 @@ def verify_sp4_relation(q: int, config: RunConfig = RunConfig(),
     dl, dr = relation_side_degrees(q, 4, 1)
 
     def exact():
-        spec = field(q)
-        R = xring(spec, 4)
-        xis = [symplectic_xi(R, q, i) for i in (1, 2, 3)]
-        return symplectic_relation_sides(R, spec, 1,
-                                         dickson_invariants(4, spec, R), xis)
+        R, cs, xis = _sp4_polys(q)
+        return symplectic_relation_sides(R, R.field, 1, cs, xis)
     return _verify_identity(
         "sp4-relation", {"q": q, "i": 1}, config, mode,
         lambda P: symplectic_relation_values(P, q, 1),
@@ -525,49 +529,37 @@ def _exponent_witness(n: int, q: int):
 # Alternating-group lemmas
 # ---------------------------------------------------------------------------
 
-_SYM_GB_CACHE: dict = {}
 
-
+@cache
 def symmetric_ideal_gb(n: int, p: int):
     """(ring, Groebner basis) for (e_1, ..., e_n) over GF(p), memoized:
     every alternating-group check reduces against this basis."""
-    got = _SYM_GB_CACHE.get((n, p))
-    if got is None:
-        R = xring(field(p), n)
-        gb = buchberger([elementary_symmetric(R, k) for k in range(1, n + 1)])
-        got = (R, gb)
-        _SYM_GB_CACHE[(n, p)] = got
-    return got
+    R = xring(field(p), n)
+    return R, buchberger([elementary_symmetric(R, k) for k in range(1, n + 1)])
 
 
-def _alt_labels(claim_id: str, n: int) -> list:
-    """The labels of the targets an alternating claim puts in (e_1..e_n)."""
-    if claim_id == "alt-T":
-        return [{"i": i, "j": j} for i in range(1, n + 1) for j in range(1, i + 1)]
-    if claim_id == "alt-staircase":
-        return [{"i": i} for i in range(1, n + 1)]
-    if claim_id == "alt-delta":
-        return [{"target": "delta-congruence"}]
-    return [{"target": "delta"}]        # alt-dichotomy
-
-
-def _alt_target(claim_id: str, ring: PolyRing, label: dict, p: int) -> Polynomial:
-    """The polynomial a label of _alt_labels names."""
+def _alt_targets(claim_id: str, ring: PolyRing, p: int) -> list:
+    """The (label, target) pairs an alternating claim puts in (e_1..e_n),
+    in order.  A target is a call that builds the polynomial, so a replay
+    rejects a wrong label list before it builds n!-term Vandermondes."""
+    n = ring.nvars
     if claim_id == "alt-T":
         # T_j^i: the degree-i monomials in the last n-j+1 variables
-        return truncated_monomial_sum(ring, label["i"], label["j"])
+        return [({"i": i, "j": j}, partial(truncated_monomial_sum, ring, i, j))
+                for i in range(1, n + 1) for j in range(1, i + 1)]
     if claim_id == "alt-staircase":
-        return staircase_monomial(ring, label["i"])
+        return [({"i": i}, partial(staircase_monomial, ring, i))
+                for i in range(1, n + 1)]
     if claim_id == "alt-delta":
         # Delta - n! X_2 X_3^2 ... X_n^(n-1)
-        socle = ring.monomial([r - 1 for r in range(1, ring.nvars + 1)])
-        return vandermonde(ring) - socle.scale(_factorial_mod(ring.nvars, p))
-    return vandermonde(ring)            # alt-dichotomy
+        socle = ring.monomial(list(range(n))).scale(factorial(n) % p)
+        return [({"target": "delta-congruence"}, lambda: vandermonde(ring) - socle)]
+    return [({"target": "delta"}, partial(vandermonde, ring))]      # alt-dichotomy
 
 
 def _alt_claim(claim_id: str, n: int, p: int,
                config: RunConfig) -> VerificationReport:
-    """Put each target of _alt_labels in (e_1..e_n): collect the
+    """Put each target of _alt_targets in (e_1..e_n): collect the
     certificates, or stop at the first non-member with its normal form.
     _alt_verdict reads the verdict off membership."""
     if not is_prime(p) or p == 2:
@@ -579,14 +571,14 @@ def _alt_claim(claim_id: str, n: int, p: int,
     R, gb = symmetric_ideal_gb(n, p)
     params = {"n": n, "p": p}
     items = []
-    for label in _alt_labels(claim_id, n):
-        f = _alt_target(claim_id, R, label, p)
+    for label, target in _alt_targets(claim_id, R, p):
+        f = target()
         member, cert = ideal_member(f, gb, certificate=True)
         if not member:
             break
         items.append(dict(label, certificate=format_certificate(cert)))
     verdict = _alt_verdict(claim_id, params, member)
-    notes = (f"n! = {_factorial_mod(n, p)} mod {p}",) if claim_id == "alt-delta" else ()
+    notes = (f"n! = {factorial(n) % p} mod {p}",) if claim_id == "alt-delta" else ()
     if claim_id == "alt-dichotomy":
         held = " as required" if verdict == VERIFIED else (
             " but p > n" if member else " but p <= n")
@@ -615,13 +607,6 @@ def alt_lemma_staircase(n: int, p: int,
     """The n staircase monomials X_i^i X_{i+1}^i ... X_n^{n-1} lie in
     (e_1..e_n)."""
     return _alt_claim("alt-staircase", n, p, config)
-
-
-def _factorial_mod(n: int, p: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out = out * k % p
-    return out
 
 
 def alt_delta_congruence(n: int, p: int,
@@ -740,15 +725,15 @@ def _replay_exponents(claim_id, params, witness) -> Optional[str]:
 
 
 def _replay_certificates(claim_id, params, witness) -> Optional[str]:
-    """One certificate per label of _alt_labels, in order."""
-    n, p = params["n"], params["p"]
-    ring, gb = symmetric_ideal_gb(n, p)
+    """One certificate per target of _alt_targets, in order."""
+    ring, gb = symmetric_ideal_gb(params["n"], params["p"])
     items = witness["items"]
     labels = [{k: v for k, v in item.items() if k != "certificate"}
               for item in items]
-    if labels != _alt_labels(claim_id, n) or not all(
-            _proves(item["certificate"], _alt_target(claim_id, ring, label, p), gb)
-            for item, label in zip(items, labels)):
+    pairs = _alt_targets(claim_id, ring, params["p"])
+    if labels != [label for label, _ in pairs] or not all(
+            _proves(item["certificate"], target(), gb)
+            for item, (_, target) in zip(items, pairs)):
         return None
     return _alt_verdict(claim_id, params, True)
 
@@ -756,12 +741,12 @@ def _replay_certificates(claim_id, params, witness) -> Optional[str]:
 def _replay_normal_form(claim_id, params, witness) -> Optional[str]:
     """A nonzero normal form of one labelled target, rebuilt and
     compared whole."""
-    n, p = params["n"], params["p"]
-    ring, gb = symmetric_ideal_gb(n, p)
+    ring, gb = symmetric_ideal_gb(params["n"], params["p"])
     label = {k: v for k, v in witness.items() if k not in ("kind", "polys")}
-    if label not in _alt_labels(claim_id, n):
+    target = next((f() for lab, f in _alt_targets(claim_id, ring, params["p"])
+                   if lab == label), None)
+    if target is None:
         return None
-    target = _alt_target(claim_id, ring, label, p)
     remainder = normal_form(target, gb)
     if remainder.is_zero() or witness["polys"] != format_polys(ring, [target, remainder]):
         return None
@@ -777,43 +762,36 @@ _REQUIRED = object()                # marks a parameter without a default
 
 @dataclass(frozen=True)
 class Claim:
-    """A registered claim.  check(config=..., **params) runs it; params
-    maps each parameter run_claim accepts to its default (_REQUIRED when
-    there is none); order is the order in which reports list parameters,
-    before any others; replays maps a witness kind to its
+    """A registered claim.  check(config=..., **params) runs it and
+    builds the report's parameters in the order reports list them;
+    params maps each parameter run_claim accepts to its default
+    (_REQUIRED when there is none); replays maps a witness kind to its
     replay(claim_id, params, witness), which returns the verdict the
     witness proves or None."""
     check: Callable[..., VerificationReport]
     params: dict
-    order: tuple
     replays: dict
 
 
-_IDENTITY_ORDER = ("mode", "trials", "ext_degree", "seed")
 _ALT_PARAMS = {"n": _REQUIRED, "p": _REQUIRED}
 _ALT_REPLAYS = {"certificates": _replay_certificates,
                 "normal-form": _replay_normal_form}
 
 RUNNERS = {
     "sp4-c0": Claim(verify_c0_expression, {"q": _REQUIRED, "mode": "auto"},
-                    ("q",) + _IDENTITY_ORDER, {"points": _replay_identity}),
-    "sp4-fpurity": Claim(sp4_fpurity_check, {"q": _REQUIRED}, ("q", "e_max"),
+                    {"points": _replay_identity}),
+    "sp4-fpurity": Claim(sp4_fpurity_check, {"q": _REQUIRED},
                          {"closure": _replay_closure}),
     "sp4-relation": Claim(verify_sp4_relation, {"q": _REQUIRED, "mode": "auto"},
-                          ("q", "i") + _IDENTITY_ORDER,
                           {"points": _replay_identity}),
     "theorem-search": Claim(verify_theorem_search,
-                            {"n": _REQUIRED, "q": _REQUIRED}, ("n", "q"),
+                            {"n": _REQUIRED, "q": _REQUIRED},
                             {"exponents": _replay_exponents}),
-    "alt-T": Claim(alt_lemma_T, _ALT_PARAMS, ("n", "p"), _ALT_REPLAYS),
-    "alt-staircase": Claim(alt_lemma_staircase, _ALT_PARAMS, ("n", "p"),
-                           _ALT_REPLAYS),
-    "alt-delta": Claim(alt_delta_congruence, _ALT_PARAMS, ("n", "p"),
-                       _ALT_REPLAYS),
-    "alt-dichotomy": Claim(alt_fregularity_dichotomy, _ALT_PARAMS, ("n", "p"),
-                           _ALT_REPLAYS),
+    "alt-T": Claim(alt_lemma_T, _ALT_PARAMS, _ALT_REPLAYS),
+    "alt-staircase": Claim(alt_lemma_staircase, _ALT_PARAMS, _ALT_REPLAYS),
+    "alt-delta": Claim(alt_delta_congruence, _ALT_PARAMS, _ALT_REPLAYS),
+    "alt-dichotomy": Claim(alt_fregularity_dichotomy, _ALT_PARAMS, _ALT_REPLAYS),
     "relations-n3": Claim(verify_relations_n3, {"q": 2},
-                          ("q", "trials", "ext_degree", "seed"),
                           {"points-multi": _replay_identity}),
 }
 
@@ -955,11 +933,7 @@ def bound_text(bound: Optional[Fraction]) -> str:
 
 
 def params_text(report: VerificationReport) -> str:
-    claim = RUNNERS.get(report.claim_id)
-    order = claim.order if claim else ()
-    keys = [k for k in order if k in report.parameters]
-    keys += sorted(k for k in report.parameters if k not in order)
-    return " ".join(f"{k}={report.parameters[k]}" for k in keys)
+    return " ".join(f"{k}={v}" for k, v in report.parameters.items())
 
 
 def render_text(report: VerificationReport,

@@ -157,14 +157,15 @@ class _Quotient:
     Reduction by f and a -> a^(p^k) are GF(p)-linear, so each is a _fold
     of reduced slots through the images of the g^i: a product's high
     e - 1 slots through g^e .. g^(2e-2) mod f, the slots of a through
-    g^(i p^k).  Without tables (_chunk 0, see _tables) a product is
-    instead reduced degree by degree by the nonzero terms of f.
+    g^(i p^k).  Only FieldSpec builds tables (see _tables), when its
+    slots are bytes; without them (_chunk 0, as in the Rabin test's
+    quotient) a product is reduced degree by degree by the nonzero terms of f.
     """
 
     __slots__ = ("p", "e", "order", "modulus", "_slot", "_typecode", "_chunk",
                  "_red", "_high", "_frob", "_modp", "_pones", "_gen")
 
-    def __init__(self, p: int, e: int, modulus: Optional[tuple], wide: bool = False):
+    def __init__(self, p: int, e: int, modulus: Optional[tuple]):
         self.p = p
         self.e = e
         self.order = p ** e
@@ -181,14 +182,6 @@ class _Quotient:
         self._gen = 1 << 8 * self._slot
         # g^e = -(m_0 + m_1 g + ... + m_{e-1} g^{e-1}), nonzero terms only
         self._red = tuple((i, (-c) % p) for i, c in enumerate(modulus[:e]) if c) if modulus else ()
-        if modulus is not None and wide and self._slot == 1:
-            # g^(e-1) .. g^(2e-2), reduced by _red
-            rows = list(accumulate(repeat(self._gen, e - 1), self._vmul,
-                                   initial=self._gen ** (e - 1)))
-            # byte slots keep e * p * e <= 2 * 255^2: one-slot tables fit
-            self._chunk = max(k for k in range(1, 9) if p ** k <= 256 and
-                              -(-e // k) * p ** k * e <= _TABLE_BYTES)
-            self._high = self._tables(rows[1:])
 
     def _tables(self, rows: list) -> tuple:
         """The map sending slot i to rows[i] as (cut, table) for each run of
@@ -348,7 +341,15 @@ class FieldSpec(_Quotient):
                 raise UsageError("modulus must be monic of degree e")
             if not is_irreducible(modulus, p):
                 raise UsageError("modulus is not irreducible")
-        super().__init__(p, e, modulus, wide=True)
+        super().__init__(p, e, modulus)
+        if e > 1 and self._slot == 1:
+            # g^(e-1) .. g^(2e-2), reduced by _red
+            rows = list(accumulate(repeat(self._gen, e - 1), self._vmul,
+                                   initial=self._gen ** (e - 1)))
+            # byte slots keep e * p * e <= 2 * 255^2: one-slot tables fit
+            self._chunk = max(k for k in range(1, 9) if p ** k <= 256 and
+                              -(-e // k) * p ** k * e <= _TABLE_BYTES)
+            self._high = self._tables(rows[1:])
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
         self.gen = FieldElement(self, self._gen) if e > 1 else None

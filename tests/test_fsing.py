@@ -508,6 +508,54 @@ def test_render_text_and_machine():
     assert params_text(rep) == "n=3 p=3"
 
 
+@pytest.mark.parametrize("claim_id, params, config, text", [
+    ("sp4-c0", {"q": 2, "mode": "exact"}, RunConfig(), "q=2 mode=exact seed=0"),
+    ("sp4-c0", {"q": 3, "mode": "probabilistic"}, RunConfig(),
+     "q=3 mode=probabilistic trials=20 ext_degree=32 seed=0"),
+    ("sp4-relation", {"q": 2}, RunConfig(seed=7), "q=2 i=1 mode=auto seed=7"),
+    ("relations-n3", {"q": 2}, FAST, "q=2 trials=5 ext_degree=16 seed=0"),
+])
+def test_params_text_lists_parameters_in_report_order(claim_id, params, config, text):
+    rep = run_claim(claim_id, config, **params)
+    assert params_text(rep) == text
+    assert render_machine(rep).startswith(f"claim={claim_id} {text} verdict=")
+
+
+@pytest.mark.parametrize("n, labels", [
+    (3, {"alt-T": [{"i": 1, "j": 1}, {"i": 2, "j": 1}, {"i": 2, "j": 2},
+                   {"i": 3, "j": 1}, {"i": 3, "j": 2}, {"i": 3, "j": 3}],
+         "alt-staircase": [{"i": 1}, {"i": 2}, {"i": 3}]}),
+    (4, {"alt-T": [{"i": 1, "j": 1}, {"i": 2, "j": 1}, {"i": 2, "j": 2},
+                   {"i": 3, "j": 1}, {"i": 3, "j": 2}, {"i": 3, "j": 3},
+                   {"i": 4, "j": 1}, {"i": 4, "j": 2}, {"i": 4, "j": 3},
+                   {"i": 4, "j": 4}],
+         "alt-staircase": [{"i": 1}, {"i": 2}, {"i": 3}, {"i": 4}]}),
+])
+def test_alt_targets_labels(n, labels):
+    labels = dict(labels, **{"alt-delta": [{"target": "delta-congruence"}],
+                             "alt-dichotomy": [{"target": "delta"}]})
+    ring, _ = symmetric_ideal_gb(n, 5)
+    for claim_id, want in labels.items():
+        pairs = fsing._alt_targets(claim_id, ring, 5)
+        assert [label for label, _ in pairs] == want
+        assert all(f().ring == ring and not f().is_zero() for _, f in pairs)
+
+
+def test_certificate_replay_checks_labels_before_building_targets(monkeypatch):
+    # a Vandermonde has n! terms: a wrong item list must not build one
+    def build(ring):
+        raise AssertionError("target built")
+    monkeypatch.setattr(fsing, "vandermonde", build)
+    for claim_id in ("alt-delta", "alt-dichotomy"):
+        doc = {"claim": claim_id, "params": {"n": 4, "p": 3}, "verdict": "VERIFIED",
+               "witness": {"kind": "certificates", "items": []}}
+        assert not replay_document(json.dumps(doc))
+
+
+def test_symmetric_ideal_gb_is_memoized():
+    assert symmetric_ideal_gb(3, 3) is symmetric_ideal_gb(3, 3)
+
+
 def test_witness_document_roundtrip():
     rep = sp4_fpurity_check(2)
     text = witness_document(rep)
