@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import product
+from itertools import compress, product
 from math import factorial
 from typing import Callable, Optional
 
@@ -45,7 +45,7 @@ from .invariants import (dickson_at_point, dickson_invariants,
 from .mpoly import (Polynomial, PolyRing, frobenius_power, random_points,
                     sample_sides, substitute)
 from .polyio import (format_certificate, format_polys, parse_certificate_text,
-                     parse_field_text)
+                     parse_field_text, parse_polys_text)
 
 VERIFIED = "VERIFIED"
 PROBABLE = "PROBABLE"
@@ -451,16 +451,13 @@ def theorem_exponent_search(n: int, q: int, prune: bool = True) -> frozenset:
                 sols.add(tuple(digits))
             lam += 1
         return frozenset(sols)
-    target = q ** (2 * n) - 1
-    weights = [q ** i + 1 for i in range(1, m + 1)]
-    sols = set()
-    for a1 in range(q - 1):
-        head = a1 * weights[0]
-        for rest in product(range(q), repeat=m - 1):
-            tot = head + sum(a * wt for a, wt in zip(rest, weights[1:]))
-            if tot == target:
-                sols.add((a1,) + rest)
-    return frozenset(sols)
+    # products of the terms a_i (q^i + 1) and of the digits a_i walk in
+    # step; compress keeps the digits whose terms sum to the target
+    digits = [range(q - 1)] + [range(q)] * (m - 1)
+    terms = [range(0, len(r) * (q ** i + 1), q ** i + 1)
+             for i, r in enumerate(digits, start=1)]
+    sums = map(sum, product(*terms))
+    return frozenset(compress(product(*digits), map((q ** (2 * n) - 1).__eq__, sums)))
 
 
 def lambda_identity_check(n: int, q: int) -> dict:
@@ -663,13 +660,13 @@ def _replay_identity(claim_id, params, witness) -> Optional[str]:
     return fresh.verdict
 
 
-def _proves(text: str, target: Polynomial, gb) -> bool:
-    """Does the certificate text prove target in the ideal of the
-    reduced basis gb?  It must divide target by gb itself, leave a zero
-    remainder and re-multiply."""
+def _proves(text: str, target: Callable[[], Polynomial], gb) -> bool:
+    """Does the certificate text prove target() in the ideal of the
+    reduced basis gb?  It must be over gb itself with a zero remainder,
+    checked before target() is built, then be for target() and re-multiply."""
     cert = parse_certificate_text(text)
-    return (cert.target == target and cert.basis == gb.elements
-            and cert.is_member and cert.check())
+    return (cert.basis == gb.elements and cert.is_member
+            and cert.target == target() and cert.check())
 
 
 def _replay_closure(claim_id, params, witness) -> Optional[str]:
@@ -692,7 +689,7 @@ def _replay_closure(claim_id, params, witness) -> Optional[str]:
         return None
     if e is not None:
         gb = buchberger(frobenius_power_ideal([u, v], e) + list(pres.relations))
-        if not _proves(witness["certificate"], frobenius_power(w, e), gb):
+        if not _proves(witness["certificate"], partial(frobenius_power, w, e), gb):
             return None
     return VERIFIED if e == 1 else REFUTED
 
@@ -732,7 +729,7 @@ def _replay_certificates(claim_id, params, witness) -> Optional[str]:
               for item in items]
     pairs = _alt_targets(claim_id, ring, params["p"])
     if labels != [label for label, _ in pairs] or not all(
-            _proves(item["certificate"], target(), gb)
+            _proves(item["certificate"], target, gb)
             for item, (_, target) in zip(items, pairs)):
         return None
     return _alt_verdict(claim_id, params, True)
@@ -740,7 +737,8 @@ def _replay_certificates(claim_id, params, witness) -> Optional[str]:
 
 def _replay_normal_form(claim_id, params, witness) -> Optional[str]:
     """A nonzero normal form of one labelled target, rebuilt and
-    compared whole."""
+    compared whole; the text is parsed before the target is built."""
+    parse_polys_text(witness["polys"])
     ring, gb = symmetric_ideal_gb(params["n"], params["p"])
     label = {k: v for k, v in witness.items() if k not in ("kind", "polys")}
     target = next((f() for lab, f in _alt_targets(claim_id, ring, params["p"])

@@ -10,7 +10,8 @@ quotient terms in one pass, with no heap and no divisor scan.  Both
 paths write f = sum q_i b_i + r with every term of LM(b_i) q_i in cell i
 (the monomials whose first divisor is b_i) and no term of r in any cell.
 That decomposition is unique, so the two paths agree term for term (the
-argument is in _divide_staged's docstring).
+argument is in _divide_staged's docstring).  A GroebnerBasis keeps its
+division plan (the stages, or None) and its elements' texts.
 
 Every other division runs the heap loop, _divide_heap.  The pending
 terms sit in a dict keyed by packed monomial, and their keys in a
@@ -40,6 +41,7 @@ sorted ascending by leading monomial.
 from __future__ import annotations
 
 import heapq
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from . import mpoly
@@ -53,7 +55,7 @@ class MembershipCertificate:
     """An exact witness for a division: target = sum(cofactor_i * basis_i)
     + remainder.  check() re-multiplies everything and compares."""
 
-    __slots__ = ("target", "basis", "cofactors", "remainder")
+    __slots__ = ("target", "basis", "cofactors", "remainder", "_gb")
 
     def __init__(self, target: Polynomial, basis: Sequence[Polynomial],
                  cofactors: Sequence[Polynomial], remainder: Polynomial):
@@ -63,6 +65,10 @@ class MembershipCertificate:
         self.basis = tuple(basis)
         self.cofactors = tuple(cofactors)
         self.remainder = remainder
+        self._gb = basis if isinstance(basis, GroebnerBasis) else None
+
+    def basis_texts(self) -> Sequence[str]:
+        return self._gb.texts if self._gb else [b.text() for b in self.basis]
 
     @property
     def is_member(self) -> bool:
@@ -85,8 +91,10 @@ def normal_form(f: Polynomial, basis, certificate: bool = False):
     as given.  A triangular basis over GF(p) (see _triangular) is
     divided by _divide_staged when the order is grevlex and f's total
     degree is below EXP_CAP; every other division runs _divide_heap.
-    Both give the textbook quotients and remainder."""
-    items = list(basis)
+    Both give the textbook quotients and remainder.  A plain sequence
+    is planned on every call, a GroebnerBasis once (GroebnerBasis.plan)."""
+    planned = isinstance(basis, GroebnerBasis)
+    items = basis.elements if planned else list(basis)
     ring = f.ring
     for b in items:
         if b.ring != ring:
@@ -98,7 +106,7 @@ def normal_form(f: Polynomial, basis, certificate: bool = False):
     # no exponent on either path can reach it
     if (order.kind == "grevlex" and ring.field.e == 1 and f.terms
             and order.total_degree_of(max(f.terms)) < mpoly.EXP_CAP):
-        stages = _triangular(ring, items)
+        stages = basis.plan if planned else _triangular(ring, items)
     if stages is None:
         rem = _divide_heap(ring, f.terms, items, cof)
     else:
@@ -107,7 +115,7 @@ def normal_form(f: Polynomial, basis, certificate: bool = False):
     if not certificate:
         return remainder
     cofactors = [Polynomial(ring, d) for d in cof]
-    return MembershipCertificate(f, items, cofactors, remainder)
+    return MembershipCertificate(f, basis if planned else items, cofactors, remainder)
 
 
 def _divide_heap(ring: PolyRing, terms: dict, items: list,
@@ -325,13 +333,22 @@ def _divide_staged(ring: PolyRing, terms: dict, stages: list,
 
 class GroebnerBasis:
     """Reduced Groebner basis: monic elements in ascending leading
-    monomial order."""
-
-    __slots__ = ("ring", "elements")
+    monomial order; immutable, so its kept plan and texts stay valid."""
 
     def __init__(self, ring: PolyRing, elements: tuple):
-        self.ring = ring
-        self.elements = elements
+        self.__dict__.update(ring=ring, elements=tuple(elements))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a GroebnerBasis is immutable")
+
+    @cached_property
+    def plan(self) -> Optional[list]:
+        """_triangular's stages for the elements, or None."""
+        return _triangular(self.ring, self.elements)
+
+    @cached_property
+    def texts(self) -> tuple:
+        return tuple(b.text() for b in self.elements)
 
     def __iter__(self):
         return iter(self.elements)
@@ -445,9 +462,9 @@ def ideal_member(f: Polynomial, gens, certificate: bool = False):
     basis is the Groebner basis actually used."""
     gb = gens if isinstance(gens, GroebnerBasis) else buchberger(gens)
     if certificate:
-        cert = normal_form(f, gb.elements, certificate=True)
+        cert = normal_form(f, gb, certificate=True)
         return cert.is_member, cert
-    return normal_form(f, gb.elements).is_zero()
+    return normal_form(f, gb).is_zero()
 
 
 def frobenius_power_ideal(gens: Sequence[Polynomial], m: int) -> list:
@@ -477,7 +494,7 @@ def frobenius_closure_search(f: Polynomial, gens: Sequence[Polynomial],
         target = frobenius_power(f, e)
         raised = frobenius_power_ideal(gens, e) + list(fixed)
         gb = buchberger(raised)
-        cert = normal_form(target, gb.elements, certificate=True)
+        cert = normal_form(target, gb, certificate=True)
         if cert.is_member:
             return ClosureResult(e, cert, failures)
         failures[e] = cert.remainder

@@ -263,7 +263,8 @@ def format_polys(ring: PolyRing, polys: Sequence[Polynomial]) -> str:
 
 
 def _tagged_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # str.splitlines: text that is not a str raises TypeError
+    for lineno, raw in enumerate(str.splitlines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -364,8 +365,7 @@ def format_certificate(cert: MembershipCertificate) -> str:
     """The certificate file of cert, in the ring of its target."""
     lines = ring_header_lines(cert.target.ring)
     lines.append(f"target: {cert.target.text()}")
-    for b in cert.basis:
-        lines.append(f"basis: {b.text()}")
+    lines.extend(f"basis: {t}" for t in cert.basis_texts())
     for i, h in enumerate(cert.cofactors):
         lines.append(f"cofactor-of: {i}")
         lines.append(f"poly: {h.text()}")

@@ -565,6 +565,27 @@ def reference_normal_form(f: Polynomial, basis, certificate: bool = False):
     return MembershipCertificate(f, items, cofactors, remainder)
 
 
+# -- exponent search ----------------------------------------------------------------
+
+
+def reference_exponent_search(n: int, q: int) -> frozenset:
+    """The loop that fsing.theorem_exponent_search(prune=False) replaced:
+    every (a_1, ..., a_{2n-1}) with a_1 <= q-2 and a_i <= q-1 for i >= 2,
+    one Python-level weighted sum per tuple, kept when the sum is
+    q^{2n} - 1."""
+    m = 2 * n - 1
+    target = q ** (2 * n) - 1
+    weights = [q ** i + 1 for i in range(1, m + 1)]
+    sols = set()
+    for a1 in range(q - 1):
+        head = a1 * weights[0]
+        for rest in product(range(q), repeat=m - 1):
+            tot = head + sum(a * wt for a, wt in zip(rest, weights[1:]))
+            if tot == target:
+                sols.add((a1,) + rest)
+    return frozenset(sols)
+
+
 # -- Dickson invariants from the defining product ---------------------------------
 
 

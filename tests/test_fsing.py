@@ -32,7 +32,7 @@ from invar.fsing import (C0_XI_TERMS, RunConfig, VerificationReport,
                          verify_c0_expression, verify_relations_n3,
                          verify_sp4_relation, verify_theorem_search,
                          witness_document, RUNNERS)
-from oracles import mutated_c0_terms
+from oracles import mutated_c0_terms, reference_exponent_search
 
 FAST = RunConfig(trials=5, ext_degree=16)
 
@@ -239,6 +239,31 @@ def test_search_empty_cases(n, q):
 def test_prune_agrees_with_full_enumeration(n, q):
     assert theorem_exponent_search(n, q, prune=True) == \
         theorem_exponent_search(n, q, prune=False)
+
+
+_SUITE_SEARCHES = sorted((params["n"], params["q"])
+                         for claim_id, params in suite_claims("full")
+                         if claim_id == "theorem-search")
+
+
+@pytest.mark.parametrize("n,q", _SUITE_SEARCHES + [(3, 11), (4, 5)])
+def test_full_enumeration_matches_the_reference_loop(n, q):
+    assert theorem_exponent_search(n, q, prune=False) == reference_exponent_search(n, q)
+
+
+def test_search_disagreement_refutes(monkeypatch):
+    # a full enumeration holding one tuple more than the pruned search
+    search = theorem_exponent_search
+
+    def lopsided(n, q, prune=True):
+        sols = search(n, q, prune)
+        return sols if prune else sols | {(0,) * (2 * n - 1)}
+
+    monkeypatch.setattr(fsing, "theorem_exponent_search", lopsided)
+    rep = verify_theorem_search(2, 3)
+    assert rep.verdict == "REFUTED"
+    assert rep.witness["full"] == [[0, 0, 0], [1, 2, 2]]
+    assert any("disagrees with full enumeration" in note for note in rep.detail)
 
 
 def test_search_solution_satisfies_constraints():
@@ -550,6 +575,32 @@ def test_certificate_replay_checks_labels_before_building_targets(monkeypatch):
         doc = {"claim": claim_id, "params": {"n": 4, "p": 3}, "verdict": "VERIFIED",
                "witness": {"kind": "certificates", "items": []}}
         assert not replay_document(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind", ["certificates", "wrong basis", "normal-form"])
+def test_forged_replay_parses_before_building_targets(kind):
+    # n = 10 is past alt_nmax: the Vandermonde has 10! terms, and a
+    # garbage witness text, or a certificate over another basis, is
+    # rejected before one is built
+    R = xring(field(3), 10)
+    text = "garbage" if kind != "wrong basis" else format_certificate(
+        MembershipCertificate(R.zero, [R.gen(0)], [R.zero], R.zero))
+    witness = ({"kind": "certificates", "items": [{"target": "delta", "certificate": text}]}
+               if kind != "normal-form" else
+               {"kind": kind, "target": "delta", "polys": text})
+    doc = {"claim": "alt-dichotomy", "params": {"n": 10, "p": 3},
+           "verdict": "VERIFIED" if kind != "normal-form" else "REFUTED",
+           "witness": witness}
+    t0 = time.perf_counter()
+    assert not replay_document(json.dumps(doc))
+    assert time.perf_counter() - t0 < 2.0
+
+
+@pytest.mark.parametrize("text", [None, 3, ["poly: x"]])
+def test_normal_form_replay_rejects_text_of_another_type(text):
+    doc = _document("alt-dichotomy", n=3, p=5)
+    doc["witness"]["polys"] = text
+    assert not _replays(doc)
 
 
 def test_symmetric_ideal_gb_is_memoized():

@@ -572,3 +572,84 @@ def test_staged_division_trips_term_guard(monkeypatch):
     with pytest.raises(ResourceLimit, match="reduction exceeded 12 terms"):
         normal_form(f, basis)
     assert calls
+
+
+# ---------------------------------------------------------------------------
+# the division plan a GroebnerBasis keeps
+# ---------------------------------------------------------------------------
+
+def _planned_matches_plain(f, basis):
+    """normal_form by a GroebnerBasis, by its elements as a list and by
+    the reference division agree, with and without certificates."""
+    gb = GroebnerBasis(f.ring, tuple(basis))
+    ref = reference_normal_form(f, basis, certificate=True)
+    for divisor in (gb, list(basis)):
+        got = normal_form(f, divisor, certificate=True)
+        assert got.remainder == ref.remainder and got.cofactors == ref.cofactors
+        assert got.basis == tuple(basis) and got.check()
+        assert normal_form(f, divisor) == ref.remainder
+    assert gb.plan == groebner._triangular(f.ring, list(basis))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_triangular_cases())
+def test_planned_division_matches_plain_on_triangular_bases(case):
+    _planned_matches_plain(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_division_cases())
+def test_planned_division_matches_plain_on_any_basis(case):
+    _planned_matches_plain(*case)
+
+
+def test_planned_division_keeps_the_degree_gate(monkeypatch):
+    # a triangular basis with a plan, and a target at the degree cap:
+    # the gate is tested on every call, so the target takes the heap path
+    R = PolyRing(field(5), ["x", "y", "z"])
+    x, y, z = R.gens()
+    top = R.monomial((mpoly.EXP_CAP - 1, 0, 0))
+    basis = [top + z, y ** 3 + z]
+    assert groebner._triangular(R, basis) is not None
+    calls = _spy_staged(monkeypatch)
+    _planned_matches_plain((x + y + z + 1) ** 4, basis)
+    assert len(calls) == 4
+    _planned_matches_plain(top * y, basis)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("triangular", [True, False])
+def test_plan_is_made_once_per_basis(triangular, monkeypatch):
+    R = PolyRing(field(5), ["x", "y", "z"])
+    x, y, z = R.gens()
+    basis = [x ** 2 + z, y ** 3 + z] if triangular else [x + y, y ** 2 + x]
+    calls = []
+    shape = groebner._triangular
+
+    def spy(ring, items):
+        calls.append(items)
+        return shape(ring, items)
+
+    monkeypatch.setattr(groebner, "_triangular", spy)
+    gb = GroebnerBasis(R, tuple(basis))
+    f = (x + y + z + 1) ** 4
+    for _ in range(3):
+        normal_form(f, gb)
+        normal_form(f, gb, certificate=True)
+        ideal_member(f, gb, certificate=True)
+    assert len(calls) == 1 and (gb.plan is None) != triangular
+    normal_form(f, basis)
+    normal_form(f, basis)
+    assert len(calls) == 3
+
+
+def test_groebner_basis_is_immutable():
+    R = PolyRing(field(5), ["x", "y"])
+    x, y = R.gens()
+    gb = buchberger([x ** 2 - y, y ** 2 - x])
+    plan, texts = gb.plan, gb.texts
+    for name in ("ring", "elements", "plan", "texts"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(gb, name, None)
+    assert gb.ring == R and gb.elements == buchberger([x ** 2 - y, y ** 2 - x]).elements
+    assert gb.plan is plan and gb.texts is texts

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from invar.errors import ParseError, ResourceLimit, UsageError
 from invar.gf import field
-from invar.groebner import MembershipCertificate
+from invar.groebner import MembershipCertificate, buchberger, normal_form
 from invar.mpoly import EXP_CAP, PolyRing
 from invar.gf import _poly_text
 from invar.polyio import (_Tokens, _parse_canonical, _parse_reference, format_certificate,
@@ -168,6 +168,25 @@ def test_certificate_round_trip(R):
     assert cert.remainder == rem
     # formatting the parsed certificate reproduces the bytes
     assert format_certificate(cert) == text
+
+
+@pytest.mark.parametrize("q", [5, 9])
+def test_certificate_bytes_from_a_groebner_basis(q):
+    # a certificate over a GroebnerBasis prints the basis texts the basis
+    # keeps: the bytes equal those of the same certificate over a tuple
+    F = field(3, 2) if q == 9 else field(q)
+    R = PolyRing(F, ["x", "y", "z"])
+    x, y, z = R.gens()
+    g = F.gen * x if q == 9 else x
+    gb = buchberger([g * y - z ** 2, x ** 2 + y * z, y ** 3 - x])
+    for f in ((x + y + z + 1) ** 4, x ** 3 * y ** 2 - z, R.zero):
+        cert = normal_form(f, gb, certificate=True)
+        plain = MembershipCertificate(f, tuple(gb.elements), cert.cofactors,
+                                      cert.remainder)
+        text = format_certificate(cert)
+        assert text == format_certificate(plain)
+        assert text == format_certificate(normal_form(f, list(gb), certificate=True))
+        assert format_certificate(parse_certificate_text(text)) == text
 
 
 def test_certificate_errors(R):
