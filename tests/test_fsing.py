@@ -597,9 +597,12 @@ def test_forged_replay_parses_before_building_targets(kind):
 
 
 @pytest.mark.parametrize("text", [None, 3, ["poly: x"]])
-def test_normal_form_replay_rejects_text_of_another_type(text):
+def test_replay_rejects_text_of_another_type(text):
     doc = _document("alt-dichotomy", n=3, p=5)
     doc["witness"]["polys"] = text
+    assert not _replays(doc)
+    doc = _document("alt-T", n=3, p=3)
+    doc["witness"]["items"][0]["certificate"] = text
     assert not _replays(doc)
 
 
