@@ -19,7 +19,7 @@ from .fsing import (MODES, PROBABLE, REFUTED, RUNNERS, SKIPPED, VERIFIED,
                     RunConfig, bound_text, params_text, render_machine,
                     render_text, run_claim, run_suite, witness_document)
 from .gf import field
-from .groebner import buchberger, change_ring, normal_form
+from .groebner import buchberger, change_ring, ideal_member
 from .invariants import (dickson_invariants, elementary_symmetric,
                          symplectic_xi, vandermonde, xring)
 from .mpoly import EXP_CAP, PolyRing
@@ -194,12 +194,10 @@ def member(ideal_file, element_file, out):
         raise UsageError("element file must hold exactly one polynomial")
     if ring2 != ring:
         raise UsageError("ideal and element files use different rings")
-    target = polys[0]
-    gbasis = buchberger(gens)
-    cert = normal_form(target, gbasis, certificate=True)
+    is_member, cert = ideal_member(polys[0], gens, certificate=True)
     if out:
         cache.write_atomic(out, format_certificate(cert))
-    if cert.is_member:
+    if is_member:
         click.echo("member")
         sys.exit(0)
     click.echo(f"non-member; normal form: {cert.remainder.text()}")

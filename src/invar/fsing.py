@@ -11,12 +11,12 @@ whose verdict is one of
 
 VERIFIED and REFUTED reports carry a replayable witness: a membership
 certificate, a set of exponent tuples, or evaluation points with the
-values of both sides.  replay_witness rebuilds every value the claim's
-parameters fix, compares it whole, and checks only the proof objects
-(certificates, and a stored full enumeration); an identity witness is
-rebuilt by running its claim again from the recorded seed, so its
-points must be the claim's own draws and replay costs what the claim
-cost.  run_claim times each claim.
+values of both sides.  replay_witness runs a points, closure or
+exponents claim again from the recorded parameters, requires the same
+witness and re-multiplies the certificate it holds, so identity points
+must be the claim's own draws and replay costs what the claim cost; an
+alternating-group witness is parsed, its targets rebuilt and its
+certificates re-multiplied.  run_claim times each claim.
 """
 
 from __future__ import annotations
@@ -34,16 +34,16 @@ from typing import Callable, Optional
 
 from .errors import ResourceLimit, UsageError
 from .gf import FieldSpec, _prime_factors, field, is_prime
-from .groebner import (buchberger, frobenius_closure_search,
-                       frobenius_power_ideal, ideal_member, normal_form)
+from .groebner import (buchberger, frobenius_closure_search, ideal_member,
+                       normal_form)
 from .invariants import (dickson_at_point, dickson_invariants,
                          elementary_symmetric, relation_side_degrees,
                          staircase_monomial, symplectic_relation_sides,
                          symplectic_relation_values, symplectic_xi,
                          symplectic_xi_value, truncated_monomial_sum,
                          vandermonde, xring)
-from .mpoly import (Polynomial, PolyRing, frobenius_power, random_points,
-                    sample_sides, substitute)
+from .mpoly import (Polynomial, PolyRing, random_points, sample_sides,
+                    substitute)
 from .polyio import (format_certificate, format_polys, parse_certificate_text,
                      parse_field_text, parse_polys_text)
 
@@ -483,10 +483,13 @@ def verify_theorem_search(n: int, q: int,
             detail=tuple(detail))
 
     try:
-        sols, lam, witness = _exponent_witness(n, q)
+        sols = theorem_exponent_search(n, q)
     except ResourceLimit as exc:
         detail.append(str(exc))
         return report(SKIPPED, None)
+    lam = lambda_identity_check(n, q)
+    witness = {"kind": "exponents", "solutions": [list(t) for t in sorted(sols)],
+               "lambda": dict(lam, solutions=list(lam["solutions"]))}
     space = (q - 1) * q ** (2 * n - 2)
     if space <= AGREE_CAP:
         full = theorem_exponent_search(n, q, prune=False)
@@ -510,16 +513,6 @@ def verify_theorem_search(n: int, q: int,
     else:
         detail.append(f"empty as required for q >= 4n-4 = {4 * n - 4}")
     return report(VERIFIED, witness)
-
-
-def _exponent_witness(n: int, q: int):
-    """(pruned solutions, lambda record, exponents witness): everything
-    of the witness that n and q fix, which replay rebuilds."""
-    sols = theorem_exponent_search(n, q)
-    lam = lambda_identity_check(n, q)
-    return sols, lam, {"kind": "exponents",
-                       "solutions": [list(t) for t in sorted(sols)],
-                       "lambda": dict(lam, solutions=list(lam["solutions"]))}
 
 
 # ---------------------------------------------------------------------------
@@ -634,28 +627,35 @@ def _alt_verdict(claim_id: str, params, member: bool) -> str:
 # not hold.
 
 
-def _replay_identity(claim_id, params, witness) -> Optional[str]:
+def _replay_rerun(claim_id, params, witness) -> Optional[str]:
     """Run the claim again from what the document records and require
-    the same witness, so the stored points must be the claim's own draws
-    from the recorded seed.  The re-run samples as many points as the
-    first item holds; an item that does not stop at a mismatch must hold
-    one point per recorded trial, checked before anything runs."""
-    items = witness.get("items", [witness])
-    if "trials" in params and any(item.get("mismatch") is None
-                                  and len(item["points"]) != params["trials"]
-                                  for item in items):
-        return None
-    ext = parse_field_text(items[0]["field"]).e
-    if params.get("ext_degree", ext) != ext:
-        return None
-    config = RunConfig(seed=params["seed"], ext_degree=ext,
-                       trials=max(1, len(items[0]["points"])))
+    the same witness, then re-multiply the certificate it holds, if any;
+    the verdict is the rerun's.  Every parameter the rerun reports must
+    be recorded.  A points witness fixes the field and the draws: the
+    rerun samples as many points as the first item holds from the
+    recorded seed, and an item that does not stop at a mismatch must
+    hold one point per recorded trial, checked before anything runs."""
+    settings = {k: params[k] for k in ("seed", "e_max") if k in params}
+    if witness["kind"] in ("points", "points-multi"):
+        items = witness.get("items", [witness])
+        if "trials" in params and any(item.get("mismatch") is None
+                                      and len(item["points"]) != params["trials"]
+                                      for item in items):
+            return None
+        ext = parse_field_text(items[0]["field"]).e
+        if params.get("ext_degree", ext) != ext:
+            return None
+        settings.update(ext_degree=ext, trials=max(1, len(items[0]["points"])))
     claim = RUNNERS[claim_id]
     kw = {k: params[k] for k in claim.params if k in params}
     if "terms" in witness:
         kw["terms"] = witness["terms"]
-    fresh = claim.check(config=config, **kw)
-    if json.loads(json.dumps(fresh.witness)) != witness:
+    fresh = claim.check(config=RunConfig(**settings), **kw)
+    if (not fresh.parameters.keys() <= params.keys()
+            or json.loads(json.dumps(fresh.witness)) != witness):
+        return None
+    if "certificate" in witness and not parse_certificate_text(
+            witness["certificate"]).check():
         return None
     return fresh.verdict
 
@@ -667,58 +667,6 @@ def _proves(text: str, target: Callable[[], Polynomial], gb) -> bool:
     cert = parse_certificate_text(text)
     return (cert.basis == gb.elements and cert.is_member
             and cert.target == target() and cert.check())
-
-
-def _replay_closure(claim_id, params, witness) -> Optional[str]:
-    """Rerun the closure search below the stored level (through e_max
-    when there is none): no level may succeed, and the stored failures
-    and level-0 remainder must be the rerun's.  A stored level needs a
-    certificate for w^(q^e) over the reduced basis of the raised ideal.
-    VERIFIED at e = 1."""
-    pres = sp4_presentation(params["q"])
-    _, _, u, v, w = pres.ring.gens()
-    e = witness["e"]
-    if e is not None and e > params["e_max"]:
-        return None
-    rerun = frobenius_closure_search(
-        w, [u, v], params["e_max"] if e is None else e - 1,
-        fixed=pres.relations)
-    failures = {str(k): r.text() for k, r in rerun.failures.items()}
-    if (rerun.e is not None or failures != witness["failures"]
-            or failures["0"] != witness["membership-remainder"]):
-        return None
-    if e is not None:
-        gb = buchberger(frobenius_power_ideal([u, v], e) + list(pres.relations))
-        if not _proves(witness["certificate"], partial(frobenius_power, w, e), gb):
-            return None
-    return VERIFIED if e == 1 else REFUTED
-
-
-def _replay_exponents(claim_id, params, witness) -> Optional[str]:
-    """Rebuild the pruned solutions and the lambda record: a few digit
-    steps per lambda, no enumeration.  A stored full enumeration is
-    checked tuple by tuple; it must hold every pruned solution, and it
-    refutes when it holds another."""
-    n, q = params["n"], params["q"]
-    sols, lam, rebuilt = _exponent_witness(n, q)
-    if any(witness[k] != v for k, v in rebuilt.items()):
-        return None
-    full = witness.get("full")
-    if full is not None:
-        m, target = 2 * n - 1, q ** (2 * n) - 1
-        for sol in full:
-            if (len(sol) != m or sol[0] > q - 2
-                    or not all(0 <= a < q for a in sol)
-                    or sum(a * (q ** i + 1)
-                           for i, a in enumerate(sol, start=1)) != target):
-                return None
-        if any(list(t) not in full for t in sols):
-            return None
-        if any(tuple(t) not in sols for t in full):
-            return REFUTED
-    if q >= 4 * n - 4 and (sols or lam["solutions"]):
-        return REFUTED
-    return VERIFIED
 
 
 def _replay_certificates(claim_id, params, witness) -> Optional[str]:
@@ -777,20 +725,20 @@ _ALT_REPLAYS = {"certificates": _replay_certificates,
 
 RUNNERS = {
     "sp4-c0": Claim(verify_c0_expression, {"q": _REQUIRED, "mode": "auto"},
-                    {"points": _replay_identity}),
+                    {"points": _replay_rerun}),
     "sp4-fpurity": Claim(sp4_fpurity_check, {"q": _REQUIRED},
-                         {"closure": _replay_closure}),
+                         {"closure": _replay_rerun}),
     "sp4-relation": Claim(verify_sp4_relation, {"q": _REQUIRED, "mode": "auto"},
-                          {"points": _replay_identity}),
+                          {"points": _replay_rerun}),
     "theorem-search": Claim(verify_theorem_search,
                             {"n": _REQUIRED, "q": _REQUIRED},
-                            {"exponents": _replay_exponents}),
+                            {"exponents": _replay_rerun}),
     "alt-T": Claim(alt_lemma_T, _ALT_PARAMS, _ALT_REPLAYS),
     "alt-staircase": Claim(alt_lemma_staircase, _ALT_PARAMS, _ALT_REPLAYS),
     "alt-delta": Claim(alt_delta_congruence, _ALT_PARAMS, _ALT_REPLAYS),
     "alt-dichotomy": Claim(alt_fregularity_dichotomy, _ALT_PARAMS, _ALT_REPLAYS),
     "relations-n3": Claim(verify_relations_n3, {"q": 2},
-                          {"points-multi": _replay_identity}),
+                          {"points-multi": _replay_rerun}),
 }
 
 
@@ -882,15 +830,15 @@ def _replay(claim_id: str, params: dict, witness) -> Optional[str]:
 
 
 def replay_witness(claim_id: str, params: dict, witness: dict) -> bool:
-    """Re-validate a stored witness: rebuild every value the claim's
-    parameters fix, compare it whole, and check only the proofs.  An
-    identity witness runs its claim again from the recorded seed, so its
-    points must be the claim's own draws and replay costs what the claim
-    cost.  A closure search is rerun below the stored level, exponent
-    solutions are recomputed without an enumeration, a certificate must
-    be over the reduced basis and re-multiply, and a stored full
-    enumeration is checked tuple by tuple.  A malformed witness, or one
-    that would push replay past a resource guard, replays False."""
+    """Re-validate a stored witness.  A points, closure or exponents
+    witness runs its claim again from the recorded parameters: the fresh
+    witness must equal it whole, a certificate it holds must re-multiply,
+    and the verdict is the rerun's, so replay costs what the claim cost.
+    An alternating-group certificate must be for its rebuilt target over
+    the reduced basis and re-multiply; a normal form is rebuilt and
+    compared whole.  A malformed witness, one that leaves out a parameter
+    its claim reports, or one that would push replay past a resource
+    guard, replays False."""
     return _replay(claim_id, params, witness) is not None
 
 
@@ -906,10 +854,12 @@ def witness_document(report: VerificationReport) -> str:
 def replay_document(text: str) -> bool:
     """Replay a witness document: the witness must hold and prove the
     verdict the document records.  A document that is not a JSON object,
-    or lacks its claim, params, verdict or witness, replays False; text
-    that is not JSON raises json.JSONDecodeError."""
+    lacks its claim, params, verdict or witness, or whose params are not
+    an object, replays False; text that is not JSON raises
+    json.JSONDecodeError."""
     doc = json.loads(text)
-    if not isinstance(doc, dict) or not {"claim", "params", "verdict", "witness"} <= doc.keys():
+    if (not isinstance(doc, dict) or not {"claim", "params", "verdict", "witness"} <= doc.keys()
+            or not isinstance(doc["params"], dict)):
         return False
     return _replay(doc["claim"], doc["params"], doc["witness"]) == doc["verdict"]
 

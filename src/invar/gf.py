@@ -333,9 +333,9 @@ class FieldSpec(_Quotient):
             raise UsageError(f"extension degree must be >= 1, got {e}")
         if e == 1:
             modulus = None
+        elif modulus is None:
+            modulus = find_irreducible(p, e)    # certified by its search
         else:
-            if modulus is None:
-                modulus = find_irreducible(p, e)
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != e + 1 or modulus[-1] != 1:
                 raise UsageError("modulus must be monic of degree e")
@@ -422,14 +422,13 @@ def field(p: int, e: int = 1, modulus: Optional[Sequence[int]] = None) -> FieldS
     """Interned FieldSpec factory; the default modulus is deterministic.
 
     One instance per (p, e, modulus), whether the modulus was given
-    explicitly or resolved to the default.
+    explicitly or resolved to the default; GF(p) ignores a modulus.
     """
-    key = (p, e, None if modulus is None else tuple(modulus))
+    key = (p, e, None if modulus is None or e == 1 else tuple(modulus))
     spec = _SPEC_CACHE.get(key)
     if spec is None:
-        spec = _SPEC_CACHE[key] = (field(p, e, find_irreducible(p, e))
-                                   if e > 1 and modulus is None else
-                                   FieldSpec(p, e, modulus))
+        spec = FieldSpec(p, e, modulus)
+        spec = _SPEC_CACHE[key] = _SPEC_CACHE.setdefault((p, e, spec.modulus), spec)
     return spec
 
 

@@ -30,8 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # (file, target functions, the modules of TESTS that run first)
 TARGETS = (
-    ("src/invar/fsing.py", ("_replay", "_replay_identity", "_replay_closure",
-                            "_replay_exponents", "_replay_certificates",
+    ("src/invar/fsing.py", ("_replay", "_replay_rerun", "_replay_certificates",
                             "_replay_normal_form", "_proves"),
      ("tests/test_fsing.py",)),
     ("src/invar/groebner.py", ("MembershipCertificate.check",),
@@ -48,16 +47,6 @@ TESTS = ("tests/test_fsing.py", "tests/test_byte_pin.py",
          "tests/test_gf.py")
 
 EQUIVALENT = {
-    "_replay_exponents: if any((tuple(t) not in sols for t in full)) -> False":
-        "a full tuple that passes every check solves the equation, and the "
-        "digit search finds every solution",
-    "_replay_exponents: if q >= 4 * n - 4 and (sols or lam['solutions']) -> False":
-        "for q >= 4n-4 the theorem leaves sols empty and lambda(q+1) = "
-        "2nq-2n-q+3 has no solution in [1, 2n-2]",
-    "_replay_exponents: drop sols":
-        "for q >= 4n-4 both sols and the lambda solutions are empty",
-    "_replay_exponents: drop lam['solutions']":
-        "for q >= 4n-4 both sols and the lambda solutions are empty",
     "_Quotient._vmul: if e == 1 -> False":
         "GF(p) has no modulus terms, so the loop adds nothing and the pack "
         "reduces a*b mod p: the branch skips an unpack and a pack",

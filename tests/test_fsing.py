@@ -16,8 +16,8 @@ from invar.mpoly import PolyRing, frobenius_power
 from invar.invariants import (dickson_invariants, symplectic_relation_values,
                               symplectic_xi, truncated_monomial_sum, vandermonde,
                               xring)
-from invar.polyio import (format_certificate, format_polys, parse_field_text,
-                          parse_polys_text)
+from invar.polyio import (format_certificate, format_polys, parse_certificate_text,
+                          parse_field_text, parse_polys_text)
 from invar import fsing
 from invar.fsing import (C0_XI_TERMS, RunConfig, VerificationReport,
                          alt_delta_congruence, alt_fregularity_dichotomy,
@@ -738,9 +738,9 @@ def test_exponent_replay_needs_a_full_list_holding_the_solutions():
     forged = dict(witness, full=[])
     assert not _replays(dict(doc, verdict="REFUTED", witness=forged))
     assert not _replays(dict(doc, witness=forged))
-    # a full list equal to the solutions agrees with them
+    # the claim writes a full list only when the two searches disagree
     same = dict(witness, full=witness["solutions"])
-    assert _replays(dict(doc, witness=same))
+    assert not _replays(dict(doc, witness=same))
     assert not _replays(dict(doc, verdict="REFUTED", witness=same))
 
 
@@ -834,6 +834,53 @@ def _forged_closure(rule):
                                   "lower level succeeds", "certificate target"])
 def test_closure_replay_checks_each_rule(rule):
     assert not _replays(_forged_closure(rule))
+
+
+def test_closure_replay_re_multiplies_the_certificate(monkeypatch):
+    """The rerun writes the same certificate text, so only re-multiplying
+    it catches cofactors that do not add up: here one is off by 1, and
+    the claim still says VERIFIED because the remainder is zero."""
+    honest = _document("sp4-fpurity", q=2)
+    search = fsing.frobenius_closure_search
+
+    def off_by_one(*args, **kwargs):
+        found = search(*args, **kwargs)
+        cert = found.certificate
+        cofactors = list(cert.cofactors)
+        cofactors[0] = cofactors[0] + cofactors[0].ring.one
+        return found._replace(certificate=MembershipCertificate(
+            cert.target, cert.basis, cofactors, cert.remainder))
+
+    monkeypatch.setattr(fsing, "frobenius_closure_search", off_by_one)
+    doc = _document("sp4-fpurity", q=2)
+    assert doc["verdict"] == "VERIFIED"
+    assert doc["witness"]["certificate"] != honest["witness"]["certificate"]
+    assert not parse_certificate_text(doc["witness"]["certificate"]).check()
+    assert not _replays(doc)
+
+
+@pytest.mark.parametrize("claim_id, params, key", [
+    ("sp4-fpurity", {"q": 2}, "e_max"),
+    ("sp4-c0", {"q": 2, "mode": "probabilistic"}, "seed"),
+    ("sp4-c0", {"q": 2, "mode": "exact"}, "seed"),
+    ("sp4-c0", {"q": 2, "mode": "exact"}, "mode"),
+    ("relations-n3", {"q": 2}, "seed"),
+    ("relations-n3", {"q": 2}, "trials"),
+    ("theorem-search", {"n": 2, "q": 3}, "n"),
+])
+def test_rerun_replay_needs_every_parameter(claim_id, params, key):
+    """A document that leaves out a parameter its claim reports proves
+    nothing, even where the rerun would default it to the recorded value."""
+    doc = _document(claim_id, **params)
+    assert _replays(doc)
+    del doc["params"][key]
+    assert not _replays(doc)
+
+
+@pytest.mark.parametrize("params", [[], [["q", 2]], "q", 3, None])
+def test_replay_document_whose_params_are_not_an_object_is_false(params):
+    doc = _document("sp4-c0", q=2, mode="probabilistic")
+    assert replay_document(json.dumps(dict(doc, params=params))) is False
 
 
 @pytest.mark.parametrize("n, q, extra", [

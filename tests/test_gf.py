@@ -175,6 +175,44 @@ def test_field_interning_and_hash():
     assert {e: 1}[field(7).element(3)] == 1
 
 
+def test_prime_field_is_interned_under_one_key():
+    # GF(p) has no modulus, so a given one names the same field
+    assert field(3, 1, (0, 1)) is field(3)
+    assert field(3) is field(3, 1, (0, 1)) is field(3, 1)
+    assert field(11, 1, (0, 1)) is field(11)
+
+
+def test_default_modulus_is_found_and_certified_once(monkeypatch):
+    tested = []
+
+    def spy(coeffs, p):
+        tested.append((tuple(coeffs), p))
+        return is_irreducible(coeffs, p)
+
+    monkeypatch.setattr(gf, "is_irreducible", spy)
+    monkeypatch.setattr(gf, "_SPEC_CACHE", {})
+    for p, e in [(2, 32), (3, 32), (5, 3)]:
+        tested.clear()
+        spec = field(p, e)
+        # the search tests each candidate once, the winner last
+        assert tested[-1] == (spec.modulus, p)
+        assert len(set(tested)) == len(tested)
+        tested.clear()
+        # the same field by its modulus: interned, so nothing runs again
+        assert field(p, e, spec.modulus) is spec
+        assert tested == []
+    # a modulus the caller passes is certified
+    assert FieldSpec(2, 3, (1, 1, 0, 1)).modulus == (1, 1, 0, 1)
+    assert tested == [((1, 1, 0, 1), 2)]
+    tested.clear()
+    # given first, then found by the search: still one instance
+    default = find_irreducible(2, 4)
+    tested.clear()
+    given = field(2, 4, default)
+    assert tested == [(default, 2)]
+    assert field(2, 4) is given
+
+
 def test_mixed_field_operands_rejected():
     a = field(5).element(2)
     b = field(7).element(2)
