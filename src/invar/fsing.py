@@ -823,9 +823,11 @@ def _replay(claim_id: str, params: dict, witness) -> Optional[str]:
     try:
         replay = RUNNERS[claim_id].replays[witness["kind"]]
         return replay(claim_id, params, witness)
-    except (KeyError, IndexError, TypeError, ValueError, ResourceLimit):
-        # an unknown claim or kind, a malformed witness, or one past a
-        # guard proves nothing
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError,
+            ResourceLimit):
+        # an unknown claim or kind, a malformed witness or parameters (a
+        # JSON value of the wrong type included), or one past a guard
+        # proves nothing
         return None
 
 
@@ -854,12 +856,10 @@ def witness_document(report: VerificationReport) -> str:
 def replay_document(text: str) -> bool:
     """Replay a witness document: the witness must hold and prove the
     verdict the document records.  A document that is not a JSON object,
-    lacks its claim, params, verdict or witness, or whose params are not
-    an object, replays False; text that is not JSON raises
-    json.JSONDecodeError."""
+    or lacks its claim, params, verdict or witness, replays False; text
+    that is not JSON raises json.JSONDecodeError."""
     doc = json.loads(text)
-    if (not isinstance(doc, dict) or not {"claim", "params", "verdict", "witness"} <= doc.keys()
-            or not isinstance(doc["params"], dict)):
+    if not isinstance(doc, dict) or not {"claim", "params", "verdict", "witness"} <= doc.keys():
         return False
     return _replay(doc["claim"], doc["params"], doc["witness"]) == doc["verdict"]
 

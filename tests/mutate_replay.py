@@ -47,6 +47,9 @@ TESTS = ("tests/test_fsing.py", "tests/test_byte_pin.py",
          "tests/test_gf.py")
 
 EQUIVALENT = {
+    "_replay_normal_form: if target is None -> False":
+        "normal_form(None, gb) raises AttributeError, which _replay maps to "
+        "False like any JSON value of the wrong type",
     "_Quotient._vmul: if e == 1 -> False":
         "GF(p) has no modulus terms, so the loop adds nothing and the pack "
         "reduces a*b mod p: the branch skips an unpack and a pack",

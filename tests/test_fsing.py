@@ -883,6 +883,18 @@ def test_replay_document_whose_params_are_not_an_object_is_false(params):
     assert replay_document(json.dumps(dict(doc, params=params))) is False
 
 
+@pytest.mark.parametrize("claim_id, params, key, value", [
+    ("relations-n3", {"q": 2}, "items", [1]),
+    ("relations-n3", {"q": 2}, "items", {"i": 1}),
+    ("sp4-c0", {"q": 2, "mode": "probabilistic"}, "field", 3),
+    ("alt-T", {"n": 3, "p": 3}, "items", [1]),
+], ids=["items-of-ints", "items-object", "field-number", "certificate-items-of-ints"])
+def test_witness_value_of_another_json_type_replays_false(claim_id, params, key, value):
+    doc = _document(claim_id, **params)
+    doc["witness"][key] = value
+    assert replay_document(json.dumps(doc)) is False
+
+
 @pytest.mark.parametrize("n, q, extra", [
     (2, 3, [1, 2, 2, 0]),            # shape: one entry too many
     (8, 2, [1, 0, 0] + [1] * 12),    # a_1 = 1 > q - 2
