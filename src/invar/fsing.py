@@ -15,8 +15,8 @@ values of both sides.  replay_witness runs a points, closure or
 exponents claim again from the recorded parameters, requires the same
 witness and re-multiplies the certificate it holds, so identity points
 must be the claim's own draws and replay costs what the claim cost; an
-alternating-group witness is parsed, its targets rebuilt and its
-certificates re-multiplied.  run_claim times each claim.
+alternating-group witness (n up to REPLAY_NMAX) is parsed, its targets
+rebuilt and its certificates re-multiplied.  run_claim times each claim.
 """
 
 from __future__ import annotations
@@ -35,13 +35,13 @@ from typing import Callable, Optional
 from .errors import ResourceLimit, UsageError
 from .gf import FieldSpec, _prime_factors, field, is_prime
 from .groebner import (buchberger, frobenius_closure_search, ideal_member,
-                       normal_form)
+                       normal_form, normal_form_of_product)
 from .invariants import (dickson_at_point, dickson_invariants,
                          elementary_symmetric, relation_side_degrees,
                          staircase_monomial, symplectic_relation_sides,
                          symplectic_relation_values, symplectic_xi,
                          symplectic_xi_value, truncated_monomial_sum,
-                         vandermonde, xring)
+                         vandermonde, vandermonde_rows, xring)
 from .mpoly import (Polynomial, PolyRing, random_points, sample_sides,
                     substitute)
 from .polyio import (format_certificate, format_polys, parse_certificate_text,
@@ -54,6 +54,7 @@ SKIPPED = "SKIPPED"
 
 SEARCH_CAP = 10 ** 9    # full-enumeration ceiling of the exponent search
 AGREE_CAP = 10 ** 6     # below this, pruned vs full cross-check
+REPLAY_NMAX = 8         # largest n an alternating-group witness replays at
 
 MODES = ("auto", "exact", "probabilistic")    # identity-check strategies
 
@@ -541,16 +542,31 @@ def _alt_targets(claim_id: str, ring: PolyRing, p: int) -> list:
         return [({"i": i}, partial(staircase_monomial, ring, i))
                 for i in range(1, n + 1)]
     if claim_id == "alt-delta":
-        # Delta - n! X_2 X_3^2 ... X_n^(n-1)
-        socle = ring.monomial(list(range(n))).scale(factorial(n) % p)
-        return [({"target": "delta-congruence"}, lambda: vandermonde(ring) - socle)]
+        return [({"target": "delta-congruence"},
+                 lambda: vandermonde(ring) - _socle(ring, p))]
     return [({"target": "delta"}, partial(vandermonde, ring))]      # alt-dichotomy
+
+
+def _socle(ring: PolyRing, p: int) -> Polynomial:
+    """n! X_2 X_3^2 ... X_n^(n-1) over GF(p), which alt-delta subtracts."""
+    return ring.monomial(list(range(ring.nvars))).scale(factorial(ring.nvars) % p)
+
+
+def _delta_remainder(label: dict, gb, p: int) -> Optional[Polynomial]:
+    """A Vandermonde target's normal form from its factors, the last
+    variable's row first; None for a target with no product form."""
+    if "target" not in label:
+        return None
+    rows = vandermonde_rows(gb.ring)[::-1]
+    nf = normal_form_of_product([f for row in rows for f in row], gb)
+    return nf if label["target"] == "delta" else nf - normal_form(_socle(gb.ring, p), gb)
 
 
 def _alt_claim(claim_id: str, n: int, p: int,
                config: RunConfig) -> VerificationReport:
     """Put each target of _alt_targets in (e_1..e_n): collect the
     certificates, or stop at the first non-member with its normal form.
+    Only a target whose _delta_remainder is None or zero is divided.
     _alt_verdict reads the verdict off membership."""
     if not is_prime(p) or p == 2:
         raise UsageError("p must be an odd prime")
@@ -563,7 +579,13 @@ def _alt_claim(claim_id: str, n: int, p: int,
     items = []
     for label, target in _alt_targets(claim_id, R, p):
         f = target()
-        member, cert = ideal_member(f, gb, certificate=True)
+        remainder = _delta_remainder(label, gb, p)
+        member = not remainder          # None (no product form) or zero
+        if member:
+            member, cert = ideal_member(f, gb, certificate=True)
+            if remainder is not None and not member:
+                raise AssertionError("a zero product normal form, but no member")
+            remainder = cert.remainder
         if not member:
             break
         items.append(dict(label, certificate=format_certificate(cert)))
@@ -577,9 +599,9 @@ def _alt_claim(claim_id: str, n: int, p: int,
         notes += (f"{len(items)} memberships established",)
     else:
         notes += (" ".join(f"{k}={v}" for k, v in label.items())
-                  + f" is NOT in the ideal; normal form has {len(cert.remainder)} terms",)
+                  + f" is NOT in the ideal; normal form has {len(remainder)} terms",)
     witness = {"kind": "certificates", "items": items} if member else dict(
-        label, kind="normal-form", polys=format_polys(R, [f, cert.remainder]))
+        label, kind="normal-form", polys=format_polys(R, [f, remainder]))
     return VerificationReport(
         claim_id, params, verdict, Fraction(0) if verdict == VERIFIED else None,
         witness, detail=notes)
@@ -671,6 +693,8 @@ def _proves(text: str, target: Callable[[], Polynomial], gb) -> bool:
 
 def _replay_certificates(claim_id, params, witness) -> Optional[str]:
     """One certificate per target of _alt_targets, in order."""
+    if params["n"] > REPLAY_NMAX:
+        return None
     ring, gb = symmetric_ideal_gb(params["n"], params["p"])
     items = witness["items"]
     labels = [{k: v for k, v in item.items() if k != "certificate"}
@@ -686,6 +710,8 @@ def _replay_certificates(claim_id, params, witness) -> Optional[str]:
 def _replay_normal_form(claim_id, params, witness) -> Optional[str]:
     """A nonzero normal form of one labelled target, rebuilt and
     compared whole; the text is parsed before the target is built."""
+    if params["n"] > REPLAY_NMAX:
+        return None
     parse_polys_text(witness["polys"])
     ring, gb = symmetric_ideal_gb(params["n"], params["p"])
     label = {k: v for k, v in witness.items() if k not in ("kind", "polys")}
@@ -693,7 +719,9 @@ def _replay_normal_form(claim_id, params, witness) -> Optional[str]:
                    if lab == label), None)
     if target is None:
         return None
-    remainder = normal_form(target, gb)
+    remainder = _delta_remainder(label, gb, params["p"])
+    if remainder is None:
+        remainder = normal_form(target, gb)
     if remainder.is_zero() or witness["polys"] != format_polys(ring, [target, remainder]):
         return None
     return _alt_verdict(claim_id, params, False)
@@ -836,11 +864,12 @@ def replay_witness(claim_id: str, params: dict, witness: dict) -> bool:
     witness runs its claim again from the recorded parameters: the fresh
     witness must equal it whole, a certificate it holds must re-multiply,
     and the verdict is the rerun's, so replay costs what the claim cost.
-    An alternating-group certificate must be for its rebuilt target over
-    the reduced basis and re-multiply; a normal form is rebuilt and
-    compared whole.  A malformed witness, one that leaves out a parameter
-    its claim reports, or one that would push replay past a resource
-    guard, replays False."""
+    An alternating-group witness replays only for n up to REPLAY_NMAX; a
+    certificate must be for its rebuilt target over the reduced basis
+    and re-multiply, and a normal form is rebuilt and compared whole.  A
+    malformed witness, one that leaves out a parameter its claim
+    reports, or one that would push replay past a resource guard,
+    replays False."""
     return _replay(claim_id, params, witness) is not None
 
 

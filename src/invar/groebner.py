@@ -32,6 +32,11 @@ deterministically: the first element whose leading monomial divides,
 scanning the basis in ascending leading monomial order (index breaking
 ties), so quotients and remainders are those of the textbook division.
 
+normal_form_of_product reduces a product factor by factor modulo a
+GroebnerBasis.  The order matters: the Vandermonde modulo (e_1..e_7)
+over GF(7), the last variable's row (X_7 - X_i) first, then X_6's and
+so on, peaks at 20 terms, and in the product order at 469.
+
 buchberger uses the normal selection strategy (smallest lcm first) with
 the coprimality and chain criteria, then autoreduces, so the returned
 basis is the unique reduced Groebner basis of the ideal: monic elements,
@@ -116,6 +121,20 @@ def normal_form(f: Polynomial, basis, certificate: bool = False):
         return remainder
     cofactors = [Polynomial(ring, d) for d in cof]
     return MembershipCertificate(f, basis if planned else items, cofactors, remainder)
+
+
+def normal_form_of_product(factors, gb: GroebnerBasis) -> Polynomial:
+    """normal_form(prod(factors), gb) as NF(NF(f) g), reduced after each
+    factor and stopped at zero: the remainder modulo a Groebner basis is
+    unique (Cox, Little and O'Shea, ch. 2 sec. 6)."""
+    if not isinstance(gb, GroebnerBasis):
+        raise UsageError("normal_form_of_product needs a GroebnerBasis")
+    acc = normal_form(gb.ring.one, gb)
+    for f in factors:
+        if acc.is_zero():
+            break
+        acc = normal_form(acc * f, gb)
+    return acc
 
 
 def _divide_heap(ring: PolyRing, terms: dict, items: list,

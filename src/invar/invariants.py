@@ -27,6 +27,7 @@ symplectic_relation_values), so the two readings cannot drift apart.
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
+from math import prod
 from typing import Optional, Sequence
 
 from .errors import ContextMismatch, UsageError
@@ -344,15 +345,17 @@ def truncated_monomial_sum(ring: PolyRing, i: int, j: int) -> Polynomial:
     return ring.from_terms(terms)
 
 
+def vandermonde_rows(ring: PolyRing) -> list:
+    """The linear factors of the Vandermonde by rows: row j - 2 holds
+    X_j - X_i for i = 1..j-1, for j = 2..n."""
+    gens = ring.gens()
+    return [[gens[j] - gens[i] for i in range(j)] for j in range(1, ring.nvars)]
+
+
 def vandermonde(ring: PolyRing) -> Polynomial:
     """prod over i < j of (X_j - X_i), the alternating group's extra
-    invariant."""
-    gens = ring.gens()
-    acc = ring.one
-    for jj in range(1, ring.nvars):
-        for ii in range(jj):
-            acc = acc * (gens[jj] - gens[ii])
-    return acc
+    invariant, multiplied row by row."""
+    return prod((f for row in vandermonde_rows(ring) for f in row), start=ring.one)
 
 
 def staircase_monomial(ring: PolyRing, i: int) -> Polynomial:

@@ -15,10 +15,10 @@ parenthesized element is an extension field coefficient, e.g.
 
 parse_poly has two paths.  _parse_canonical reads the prime-field text
 Polynomial.text() prints (ASCII, no spaces or parentheses) in one pass
-of str.split.  Any other text, and any term reaching EXP_CAP, goes to
-the reference parser (_Tokens and _parse_term, which also reads element
-text), the only source of ParseError messages and of the exponent
-ResourceLimit.  Repeated monomials are summed by mpoly._merge.
+of str.split.  Any other text, and any term of total degree EXP_CAP or
+more, goes to the reference parser (_Tokens and _parse_term, which also
+reads element text), the only source of ParseError messages and of the
+exponent ResourceLimit.  Repeated monomials are summed by mpoly._merge.
 
 Poly files are line-oriented:
 
@@ -37,10 +37,10 @@ from __future__ import annotations
 import re
 from typing import Optional, Sequence
 
-from .errors import ParseError, ResourceLimit, UsageError
+from .errors import ParseError, UsageError
 from .gf import FieldElement, FieldSpec, field
 from .groebner import MembershipCertificate
-from .mpoly import Polynomial, PolyRing, TermOrder, _merge
+from .mpoly import EXP_CAP, Polynomial, PolyRing, TermOrder, _merge
 
 _G = {"g": 0}           # the one name of element and modulus text
 
@@ -195,17 +195,18 @@ _SIGNS = re.compile(r"([+-])")
 
 def _parse_canonical(text: str, ring: PolyRing) -> Optional[Polynomial]:
     """One pass over canonical prime-field text; None for any text the
-    reference parser must read (or reject)."""
+    reference parser must read (or reject).  A key is offset + sum of
+    exponent * step (TermOrder); below EXP_CAP in total degree none wraps."""
     if ring.field.e > 1 or not text.isascii():
         return None
-    index, n, p = ring._index, ring.nvars, ring.field.p
-    seen: dict = {}                # factor text -> (variable index, exponent)
+    index, steps, cap = ring._index, ring.order.steps, EXP_CAP
+    seen: dict = {}                # factor text -> (exponent, exponent * step)
     terms: dict = {}
-    pack, F = ring.order.pack, ring.field
+    F, p, off = ring.field, ring.field.p, ring.order.offset
     parts = _SIGNS.split(text)     # term, sign, term, ...; '' before a leading sign
     try:
         for k in range(2 if len(parts) > 1 and not parts[0] else 0, len(parts), 2):
-            c, exps = 1, [0] * n
+            c, d, key = 1, 0, off
             for fac in parts[k].split("*"):
                 f = seen.get(fac)
                 if f is None:
@@ -218,18 +219,19 @@ def _parse_canonical(text: str, ring: PolyRing) -> Optional[Polynomial]:
                         continue
                     if caret and not a.isdigit():
                         return None
-                    f = seen[fac] = (i, int(a) if caret else 1)
-                exps[f[0]] += f[1]
+                    a = int(a) if caret else 1
+                    f = seen[fac] = (a, a * steps[i])
+                d, key = d + f[0], key + f[1]
             c = (-c if k and parts[k - 1] == "-" else c) % p
             if c:
-                key = pack(exps)
+                if d >= cap:
+                    return None
                 if key in terms:
                     _merge(terms, {key: c}, F)
                 else:
                     terms[key] = c
-    except (ValueError, ResourceLimit):
-        # int() refuses very long digit strings, and an exponent reached
-        # EXP_CAP: the reference parser raises the error for either
+    except ValueError:
+        # int() refuses very long digit strings: the reference parser raises
         return None
     return Polynomial(ring, terms)
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Mutation check of the witness replay rules, the text they read and
-the table reduction of GF(p^e) products.
+"""Mutation check of the witness replay rules, the text they read, the
+alternating-group claim with its product normal form, and the table
+reduction of GF(p^e) products.
 
     python3 tests/mutate_replay.py
 
@@ -31,11 +32,13 @@ ROOT = Path(__file__).resolve().parent.parent
 # (file, target functions, the modules of TESTS that run first)
 TARGETS = (
     ("src/invar/fsing.py", ("_replay", "_replay_rerun", "_replay_certificates",
-                            "_replay_normal_form", "_proves"),
+                            "_replay_normal_form", "_proves", "_alt_claim",
+                            "_delta_remainder"),
      ("tests/test_fsing.py",)),
-    ("src/invar/groebner.py", ("MembershipCertificate.check",),
-     ("tests/test_fsing.py",)),
-    ("src/invar/polyio.py", ("_parse_header", "_Tokens", "_parse_term", "_gpoly_rep"),
+    ("src/invar/groebner.py", ("MembershipCertificate.check", "normal_form_of_product"),
+     ("tests/test_fsing.py", "tests/test_groebner.py")),
+    ("src/invar/polyio.py", ("_parse_header", "_Tokens", "_parse_term", "_gpoly_rep",
+                             "_parse_canonical"),
      ("tests/test_polyio.py",)),
     ("src/invar/gf.py", ("_Quotient._tables", "_Quotient._fold", "_Quotient._vmul"),
      ("tests/test_gf.py",)),
@@ -44,12 +47,19 @@ TARGETS = (
 RETURN_TRUE = ("MembershipCertificate.check",)
 TESTS = ("tests/test_fsing.py", "tests/test_byte_pin.py",
          "tests/test_acceptance.py", "tests/test_cli.py", "tests/test_polyio.py",
-         "tests/test_gf.py")
+         "tests/test_gf.py", "tests/test_groebner.py")
 
 EQUIVALENT = {
     "_replay_normal_form: if target is None -> False":
-        "normal_form(None, gb) raises AttributeError, which _replay maps to "
-        "False like any JSON value of the wrong type",
+        "a None target reaches normal_form or format_polys, which raise "
+        "AttributeError, and _replay maps that to False like any JSON value "
+        "of the wrong type",
+    "_parse_canonical: drop ring.field.e > 1":
+        "over GF(p^e) text without parentheses has coefficients in GF(p), "
+        "whose packed ints are their residues mod p, so the one-pass parser "
+        "reads the same terms the reference parser does",
+    "_parse_canonical: drop k":
+        "for k = 0, parts[k - 1] is the last term's text, which holds no sign",
     "_Quotient._vmul: if e == 1 -> False":
         "GF(p) has no modulus terms, so the loop adds nothing and the pack "
         "reduces a*b mod p: the branch skips an unpack and a pack",

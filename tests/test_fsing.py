@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import invar.groebner as groebner
 from invar.errors import UsageError
 from invar.gf import field
 from invar.groebner import (MembershipCertificate, buchberger, change_ring,
@@ -1049,3 +1050,124 @@ def test_normal_form_replay_needs_a_claimed_label():
     doc = {"claim": "alt-T", "params": {"n": 3, "p": 3},
            "verdict": "REFUTED", "witness": witness}
     assert not _replays(doc)
+
+
+# ---------------------------------------------------------------------------
+# Vandermonde normal forms from the factors, and the replay bound on n
+# ---------------------------------------------------------------------------
+
+
+def _spy_divisions(monkeypatch) -> list:
+    """The term count of every polynomial either division path divides."""
+    sizes = []
+    for name in ("_divide_staged", "_divide_heap"):
+        def spy(ring, terms, *rest, divide=getattr(groebner, name)):
+            sizes.append(len(terms))
+            return divide(ring, terms, *rest)
+        monkeypatch.setattr(groebner, name, spy)
+    return sizes
+
+
+def test_non_member_claim_and_replay_divide_no_vandermonde(monkeypatch):
+    sizes = _spy_divisions(monkeypatch)
+    rep = alt_fregularity_dichotomy(6, 7)
+    assert rep.witness["kind"] == "normal-form" and rep.verdict == "VERIFIED"
+    ring, (delta, remainder) = parse_polys_text(rep.witness["polys"])
+    assert len(delta) == 720 and not remainder.is_zero()
+    assert sizes and max(sizes) < 720
+    del sizes[:]
+    assert replay_document(witness_document(rep))
+    assert sizes and max(sizes) < 720
+
+
+def test_member_targets_are_divided_once(monkeypatch):
+    symmetric_ideal_gb(7, 5), symmetric_ideal_gb(5, 5)     # no Buchberger below
+    sizes = _spy_divisions(monkeypatch)
+    rep = alt_lemma_T(7, 5, RunConfig(alt_nmax=7))
+    assert rep.verdict == "VERIFIED" and len(rep.witness["items"]) == 28
+    assert len(sizes) == 28
+    del sizes[:]
+    # a member Vandermonde pays for the product normal form, then the
+    # one certified division of the whole n!-term target
+    rep = alt_fregularity_dichotomy(5, 5)
+    assert rep.witness["kind"] == "certificates" and max(sizes) == 120
+
+
+def test_product_and_division_disagreeing_raise(monkeypatch):
+    monkeypatch.setattr(fsing, "normal_form_of_product", lambda factors, gb: gb.ring.zero)
+    with pytest.raises(AssertionError, match="no member"):
+        alt_fregularity_dichotomy(3, 5)
+
+
+def test_non_member_without_a_product_form_stops_the_claim(monkeypatch):
+    # T_2^1 lies outside (e_1, e_2, e_3): a target with no product form
+    # is divided once, and its remainder is the witness
+    R, gb = symmetric_ideal_gb(3, 3)
+    f = truncated_monomial_sum(R, 1, 2)
+    label = {"i": 1, "j": 2}
+    monkeypatch.setattr(fsing, "_alt_targets", lambda claim_id, ring, p: [
+        (label, lambda: f), ({"i": 1, "j": 1}, lambda: truncated_monomial_sum(R, 1, 1))])
+    rep = alt_lemma_T(3, 3)
+    assert rep.verdict == "REFUTED"
+    assert rep.witness == dict(label, kind="normal-form",
+                               polys=format_polys(R, [f, normal_form(f, gb)]))
+    # its replay divides the target too
+    assert replay_document(witness_document(rep))
+
+
+def test_refuted_dichotomy_notes(monkeypatch):
+    """The notes of a dichotomy that fails, with the division faked:
+    Delta outside I at p <= n, and Delta in I at p > n."""
+    monkeypatch.setattr(fsing, "normal_form_of_product", lambda factors, gb: gb.ring.one)
+    rep = alt_fregularity_dichotomy(3, 3)
+    assert rep.verdict == "REFUTED" and rep.witness["kind"] == "normal-form"
+    assert rep.detail == ("Delta not in I but p <= n",)
+    monkeypatch.setattr(fsing, "normal_form_of_product", lambda factors, gb: gb.ring.zero)
+    monkeypatch.setattr(fsing, "ideal_member", lambda f, gb, certificate: (
+        True, normal_form(gb.ring.zero, gb, certificate=True)))
+    rep = alt_fregularity_dichotomy(3, 5)
+    assert rep.verdict == "REFUTED" and rep.witness["kind"] == "certificates"
+    assert rep.detail == ("Delta in I but p > n",)
+
+
+def test_alt_parameter_checks():
+    assert alt_lemma_T(2, 3).verdict == "VERIFIED"
+    with pytest.raises(UsageError, match="starts at n = 3"):
+        alt_fregularity_dichotomy(2, 3)
+    with pytest.raises(UsageError, match="odd prime"):
+        alt_lemma_T(3, 9)
+
+
+@pytest.mark.parametrize("claim_id, p", [("alt-dichotomy", 11), ("alt-T", 5)])
+def test_documents_at_the_replay_bound_replay(claim_id, p):
+    assert fsing.REPLAY_NMAX == 8
+    rep = run_claim(claim_id, RunConfig(alt_nmax=8), n=8, p=p)
+    assert rep.verdict == "VERIFIED" and replay_document(witness_document(rep))
+
+
+def _forged_past_the_bound(kind, n):
+    """A document at n past REPLAY_NMAX whose text would pass the checks
+    that run before the n!-term Vandermonde is built: a zero certificate
+    over the reduced basis {h_k(x_k..x_n)} of (e_1..e_n), or a normal
+    form in the right ring."""
+    R = xring(field(3), n)
+    if kind == "certificates":
+        basis = [truncated_monomial_sum(R, k, k) for k in range(1, n + 1)]
+        cert = MembershipCertificate(R.zero, basis, [R.zero] * n, R.zero)
+        witness = {"kind": kind,
+                   "items": [{"target": "delta", "certificate": format_certificate(cert)}]}
+    else:
+        witness = {"kind": kind, "target": "delta",
+                   "polys": format_polys(R, [R.gen(0), R.gen(0)])}
+    return {"claim": "alt-dichotomy", "params": {"n": n, "p": 3},
+            "verdict": "VERIFIED" if kind == "certificates" else "REFUTED",
+            "witness": witness}
+
+
+@pytest.mark.parametrize("n", [9, 10])
+@pytest.mark.parametrize("kind", ["certificates", "normal-form"])
+def test_replay_past_the_bound_on_n_is_false_at_once(kind, n):
+    text = json.dumps(_forged_past_the_bound(kind, n))
+    t0 = time.perf_counter()
+    assert not replay_document(text)
+    assert time.perf_counter() - t0 < 0.1

@@ -15,7 +15,9 @@ from invar.mpoly import PolyRing, TermOrder
 from invar.groebner import (GroebnerBasis, MembershipCertificate, buchberger,
                             change_ring, frobenius_closure_search,
                             frobenius_power_ideal, ideal_member, normal_form,
-                            _spoly)
+                            normal_form_of_product, _spoly)
+from invar.fsing import symmetric_ideal_gb
+from invar.invariants import vandermonde, vandermonde_rows
 from oracles import (contains, eliminate, leading_coeff, membership_by_linear_algebra,
                      random_poly, reference_normal_form)
 
@@ -653,3 +655,80 @@ def test_groebner_basis_is_immutable():
             setattr(gb, name, None)
     assert gb.ring == R and gb.elements == buchberger([x ** 2 - y, y ** 2 - x]).elements
     assert gb.plan is plan and gb.texts is texts
+
+
+# ---------------------------------------------------------------------------
+# normal forms of products, factor by factor
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_product_normal_form_of_the_vandermonde(n, p):
+    """Any factor order gives the remainder of dividing the whole
+    product: the last row first, as the claims reduce it, and at small n
+    the product order of vandermonde too."""
+    R, gb = symmetric_ideal_gb(n, p)
+    want = normal_form(vandermonde(R), gb)
+    rows = vandermonde_rows(R)
+    assert [len(row) for row in rows] == list(range(1, n))
+    assert normal_form_of_product([f for row in rows[::-1] for f in row], gb) == want
+    if n <= 5:
+        assert normal_form_of_product([f for row in rows for f in row], gb) == want
+    assert want.is_zero() == (p <= n)
+
+
+def _form(ring, rng, degree):
+    """A random form of degree 1 or 2, possibly with a constant."""
+    terms = {}
+    for _ in range(4):
+        e = [0] * ring.nvars
+        for _ in range(rng.randrange(degree + 1)):
+            e[rng.randrange(ring.nvars)] += 1
+        terms[tuple(e)] = rng.randrange(ring.field.p)
+    return ring.from_terms(terms)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_product_normal_form_matches_dividing_the_product(p):
+    rng = random.Random(p)
+    for order in ("grevlex", "lex"):
+        ring = PolyRing(field(p), ["x", "y", "z"], order)
+        for case in range(30):
+            gens = [_form(ring, rng, 2) for _ in range(rng.randrange(1, 4))]
+            if all(g.is_zero() for g in gens):
+                continue
+            gb = buchberger(gens)
+            factors = [_form(ring, rng, rng.randrange(1, 3))
+                       for _ in range(rng.randrange(1, 6))]
+            if case % 5 == 0:
+                factors.insert(rng.randrange(len(factors) + 1), ring.zero)
+            product = ring.one
+            for f in factors:
+                product = product * f
+            assert normal_form_of_product(factors, gb) == normal_form(product, gb)
+        assert normal_form_of_product([], gb) == normal_form(ring.one, gb)
+
+
+def test_product_normal_form_needs_a_groebner_basis(R):
+    x, y = R.gens()
+    gb = buchberger([x ** 2 - y, y ** 2])
+    for plain in (list(gb), gb.elements, [x ** 2 - y, y ** 2]):
+        with pytest.raises(UsageError, match="GroebnerBasis"):
+            normal_form_of_product([x, y], plain)
+
+
+def test_product_normal_form_stops_at_zero(R, monkeypatch):
+    x, y = R.gens()
+    gb = buchberger([x ** 2])
+    calls = []
+    divide = groebner.normal_form
+
+    def spy(f, basis, certificate=False):
+        calls.append(f)
+        return divide(f, basis, certificate)
+
+    monkeypatch.setattr(groebner, "normal_form", spy)
+    # NF(1), NF(x), NF(x^2) = 0; the two factors y are never multiplied in
+    assert normal_form_of_product([x, x, y, y], gb).is_zero()
+    assert calls == [R.one, x, x ** 2]

@@ -334,6 +334,33 @@ def test_fast_path_raises_the_reference_exponent_error(R):
             parse_poly(text, R)
 
 
+@pytest.mark.parametrize("text, fast", [
+    ("x*x^2+2*x^3*y^0", True),                       # repeated factors
+    ("x^2*y*x-y*x^3+z*z*z", True),
+    (f"x^{EXP_CAP - 1}+2*y^{EXP_CAP - 1}*z^0", True),  # every exponent at the cap less one
+    (f"x^{EXP_CAP - 2}*x", True),
+    (f"x^{EXP_CAP}", False),
+    (f"x^{EXP_CAP - 1}*x", False),
+    (f"y+x^{EXP_CAP // 2}*y^{EXP_CAP - EXP_CAP // 2}", False),  # total degree at the cap
+    (f"x^{EXP_CAP - 1}*y*z", False),
+    (f"x^{EXP_CAP // 3}*y^{EXP_CAP // 3}*z^{EXP_CAP // 3}", True),
+    ("-x*x^2+y", True),                              # a leading sign
+    ("1_0*x", False),                                # int() reads 1_0, the grammar does not
+    ("x^1_0", False),
+])
+@pytest.mark.parametrize("order", ["grevlex", "lex", ("block", 1), ("block", 2)])
+def test_fast_path_keys_match_the_reference(text, fast, order):
+    """The one-pass parser sums each factor's exponent times its step;
+    it reads a term only below the total degree cap, where its key is
+    TermOrder.pack's, and leaves any other term to the reference."""
+    R = PolyRing(field(3), ["x", "y", "z"], order)
+    _check_against_reference(text, R)
+    got = _parse_canonical(text, R)
+    assert (got is not None) == fast
+    if fast:
+        assert got == _parse_reference(text, R)
+
+
 def test_fast_path_merges_repeated_terms(R):
     x, y, z = R.gens()
     # over GF(3): x + x stays, x*y + 2*y*x and z - z cancel
