@@ -16,8 +16,10 @@ modules TARGETS names for its file, then, only if those pass, every
 module in TESTS.  A mutant that passes TESTS survives, so the first run
 only saves time.  The run lists every survivor and exits 1 when one is
 not in EQUIVALENT, the mutants that no input can tell apart from the
-original.  pytest does not collect this file (its name does not start
-with test_).
+original.  Before any mutant runs, the run stops when a name in TARGETS
+matches no function or an EQUIVALENT entry matches no mutant (stale
+lists); tests/test_mutate_lists.py checks the same in the test suite.
+pytest does not collect this file (its name does not start with test_).
 """
 
 import ast
@@ -32,7 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # (file, target functions, the modules of TESTS that run first)
 TARGETS = (
     ("src/invar/fsing.py", ("_replay", "_replay_rerun", "_replay_certificates",
-                            "_replay_normal_form", "_proves", "_alt_claim",
+                            "_proves", "_alt_params", "_alt_claim",
                             "_delta_remainder"),
      ("tests/test_fsing.py",)),
     ("src/invar/groebner.py", ("MembershipCertificate.check", "normal_form_of_product"),
@@ -40,7 +42,8 @@ TARGETS = (
     ("src/invar/polyio.py", ("_parse_header", "_Tokens", "_parse_term", "_gpoly_rep",
                              "_parse_canonical"),
      ("tests/test_polyio.py",)),
-    ("src/invar/gf.py", ("_Quotient._tables", "_Quotient._fold", "_Quotient._vmul"),
+    ("src/invar/gf.py", ("is_prime", "_Quotient._tables", "_Quotient._fold",
+                         "_Quotient._vmul"),
      ("tests/test_gf.py",)),
 )
 # MembershipCertificate.check has no if, and or or to mutate
@@ -50,10 +53,6 @@ TESTS = ("tests/test_fsing.py", "tests/test_byte_pin.py",
          "tests/test_gf.py", "tests/test_groebner.py")
 
 EQUIVALENT = {
-    "_replay_normal_form: if target is None -> False":
-        "a None target reaches normal_form or format_polys, which raise "
-        "AttributeError, and _replay maps that to False like any JSON value "
-        "of the wrong type",
     "_parse_canonical: drop ring.field.e > 1":
         "over GF(p^e) text without parentheses has coefficients in GF(p), "
         "whose packed ints are their residues mod p, so the one-pass parser "
@@ -105,6 +104,19 @@ def _sites(tree, names):
     return sites
 
 
+def stale_names() -> list:
+    """The TARGETS names that match no function and the EQUIVALENT
+    entries that match no mutant site, as one list of messages."""
+    stale, sites = [], set()
+    for path, names, _ in TARGETS:
+        tree = ast.parse((ROOT / path).read_text())
+        found = {name for name, _ in _targets(tree, names)}
+        stale += [f"{path}: no function {name}" for name in names if name not in found]
+        sites.update(name for name, _ in _sites(tree, names))
+    return stale + [f"EQUIVALENT: no mutant {name!r}" for name in EQUIVALENT
+                    if name not in sites]
+
+
 def _passes(env, tests=TESTS) -> bool:
     """Do the tests pass?  A run past the timeout counts as a fail."""
     try:
@@ -119,6 +131,9 @@ def _passes(env, tests=TESTS) -> bool:
 def main() -> int:
     if not all(set(own) <= set(TESTS) for _, _, own in TARGETS):
         raise SystemExit("a target's own test modules must be among TESTS")
+    stale = stale_names()
+    if stale:
+        raise SystemExit("stale lists:\n  " + "\n  ".join(stale))
     survivors, count = [], 0
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(ROOT / "src", Path(tmp) / "src")

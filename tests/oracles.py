@@ -10,6 +10,7 @@ import heapq
 import random
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 from typing import NamedTuple, Optional, Sequence
 
 from hypothesis import strategies as st
@@ -229,6 +230,11 @@ def schoolbook_vmul(spec: FieldSpec, a: tuple, b: tuple) -> tuple:
             for j, rj in enumerate(red):
                 conv[base + j] += c * rj
     return tuple(c % p for c in conv[:e])
+
+
+def is_prime_by_trial_division(n: int) -> bool:
+    """Whether n is prime, trying every odd divisor up to its square root."""
+    return n == 2 or n > 2 and n % 2 == 1 and all(n % d for d in range(3, isqrt(n) + 1, 2))
 
 
 def irreducible_by_trial_division(f: Sequence[int], p: int) -> bool:

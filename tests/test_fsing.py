@@ -1171,3 +1171,71 @@ def test_replay_past_the_bound_on_n_is_false_at_once(kind, n):
     t0 = time.perf_counter()
     assert not replay_document(text)
     assert time.perf_counter() - t0 < 0.1
+
+
+# ---------------------------------------------------------------------------
+# one parameter gate for the alternating claims and their replays
+# ---------------------------------------------------------------------------
+
+
+def test_normal_form_witnesses_rerun_their_claim():
+    assert fsing._ALT_REPLAYS["normal-form"] is fsing._replay_rerun
+    assert not hasattr(fsing, "_replay_normal_form")
+
+
+def _true_certificates(claim_id, n, p):
+    """A certificates document with a true certificate for each target of
+    the claim, whatever n and p are, and the verdict membership gives."""
+    ring, gb = symmetric_ideal_gb(n, p)
+    items = []
+    for label, target in fsing._alt_targets(claim_id, ring, p):
+        member, cert = groebner.ideal_member(target(), gb, certificate=True)
+        assert member
+        items.append(dict(label, certificate=format_certificate(cert)))
+    params = {"n": n, "p": p}
+    return {"claim": claim_id, "params": params,
+            "verdict": fsing._alt_verdict(claim_id, params, True),
+            "witness": {"kind": "certificates", "items": items}}
+
+
+@pytest.mark.parametrize("claim_id, n, p", [
+    ("alt-dichotomy", 2, 2), ("alt-T", 3, 2), ("alt-staircase", 3, 2), ("alt-T", 1, 3)])
+def test_certificate_replay_refuses_what_the_claim_refuses(claim_id, n, p):
+    with pytest.raises(UsageError):
+        run_claim(claim_id, n=n, p=p)
+    assert not _replays(_true_certificates(claim_id, n, p))
+
+
+def test_certificate_replay_accepts_what_the_claim_accepts():
+    doc = _true_certificates("alt-T", 3, 3)
+    assert _replays(doc) and doc == _document("alt-T", n=3, p=3)
+
+
+def test_normal_form_replay_refuses_an_extra_key():
+    doc = _document("alt-dichotomy", n=3, p=5)
+    assert doc["witness"]["kind"] == "normal-form" and _replays(doc)
+    doc["witness"]["note"] = "extra"
+    assert not _replays(doc)
+
+
+@pytest.mark.parametrize("label", [{"target": "delta-congruence"}, {"i": 1, "j": 1}])
+def test_normal_form_replay_refuses_another_claims_label(label):
+    doc = _document("alt-dichotomy", n=3, p=5)
+    witness = {k: v for k, v in doc["witness"].items() if k != "target"}
+    doc["witness"] = dict(witness, **label)
+    assert not _replays(doc)
+
+
+@pytest.mark.parametrize("q", [2 ** 61 - 1, 2 ** 89 - 1])
+@pytest.mark.parametrize("claim_id, params, key", [
+    ("relations-n3", {"q": 2}, "q"),
+    ("alt-dichotomy", {"n": 3, "p": 3}, "p"),
+    ("alt-dichotomy", {"n": 3, "p": 5}, "p"),
+])
+def test_replay_with_a_large_prime_is_false_at_once(claim_id, params, key, q):
+    # 2^61 - 1 is a prime below is_prime's bound, 2^89 - 1 one past it
+    doc = _document(claim_id, **params)
+    doc["params"][key] = q
+    t0 = time.perf_counter()
+    assert not _replays(doc)
+    assert time.perf_counter() - t0 < 0.1

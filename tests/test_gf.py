@@ -1,6 +1,7 @@
 """Tests for finite field construction and arithmetic."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from invar import field, find_irreducible, gf, is_irreducible
 from invar.errors import ContextMismatch, FieldZeroDivision, ResourceLimit, UsageError
 from invar.gf import ENUM_CAP, FieldSpec
 from oracles import (TupleField, enumerate_elements, irreducible_by_trial_division,
-                     schoolbook_vmul)
+                     is_prime_by_trial_division, schoolbook_vmul)
 
 
 def test_smallest_moduli():
@@ -112,6 +113,35 @@ def test_modulus_search_refuses_large_p():
         find_irreducible(p, 2)
     assert FieldSpec(p, 2, (1, 0, 1)).order == p ** 2     # a given modulus
     assert find_irreducible(p, 1) == (0, 1)
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(2 * 10 ** 5)
+            if gf.is_prime(n) != is_prime_by_trial_division(n)] == []
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,                         # strong pseudoprime to 2, 3, 5, 7
+    3825123056546413051,                # ... to the primes up to 23
+    318665857834031151167461,           # ... to the primes up to 37 (psi_12)
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not gf.is_prime(n)
+
+
+def test_is_prime_is_fast_below_its_bound_and_refuses_above():
+    t0 = time.perf_counter()
+    assert gf.is_prime(2 ** 61 - 1) and gf.is_prime(10 ** 12 + 39)
+    assert not gf.is_prime((2 ** 31 - 1) * (10 ** 12 + 39))
+    psi13 = 3317044064679887385961981
+    # the largest prime below psi_13 (sympy.isprime agrees), and the
+    # composites between it and psi_13
+    assert gf.is_prime(psi13 - 168)
+    assert not any(map(gf.is_prime, range(psi13 - 167, psi13)))
+    assert time.perf_counter() - t0 < 0.1
+    for n in (psi13, psi13 + 2, 2 ** 89 - 1):
+        with pytest.raises(ResourceLimit):
+            gf.is_prime(n)
 
 
 def test_bad_parameters():
