@@ -16,9 +16,11 @@ kind but one again from the recorded parameters (alternating claims at
 n up to REPLAY_NMAX), requires the same witness and re-multiplies the
 certificate it holds, so identity points must be the claim's own draws
 and replay costs what the claim cost.  The one checked kind is the
-alternating-group certificates: they are parsed, checked against the
-parameters the claim accepts, their targets rebuilt and re-multiplied,
-which skips the claim's certified divisions.  run_claim times each claim.
+alternating-group certificates: their parameters go through the
+claim's own gate (_alt_params), then they are parsed, their targets
+rebuilt and re-multiplied, which skips the claim's certified divisions.
+A document whose prime lies past gf.is_prime's bound replays False.
+run_claim times each claim.
 """
 
 from __future__ import annotations

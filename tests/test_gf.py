@@ -122,7 +122,7 @@ def test_is_prime_matches_trial_division():
 
 @pytest.mark.parametrize("n", [
     3215031751,                         # strong pseudoprime to 2, 3, 5, 7
-    3825123056546413051,                # ... to the primes up to 23
+    3825123056546413051,                # ... to the primes up to 31
     318665857834031151167461,           # ... to the primes up to 37 (psi_12)
 ])
 def test_is_prime_rejects_strong_pseudoprimes(n):
