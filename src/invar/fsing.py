@@ -31,7 +31,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import lru_cache, partial
 from itertools import compress, product
 from math import factorial
 from typing import Callable, Optional
@@ -59,6 +59,7 @@ SKIPPED = "SKIPPED"
 SEARCH_CAP = 10 ** 9    # full-enumeration ceiling of the exponent search
 AGREE_CAP = 10 ** 6     # below this, pruned vs full cross-check
 REPLAY_NMAX = 8         # largest n an alternating-group witness replays at
+REPLAY_EMAX = 64        # largest extension degree a points witness replays at
 
 MODES = ("auto", "exact", "probabilistic")    # identity-check strategies
 
@@ -525,10 +526,12 @@ def verify_theorem_search(n: int, q: int,
 # ---------------------------------------------------------------------------
 
 
-@cache
+@lru_cache(maxsize=32)
 def symmetric_ideal_gb(n: int, p: int):
     """(ring, Groebner basis) for (e_1, ..., e_n) over GF(p), memoized:
-    every alternating-group check reduces against this basis."""
+    every alternating-group check reduces against this basis.  The memo
+    keeps the 32 latest (n, p), so replaying documents with ever new
+    primes does not grow it; a full suite uses 12."""
     R = xring(field(p), n)
     return R, buchberger([elementary_symmetric(R, k) for k in range(1, n + 1)])
 
@@ -669,7 +672,8 @@ def _replay_rerun(claim_id, params, witness) -> Optional[str]:
     A points witness fixes the field and the draws: the rerun samples
     as many points as the first item holds from the recorded seed, and
     an item that does not stop at a mismatch must hold one point per
-    recorded trial, checked before anything runs."""
+    recorded trial, checked before anything runs.  Its extension degree
+    must be at most REPLAY_EMAX, checked before the field is parsed."""
     settings = {k: params[k] for k in ("seed", "e_max") if k in params}
     if witness["kind"] in ("points", "points-multi"):
         items = witness.get("items", [witness])
@@ -677,9 +681,13 @@ def _replay_rerun(claim_id, params, witness) -> Optional[str]:
                                       and len(item["points"]) != params["trials"]
                                       for item in items):
             return None
-        ext = parse_field_text(items[0]["field"]).e
-        if params.get("ext_degree", ext) != ext:
+        # e is read from the text's p^e prefix and bounded before the
+        # field and its modulus are built; a malformed field raises
+        text = items[0]["field"]
+        ext = int(text.split(None, 1)[0].partition("^")[2])
+        if ext > REPLAY_EMAX or params.get("ext_degree", ext) != ext:
             return None
+        parse_field_text(text)
         settings.update(ext_degree=ext, trials=max(1, len(items[0]["points"])))
     claim = RUNNERS[claim_id]
     kw = {k: params[k] for k in claim.params if k in params}

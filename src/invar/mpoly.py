@@ -25,7 +25,10 @@ Coefficients live in GF(p^e) and are stored as the field's nonzero
 packed ints (gf), so a GF(p) coefficient is an int in [1, p), and a
 prime-field coefficient is the same int in every extension.  Every sum
 or difference of term dicts (+, -, substitute, and the parsers'
-repeated monomials) goes through _merge, in place.
+repeated monomials) goes through _merge, in place.  substitute expands
+f as nested sums over the variables in ring order, so each group of
+terms that shares the exponents of x_0..x_i costs one product by a
+memoized power of x_i's image, not one product chain per term.
 
 Over GF(p), a product runs by Kronecker substitution (_kronecker) when
 both factors are homogeneous, it has at least DENSE_FLOOR term pairs,
@@ -533,15 +536,28 @@ def _coeff_text(ring: PolyRing, c: int) -> str:
 
 def _merge(out: dict, terms: dict, field: FieldSpec, sign: int = 1) -> None:
     """out += terms (sign 1) or out -= terms (sign -1) in place, over
-    the coefficient field; keys that cancel are deleted.  One loop serves
-    every field and sign: a difference reads terms through a negating
-    map, and red reduces a sum of two coefficients."""
-    p = field.p
+    the coefficient field; keys that cancel are deleted.  Over GF(p) one
+    loop negates and reduces inline with % p; over GF(p^e) a difference
+    reads terms through a negating map, and red reduces a sum of two
+    coefficients."""
+    get = out.get
+    if field.e == 1:
+        p, neg = field.p, sign < 0
+        for k, c in terms.items():
+            cur = get(k)
+            if cur is None:
+                out[k] = p - c if neg else c
+            else:
+                s = (cur - c if neg else cur + c) % p
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        return
     items = terms.items()
     if sign < 0:
-        items = zip(terms, map(field._vneg if field.e > 1 else p.__sub__, terms.values()))
-    red = field._mod if field.e > 1 else p.__rmod__
-    get = out.get
+        items = zip(terms, map(field._vneg, terms.values()))
+    red = field._mod
     for k, c in items:
         cur = get(k)
         if cur is None:
@@ -717,7 +733,13 @@ def frobenius_power(f: Polynomial, m: int) -> Polynomial:
 
 def substitute(f: Polynomial, images: dict) -> Polynomial:
     """Ring map determined by name -> polynomial images (same
-    coefficient field on both sides).  Powers of each image are built by
+    coefficient field on both sides), as nested sums over the ring's
+    variables in order (the multivariate Horner scheme): f is the sum
+    over a of x_0^a f_a, each f_a in x_1, x_2, ... is substituted the
+    same way, and its image is multiplied once by the image of x_0 to
+    the a.  The sums are formed innermost first, so inner terms cancel
+    before they meet the large outer powers, and a sum that cancels to
+    zero is multiplied by nothing.  Powers of each image are built by
     squaring through _sqr and memoized, so every power is computed once."""
     ring = f.ring
     target = None
@@ -747,16 +769,20 @@ def substitute(f: Polynomial, images: dict) -> Polynomial:
             caches[i][k] = got
         return got
 
-    # one dict for the sum: acc + t would copy it once per term of f
-    acc: dict = {}
-    unpack = ring.order.unpack
-    for key, coeff in f.terms.items():
-        t = target.constant(ring.coeff_element(coeff))
-        for i, a in enumerate(unpack(key)):
-            if a:
-                t = t * power(i, a)
-        _merge(acc, t.terms, target.field)
-    return Polynomial(target, acc)
+    # sums: exponents e of x_0..x_i -> the sum of f's terms that have
+    # them, with x_{i+1}, ... substituted; folding x_i in drops e[i]
+    cols = ring.order.columns(list(f.terms))
+    sums = {e: {target.order.offset: c} for e, c in zip(zip(*cols), f.terms.values())}
+    for i in reversed(range(len(imgs))):
+        outer: dict = {}
+        for e, inner in sums.items():
+            if e[i] and inner:
+                inner = (Polynomial(target, inner) * power(i, e[i])).terms
+            got = outer.setdefault(e[:i], inner)
+            if got is not inner:
+                _merge(got, inner, target.field)
+        sums = outer
+    return Polynomial(target, sums.get((), {}))
 
 
 def random_points(L: FieldSpec, nvars: int, rng, count: int) -> Iterator[tuple]:

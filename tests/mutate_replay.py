@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Mutation check of the witness replay rules, the text they read, the
-alternating-group claim with its product normal form, and the table
-reduction of GF(p^e) products.
+alternating-group claim with its product normal form, the table
+reduction of GF(p^e) products, and the nested sums of substitute.
 
     python3 tests/mutate_replay.py
 
@@ -45,12 +45,15 @@ TARGETS = (
     ("src/invar/gf.py", ("is_prime", "_Quotient._tables", "_Quotient._fold",
                          "_Quotient._vmul"),
      ("tests/test_gf.py",)),
+    ("src/invar/mpoly.py", ("substitute",),
+     ("tests/test_mpoly.py", "tests/test_invariants.py")),
 )
 # MembershipCertificate.check has no if, and or or to mutate
 RETURN_TRUE = ("MembershipCertificate.check",)
 TESTS = ("tests/test_fsing.py", "tests/test_byte_pin.py",
          "tests/test_acceptance.py", "tests/test_cli.py", "tests/test_polyio.py",
-         "tests/test_gf.py", "tests/test_groebner.py")
+         "tests/test_gf.py", "tests/test_groebner.py", "tests/test_mpoly.py",
+         "tests/test_invariants.py")
 
 EQUIVALENT = {
     "_parse_canonical: drop ring.field.e > 1":

@@ -9,7 +9,7 @@ import pytest
 
 import invar.groebner as groebner
 from invar.errors import UsageError
-from invar.gf import field
+from invar.gf import field, is_prime
 from invar.groebner import (MembershipCertificate, buchberger, change_ring,
                             frobenius_closure_search, frobenius_power_ideal,
                             normal_form)
@@ -1238,3 +1238,54 @@ def test_replay_with_a_large_prime_is_false_at_once(claim_id, params, key, q):
     t0 = time.perf_counter()
     assert not _replays(doc)
     assert time.perf_counter() - t0 < 0.1
+
+
+# ---------------------------------------------------------------------------
+# bounds on what replay builds: the extension degree and the basis memo
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("claim_id, q, e", [
+    ("sp4-c0", 3, 32), ("relations-n3", 2, 8), ("relations-n3", 3, 6)])
+def test_points_documents_at_the_measured_degrees_replay(claim_id, q, e):
+    assert fsing.REPLAY_EMAX == 64
+    params = {"mode": "probabilistic"} if claim_id == "sp4-c0" else {}
+    rep = run_claim(claim_id, RunConfig(trials=3, ext_degree=e), q=q, **params)
+    assert rep.verdict == "PROBABLE" and replay_document(witness_document(rep))
+
+
+@pytest.mark.parametrize("claim_id", ["sp4-c0", "relations-n3"])
+def test_replay_past_the_bound_on_the_degree_is_false_at_once(claim_id, monkeypatch):
+    """The field text is never parsed, whether the parameters name the
+    same degree, another one or none: building and certifying GF(2^2281)
+    alone takes seconds, and the claim would then run in it."""
+    params = {"mode": "probabilistic"} if claim_id == "sp4-c0" else {}
+    doc = _document(claim_id, q=2, **params)
+
+    def parse(text):
+        raise AssertionError(f"parsed {text!r}")
+    monkeypatch.setattr(fsing, "parse_field_text", parse)
+    for text, ext in [("2^2281 g^2281+g^715+1", 2281), ("2^65 g^65+g^18+1", 65),
+                      ("2^2281 g^2281+g^715+1", FAST.ext_degree),
+                      ("2^2281 g^2281+g^715+1", None)]:
+        for item in doc["witness"].get("items", [doc["witness"]]):
+            item["field"] = text
+        doc["params"]["ext_degree"] = ext
+        if ext is None:
+            del doc["params"]["ext_degree"]
+        t0 = time.perf_counter()
+        assert not _replays(doc)
+        assert time.perf_counter() - t0 < 0.1
+
+
+def test_forged_primes_do_not_grow_the_basis_memo():
+    """Forty alternating-group documents, each naming another prime near
+    10^9, each replay False; the memo keeps at most 32 bases."""
+    doc = _document("alt-dichotomy", n=3, p=3)
+    primes = [q for q in range(10 ** 9 + 1, 10 ** 9 + 2000, 2) if is_prime(q)][:40]
+    misses = symmetric_ideal_gb.cache_info().misses
+    for q in primes:
+        assert not _replays(dict(doc, params=dict(doc["params"], p=q)))
+    info = symmetric_ideal_gb.cache_info()
+    assert len(primes) == 40 and info.misses - misses == 40
+    assert info.currsize <= 32 == info.maxsize

@@ -619,6 +619,64 @@ def test_substitute_matches_termwise_products(data):
     assert substitute(f, images) == expected
 
 
+def _spy_products(monkeypatch) -> list:
+    """Record the operands of every _mul call, as a sorted text pair."""
+    calls = []
+
+    def spy(a, b):
+        calls.append(tuple(sorted((a.text(), b.text()))))
+        return _mul(a, b)
+    monkeypatch.setattr(mpoly, "_mul", spy)
+    return calls
+
+
+def test_substitute_multiplies_once_per_exponent_group(monkeypatch):
+    """f = x^2 y + x^2 z + x y under x -> s + t, y -> u, z -> v, variables
+    nested in ring order.  z: the group (x^2, y^0) has z^1, one product
+    1 * v.  y: the groups x^2 and x^1 each have y^1, one product 1 * u
+    each; x^2's sum is then u + v.  x: (u + v) * (s + t)^2 and u * (s + t),
+    the square built once through _sqr.  Six products, where one chain
+    per term takes seven."""
+    R = PolyRing(field(5), ["x", "y", "z"])
+    T = PolyRing(field(5), ["s", "t", "u", "v"])
+    x, y, z = R.gens()
+    s, t, u, v = T.gens()
+    f, want = x ** 2 * y + x ** 2 * z + x * y, (u + v) * (s + t) ** 2 + u * (s + t)
+    calls = _spy_products(monkeypatch)
+    assert substitute(f, {"x": s + t, "y": u, "z": v}) == want
+    assert calls == [("1", "v"), ("1", "u"), ("1", "u"), ("s+t", "s+t"),
+                     ("s^2+2*s*t+t^2", "u+v"), ("s+t", "u")]
+
+
+def test_substitute_skips_the_power_of_a_group_that_cancels(monkeypatch):
+    """f = x^2 y + x^2 z under y -> u, z -> -u: the group of x^2 sums to
+    u - u = 0, so it meets no power of x's image, and x's image is never
+    squared.  Only the two inner products 1 * 4u and 1 * u run."""
+    R = PolyRing(field(5), ["x", "y", "z"])
+    T = PolyRing(field(5), ["s", "u"])
+    x, y, z = R.gens()
+    s, u = T.gens()
+    f = x ** 2 * y + x ** 2 * z + 3
+    calls = _spy_products(monkeypatch)
+    assert substitute(f, {"x": s, "y": u, "z": -u}) == 3
+    assert calls == [("1", "4*u"), ("1", "u")]
+
+
+def test_substitute_checks_its_images(R3):
+    x1, x2, x3 = R3.gens()
+    f = x1 * x2 + x3
+    with pytest.raises(UsageError, match="empty image map"):
+        substitute(f, {})
+    with pytest.raises(UsageError, match="no image for variable 'x3'"):
+        substitute(f, {"x1": x1, "x2": x2})
+    other = PolyRing(field(5), ["x1", "x2", "x3"])
+    with pytest.raises(ContextMismatch):
+        substitute(f, dict(zip(R3.names, other.gens())))
+    # an image map may name more variables than the ring has
+    assert substitute(f, {"x1": x2, "x2": x1, "x3": x3, "w": x1}) == f
+    assert substitute(R3.zero, dict(zip(R3.names, R3.gens()))).is_zero()
+
+
 @pytest.mark.parametrize("p,e", [(2, 1), (5, 1), (3, 2)])
 @pytest.mark.parametrize("order", ["lex", "grevlex", ("block", 1), ("block", 2)])
 def test_sqr_exponent_cap(p, e, order):
