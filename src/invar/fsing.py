@@ -13,7 +13,8 @@ VERIFIED and REFUTED reports carry a replayable witness: a membership
 certificate, a set of exponent tuples, or evaluation points with the
 values of both sides.  replay_witness runs the claim of every witness
 kind but one again from the recorded parameters (alternating claims at
-n up to REPLAY_NMAX), requires the same witness and re-multiplies the
+n up to REPLAY_NMAX, points witnesses over extension degrees up to
+REPLAY_EMAX), requires the same witness and re-multiplies the
 certificate it holds, so identity points must be the claim's own draws
 and replay costs what the claim cost.  The one checked kind is the
 alternating-group certificates: their parameters go through the
@@ -874,8 +875,8 @@ def replay_witness(claim_id: str, params: dict, witness: dict) -> bool:
     REPLAY_NMAX, and each must be for its rebuilt target over the
     reduced basis and re-multiply.  A malformed witness, one that leaves
     out a parameter its claim reports, or one that would push replay
-    past a resource guard (a prime past gf.is_prime's bound included),
-    replays False."""
+    past a resource guard (a prime past gf.is_prime's bound or an
+    extension degree past REPLAY_EMAX included), replays False."""
     return _replay(claim_id, params, witness) is not None
 
 
