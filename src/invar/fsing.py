@@ -21,7 +21,9 @@ alternating-group certificates: their parameters go through the
 claim's own gate (_alt_params), then they are parsed, their targets
 rebuilt and re-multiplied, which skips the claim's certified divisions.
 A document whose prime lies past gf.is_prime's bound replays False.
-run_claim times each claim.
+RunConfig refuses alt_nmax and ext_degree past those two bounds, so a
+claim never writes a witness its replay refuses.  run_claim times each
+claim.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ from .invariants import (dickson_at_point, dickson_invariants,
                          vandermonde, vandermonde_rows, xring)
 from .mpoly import (Polynomial, PolyRing, random_points, sample_sides,
                     substitute)
-from .polyio import (format_certificate, format_polys, parse_certificate_text,
-                     parse_field_text)
+from .polyio import (field_prefix, format_certificate, format_polys,
+                     parse_certificate_text, parse_field_text)
 
 VERIFIED = "VERIFIED"
 PROBABLE = "PROBABLE"
@@ -59,8 +61,8 @@ SKIPPED = "SKIPPED"
 
 SEARCH_CAP = 10 ** 9    # full-enumeration ceiling of the exponent search
 AGREE_CAP = 10 ** 6     # below this, pruned vs full cross-check
-REPLAY_NMAX = 8         # largest n an alternating-group witness replays at
-REPLAY_EMAX = 64        # largest extension degree a points witness replays at
+REPLAY_NMAX = 8         # largest alt_nmax, so every alternating witness replays
+REPLAY_EMAX = 64        # largest ext_degree, so every points witness replays
 
 MODES = ("auto", "exact", "probabilistic")    # identity-check strategies
 
@@ -80,6 +82,9 @@ class RunConfig:
             raise UsageError("trials and ext_degree must be positive")
         if self.e_max < 0 or self.alt_nmax < 2:
             raise UsageError("e_max must be >= 0 and alt_nmax >= 2")
+        if self.ext_degree > REPLAY_EMAX or self.alt_nmax > REPLAY_NMAX:
+            raise UsageError(f"ext_degree must be <= {REPLAY_EMAX} and "
+                             f"alt_nmax <= {REPLAY_NMAX}")
 
 
 @dataclass
@@ -294,14 +299,13 @@ def verify_c0_expression(q: int, config: RunConfig = RunConfig(),
     if terms is not None:
         detail.append("candidate expression overridden (mutation control)")
     D = _c0_degree_bound(q, used)
-    L = field(q, config.ext_degree)
     return _verify_identity(
         "sp4-c0", {"q": q}, config, mode, *_c0_sides(q, used), D,
         {"terms": [[c, list(e)] for c, e in used], "mismatch": None}, detail,
         equal="exact expansion equal; {terms} terms of degree {degree}",
         differ="exact difference has {terms} terms; leading exponents {lead}",
         separates="sample {k} separates the sides",
-        agree=f"degree bound {D} over {L.serialize().split()[0]}")
+        agree=f"degree bound {D} over {q}^{config.ext_degree}")
 
 
 # ---------------------------------------------------------------------------
@@ -673,28 +677,29 @@ def _replay_rerun(claim_id, params, witness) -> Optional[str]:
     A points witness fixes the field and the draws: the rerun samples
     as many points as the first item holds from the recorded seed, and
     an item that does not stop at a mismatch must hold one point per
-    recorded trial, checked before anything runs.  Its extension degree
-    must be at most REPLAY_EMAX, checked before the field is parsed."""
+    recorded trial, checked before anything runs.  Its extension degree,
+    read from the field text's p^e prefix, goes through RunConfig's
+    bound before the modulus is parsed; a malformed field raises."""
     settings = {k: params[k] for k in ("seed", "e_max") if k in params}
-    if witness["kind"] in ("points", "points-multi"):
+    points = witness["kind"] in ("points", "points-multi")
+    if points:
         items = witness.get("items", [witness])
         if "trials" in params and any(item.get("mismatch") is None
                                       and len(item["points"]) != params["trials"]
                                       for item in items):
             return None
-        # e is read from the text's p^e prefix and bounded before the
-        # field and its modulus are built; a malformed field raises
-        text = items[0]["field"]
-        ext = int(text.split(None, 1)[0].partition("^")[2])
-        if ext > REPLAY_EMAX or params.get("ext_degree", ext) != ext:
+        ext = field_prefix(items[0]["field"])[1]
+        if params.get("ext_degree", ext) != ext:
             return None
-        parse_field_text(text)
         settings.update(ext_degree=ext, trials=max(1, len(items[0]["points"])))
+    config = RunConfig(alt_nmax=REPLAY_NMAX, **settings)
+    if points:
+        parse_field_text(items[0]["field"])
     claim = RUNNERS[claim_id]
     kw = {k: params[k] for k in claim.params if k in params}
     if "terms" in witness:
         kw["terms"] = witness["terms"]
-    fresh = claim.check(config=RunConfig(alt_nmax=REPLAY_NMAX, **settings), **kw)
+    fresh = claim.check(config=config, **kw)
     if (not fresh.parameters.keys() <= params.keys()
             or json.loads(json.dumps(fresh.witness)) != witness):
         return None

@@ -12,7 +12,8 @@ the candidate itself.
 
 An element is one int in _Quotient's slot layout: slot i holds the
 coefficient of g^i in [0, p).  So a GF(p) element is its own value, an
-int c < p is the constant c in every field, and equality is structural.
+int c < p is the constant c in every field, and equality is structural;
+check_embedding is that rule for callers that meet two fields.
 Every field runs the same packed arithmetic.  Everything here is
 immutable after construction and every operation is pure.
 """
@@ -133,10 +134,13 @@ def find_irreducible(p: int, e: int) -> tuple:
         raise ResourceLimit(f"no modulus search over GF({p}): p exceeds "
                             f"{ENUM_CAP}; pass a modulus")
     # Candidates with constant term 0 are divisible by X, so start at 1.
+    # A root skips only a reducible candidate; the scan of the p residues
+    # costs O(p e) and pays off over Rabin's test only where p <= e.
+    scan = range(p) if p <= e else ()
     for c0 in range(1, p):
         for tail in product(range(p), repeat=e - 1):
             f = (c0,) + tail + (1,)
-            if any(_eval_poly(f, a, p) == 0 for a in range(p)):
+            if any(_eval_poly(f, a, p) == 0 for a in scan):
                 continue
             if is_irreducible(f, p):
                 return f
@@ -451,13 +455,27 @@ def field(p: int, e: int = 1, modulus: Optional[Sequence[int]] = None) -> FieldS
 
     One instance per (p, e, modulus), whether the modulus was given
     explicitly or resolved to the default; GF(p) ignores a modulus.
+    Past 32 keys (fsing's basis memo keeps 32 bases) the oldest spec goes,
+    under all its keys: documents with ever new primes do not grow it.
     """
     key = (p, e, None if modulus is None or e == 1 else tuple(modulus))
     spec = _SPEC_CACHE.get(key)
     if spec is None:
         spec = FieldSpec(p, e, modulus)
         spec = _SPEC_CACHE[key] = _SPEC_CACHE.setdefault((p, e, spec.modulus), spec)
+        while len(_SPEC_CACHE) > 32:
+            old = next(iter(_SPEC_CACHE.values()))
+            for k in [k for k, v in _SPEC_CACHE.items() if v is old]:
+                del _SPEC_CACHE[k]
     return spec
+
+
+def check_embedding(F: FieldSpec, L: FieldSpec) -> None:
+    """Raise ContextMismatch unless coefficients over F are elements of L,
+    as the same ints: L is F, or F is GF(p) and L has characteristic p, as
+    GF(p) is the prime subfield of GF(p^e) (Lidl-Niederreiter, Thm 2.6)."""
+    if not (F.e == 1 and F.p == L.p or F == L):
+        raise ContextMismatch(f"coefficients over {F} are not elements of {L}")
 
 
 class FieldElement:

@@ -3,7 +3,8 @@
 Dickson invariants of the full linear group, the xi family for the
 symplectic group, elementary symmetric polynomials with the Vandermonde
 determinant for the alternating group, and exact matrix machinery over
-finite fields for invariance checks.
+finite fields for invariance checks: apply_matrix substitutes linear
+forms over the matrix field, into which GF(p) coefficients embed.
 
 The Dickson invariants c_0, ..., c_{n-1} of GL_n(F_q) are defined by
 
@@ -37,17 +38,6 @@ from .mpoly import Polynomial, PolyRing, frobenius_power, substitute
 
 def xring(spec: FieldSpec, n: int) -> PolyRing:
     return PolyRing(spec, [f"x{i}" for i in range(1, n + 1)], "grevlex")
-
-
-def lift_coefficients(f: Polynomial, spec: FieldSpec) -> Polynomial:
-    """The same polynomial with prime-field coefficients embedded into an
-    extension of the same characteristic, where each is the same int."""
-    ring = f.ring
-    if ring.field == spec:
-        return f
-    if ring.field.e != 1 or spec.p != ring.field.p:
-        raise ContextMismatch("can only lift prime-field coefficients")
-    return Polynomial(PolyRing(spec, ring.names, ring.order), dict(f.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +274,11 @@ class MatrixGF:
 
 
 def apply_matrix(f: Polynomial, M: MatrixGF) -> Polynomial:
-    """Substitute X_j -> sum_k M[k][j] X_k.  Prime-field polynomials meet
-    extension matrices in a ring over the matrix field."""
-    ring = f.ring
-    if M.n != ring.nvars:
+    """Substitute X_j -> sum_k M[k][j] X_k in a ring over the matrix
+    field, into which f's coefficients must embed (substitute)."""
+    if M.n != f.ring.nvars:
         raise UsageError("matrix size does not match the variable count")
-    if M.spec != ring.field:
-        if ring.field.e != 1 or ring.field.p != M.spec.p:
-            raise ContextMismatch("incompatible matrix and coefficient fields")
-        f = lift_coefficients(f, M.spec)
-        ring = f.ring
+    ring = PolyRing(M.spec, f.ring.names, f.ring.order)
     gens = ring.gens()
     images = {}
     for j, name in enumerate(ring.names):

@@ -23,7 +23,8 @@ each, which makes divisibility one subtraction and one mask.
 
 Coefficients live in GF(p^e) and are stored as the field's nonzero
 packed ints (gf), so a GF(p) coefficient is an int in [1, p), and a
-prime-field coefficient is the same int in every extension.  Every sum
+prime-field coefficient is the same int in every extension, with no
+copy, wherever gf.check_embedding admits it.  Every sum
 or difference of term dicts (+, -, substitute, and the parsers'
 repeated monomials) goes through _merge, in place.  substitute expands
 f as nested sums over the variables in ring order, so each group of
@@ -51,7 +52,8 @@ from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ContextMismatch, ResourceLimit, UsageError
-from .gf import _SWAP, FieldElement, FieldSpec, _poly_text, slot_typecode
+from .gf import (_SWAP, FieldElement, FieldSpec, _poly_text, check_embedding,
+                 slot_typecode)
 
 EXP_CAP = 1 << 20
 TERM_GUARD = 10 ** 7
@@ -250,8 +252,7 @@ class PolyRing:
         """Canonical internal coefficient, or None for zero."""
         F = self.field
         if isinstance(value, FieldElement):
-            if value.spec != F:
-                raise ContextMismatch(f"coefficient from {value.spec} in ring over {F}")
+            check_embedding(value.spec, F)
             return value.rep or None
         if isinstance(value, int):
             return value % F.p or None
@@ -455,12 +456,8 @@ class Polynomial:
     # -- evaluation ------------------------------------------------------------------
 
     def evaluate(self, point: Sequence[FieldElement]) -> FieldElement:
-        """Evaluate at a point with coordinates in one field L.
-
-        L must share the characteristic; prime-field coefficients embed
-        into any such L as the same ints, extension coefficients require
-        L to be the coefficient field itself.
-        """
+        """Evaluate at a point with coordinates in one field L, into
+        which the coefficients must embed (gf.check_embedding)."""
         ring = self.ring
         if len(point) != ring.nvars:
             raise UsageError(f"expected {ring.nvars} coordinates")
@@ -468,11 +465,7 @@ class Polynomial:
         for x in point:
             if x.spec != L:
                 raise ContextMismatch("point coordinates from different fields")
-        if L.p != ring.field.p:
-            raise ContextMismatch("point field has different characteristic")
-        if ring.field.e > 1 and L != ring.field:
-            raise ContextMismatch(
-                "extension coefficients require evaluation in the same field")
+        check_embedding(ring.field, L)
         unpack = ring.order.unpack
         vmul, vadd, vpow = L._vmul, L._vadd, L._vpow
         caches: list[dict] = [{} for _ in range(ring.nvars)]
@@ -732,15 +725,16 @@ def frobenius_power(f: Polynomial, m: int) -> Polynomial:
 
 
 def substitute(f: Polynomial, images: dict) -> Polynomial:
-    """Ring map determined by name -> polynomial images (same
-    coefficient field on both sides), as nested sums over the ring's
-    variables in order (the multivariate Horner scheme): f is the sum
-    over a of x_0^a f_a, each f_a in x_1, x_2, ... is substituted the
-    same way, and its image is multiplied once by the image of x_0 to
-    the a.  The sums are formed innermost first, so inner terms cancel
-    before they meet the large outer powers, and a sum that cancels to
-    zero is multiplied by nothing.  Powers of each image are built by
-    squaring through _sqr and memoized, so every power is computed once."""
+    """Ring map determined by name -> polynomial images, over a field
+    that f's coefficients embed into (gf.check_embedding), as nested
+    sums over the ring's variables in order (the multivariate Horner
+    scheme): f is the sum over a of x_0^a f_a, each f_a in x_1, x_2, ...
+    is substituted the same way, and its image is multiplied once by the
+    image of x_0 to the a.  The sums are formed innermost first, so
+    inner terms cancel before they meet the large outer powers, and a
+    sum that cancels to zero is multiplied by nothing.  Powers of each
+    image are built by squaring through _sqr and memoized, so every
+    power is computed once."""
     ring = f.ring
     target = None
     for g in images.values():
@@ -748,8 +742,7 @@ def substitute(f: Polynomial, images: dict) -> Polynomial:
         break
     if target is None:
         raise UsageError("empty image map")
-    if target.field != ring.field:
-        raise ContextMismatch("images live over a different field")
+    check_embedding(ring.field, target.field)
     imgs = []
     for name in ring.names:
         if name not in images:

@@ -27,6 +27,9 @@ Poly files are line-oriented:
     vars: x1 x2 x3
     poly: x1^2+2*x2
 
+field_prefix reads the p^e of a field line alone, and parse_field_text
+the whole line through it.
+
 Membership certificate files additionally carry the target, the basis,
 one cofactor per basis element, and the remainder, so the asserted
 identity can be rechecked without recomputing anything.
@@ -276,8 +279,9 @@ def _tagged_lines(text: str):
         yield lineno, tag.strip(), payload.strip()
 
 
-def parse_field_text(text: str) -> FieldSpec:
-    """Parse a field description like "2^1" or "3^2 g^2+1"."""
+def field_prefix(text: str) -> tuple:
+    """(p, e, modulus text or None) of a field description: a caller can
+    bound e before the modulus is parsed and its field built."""
     parts = text.split(None, 1)
     base = parts[0] if parts else ""
     if "^" not in base:
@@ -289,15 +293,21 @@ def parse_field_text(text: str) -> FieldSpec:
         p = e = 0
     if p < 2 or e < 1:
         raise ParseError(f"bad field {base!r}")
+    return p, e, parts[1] if len(parts) == 2 else None
+
+
+def parse_field_text(text: str) -> FieldSpec:
+    """Parse a field description like "2^1" or "3^2 g^2+1"."""
+    p, e, rest = field_prefix(text)
     if e > 1:
-        if len(parts) != 2:
+        if rest is None:
             raise ParseError("extension field needs a modulus")
-        modulus = _gpoly_rep(_Tokens(parts[1]), p, e + 1, "modulus")
+        modulus = _gpoly_rep(_Tokens(rest), p, e + 1, "modulus")
         if modulus[e] != 1:
             raise ParseError(f"modulus must be monic of degree {e}")
         return field(p, e, modulus)
-    if len(parts) != 1:
-        raise ParseError(f"prime field takes no modulus, got {parts[1]!r}")
+    if rest is not None:
+        raise ParseError(f"prime field takes no modulus, got {rest!r}")
     return field(p)
 
 

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Mutation check of the witness replay rules, the text they read, the
-alternating-group claim with its product normal form, the table
-reduction of GF(p^e) products, and the nested sums of substitute.
+alternating-group claim with its product normal form, the run
+configuration's bounds, the table reduction of GF(p^e) products, the
+modulus search, the embedding rule of GF(p) coefficients, evaluation
+at a point, and the nested sums of substitute.
 
     python3 tests/mutate_replay.py
 
@@ -33,19 +35,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # (file, target functions, the modules of TESTS that run first)
 TARGETS = (
-    ("src/invar/fsing.py", ("_replay", "_replay_rerun", "_replay_certificates",
-                            "_proves", "_alt_params", "_alt_claim",
-                            "_delta_remainder"),
+    ("src/invar/fsing.py", ("RunConfig.__post_init__", "_replay", "_replay_rerun",
+                            "_replay_certificates", "_proves", "_alt_params",
+                            "_alt_claim", "_delta_remainder"),
      ("tests/test_fsing.py",)),
     ("src/invar/groebner.py", ("MembershipCertificate.check", "normal_form_of_product"),
      ("tests/test_fsing.py", "tests/test_groebner.py")),
     ("src/invar/polyio.py", ("_parse_header", "_Tokens", "_parse_term", "_gpoly_rep",
                              "_parse_canonical"),
      ("tests/test_polyio.py",)),
-    ("src/invar/gf.py", ("is_prime", "_Quotient._tables", "_Quotient._fold",
-                         "_Quotient._vmul"),
+    ("src/invar/gf.py", ("is_prime", "find_irreducible", "_Quotient._tables",
+                         "_Quotient._fold", "_Quotient._vmul", "check_embedding"),
      ("tests/test_gf.py",)),
-    ("src/invar/mpoly.py", ("substitute",),
+    ("src/invar/mpoly.py", ("Polynomial.evaluate", "substitute"),
      ("tests/test_mpoly.py", "tests/test_invariants.py")),
 )
 # MembershipCertificate.check has no if, and or or to mutate

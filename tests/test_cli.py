@@ -137,6 +137,23 @@ def test_gb_bad_order_flag(runner, tmp_path):
     assert "bad order" in res.output
 
 
+@pytest.mark.parametrize("flag, header, basis", [
+    ("lex", "order: lex", ["z^6+z^3+1", "y+2*z^5+2*z^2", "x+2*z^4"]),
+    ("block:1", "order: block 1", ["y*z+1", "y^3+2*z^3+2", "z^4+y^2+z", "x+y^2+z"]),
+])
+def test_gb_recomputes_under_the_order_flag(runner, tmp_path, flag, header, basis):
+    """The grevlex basis of this ideal is another one:
+    y*z+1, x*z+z^2+2*y, y^2+x+z, x^2+y, z^3+x*y."""
+    src = tmp_path / "ideal.poly"
+    src.write_text("field: 3^1\norder: grevlex\nvars: x y z\n"
+                   "poly: x+y^2+z\npoly: x^2+y\npoly: y*z+1\n")
+    res = invoke(runner, ["gb", str(src), "--order", flag])
+    assert res.exit_code == 0
+    assert header in res.output.splitlines()
+    _ring, got = parse_polys_text(res.output)
+    assert [f.text() for f in got] == basis
+
+
 def test_member_yes_with_certificate(runner, tmp_path):
     ideal = tmp_path / "ideal.poly"
     elt = tmp_path / "elt.poly"
@@ -392,6 +409,16 @@ def test_verify_defaults_are_the_run_config_defaults():
     fields = ("seed", "trials", "ext_degree", "e_max")
     assert {k: defaults[k] for k in fields} == \
         {k: getattr(RunConfig(), k) for k in fields}
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "sp4-relation", "--q", "2", "--ext-degree", "65"],
+    ["suite", "quick", "--ext-degree", "65"],
+])
+def test_extension_degree_past_the_replay_bound_is_a_usage_error(runner, args):
+    res = invoke(runner, args)
+    assert res.exit_code == 2
+    assert "error: ext_degree must be <= 64" in res.output
 
 
 def test_suite_quick_machine_one_line_per_claim(runner):

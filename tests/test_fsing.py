@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import invar.groebner as groebner
+import invar.mpoly as mpoly
 from invar.errors import UsageError
 from invar.gf import field, is_prime
 from invar.groebner import (MembershipCertificate, buchberger, change_ring,
@@ -19,7 +20,7 @@ from invar.invariants import (dickson_invariants, symplectic_relation_values,
                               xring)
 from invar.polyio import (format_certificate, format_polys, parse_certificate_text,
                           parse_field_text, parse_polys_text)
-from invar import fsing
+from invar import fsing, gf
 from invar.fsing import (C0_XI_TERMS, RunConfig, VerificationReport,
                          alt_delta_congruence, alt_fregularity_dichotomy,
                          alt_lemma_T, alt_lemma_staircase, bound_text,
@@ -1289,3 +1290,104 @@ def test_forged_primes_do_not_grow_the_basis_memo():
     info = symmetric_ideal_gb.cache_info()
     assert len(primes) == 40 and info.misses - misses == 40
     assert info.currsize <= 32 == info.maxsize
+
+
+def test_forged_primes_do_not_grow_the_field_table():
+    """The same forty documents reach gf.field with forty new primes;
+    its intern table keeps at most 32 keys, and a field it keeps is
+    still one instance."""
+    doc = _document("alt-dichotomy", n=3, p=3)
+    primes = [q for q in range(10 ** 9 + 1, 10 ** 9 + 2000, 2) if is_prime(q)][:40]
+    for q in primes:
+        assert not _replays(dict(doc, params=dict(doc["params"], p=q)))
+    assert (primes[-1], 1, None) in gf._SPEC_CACHE
+    assert len(gf._SPEC_CACHE) <= 32
+    assert field(2, 32) is field(2, 32)
+    assert parse_field_text(field(2, 32).serialize()) is field(2, 32)
+
+
+def test_forged_document_with_a_large_prime_modulus_is_false_quickly():
+    """relations-n3 over GF(1048573^32), a prime below gf.ENUM_CAP, with
+    the irreducible modulus g^32 - a for a non-residue a (p = 1 mod 4):
+    the text parses and the rerun searches its own default modulus,
+    which must not evaluate each candidate at a million residues."""
+    p = 1048573
+    assert is_prime(p) and p < gf.ENUM_CAP and p % 4 == 1
+    a = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+    item = {"kind": "points", "field": f"{p}^32 g^32+{p - a}", "i": 1,
+            "mismatch": None, "points": [["1", "2", "3", "4", "5", "6"]],
+            "lhs": ["0"], "rhs": ["0"]}
+    doc = {"claim": "relations-n3", "verdict": "PROBABLE",
+           "params": {"q": p, "trials": 1, "ext_degree": 32, "seed": 0},
+           "witness": {"kind": "points-multi", "items": [item]}}
+    assert parse_field_text(item["field"]).modulus == (p - a,) + (0,) * 31 + (1,)
+    t0 = time.perf_counter()
+    assert not _replays(doc)
+    assert time.perf_counter() - t0 < 2
+
+
+@pytest.mark.parametrize("kw", [{"ext_degree": 65}, {"alt_nmax": 9},
+                                {"trials": 0}, {"ext_degree": 0},
+                                {"e_max": -1}, {"alt_nmax": 1}])
+def test_config_refuses_what_replay_refuses(kw):
+    """ext_degree past REPLAY_EMAX and alt_nmax past REPLAY_NMAX are
+    refused with the other bad values, so no claim writes a witness its
+    replay refuses."""
+    with pytest.raises(UsageError):
+        RunConfig(**kw)
+
+
+def test_documents_at_the_config_limits_replay():
+    config = RunConfig(trials=2, ext_degree=fsing.REPLAY_EMAX,
+                       alt_nmax=fsing.REPLAY_NMAX, e_max=0)
+    rep = run_claim("sp4-relation", config, q=2, mode="probabilistic")
+    assert rep.verdict == "PROBABLE" and replay_document(witness_document(rep))
+
+
+# ---------------------------------------------------------------------------
+# branches no other test or benchmark pass reaches
+# ---------------------------------------------------------------------------
+
+
+def test_identity_claim_past_a_guard(monkeypatch):
+    """An exact expansion past TERM_GUARD: exact mode is SKIPPED, with
+    no witness; auto mode samples instead, and its witness replays while
+    the guard stays as low (at the default guard the rerun expands and
+    writes another witness)."""
+    monkeypatch.setattr(mpoly, "TERM_GUARD", 10)
+    rep = verify_sp4_relation(2, FAST, mode="exact")
+    assert rep.verdict == "SKIPPED" and rep.witness is None
+    assert rep.detail == ("resource guard: product exceeds 10 terms",)
+    rep = run_claim("sp4-relation", FAST, q=2, mode="auto")
+    assert rep.verdict == "PROBABLE"
+    assert rep.detail[0] == ("exact path hit a guard (product exceeds 10 terms); "
+                             "sampling instead")
+    assert rep.parameters["trials"] == FAST.trials
+    assert replay_document(witness_document(rep))
+
+
+def test_relations_n3_separating_sample(monkeypatch):
+    """A separated i = 2 sample refutes the family and stops the check;
+    the witness replays while the sides stay as patched."""
+    values = fsing.symplectic_relation_values
+
+    def patched(P, q, i):
+        lhs, rhs = values(P, q, i)
+        return lhs, rhs + 1 if i == 2 else rhs
+    monkeypatch.setattr(fsing, "symplectic_relation_values", patched)
+    rep = run_claim("relations-n3", FAST, q=2)
+    assert rep.verdict == "REFUTED" and rep.bound is None
+    assert rep.detail[1] == "i=2: sample 1 separates the sides"
+    items = rep.witness["items"]
+    assert [item["mismatch"] for item in items] == [None, 0]
+    assert len(items[1]["points"]) == 1
+    assert replay_document(witness_document(rep))
+
+
+def test_theorem_search_above_the_cross_check_cap():
+    rep = run_claim("theorem-search", n=3, q=17)
+    assert 16 * 17 ** 4 > fsing.AGREE_CAP
+    assert rep.verdict == "VERIFIED"
+    assert rep.detail[0] == "space 1336336 above cross-check cap; digit search only"
+    assert "full" not in rep.witness
+    assert replay_document(witness_document(rep))

@@ -2,6 +2,7 @@
 
 import random
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +114,41 @@ def test_modulus_search_refuses_large_p():
         find_irreducible(p, 2)
     assert FieldSpec(p, 2, (1, 0, 1)).order == p ** 2     # a given modulus
     assert find_irreducible(p, 1) == (0, 1)
+
+
+@pytest.mark.parametrize("p,e,tests", [(2, 8, 7), (3, 6, 2), (2, 32, 36), (3, 32, 8),
+                                        (5, 3, None), (17, 3, None), (7, 2, None)])
+def test_modulus_search_scans_residues_only_where_p_at_most_e(p, e, tests, monkeypatch):
+    """Where p <= e, Rabin's test meets only candidates without a root in
+    GF(p); where p > e, every candidate up to the winner, in order."""
+    tested = []
+
+    def spy(coeffs, q):
+        tested.append(tuple(coeffs))
+        return is_irreducible(coeffs, q)
+
+    monkeypatch.setattr(gf, "is_irreducible", spy)
+    found = find_irreducible(p, e)
+    assert tested[-1] == found
+    if p <= e:
+        assert len(tested) == tests
+        assert not any(gf._eval_poly(f, a, p) == 0 for f in tested for a in range(p))
+    else:
+        cands = [(c0,) + tail + (1,) for c0 in range(1, p)
+                 for tail in product(range(p), repeat=e - 1)]
+        assert tested == cands[:cands.index(found) + 1]
+
+
+def test_check_embedding():
+    """GF(p) coefficients embed into every field of characteristic p;
+    any other coefficients only into their own field."""
+    F3, F9, F81 = field(3), field(3, 2), field(3, 4)
+    for F, L in [(F3, F3), (F3, F9), (F3, F81), (F9, F9), (F9, field(3, 2))]:
+        gf.check_embedding(F, L)
+    for F, L in [(F3, field(2)), (F3, field(2, 2)), (F9, F81), (F81, F9),
+                 (F9, F3), (field(2, 3), field(2, 3, (1, 1, 0, 1)))]:
+        with pytest.raises(ContextMismatch):
+            gf.check_embedding(F, L)
 
 
 def test_is_prime_matches_trial_division():

@@ -576,6 +576,27 @@ def test_staged_division_trips_term_guard(monkeypatch):
     assert calls
 
 
+def test_heap_division_trips_term_guard(monkeypatch):
+    """x*y leads x*y + z^2 + 1, so no staged plan: the heap loop's dict
+    starts with f's terms and passes a guard one below that count at
+    its first reduction step."""
+    ring = PolyRing(field(5), ["x", "y", "z"])
+    x, y, z = ring.gens()
+    f = (x + y + z) ** 4
+    heap = groebner._divide_heap
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return heap(*args)
+    monkeypatch.setattr(groebner, "_divide_heap", spy)
+    staged = _spy_staged(monkeypatch)
+    monkeypatch.setattr(mpoly, "TERM_GUARD", len(f) - 1)
+    with pytest.raises(ResourceLimit, match=f"reduction exceeded {len(f) - 1} terms"):
+        normal_form(f, [x * y + z ** 2 + 1])
+    assert len(calls) == 1 and not staged
+
+
 # ---------------------------------------------------------------------------
 # the division plan a GroebnerBasis keeps
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from invar.gf import field
 from invar.groebner import buchberger, normal_form
 from invar.invariants import (MatrixGF, apply_matrix, dickson_at_point,
                               dickson_invariants, elementary_symmetric,
-                              lift_coefficients, relation_side_degrees,
-                              staircase_monomial, symplectic_relation_sides,
+                              relation_side_degrees, staircase_monomial,
+                              symplectic_relation_sides,
                               symplectic_relation_values, symplectic_xi,
                               symplectic_xi_value, truncated_monomial_sum,
                               vandermonde, xring)
@@ -304,24 +304,29 @@ def test_apply_point_embedding():
         apply_point(M, tuple(field(2).one for _ in range(2)))
 
 
-def test_lift_coefficients():
-    R = xring(field(2), 2)
-    f = R.gen(0) + R.gen(1) ** 3
-    F4 = field(2, 2)
-    g = lift_coefficients(f, F4)
-    assert g.ring.field is F4
-    assert g.total_degree() == 3
-    with pytest.raises(ContextMismatch):
-        lift_coefficients(f, field(3, 2))
-
-
 def test_apply_matrix_extension_entries():
     """GL_1(F_4) scaling: x -> g x maps x^3 to (g^3) x^3 = x^3."""
     F4 = field(2, 2)
     R = xring(field(2), 1)
     f = R.gen(0) ** 3
     M = MatrixGF.from_rows(F4, [[F4.gen]])
-    assert apply_matrix(f, M) == lift_coefficients(f, F4)
+    assert apply_matrix(f, M) == xring(F4, 1).gen(0) ** 3
+
+
+def test_apply_matrix_needs_an_embedding():
+    """The ring of the result is over the matrix field, which f's
+    coefficients must embed into."""
+    R = xring(field(2), 2)
+    f = R.gen(0) + R.gen(1) ** 3
+    I3 = MatrixGF.from_rows(field(3, 2), [[1, 0], [0, 1]])
+    with pytest.raises(ContextMismatch):
+        apply_matrix(f, I3)
+    F9 = field(3, 2)
+    h = xring(F9, 2).gen(0) * F9.gen
+    with pytest.raises(ContextMismatch):
+        apply_matrix(h, MatrixGF.from_rows(field(3, 4), [[1, 0], [0, 1]]))
+    g = apply_matrix(f, MatrixGF.from_rows(field(2, 3), [[1, 0], [0, 1]]))
+    assert g.ring == xring(field(2, 3), 2) and g.terms == f.terms
 
 
 # -- alternating group pieces ------------------------------------------------------
