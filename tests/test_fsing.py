@@ -1292,10 +1292,23 @@ def test_forged_primes_do_not_grow_the_basis_memo():
     assert info.currsize <= 32 == info.maxsize
 
 
+def test_points_replay_refuses_a_bad_field_before_the_rerun(monkeypatch):
+    """A field text of the right p^e whose modulus is reducible, of the
+    wrong degree or missing replays False before the claim samples."""
+    doc = _document("relations-n3", q=2)
+    calls = []
+    monkeypatch.setattr(fsing, "sample_sides", lambda *args: calls.append(args))
+    for text in ("2^16 g^16+1", "2^16 g^2+1", "2^16"):
+        for item in doc["witness"]["items"]:
+            item["field"] = text
+        assert not _replays(doc)
+    assert calls == []
+
+
 def test_forged_primes_do_not_grow_the_field_table():
-    """The same forty documents reach gf.field with forty new primes;
-    its intern table keeps at most 32 keys, and a field it keeps is
-    still one instance."""
+    """Forty forged documents as above reach gf.field with forty new
+    primes; its intern table keeps at most 32 keys, and a field it keeps
+    is still one instance."""
     doc = _document("alt-dichotomy", n=3, p=3)
     primes = [q for q in range(10 ** 9 + 1, 10 ** 9 + 2000, 2) if is_prime(q)][:40]
     for q in primes:
@@ -1327,12 +1340,11 @@ def test_forged_document_with_a_large_prime_modulus_is_false_quickly():
 
 
 @pytest.mark.parametrize("kw", [{"ext_degree": 65}, {"alt_nmax": 9},
-                                {"trials": 0}, {"ext_degree": 0},
-                                {"e_max": -1}, {"alt_nmax": 1}])
+                                {"ext_degree": 0}, {"e_max": -1}])
 def test_config_refuses_what_replay_refuses(kw):
     """ext_degree past REPLAY_EMAX and alt_nmax past REPLAY_NMAX are
-    refused with the other bad values, so no claim writes a witness its
-    replay refuses."""
+    refused like the other bad values (test_config_validation has the
+    rest), so no claim writes a witness its replay refuses."""
     with pytest.raises(UsageError):
         RunConfig(**kw)
 

@@ -227,6 +227,16 @@ def test_evaluate_embedding_rules(R3):
     assert h.evaluate((F9.gen,)) == F9.gen ** 3
 
 
+def test_evaluate_needs_one_coordinate_per_variable(R3):
+    x1, x2, x3 = R3.gens()
+    f = x1 * x2 + 2 * x3
+    F = field(3)
+    for count in (2, 4):
+        with pytest.raises(UsageError, match="expected 3 coordinates"):
+            f.evaluate(tuple(F.one for _ in range(count)))
+    assert f.evaluate((F.one,) * 3) == 0
+
+
 def test_degrees_and_homogeneity(R3):
     x1, x2, x3 = R3.gens()
     f = x1 ** 2 * x2 + x3 ** 3
