@@ -19,15 +19,14 @@ max-heap.  Every key a reduction step adds is strictly smaller than the
 key it cancels, so no key is pushed twice: a key enters the heap when it
 first enters the dict, and its coefficient is read once, when it is
 popped.  The heap thus holds only the distinct keys touched, with no
-stale entries.  Over GF(p) the dict holds unreduced ints, reduced mod p
-at the pop, where a zero is skipped; extension-field coefficients are
-the field's packed ints, combined by its _vadd and _vmul.  Each
-divisor carries its tail as (key shift, negated coefficient) pairs.
-Divisibility, here and in buchberger's chain criterion and
-autoreduction, is one subtraction and mask on TermOrder.fields.  A
-reduction whose exponents reach EXP_CAP, or whose dict passes
-TERM_GUARD keys, raises ResourceLimit; the staged path checks its live
-term count after each step.  Divisors are chosen
+stale entries.  Coefficients, in any field, are the field's packed
+ints, combined by its _vadd and _vmul, and a key whose coefficient
+cancels to zero is skipped at its pop.  Each divisor carries its tail
+as (key shift, negated coefficient) pairs.  Divisibility, here and in
+buchberger's chain criterion and autoreduction, is one subtraction and
+mask on TermOrder.fields.  A reduction whose exponents reach EXP_CAP,
+or whose dict passes TERM_GUARD keys, raises ResourceLimit; the staged
+path checks its live term count after each step.  Divisors are chosen
 deterministically: the first element whose leading monomial divides,
 scanning the basis in ascending leading monomial order (index breaking
 ties), so quotients and remainders are those of the textbook division.
@@ -144,8 +143,6 @@ def _divide_heap(ring: PolyRing, terms: dict, items: list,
     order = ring.order
     fields = order.fields
     F = ring.field
-    prime = F.e == 1
-    p = F.p
 
     # scan order: ascending leading monomial, original index breaks ties;
     # a reduction by entry i adds factor * nb at key + d for (d, nb) in tail
@@ -161,7 +158,7 @@ def _divide_heap(ring: PolyRing, terms: dict, items: list,
     G = order.guard
     caps = order.every_field(mpoly.EXP_CAP)
     off = order.offset
-    acc = dict(terms)           # prime field: unreduced ints
+    acc = dict(terms)
     get = acc.get
     heap = [-k for k in acc]
     heapq.heapify(heap)
@@ -173,8 +170,6 @@ def _divide_heap(ring: PolyRing, terms: dict, items: list,
     while heap:
         key = -pop(heap)
         c = acc[key]
-        if prime:
-            c %= p
         if not c:
             continue
         ag = fields(key) | G
@@ -191,26 +186,15 @@ def _divide_heap(ring: PolyRing, terms: dict, items: list,
             rem[key] = c
             continue
         lmk, i, _, lcinv, tail = hit
-        if prime:
-            factor = c * lcinv % p
-            for d, nb in tail:
-                k2 = key + d
-                cur = get(k2)
-                if cur is None:
-                    acc[k2] = factor * nb
-                    push(heap, -k2)
-                else:
-                    acc[k2] = cur + factor * nb
-        else:
-            factor = vmul(c, lcinv)
-            for d, nb in tail:
-                k2 = key + d
-                cur = get(k2)
-                if cur is None:
-                    acc[k2] = vmul(factor, nb)
-                    push(heap, -k2)
-                else:
-                    acc[k2] = vadd(cur, vmul(factor, nb))
+        factor = vmul(c, lcinv)
+        for d, nb in tail:
+            k2 = key + d
+            cur = get(k2)
+            if cur is None:
+                acc[k2] = vmul(factor, nb)
+                push(heap, -k2)
+            else:
+                acc[k2] = vadd(cur, vmul(factor, nb))
         if len(acc) > guard:
             raise ResourceLimit(f"reduction exceeded {guard} terms")
         if cof is not None:

@@ -296,19 +296,23 @@ def apply_matrix(f: Polynomial, M: MatrixGF) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
+def _monomial_sum(ring: PolyRing, combos) -> Polynomial:
+    """The sum of prod(X_v for v in combo) over the distinct combos
+    (a repeated v raises its exponent); the empty combo gives 1."""
+    terms = {}
+    for comb in combos:
+        e = [0] * ring.nvars
+        for v in comb:
+            e[v] += 1
+        terms[tuple(e)] = 1
+    return ring.from_terms(terms)
+
+
 def elementary_symmetric(ring: PolyRing, k: int) -> Polynomial:
     n = ring.nvars
     if not 0 <= k <= n:
         raise UsageError(f"e_k needs 0 <= k <= {n}")
-    if k == 0:
-        return ring.one
-    terms = {}
-    for comb in combinations(range(n), k):
-        e = [0] * n
-        for i in comb:
-            e[i] = 1
-        terms[tuple(e)] = 1
-    return ring.from_terms(terms)
+    return _monomial_sum(ring, combinations(range(n), k))
 
 
 def truncated_monomial_sum(ring: PolyRing, i: int, j: int) -> Polynomial:
@@ -319,15 +323,7 @@ def truncated_monomial_sum(ring: PolyRing, i: int, j: int) -> Polynomial:
         raise UsageError(f"j must be in [1, {n}]")
     if i < 0:
         raise UsageError("degree must be nonnegative")
-    if i == 0:
-        return ring.one
-    terms = {}
-    for comb in combinations_with_replacement(range(j - 1, n), i):
-        e = [0] * n
-        for v in comb:
-            e[v] += 1
-        terms[tuple(e)] = 1
-    return ring.from_terms(terms)
+    return _monomial_sum(ring, combinations_with_replacement(range(j - 1, n), i))
 
 
 def vandermonde_rows(ring: PolyRing) -> list:

@@ -40,7 +40,8 @@ loop; over GF(p) that loop is _accumulate, which groebner's staged
 division shares.  check_product runs before either path, and TERM_GUARD
 trips at the same count on both.  Every square goes through _sqr, which
 in characteristic 2 is the termwise Frobenius map and otherwise the
-general product; __pow__ and substitute square only through it.
+general product.  __pow__ and substitute build every power by halving
+in _power, which squares only through _sqr.
 """
 
 from __future__ import annotations
@@ -424,26 +425,17 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        """Square and multiply; the squarings go through _sqr."""
+        """f^k by halving (_power): f^k is the square of f^(k//2), times
+        f when k is odd; the squarings go through _sqr."""
         if k < 0:
             raise UsageError("negative polynomial power")
         if k == 0:
             return self.ring.one
-        if k == 1:
-            return self
         # refuse before squaring; every product is checked as well
         if self.terms and _max_exponent(self) * k >= EXP_CAP:
             raise ResourceLimit(
                 f"power {k} would push exponents past {EXP_CAP}")
-        result = None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else _mul(result, base)
-            k >>= 1
-            if k:
-                base = _sqr(base)
-        return result
+        return _power(self, k, {})
 
     def __eq__(self, other):
         if isinstance(other, (int, FieldElement)):
@@ -699,6 +691,22 @@ def _sqr(f: Polynomial) -> Polynomial:
     return _mul(f, f)
 
 
+def _power(f: Polynomial, k: int, memo: dict) -> Polynomial:
+    """f^k for k >= 1 by halving (Knuth, TAOCP vol. 2, sec. 4.6.3): the
+    square of f^(k//2), through _sqr, times f when k is odd.  memo maps
+    exponents to powers of f already built and keeps each one built."""
+    got = memo.get(k)
+    if got is None:
+        if k == 1:
+            got = f
+        else:
+            got = _sqr(_power(f, k // 2, memo))
+            if k % 2:
+                got = _mul(got, f)
+        memo[k] = got
+    return got
+
+
 def _max_exponent(f: Polynomial) -> int:
     """The largest exponent of a nonzero f."""
     return max(map(max, f.ring.order.columns(list(f.terms))))
@@ -733,8 +741,8 @@ def substitute(f: Polynomial, images: dict) -> Polynomial:
     image of x_0 to the a.  The sums are formed innermost first, so
     inner terms cancel before they meet the large outer powers, and a
     sum that cancels to zero is multiplied by nothing.  Powers of each
-    image are built by squaring through _sqr and memoized, so every
-    power is computed once."""
+    image are built by _power with one memo per image, so every power
+    is computed once."""
     ring = f.ring
     target = None
     for g in images.values():
@@ -748,19 +756,7 @@ def substitute(f: Polynomial, images: dict) -> Polynomial:
         if name not in images:
             raise UsageError(f"no image for variable {name!r}")
         imgs.append(images[name])
-    caches: list = [dict() for _ in imgs]
-
-    def power(i: int, k: int) -> Polynomial:
-        got = caches[i].get(k)
-        if got is None:
-            if k == 1:
-                got = imgs[i]
-            else:
-                got = _sqr(power(i, k // 2))
-                if k % 2:
-                    got = got * imgs[i]
-            caches[i][k] = got
-        return got
+    memos: list = [{} for _ in imgs]
 
     # sums: exponents e of x_0..x_i -> the sum of f's terms that have
     # them, with x_{i+1}, ... substituted; folding x_i in drops e[i]
@@ -770,7 +766,8 @@ def substitute(f: Polynomial, images: dict) -> Polynomial:
         outer: dict = {}
         for e, inner in sums.items():
             if e[i] and inner:
-                inner = (Polynomial(target, inner) * power(i, e[i])).terms
+                power = _power(imgs[i], e[i], memos[i])
+                inner = (Polynomial(target, inner) * power).terms
             got = outer.setdefault(e[:i], inner)
             if got is not inner:
                 _merge(got, inner, target.field)

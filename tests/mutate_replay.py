@@ -3,7 +3,8 @@
 alternating-group claim with its product normal form, the run
 configuration's bounds, the table reduction of GF(p^e) products, the
 modulus search, the embedding rule of GF(p) coefficients, evaluation
-at a point, and the nested sums of substitute.
+at a point, the nested sums of substitute, the heap division loop and
+powering by halving.
 
     python3 tests/mutate_replay.py
 
@@ -39,7 +40,8 @@ TARGETS = (
                             "_replay_certificates", "_proves", "_alt_params",
                             "_alt_claim", "_delta_remainder"),
      ("tests/test_fsing.py",)),
-    ("src/invar/groebner.py", ("MembershipCertificate.check", "normal_form_of_product"),
+    ("src/invar/groebner.py", ("MembershipCertificate.check", "normal_form_of_product",
+                               "_divide_heap"),
      ("tests/test_fsing.py", "tests/test_groebner.py")),
     ("src/invar/polyio.py", ("_parse_header", "_Tokens", "_parse_term", "_gpoly_rep",
                              "_parse_canonical"),
@@ -47,7 +49,7 @@ TARGETS = (
     ("src/invar/gf.py", ("is_prime", "find_irreducible", "_Quotient._tables",
                          "_Quotient._fold", "_Quotient._vmul", "check_embedding"),
      ("tests/test_gf.py",)),
-    ("src/invar/mpoly.py", ("Polynomial.evaluate", "substitute"),
+    ("src/invar/mpoly.py", ("Polynomial.evaluate", "substitute", "_power"),
      ("tests/test_mpoly.py", "tests/test_invariants.py")),
 )
 # MembershipCertificate.check has no if, and or or to mutate
@@ -70,6 +72,10 @@ EQUIVALENT = {
     "_Quotient._vmul: if self._chunk -> False":
         "the loop over the modulus terms reduces a table field's products "
         "correctly too, 3-4 times slower (CHANGES.md)",
+    "_divide_heap: if entry[0] > key -> False":
+        "a divisor whose leading key is above the key cannot divide it, so "
+        "the divisibility test fails on every entry past that point: the "
+        "break only ends the scan early",
 }
 
 

@@ -137,6 +137,26 @@ def test_gb_bad_order_flag(runner, tmp_path):
     assert "bad order" in res.output
 
 
+
+@pytest.mark.parametrize("args, message", [
+    (["dickson", "--p", "2", "--n", "0"], "need n >= 1"),
+    (["symplectic", "--p", "2", "--n", "0"], "need n >= 1"),
+    (["altn", "--p", "3", "--n", "1"], "need n >= 2"),
+])
+def test_generator_sizes_are_usage_errors(runner, tmp_path, args, message):
+    res = invoke(runner, args + ["--out", str(tmp_path / "out.poly")])
+    assert res.exit_code == 2
+    assert f"error: {message}" in res.output
+    assert not (tmp_path / "out.poly").exists()
+
+
+def test_gb_block_order_needs_an_integer(runner, tmp_path):
+    src = tmp_path / "ideal.poly"
+    src.write_text(IDEAL)
+    res = invoke(runner, ["gb", str(src), "--order", "block:x"])
+    assert res.exit_code == 2
+    assert "error: bad order 'block:x'" in res.output
+
 @pytest.mark.parametrize("flag, header, basis", [
     ("lex", "order: lex", ["z^6+z^3+1", "y+2*z^5+2*z^2", "x+2*z^4"]),
     ("block:1", "order: block 1", ["y*z+1", "y^3+2*z^3+2", "z^4+y^2+z", "x+y^2+z"]),
@@ -182,6 +202,16 @@ def test_member_no_exits_one(runner, tmp_path):
     assert "non-member" in res.output
     assert "x+y" in res.output
 
+
+
+def test_member_needs_one_element(runner, tmp_path):
+    ideal = tmp_path / "ideal.poly"
+    ideal.write_text(IDEAL)
+    elt = tmp_path / "elt.poly"
+    elt.write_text(MEMBER_ELT + "poly: x+y\n")
+    res = invoke(runner, ["member", str(ideal), str(elt)])
+    assert res.exit_code == 2
+    assert "error: element file must hold exactly one polynomial" in res.output
 
 def test_member_ring_mismatch(runner, tmp_path):
     ideal = tmp_path / "ideal.poly"
@@ -363,6 +393,21 @@ def test_verify_writes_replayable_witness(runner, tmp_path):
     assert "verdict: VERIFIED" in res.output
     assert replay_document(wit.read_text())
 
+
+
+def test_verify_refuted_exits_one_and_its_witness_replays(runner, tmp_path):
+    """At e_max = 0 the closure search stops before its witness at e = 1,
+    so the claim is REFUTED (exit 1), and the document records exactly
+    that search."""
+    wit = tmp_path / "wit.json"
+    res = invoke(runner, ["verify", "sp4-fpurity", "--q", "2", "--e-max", "0",
+                          "--out", str(wit)])
+    assert res.exit_code == 1
+    assert "verdict: REFUTED" in res.output
+    assert "no Frobenius-closure witness up to e_max = 0" in res.output
+    doc = json.loads(wit.read_text())
+    assert doc["verdict"] == "REFUTED" and doc["witness"]["e"] is None
+    assert replay_document(wit.read_text())
 
 def test_verify_theorem_search_past_the_cap_is_skipped(runner):
     res = invoke(runner, ["verify", "theorem-search", "--n", "5000", "--q", "3"])

@@ -210,6 +210,33 @@ def test_fpurity_control_needs_the_relation(q):
     assert replay_witness(rep.claim_id, rep.parameters, rep.witness)
 
 
+
+def test_fpurity_refutes_a_presentation_that_fails(monkeypatch):
+    """A relation that does not vanish on the invariants refutes the
+    claim even though the closure witness at e = 1 is found."""
+    monkeypatch.setattr(fsing, "check_presentation", lambda pres: False)
+    rep = sp4_fpurity_check(2)
+    assert rep.verdict == "REFUTED" and rep.bound is None
+    assert rep.detail[0] == "presentation relation DOES NOT vanish on the invariants"
+    assert rep.witness["e"] == 1
+
+
+def test_fpurity_refutes_a_member_at_level_zero(monkeypatch):
+    """The search run on u in place of w: u is in (u, v) + (rel) at e = 0,
+    so there is no strict closure and the claim is refuted."""
+    search = fsing.frobenius_closure_search
+
+    def on_u(f, gens, e_max, fixed=()):
+        return search(gens[0], gens, e_max, fixed=fixed)
+
+    monkeypatch.setattr(fsing, "frobenius_closure_search", on_u)
+    rep = sp4_fpurity_check(2)
+    assert rep.verdict == "REFUTED" and rep.bound is None
+    assert rep.detail[1] == "w IS in (u, v) + relation ideal"
+    assert rep.detail[2] == "Frobenius-closure witness at e = 0"
+    assert rep.witness["e"] == 0 and rep.witness["failures"] == {}
+    assert rep.witness["membership-remainder"] == "0"
+
 def test_fpurity_certificate_tamper_detected():
     rep = sp4_fpurity_check(2)
     doc = json.loads(witness_document(rep))
@@ -267,6 +294,23 @@ def test_search_disagreement_refutes(monkeypatch):
     assert rep.witness["full"] == [[0, 0, 0], [1, 2, 2]]
     assert any("disagrees with full enumeration" in note for note in rep.detail)
 
+
+
+@pytest.mark.parametrize("patch", ["search", "lambda"])
+def test_solutions_above_the_hypothesis_refute(monkeypatch, patch):
+    """At n = 2, q = 7 >= 4n - 4 both the search and the lambda identity
+    come up empty; a solution from either one refutes the theorem."""
+    if patch == "search":
+        monkeypatch.setattr(fsing, "theorem_exponent_search",
+                            lambda n, q, prune=True: frozenset({(1, 2, 3)}))
+    else:
+        monkeypatch.setattr(fsing, "lambda_identity_check",
+                            lambda n, q: {"rhs": 17, "solutions": (2,)})
+    rep = verify_theorem_search(2, 7)
+    assert rep.verdict == "REFUTED" and rep.bound is None
+    assert rep.detail[-1] == "q >= 4n-4 = 4 but solutions exist"
+    assert (rep.witness["solutions"], rep.witness["lambda"]["solutions"]) == \
+        (([[1, 2, 3]], []) if patch == "search" else ([], [2]))
 
 def test_search_solution_satisfies_constraints():
     n, q = 2, 3

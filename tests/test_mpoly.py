@@ -18,7 +18,7 @@ import invar.mpoly as mpoly
 from invar.errors import ContextMismatch, ResourceLimit, UsageError
 from invar.gf import field
 from invar.invariants import dickson_invariants
-from invar.mpoly import (PolyRing, TermOrder, _mul, _sqr, frobenius_power,
+from invar.mpoly import (PolyRing, TermOrder, _mul, _power, _sqr, frobenius_power,
                          random_points, sample_sides, substitute)
 from invar.polyio import format_polys
 from oracles import (block_sort_key, degree_in, draw_poly, eval_by_substitution,
@@ -611,6 +611,29 @@ def test_pow_matches_chained_mul(data):
     for k in range(10):
         assert f ** k == reduce(_mul, [f] * k, ring.one)
 
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_power_halves_and_keeps_each_power(p, monkeypatch):
+    """f^11 by halving is ((f^2)^2 f)^2 f: four squarings and two
+    products by f (in characteristic 2 the squarings are Frobenius maps,
+    not products).  The memo then holds f^1, f^2, f^5 and f^11, and f^5
+    from it costs no product."""
+    R = PolyRing(field(p), ["x", "y"])
+    x, y = R.gens()
+    f = x + 2 * y + 1
+    calls = _spy_products(monkeypatch)
+    memo: dict = {}
+    assert _power(f, 11, memo) == reduce(_mul, [f] * 11)
+    f2, f4, f5, f10 = (reduce(_mul, [f] * k) for k in (2, 4, 5, 10))
+    products = [(f4, f), (f10, f)]
+    if p != 2:
+        products = [(f, f), (f2, f2)] + products[:1] + [(f5, f5)] + products[1:]
+    assert calls[:len(products)] == [tuple(sorted((a.text(), b.text())))
+                                     for a, b in products]
+    assert sorted(memo) == [1, 2, 5, 11] and memo[5] == f5 and memo[1] is f
+    del calls[:]
+    assert _power(f, 5, memo) is memo[5] and not calls
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())

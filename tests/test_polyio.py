@@ -10,8 +10,9 @@ from invar.groebner import MembershipCertificate, buchberger, normal_form
 from invar.mpoly import EXP_CAP, PolyRing
 from invar.gf import _poly_text
 from invar.polyio import (_Tokens, _parse_canonical, _parse_reference, format_certificate,
-                          format_polys, parse_certificate_text, parse_element,
-                          parse_field_text, parse_poly, parse_polys_text)
+                          field_prefix, format_polys, parse_certificate_text,
+                          parse_element, parse_field_text, parse_poly,
+                          parse_polys_text)
 from oracles import ReferenceTokens, draw_poly, enumerate_elements, rings
 
 
@@ -146,6 +147,13 @@ def test_header_errors():
         parse_polys_text("field: 3^1\norder: grevlex\nvars: x\nmystery: 3\n")
 
 
+
+@pytest.mark.parametrize("text", ["a^b", "3^x", "x^2 g^2+1"])
+def test_field_prefix_needs_integers(text):
+    with pytest.raises(ParseError) as info:
+        field_prefix(text)
+    assert str(info.value) == f"bad field '{text.split()[0]}'"
+
 def test_modulus_header_matches_runtime_field():
     F = field(2, 30)
     R = PolyRing(F, ["t"])
@@ -198,6 +206,8 @@ def test_certificate_errors(R):
         parse_certificate_text(good.replace("remainder: x\n", ""))
     with pytest.raises(ParseError):
         parse_certificate_text(good.replace("cofactor-of: 0", "cofactor-of: 1"))
+    with pytest.raises(ParseError, match="^line 5: unexpected tag 'quotient'"):
+        parse_certificate_text(good.replace("basis:", "quotient:"))
 
 
 # ---------------------------------------------------------------------------
