@@ -17,7 +17,7 @@ from . import cache
 from .errors import ParseError, ResourceLimit, UsageError
 from .fsing import (MODES, PROBABLE, REFUTED, RUNNERS, SKIPPED, VERIFIED,
                     RunConfig, bound_text, params_text, render_machine,
-                    render_text, run_claim, run_suite, witness_document)
+                    render_text, run_claim, suite_claims, witness_document)
 from .gf import field
 from .groebner import buchberger, change_ring, ideal_member
 from .invariants import (dickson_invariants, elementary_symmetric,
@@ -248,26 +248,28 @@ def suite(profile, seed, trials, ext_degree, e_max, output, out):
     config = RunConfig(seed=seed, trials=trials, ext_degree=ext_degree,
                        e_max=e_max)
     t0 = time.perf_counter()
-    reports = run_suite(profile, config)
-    lines = []
+    # each report is rendered as it arrives and dropped: only its row's
+    # strings are kept, and no witness is read
+    rows, verdicts = [], []
+    for claim_id, params in suite_claims(profile):
+        r = run_claim(claim_id, config, **params)
+        verdicts.append(r.verdict)
+        rows.append(render_machine(r) if output == "machine" else (
+            r.claim_id, params_text(r), r.verdict, bound_text(r.bound),
+            f"{r.elapsed * 1000:.0f}"))
     if output == "machine":
-        lines = [render_machine(r) for r in reports]
+        lines = rows
     else:
-        rows = [(r.claim_id, params_text(r), r.verdict, bound_text(r.bound),
-                 f"{r.elapsed * 1000:.0f}") for r in reports]
         widths = [max(len(row[k]) for row in rows) for k in range(4)]
-        for row in rows:
-            lines.append("  ".join(row[k].ljust(widths[k]) for k in range(4))
-                         + "  " + row[4].rjust(6))
-        counts = {v: sum(1 for r in reports if r.verdict == v)
-                  for v in (VERIFIED, PROBABLE, REFUTED, SKIPPED)}
-        lines.append(f"summary: {len(reports)} claims | "
-                     + " ".join(f"{v.lower()}={counts[v]}"
+        lines = ["  ".join(row[k].ljust(widths[k]) for k in range(4))
+                 + "  " + row[4].rjust(6) for row in rows]
+        lines.append(f"summary: {len(verdicts)} claims | "
+                     + " ".join(f"{v.lower()}={verdicts.count(v)}"
                                 for v in (VERIFIED, PROBABLE, REFUTED, SKIPPED))
                      + f" | {time.perf_counter() - t0:.1f}s")
     text = "\n".join(lines) + "\n"
     _emit(text, out)
-    sys.exit(1 if any(r.verdict == REFUTED for r in reports) else 0)
+    sys.exit(1 if REFUTED in verdicts else 0)
 
 
 def main():

@@ -23,7 +23,10 @@ rebuilt and re-multiplied, which skips the claim's certified divisions.
 A document whose prime lies past gf.is_prime's bound replays False.
 RunConfig refuses alt_nmax and ext_degree past those two bounds, so a
 claim never writes a witness its replay refuses.  run_claim times each
-claim.
+claim.  A report keeps the membership certificates its witness holds as
+objects; their text is built the first time the report's witness is
+read (_witness_text), so a run that never reads a witness never formats
+one, and elapsed does not include the formatting.
 """
 
 from __future__ import annotations
@@ -34,15 +37,16 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import compress, product
 from math import factorial
 from typing import Callable, Optional
 
 from .errors import ResourceLimit, UsageError
 from .gf import FieldSpec, _prime_factors, field, is_prime
-from .groebner import (buchberger, frobenius_closure_search, ideal_member,
-                       normal_form, normal_form_of_product)
+from .groebner import (MembershipCertificate, buchberger,
+                       frobenius_closure_search, ideal_member, normal_form,
+                       normal_form_of_product)
 from .invariants import (dickson_at_point, dickson_invariants,
                          elementary_symmetric, relation_side_degrees,
                          staircase_monomial, symplectic_relation_sides,
@@ -90,18 +94,38 @@ class RunConfig:
 @dataclass
 class VerificationReport:
     """The outcome of one claim.  elapsed is the wall time run_claim
-    measured; a check function called directly leaves it at 0.0."""
+    measured; a check function called directly leaves it at 0.0.
+    raw_witness is the witness dict the check built, which may hold
+    MembershipCertificate objects.  witness is the same dict with every
+    certificate in it replaced by its text: the text is built the first
+    time witness is read and kept, so elapsed does not include it."""
     claim_id: str
     parameters: dict
     verdict: str
     bound: Optional[Fraction] = None
-    witness: Optional[dict] = None
+    raw_witness: Optional[dict] = None
     elapsed: float = 0.0
     detail: tuple = ()
 
     @property
     def ok(self) -> bool:
         return self.verdict in (VERIFIED, PROBABLE)
+
+    @cached_property
+    def witness(self) -> Optional[dict]:
+        return _witness_text(self.raw_witness)
+
+
+def _witness_text(witness: Optional[dict]) -> Optional[dict]:
+    """The one place a witness becomes text: each certificate at the top
+    of witness or in one of its items is replaced by its text, in place.
+    A witness without a certificate comes back untouched."""
+    if witness is not None:
+        for part in (witness, *witness.get("items", ())):
+            for key, value in part.items():
+                if isinstance(value, MembershipCertificate):
+                    part[key] = format_certificate(value)
+    return witness
 
 
 def _sub_rng(seed: int, label: str) -> random.Random:
@@ -389,19 +413,20 @@ def sp4_fpurity_check(q: int,
                                        fixed=pres.relations)
     # level 0 fails unless w itself is a member
     remainder = closure.failures.get(0, amb.zero)
+    remainder_text = remainder.text()
     if closure.e == 0:
         detail.append("w IS in (u, v) + relation ideal")
     else:
-        detail.append(f"w not in (u, v) + relation ideal; normal form {remainder.text()}")
+        detail.append(f"w not in (u, v) + relation ideal; normal form {remainder_text}")
 
     witness: dict = {
         "kind": "closure",
         "e": closure.e,
-        "membership-remainder": remainder.text(),
+        "membership-remainder": remainder_text,
         "failures": {str(e): r.text() for e, r in closure.failures.items()},
     }
     if closure.certificate is not None:
-        witness["certificate"] = format_certificate(closure.certificate)
+        witness["certificate"] = closure.certificate
     if closure.e is None:
         detail.append(f"no Frobenius-closure witness up to e_max = {config.e_max}")
     else:
@@ -608,7 +633,7 @@ def _alt_claim(claim_id: str, n: int, p: int,
             remainder = cert.remainder
         if not member:
             break
-        items.append(dict(label, certificate=format_certificate(cert)))
+        items.append(dict(label, certificate=cert))
     verdict = _alt_verdict(claim_id, params, member)
     notes = (f"n! = {factorial(n) % p} mod {p}",) if claim_id == "alt-delta" else ()
     if claim_id == "alt-dichotomy":

@@ -261,10 +261,6 @@ class PolyRing:
             return F.element(value).rep or None
         raise UsageError(f"cannot use {value!r} as a coefficient")
 
-    def coeff_element(self, c) -> FieldElement:
-        """Internal coefficient back to a field element."""
-        return FieldElement(self.field, c)
-
     # -- construction ----------------------------------------------------------
 
     @property

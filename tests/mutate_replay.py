@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Mutation check of the witness replay rules, the text they read, the
-alternating-group claim with its product normal form, the run
-configuration's bounds, the table reduction of GF(p^e) products, the
-modulus search, the embedding rule of GF(p) coefficients, evaluation
-at a point, the nested sums of substitute, the heap division loop and
-powering by halving.
+witness formatter a report runs on first read, the alternating-group
+claim with its product normal form, the run configuration's bounds, the
+table reduction of GF(p^e) products, the modulus search, the embedding
+rule of GF(p) coefficients, evaluation at a point, the nested sums of
+substitute, the heap division loop and powering by halving.
 
     python3 tests/mutate_replay.py
 
@@ -38,7 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TARGETS = (
     ("src/invar/fsing.py", ("RunConfig.__post_init__", "_replay", "_replay_rerun",
                             "_replay_certificates", "_proves", "_alt_params",
-                            "_alt_claim", "_delta_remainder"),
+                            "_alt_claim", "_delta_remainder", "_witness_text"),
      ("tests/test_fsing.py",)),
     ("src/invar/groebner.py", ("MembershipCertificate.check", "normal_form_of_product",
                                "_divide_heap"),

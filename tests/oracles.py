@@ -19,7 +19,7 @@ import invar.mpoly as mpoly
 from invar.errors import (ContextMismatch, FieldZeroDivision, ParseError, ResourceLimit,
                           UsageError)
 from invar.fsing import C0_XI_TERMS
-from invar.gf import ENUM_CAP, FieldSpec, field
+from invar.gf import ENUM_CAP, FieldElement, FieldSpec, field
 from invar.groebner import (GroebnerBasis, MembershipCertificate, buchberger,
                             change_ring, normal_form)
 from invar.invariants import MatrixGF, xring
@@ -87,8 +87,13 @@ def is_homogeneous(f: Polynomial, weights: Optional[Sequence[int]] = None) -> bo
     return len({sum(w * a for w, a in zip(weights, unpack(k))) for k in f.terms}) == 1
 
 
+def coeff_element(ring: PolyRing, c) -> FieldElement:
+    """A ring's internal coefficient back to a field element."""
+    return FieldElement(ring.field, c)
+
+
 def leading_coeff(f: Polynomial):
-    return f.ring.coeff_element(f.terms[f.leading_key()])
+    return coeff_element(f.ring, f.terms[f.leading_key()])
 
 
 def leading_monomial(f: Polynomial) -> Polynomial:
@@ -341,7 +346,7 @@ def reference_sum(f: Polynomial, g: Polynomial, sign: int = 1) -> Polynomial:
     for poly, s in ((f, 1), (g, sign)):
         for k, c in poly.terms.items():
             e = ring.order.unpack(k)
-            acc[e] = acc.get(e, ring.field.zero) + ring.coeff_element(c) * s
+            acc[e] = acc.get(e, ring.field.zero) + coeff_element(ring, c) * s
     return ring.from_terms(acc)
 
 
@@ -395,7 +400,7 @@ def eval_by_substitution(f: Polynomial, point):
         if f.ring.field.e == 1:
             acc = L.element(c)
         else:
-            acc = f.ring.coeff_element(c)
+            acc = coeff_element(f.ring, c)
         for x, a in zip(point, exps):
             for _ in range(a):
                 acc = acc * x

@@ -32,7 +32,7 @@ from pathlib import Path
 import pytest
 
 from invar.fsing import (RunConfig, render_machine, render_text,
-                         replay_document, run_claim, suite_claims,
+                         replay_document, run_claim, run_suite, suite_claims,
                          verify_c0_expression, witness_document)
 from invar.gf import field, find_irreducible, is_irreducible
 from oracles import mutated_c0_terms
@@ -206,6 +206,15 @@ def test_full_pins_cover_the_suite():
 def test_full_suite_record_pinned(key):
     seed = int(key.rsplit(" seed=", 1)[1])
     assert _full_suite_digests(seed)[key] == FULL_PINS[key]
+
+
+def test_run_suite_witnesses_match_the_pins():
+    # run_suite still returns a list of reports; reading their witnesses
+    # after the run gives the pinned document bytes
+    reports = run_suite("quick")
+    assert isinstance(reports, list)
+    assert [_sha(witness_document(r)) for r in reports] == [
+        FULL_PINS[_record_key(cid, ps, 0)][0] for cid, ps in suite_claims("quick")]
 
 
 def _moduli_text() -> str:

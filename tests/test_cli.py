@@ -3,10 +3,13 @@
 import json
 import os
 import stat
+import weakref
 
 import pytest
 from click.testing import CliRunner
 
+import invar.cli
+import invar.fsing
 from invar import cache
 from invar.cli import cli
 from invar.fsing import RunConfig, replay_document
@@ -494,6 +497,29 @@ def test_suite_text_summary(runner):
     last = res.output.strip().splitlines()[-1]
     assert last.startswith("summary: 20 claims")
     assert "refuted=0" in last
+
+
+def test_suite_formats_no_certificate_and_keeps_no_report(runner, monkeypatch):
+    # the suite prints one line per claim and never reads a witness, so
+    # no certificate becomes text; each report is dropped once its row
+    # is rendered, so at most the latest one is alive
+    formats, refs, alive = [], [], []
+
+    def spy(cert):
+        formats.append(cert)
+        return ""
+
+    def run_claim(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        report = invar.fsing.run_claim(*args, **kwargs)
+        refs.append(weakref.ref(report))
+        return report
+    monkeypatch.setattr(invar.fsing, "format_certificate", spy)
+    monkeypatch.setattr(invar.cli, "run_claim", run_claim)
+    res = invoke(runner, ["suite", "full", "--output", "machine"])
+    assert res.exit_code == 0
+    assert len(res.output.splitlines()) == len(refs) == 64
+    assert formats == [] and max(alive) <= 1
 
 
 def test_help_lists_commands(runner):

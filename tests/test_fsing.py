@@ -478,6 +478,68 @@ def test_normal_form_witness_tamper_detected():
 
 
 # ---------------------------------------------------------------------------
+# witness text on first read
+# ---------------------------------------------------------------------------
+
+def _count_formats(monkeypatch) -> list:
+    """The certificates fsing formats from now on, one entry per call."""
+    calls = []
+
+    def spy(cert):
+        calls.append(cert)
+        return format_certificate(cert)
+    monkeypatch.setattr(fsing, "format_certificate", spy)
+    return calls
+
+
+def test_certificates_are_formatted_once_on_first_read(monkeypatch):
+    calls = _count_formats(monkeypatch)
+    rep = run_claim("alt-T", n=3, p=3)
+    assert calls == []
+    certs = [item["certificate"] for item in rep.raw_witness["items"]]
+    assert all(isinstance(c, MembershipCertificate) for c in certs)
+    first = rep.witness
+    assert first is rep.witness
+    # each certificate once, in item order, and not again on the second read
+    assert list(map(id, calls)) == list(map(id, certs)) and len(certs) == 6
+    assert [item["certificate"] for item in first["items"]] == \
+        [format_certificate(c) for c in certs]
+    assert replay_witness(rep.claim_id, rep.parameters, rep.witness)
+
+
+def test_closure_certificate_is_formatted_on_first_read(monkeypatch):
+    calls = _count_formats(monkeypatch)
+    rep = sp4_fpurity_check(2)
+    cert = rep.raw_witness["certificate"]
+    assert isinstance(cert, MembershipCertificate) and calls == []
+    assert rep.witness["certificate"] == format_certificate(cert)
+    assert calls == [cert]
+
+
+def test_points_witness_is_the_dict_the_check_built(monkeypatch):
+    built, original = [], fsing._points_witness
+
+    def spy(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+    monkeypatch.setattr(fsing, "_points_witness", spy)
+    rep = run_claim("sp4-c0", FAST, q=2)
+    assert len(built) == 1 and rep.witness is built[0]
+
+
+@pytest.mark.parametrize("claim", [
+    lambda: sp4_fpurity_check(2, RunConfig(e_max=0)),
+    lambda: verify_theorem_search(2, 3),
+    lambda: alt_fregularity_dichotomy(3, 5),
+])
+def test_witness_without_certificate_is_not_copied(claim, monkeypatch):
+    calls = _count_formats(monkeypatch)
+    rep = claim()
+    raw = rep.raw_witness
+    assert rep.witness is raw and calls == []
+
+
+# ---------------------------------------------------------------------------
 # registry and suites
 # ---------------------------------------------------------------------------
 
