@@ -5,17 +5,17 @@ irreducible modulus chosen deterministically (lexicographically smallest,
 comparing coefficients from the constant term upward), so serialized
 elements are portable across runs and machines.
 
-The arithmetic of GF(p)[g]/(f) is written once, in _Quotient, for any
-monic f.  FieldSpec is that ring for an irreducible f; the Rabin
-irreducibility test that certifies the modulus runs on a _Quotient of
-the candidate itself.
+The arithmetic of GF(p)[g]/(f), for any monic f, is _Quotient's: each
+of its three variants (GF(p), slots without tables, byte slots with
+tables) is written once and bound once per field, when it is built.
+FieldSpec is that ring for an irreducible f; the Rabin irreducibility
+test that certifies the modulus runs on a _Quotient of the candidate.
 
 An element is one int in _Quotient's slot layout: slot i holds the
 coefficient of g^i in [0, p).  So a GF(p) element is its own value, an
 int c < p is the constant c in every field, and equality is structural;
-check_embedding is that rule for callers that meet two fields.
-Every field runs the same packed arithmetic.  Everything here is
-immutable after construction and every operation is pure.
+check_embedding is that rule for callers that meet two fields.  All of
+it is immutable after construction and every operation is pure.
 """
 
 from __future__ import annotations
@@ -186,16 +186,19 @@ class _Quotient:
     nothing between slots; _mod then reduces every slot mod p, through
     one bytes.translate when slots are bytes.
 
-    Reduction by f and a -> a^(p^k) are GF(p)-linear, so each is a _fold
-    of reduced slots through the images of the g^i: a product's high
-    e - 1 slots through g^e .. g^(2e-2) mod f, the slots of a through
-    g^(i p^k).  Only FieldSpec builds tables (see _tables), when its
-    slots are bytes; without them (_chunk 0, as in the Rabin test's
-    quotient) a product is reduced degree by degree by the nonzero terms of f.
+    The kernels (_mod, _vadd, _vsub, _vneg, _vmul, _vpow, _vfrob) are
+    closures over the ring's constants, bound once per ring to one of
+    three variants, each written once: GF(p), one int operation mod p;
+    slots without tables, where a product is reduced degree by degree by
+    the nonzero terms of f and a^(p^k) sums each slot times its row
+    g^(i p^k); byte slots with tables, where both GF(p)-linear maps look
+    up runs of reduced slots (see _tables).  Only FieldSpec builds tables,
+    when its slots are bytes; the Rabin test's quotient has _chunk 0.
     """
 
     __slots__ = ("p", "e", "order", "modulus", "_slot", "_typecode", "_chunk",
-                 "_red", "_high", "_frob", "_modp", "_pones", "_gen")
+                 "_red", "_high", "_frob", "_modp", "_pones", "_gen",
+                 "_mod", "_vadd", "_vsub", "_vneg", "_vmul", "_vpow", "_vfrob")
 
     def __init__(self, p: int, e: int, modulus: Optional[tuple]):
         self.p = p
@@ -214,13 +217,107 @@ class _Quotient:
         self._gen = 1 << 8 * self._slot
         # g^e = -(m_0 + m_1 g + ... + m_{e-1} g^{e-1}), nonzero terms only
         self._red = tuple((i, (-c) % p) for i, c in enumerate(modulus[:e]) if c) if modulus else ()
+        if e == 1:
+            self._bind_prime()
+        else:
+            self._bind_slots()
 
-    def _tables(self, rows: list) -> tuple:
-        """The map sending slot i to rows[i] as (cut, table) for each run of
-        _chunk slots (one byte each): table maps the run's bytes c_j to the
-        unreduced sum of c_j * row_j, built whole by doubling.  _chunk is
-        the most slots whose combinations fit 256 entries while the tables
-        of one map hold at most _TABLE_BYTES of rows."""
+    def _bind_prime(self) -> None:
+        """GF(p): each kernel is one int operation mod p."""
+        p = self.p
+        self._mod = lambda n, count=1: n % p
+        self._vadd = lambda a, b: (a + b) % p
+        self._vsub = lambda a, b: (a - b) % p
+        self._vneg = lambda a: -a % p
+        self._vmul = lambda a, b: a * b % p
+        self._vpow = lambda a, k: pow(a if k >= 0 else self._vinv(a), abs(k), p)
+        self._vfrob = lambda a, k: a
+
+    def _bind_slots(self) -> None:
+        """Slots of any width without tables; byte slots reduce by translate."""
+        p, e, red, frob = self.p, self.e, self._red, self._frob
+        pack, unpack, modp = self._pack, self._unpack, self._modp
+        if modp is None:
+            def mod(n, count=e):
+                return pack([c % p for c in unpack(n, count)])
+        else:
+            def mod(n, count=e):
+                return int.from_bytes(n.to_bytes(count, "little").translate(modp), "little")
+        def vmul(a, b):
+            conv = unpack(a * b, 2 * e - 1)
+            for i in range(2 * e - 2, e - 1, -1):
+                c = conv[i] % p
+                if c:
+                    for j, rj in red:
+                        conv[i - e + j] += c * rj
+            return pack([c % p for c in conv[:e]])
+        def vfrob(a, k):
+            k %= e                          # in a field, k < 0 inverts the map
+            if not k:
+                return a
+            rows = frob.get(k)
+            if rows is None:
+                rows = frob[k] = self._frob_rows(k)
+            acc = 0
+            for c, row in zip(unpack(a, e), rows):
+                if c:
+                    acc += c * row
+            return mod(acc)
+        self._bind(mod, vmul, vfrob)
+
+    def _bind_tables(self) -> None:
+        """The table kernels; _high maps the high e - 1 slots of a product."""
+        e, high, mod, modp = self.e, self._high, self._mod, self._modp
+        frob = self._frob = {}
+        def vmul(a, b):
+            data = (a * b).to_bytes(2 * e - 1, "little").translate(modp)
+            acc = int.from_bytes(data[:e], "little")
+            for cut, table in high:
+                acc += table[data[cut]]
+            return int.from_bytes(acc.to_bytes(e, "little").translate(modp), "little")
+        def vfrob(a, k):
+            k %= e
+            if not k:
+                return a
+            tables = frob.get(k)
+            if tables is None:
+                tables = frob[k] = self._tables(self._frob_rows(k))
+            data = a.to_bytes(e, "little")
+            acc = 0
+            for cut, table in tables:
+                acc += table[data[cut]]
+            return int.from_bytes(acc.to_bytes(e, "little").translate(modp), "little")
+        self._bind(mod, vmul, vfrob)
+
+    def _bind(self, mod, vmul, vfrob) -> None:
+        """An extension's kernels from its variant's mod, vmul and vfrob."""
+        pones = self._pones
+        self._mod, self._vmul, self._vfrob = mod, vmul, vfrob
+        self._vadd = lambda a, b: mod(a + b)
+        self._vsub = lambda a, b: mod(a + pones - b)
+        self._vneg = lambda a: mod(pones - a)
+        def vpow(a, k):
+            if k < 0:
+                a, k = self._vinv(a), -k
+            result = 1 if k == 0 else a
+            for bit in bin(k)[3:]:          # the bits of k below its top one
+                result = vmul(result, result)
+                if bit == "1":
+                    result = vmul(result, a)
+            return result
+        self._vpow = vpow
+
+    def _frob_rows(self, k: int) -> list:
+        """The rows g^(i p^k), i < e, of a -> a^(p^k)."""
+        h = self._vpow(self._gen, self.p ** k)
+        return list(accumulate(repeat(h, self.e - 1), self._vmul, initial=1))
+
+    def _tables(self, rows: list, start: int = 0) -> tuple:
+        """The map sending slot start + i to rows[i] as (cut, table) for each
+        run of _chunk slots (one byte each): table maps the run's bytes c_j
+        to the unreduced sum of c_j * row_j, built whole by doubling.  _chunk
+        is the most slots whose combinations fit 256 entries while the
+        tables of one map hold at most _TABLE_BYTES of rows."""
         k, p = self._chunk, self.p
         out = []
         for i in range(0, len(rows), k):
@@ -228,20 +325,8 @@ class _Quotient:
             for row in rows[i:i + k]:
                 table = {key + bytes((c,)): v + c * row
                          for c in range(p) for key, v in table.items()}
-            out.append((slice(i, i + k), table))
+            out.append((slice(start + i, start + i + k), table))
         return tuple(out)
-
-    def _fold(self, tables: tuple, n: int, count: int, acc: int) -> int:
-        """acc plus the image of count reduced slots of n; tables are rows if _chunk is 0."""
-        if not self._chunk:
-            for c, row in zip(self._unpack(n, count), tables):
-                if c:
-                    acc += c * row
-            return acc
-        data = n.to_bytes(count, "little")
-        for cut, table in tables:
-            acc += table[data[cut]]
-        return acc
 
     def _pack(self, a: Sequence[int]) -> int:
         """Coefficients (each below 2^(8 * slot)) as one int, slot i at
@@ -272,76 +357,11 @@ class _Quotient:
             arr.byteswap()
         return arr.tolist()
 
-    def _mod(self, n: int, count: int = 0) -> int:
-        """Every slot of n, or of its first count slots, reduced mod p."""
-        if self.e == 1:
-            return n % self.p
-        count = count or self.e
-        table = self._modp
-        if table is not None:
-            return int.from_bytes(n.to_bytes(count, "little").translate(table),
-                                  "little")
-        p = self.p
-        return self._pack([c % p for c in self._unpack(n, count)])
-
-    def _vadd(self, a: int, b: int) -> int:
-        return self._mod(a + b)
-
-    def _vsub(self, a: int, b: int) -> int:
-        return self._mod(a + self._pones - b)
-
-    def _vneg(self, a: int) -> int:
-        if self.e == 1:
-            return -a % self.p
-        return self._mod(self._pones - a)
-
-    def _vmul(self, a: int, b: int) -> int:
-        p, e, red = self.p, self.e, self._red
-        if e == 1:
-            return a * b % p
-        if self._chunk:
-            n = self._mod(a * b, 2 * e - 1)
-            return self._mod(self._fold(self._high, n >> 8 * e, e - 1,
-                                        n & (1 << 8 * e) - 1))
-        conv = self._unpack(a * b, 2 * e - 1)
-        for i in range(2 * e - 2, e - 1, -1):
-            c = conv[i] % p
-            if c:
-                base = i - e
-                for j, rj in red:
-                    conv[base + j] += c * rj
-        return self._pack([c % p for c in conv[:e]])
-
     def _vinv(self, a: int) -> int:
         """Inverse in a field: a^(p^e - 2)."""
         if not a:
             raise FieldZeroDivision(f"inversion of zero in {self}")
         return self._vpow(a, self.order - 2)
-
-    def _vpow(self, a: int, k: int) -> int:
-        if k < 0:
-            return self._vpow(self._vinv(a), -k)
-        if self.e == 1:
-            return pow(a, k, self.p)
-        result = 1 if k == 0 else a
-        for bit in bin(k)[3:]:          # the bits of k below its top one
-            result = self._vmul(result, result)
-            if bit == "1":
-                result = self._vmul(result, a)
-        return result
-
-    def _vfrob(self, a: int, k: int) -> int:
-        """a^(p^k); k is taken mod e, which in a field makes negative k
-        invert the map."""
-        k %= self.e
-        if k == 0:
-            return a
-        tables = self._frob.get(k)
-        if tables is None:
-            h = self._vpow(self._gen, self.p ** k)
-            rows = list(accumulate(repeat(h, self.e - 1), self._vmul, initial=1))
-            tables = self._frob[k] = self._tables(rows) if self._chunk else rows
-        return self._mod(self._fold(tables, a, self.e, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +401,8 @@ class FieldSpec(_Quotient):
             # byte slots keep e * p * e <= 2 * 255^2: one-slot tables fit
             self._chunk = max(k for k in range(1, 9) if p ** k <= 256 and
                               -(-e // k) * p ** k * e <= _TABLE_BYTES)
-            self._high = self._tables(rows[1:])
+            self._high = self._tables(rows[1:], e)
+            self._bind_tables()
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
         self.gen = FieldElement(self, self._gen) if e > 1 else None
@@ -438,6 +459,9 @@ class FieldSpec(_Quotient):
     def __hash__(self):
         return hash((self.p, self.e, self.modulus))
 
+    def __reduce__(self):                   # the kernels are closures
+        return field, (self.p, self.e, self.modulus)
+
     def __repr__(self):
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
 
@@ -489,7 +513,7 @@ class FieldElement:
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            if other.spec != self.spec:
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise ContextMismatch(
                     f"mixed fields {self.spec} and {other.spec}")
             return other
@@ -556,7 +580,8 @@ class FieldElement:
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.spec.element(other)
-        return (isinstance(other, FieldElement) and self.spec == other.spec
+        return (isinstance(other, FieldElement)
+                and (other.spec is self.spec or other.spec == self.spec)
                 and self.rep == other.rep)
 
     def __hash__(self):

@@ -2,9 +2,10 @@
 """Mutation check of the witness replay rules, the text they read, the
 witness formatter a report runs on first read, the alternating-group
 claim with its product normal form, the run configuration's bounds, the
-table reduction of GF(p^e) products, the modulus search, the embedding
-rule of GF(p) coefficients, evaluation at a point, the nested sums of
-substitute, the heap division loop and powering by halving.
+element kernels each kind of GF(p^e) binds, the identity shortcut of
+element operands, the modulus search, the embedding rule of GF(p)
+coefficients, evaluation at a point, the nested sums of substitute, the
+heap division loop and powering by halving.
 
     python3 tests/mutate_replay.py
 
@@ -46,8 +47,10 @@ TARGETS = (
     ("src/invar/polyio.py", ("_parse_header", "_Tokens", "_parse_term", "_gpoly_rep",
                              "_parse_canonical"),
      ("tests/test_polyio.py",)),
-    ("src/invar/gf.py", ("is_prime", "find_irreducible", "_Quotient._tables",
-                         "_Quotient._fold", "_Quotient._vmul", "check_embedding"),
+    ("src/invar/gf.py", ("is_prime", "find_irreducible", "_Quotient._bind_prime",
+                         "_Quotient._bind_slots", "_Quotient._bind_tables", "_Quotient._bind",
+                         "_Quotient._tables", "check_embedding", "FieldElement._coerce",
+                         "FieldElement.__eq__"),
      ("tests/test_gf.py",)),
     ("src/invar/mpoly.py", ("Polynomial.evaluate", "substitute", "_power"),
      ("tests/test_mpoly.py", "tests/test_invariants.py")),
@@ -66,12 +69,12 @@ EQUIVALENT = {
         "reads the same terms the reference parser does",
     "_parse_canonical: drop k":
         "for k = 0, parts[k - 1] is the last term's text, which holds no sign",
-    "_Quotient._vmul: if e == 1 -> False":
-        "GF(p) has no modulus terms, so the loop adds nothing and the pack "
-        "reduces a*b mod p: the branch skips an unpack and a pack",
-    "_Quotient._vmul: if self._chunk -> False":
-        "the loop over the modulus terms reduces a table field's products "
-        "correctly too, 3-4 times slower (CHANGES.md)",
+    "FieldElement._coerce: drop other.spec is not self.spec":
+        "the identity test only skips the structural comparison, which is "
+        "also False for the same spec",
+    "FieldElement.__eq__: drop other.spec is self.spec":
+        "the identity test only skips the structural comparison, which is "
+        "also True for the same spec",
     "_divide_heap: if entry[0] > key -> False":
         "a divisor whose leading key is above the key cannot divide it, so "
         "the divisibility test fails on every entry past that point: the "

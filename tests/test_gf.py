@@ -1,5 +1,7 @@
 """Tests for finite field construction and arithmetic."""
 
+import copy
+import pickle
 import random
 import time
 from itertools import product
@@ -486,3 +488,91 @@ def test_frobenius_map_matches_power(p, e, modulus, slot, data):
     x = F.element(a)
     assert x.frobenius(k) == x ** (p ** (k if k >= 0 else k % e))
     assert F.coeffs(x.frobenius(k).rep) == TupleField(F).frob(a, k)
+
+
+# One field of each kind the kernels are bound for: GF(p); byte slots
+# with tables of 8, 5 and (narrowed to fit _TABLE_BYTES) 6 slots, and
+# with one table per map (GF(2^8), GF(3^6)); 2-byte slots without
+# tables (GF(5^32), GF(17^2)); and slots wider than any array typecode.
+KERNEL_FIELDS = [(5, 1, None), (2, 8, None), (3, 6, None), (2, 32, None), (3, 32, None),
+                 (2, 100, None), (5, 32, None), (17, 2, None), (4294967291, 2, (1, 0, 1))]
+
+
+def _slots(n, width, count):
+    """The first count slots of a packed int, width bytes each."""
+    return [n >> 8 * width * i & (1 << 8 * width) - 1 for i in range(count)]
+
+
+def _kernels_match_tuples(F, data):
+    """Every bound kernel of the ring F against TupleField: products and
+    sums, _mod of unreduced slots over e and (given count) 2e - 1 slots,
+    and a -> a^(p^k) for k = 0, 1, e - 1 and -1."""
+    T, p, e, w = TupleField(F), F.p, F.e, F._slot
+    ta, tb = data.draw(_tuples(F)), data.draw(_tuples(F))
+    a, b = (sum(c << 8 * w * i for i, c in enumerate(t)) for t in (ta, tb))
+    assert tuple(_slots(F._vmul(a, b), w, e)) == T.mul(ta, tb)
+    assert tuple(_slots(F._vadd(a, b), w, e)) == T.add(ta, tb)
+    assert tuple(_slots(F._vsub(a, b), w, e)) == T.sub(ta, tb)
+    assert tuple(_slots(F._vneg(a), w, e)) == T.neg(ta)
+    top = min(e * (p - 1) ** 2, (1 << 8 * w) - 1)         # what a slot may hold
+    for count in ((), (2 * e - 1,)):
+        size = count[0] if count else e
+        raw = data.draw(st.lists(st.integers(0, top), min_size=size, max_size=size))
+        n = sum(c << 8 * w * i for i, c in enumerate(raw))
+        assert _slots(F._mod(n, *count), w, size) == [c % p for c in raw]
+    for k in (0, 1, e - 1, -1):
+        assert tuple(_slots(F._vfrob(a, k), w, e)) == T.frob(ta, k)
+    assert 0 not in F._frob             # the identity map is a, not a table
+
+
+@pytest.mark.parametrize("p,e,modulus", KERNEL_FIELDS)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_bound_kernels_match_tuples(p, e, modulus, data):
+    _kernels_match_tuples(field(p, e, modulus), data)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_rabin_quotient_kernels_match_tuples(p, data):
+    """The ring of a Rabin test on the reducible candidate X^32 + X + 1
+    over GF(2) or X^32 + 1 over GF(3): byte slots, no tables."""
+    f = (1, 1) + (0,) * 30 + (1,) if p == 2 else (1,) + (0,) * 31 + (1,)
+    assert not is_irreducible(f, p)
+    _kernels_match_tuples(gf._Quotient(p, 32, f), data)
+
+
+def test_spec_built_directly_mixes_with_the_interned_one():
+    """FieldSpec(p, e) is not field(p, e) but equal to it, so their
+    elements mix and compare equal; an element of another field raises
+    ContextMismatch in every operator and compares unequal, and so does
+    an object that is not an element."""
+    for p, e in [(3, 4), (7, 1), (2, 8)]:
+        F, G = field(p, e), FieldSpec(p, e)
+        assert G is not F and G == F
+        x, y = F.one + (F.gen or 1), G.one + (G.gen or 1)
+        assert x == y and y == x and hash(x) == hash(y)
+        assert x * y == y * y and x - y == F.zero and y + x == x + x
+        assert x / y == F.one and y.__rsub__(x) == G.zero
+        assert F.element(y) is y and F.index(y) == G.index(x)
+    others = [(field(3, 4), field(3, 2)), (field(5), field(7)),
+              (field(2, 3), field(2, 3, modulus=(1, 1, 0, 1)))]
+    ops = ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+           "__truediv__", "__rtruediv__"]
+    for F, G in others:
+        x, y = F.one, G.one
+        for op in ops:
+            with pytest.raises(ContextMismatch):
+                getattr(x, op)(y)
+        assert not x == y and x != y and not y == x
+        assert [x == other for other in (None, "1", (1,))] == [False] * 3
+
+
+def test_specs_and_elements_pickle():
+    """A spec pickles as its parameters and comes back interned."""
+    for F in (field(7), field(2, 8), field(3, 32), FieldSpec(5, 3)):
+        x = F.gen or F.element(3)
+        y = pickle.loads(pickle.dumps(x))
+        assert y == x and y.spec is field(F.p, F.e, F.modulus)
+        assert copy.deepcopy(F) == F and y * y == x * x
