@@ -491,9 +491,10 @@ def test_frobenius_map_matches_power(p, e, modulus, slot, data):
 
 
 # One field of each kind the kernels are bound for: GF(p); byte slots
-# with tables of 8, 5 and (narrowed to fit _TABLE_BYTES) 6 slots, and
-# with one table per map (GF(2^8), GF(3^6)); 2-byte slots without
-# tables (GF(5^32), GF(17^2)); and slots wider than any array typecode.
+# with tables, one or two per map (GF(2^8), GF(3^6)), of 8 and 5 slots
+# (GF(2^32), GF(3^32)) and narrowed to 6 slots to fit _TABLE_BYTES
+# (GF(2^100)); 2-byte slots without tables (GF(5^32), GF(17^2)); and
+# slots wider than any array typecode.
 KERNEL_FIELDS = [(5, 1, None), (2, 8, None), (3, 6, None), (2, 32, None), (3, 32, None),
                  (2, 100, None), (5, 32, None), (17, 2, None), (4294967291, 2, (1, 0, 1))]
 
