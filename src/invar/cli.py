@@ -229,7 +229,7 @@ def verify(claim_id, q, n, p, mode, seed, trials, ext_degree, e_max,
         click.echo(render_machine(report))
     else:
         click.echo(render_text(report, witness_file=witness_file), nl=False)
-    if report.verdict in (VERIFIED, PROBABLE):
+    if report.ok:
         sys.exit(0)
     if report.verdict == REFUTED:
         sys.exit(1)

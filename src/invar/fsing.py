@@ -22,11 +22,13 @@ claim's own gate (_alt_params), then they are parsed, their targets
 rebuilt and re-multiplied, which skips the claim's certified divisions.
 A document whose prime lies past gf.is_prime's bound replays False.
 RunConfig refuses alt_nmax and ext_degree past those two bounds, so a
-claim never writes a witness its replay refuses.  run_claim times each
-claim.  A report keeps the membership certificates its witness holds as
-objects; their text is built the first time the report's witness is
-read (_witness_text), so a run that never reads a witness never formats
-one, and elapsed does not include the formatting.
+claim never writes a witness its replay refuses.  run_claim runs every
+claim by id, the alternating ones included, refuses a parameter other
+than mode that is not an int, and times the claim.  A report keeps the
+membership certificates its witness holds as objects; their text is
+built the first time the report's witness is read (_witness_text), so a
+run that never reads a witness never formats one, and elapsed does not
+include the formatting.
 """
 
 from __future__ import annotations
@@ -571,7 +573,14 @@ def _alt_targets(claim_id: str, ring: PolyRing, p: int) -> list:
     in order.  A target is a call that builds the polynomial, so the
     certificate replay rejects a wrong label list before it builds
     n!-term Vandermondes, and the claim builds none past its first
-    non-member."""
+    non-member.  alt-T: T_j^i (sum of the degree-i monomials in the last
+    n-j+1 variables) lies in (e_1..e_n) whenever i >= j >= 1.
+    alt-staircase: The n staircase monomials X_i^i X_{i+1}^i ...
+    X_n^{n-1} lie in (e_1..e_n).  alt-delta: Delta = prod_{i<j}(X_j -
+    X_i) is congruent to n! X_2 X_3^2 ... X_n^{n-1} modulo (e_1..e_n).
+    alt-dichotomy: Delta in (e_1..e_n) exactly when p <= n (p odd);
+    membership is what separates the F-regular from the non-F-regular
+    invariants."""
     n = ring.nvars
     if claim_id == "alt-T":
         # T_j^i: the degree-i monomials in the last n-j+1 variables
@@ -613,7 +622,7 @@ def _alt_params(claim_id: str, n: int, p: int, nmax: int) -> None:
 
 
 def _alt_claim(claim_id: str, n: int, p: int,
-               config: RunConfig) -> VerificationReport:
+               config: RunConfig = RunConfig()) -> VerificationReport:
     """Put each target of _alt_targets in (e_1..e_n): collect the
     certificates, or stop at the first non-member with its normal form.
     Only a target whose _delta_remainder is None or zero is divided.
@@ -650,34 +659,6 @@ def _alt_claim(claim_id: str, n: int, p: int,
     return VerificationReport(
         claim_id, params, verdict, Fraction(0) if verdict == VERIFIED else None,
         witness, detail=notes)
-
-
-def alt_lemma_T(n: int, p: int,
-                config: RunConfig = RunConfig()) -> VerificationReport:
-    """T_j^i (sum of the degree-i monomials in the last n-j+1 variables)
-    lies in (e_1..e_n) whenever i >= j >= 1."""
-    return _alt_claim("alt-T", n, p, config)
-
-
-def alt_lemma_staircase(n: int, p: int,
-                        config: RunConfig = RunConfig()) -> VerificationReport:
-    """The n staircase monomials X_i^i X_{i+1}^i ... X_n^{n-1} lie in
-    (e_1..e_n)."""
-    return _alt_claim("alt-staircase", n, p, config)
-
-
-def alt_delta_congruence(n: int, p: int,
-                         config: RunConfig = RunConfig()) -> VerificationReport:
-    """Delta = prod_{i<j}(X_j - X_i) is congruent to n! X_2 X_3^2 ...
-    X_n^{n-1} modulo (e_1..e_n)."""
-    return _alt_claim("alt-delta", n, p, config)
-
-
-def alt_fregularity_dichotomy(n: int, p: int,
-                              config: RunConfig = RunConfig()) -> VerificationReport:
-    """Delta in (e_1..e_n) exactly when p <= n (p odd); membership is
-    what separates the F-regular from the non-F-regular invariants."""
-    return _alt_claim("alt-dichotomy", n, p, config)
 
 
 def _alt_verdict(claim_id: str, params, member: bool) -> str:
@@ -771,17 +752,18 @@ _REQUIRED = object()                # marks a parameter without a default
 
 @dataclass(frozen=True)
 class Claim:
-    """A registered claim.  check(config=..., **params) runs it and
-    builds the report's parameters in the order reports list them;
-    params maps each parameter run_claim accepts to its default
-    (_REQUIRED when there is none); replays maps a witness kind to its
-    replay(claim_id, params, witness), which returns the verdict the
-    witness proves or None."""
+    """A registered claim.  check(config=..., **params) runs it (an
+    alternating claim binds _alt_claim to its id) and builds the
+    report's parameters in the order reports list them; params maps each
+    parameter run_claim accepts to its default (_REQUIRED when there is
+    none); replays maps a witness kind to its replay(claim_id, params,
+    witness), which returns the verdict the witness proves or None."""
     check: Callable[..., VerificationReport]
     params: dict
     replays: dict
 
 
+_ALT_IDS = ("alt-T", "alt-staircase", "alt-delta", "alt-dichotomy")
 _ALT_PARAMS = {"n": _REQUIRED, "p": _REQUIRED}
 _ALT_REPLAYS = {"certificates": _replay_certificates,
                 "normal-form": _replay_rerun}
@@ -796,10 +778,7 @@ RUNNERS = {
     "theorem-search": Claim(verify_theorem_search,
                             {"n": _REQUIRED, "q": _REQUIRED},
                             {"exponents": _replay_rerun}),
-    "alt-T": Claim(alt_lemma_T, _ALT_PARAMS, _ALT_REPLAYS),
-    "alt-staircase": Claim(alt_lemma_staircase, _ALT_PARAMS, _ALT_REPLAYS),
-    "alt-delta": Claim(alt_delta_congruence, _ALT_PARAMS, _ALT_REPLAYS),
-    "alt-dichotomy": Claim(alt_fregularity_dichotomy, _ALT_PARAMS, _ALT_REPLAYS),
+    **{cid: Claim(partial(_alt_claim, cid), _ALT_PARAMS, _ALT_REPLAYS) for cid in _ALT_IDS},
     "relations-n3": Claim(verify_relations_n3, {"q": 2},
                           {"points-multi": _replay_rerun}),
 }
@@ -808,7 +787,8 @@ RUNNERS = {
 def run_claim(claim_id: str, config: RunConfig = RunConfig(),
               **params) -> VerificationReport:
     """Run a registered claim and time it.  A parameter given as None
-    counts as not given."""
+    counts as not given; any other but mode must be an int, since the
+    memos would key a float or a bool like an int."""
     claim = RUNNERS.get(claim_id)
     if claim is None:
         known = ", ".join(RUNNERS)
@@ -817,6 +797,8 @@ def run_claim(claim_id: str, config: RunConfig = RunConfig(),
     extra = set(given) - set(claim.params)
     if extra:
         raise UsageError(f"unknown parameter(s): {', '.join(sorted(extra))}")
+    if any(type(v) is not int for k, v in given.items() if k != "mode"):
+        raise UsageError("parameters other than mode must be integers")
     got = dict(claim.params, **given)
     missing = [k for k, v in got.items() if v is _REQUIRED]
     if missing:
@@ -860,7 +842,7 @@ _FULL_EXTRA = (
     ("theorem-search", {"n": 3, "q": 9}),
     ("relations-n3", {"q": 2}),
 ) + tuple((cid, {"n": n, "p": p})
-          for cid in ("alt-T", "alt-staircase", "alt-delta", "alt-dichotomy")
+          for cid in _ALT_IDS
           for n, p in _ALT_GRID if (cid, {"n": n, "p": p}) not in _QUICK)
 
 
@@ -884,6 +866,8 @@ def run_suite(profile: str, config: RunConfig = RunConfig()) -> list:
 
 def _replay(claim_id: str, params: dict, witness) -> Optional[str]:
     try:
+        if any(type(v) is not int for k, v in params.items() if k != "mode"):
+            return None
         replay = RUNNERS[claim_id].replays[witness["kind"]]
         return replay(claim_id, params, witness)
     except (AttributeError, KeyError, IndexError, TypeError, ValueError,
@@ -903,10 +887,11 @@ def replay_witness(claim_id: str, params: dict, witness: dict) -> bool:
     up to REPLAY_NMAX.  Alternating-group certificates, the one checked
     kind, must come with parameters the claim accepts at n up to
     REPLAY_NMAX, and each must be for its rebuilt target over the
-    reduced basis and re-multiply.  A malformed witness, one that leaves
-    out a parameter its claim reports, or one that would push replay
-    past a resource guard (a prime past gf.is_prime's bound or an
-    extension degree past REPLAY_EMAX included), replays False."""
+    reduced basis and re-multiply.  A malformed witness, a parameter
+    other than mode that is not an int, one that leaves out a parameter
+    its claim reports, or one that would push replay past a resource
+    guard (a prime past gf.is_prime's bound or an extension degree past
+    REPLAY_EMAX included), replays False."""
     return _replay(claim_id, params, witness) is not None
 
 

@@ -154,7 +154,7 @@ def _eval_poly(f: Sequence[int], a: int, p: int) -> int:
     return acc
 
 
-def _poly_text(coeffs: Sequence[int], symbol: str = "g") -> str:
+def _poly_text(coeffs: Sequence[int]) -> str:
     """Compact text form, descending powers: 'g^2+2*g+1'."""
     parts = []
     for i in range(len(coeffs) - 1, -1, -1):
@@ -164,9 +164,9 @@ def _poly_text(coeffs: Sequence[int], symbol: str = "g") -> str:
         if i == 0:
             parts.append(str(c))
         elif i == 1:
-            parts.append(symbol if c == 1 else f"{c}*{symbol}")
+            parts.append("g" if c == 1 else f"{c}*g")
         else:
-            parts.append(f"{symbol}^{i}" if c == 1 else f"{c}*{symbol}^{i}")
+            parts.append(f"g^{i}" if c == 1 else f"{c}*g^{i}")
     return "+".join(parts) if parts else "0"
 
 
@@ -225,7 +225,7 @@ class _Quotient:
     def _bind_prime(self) -> None:
         """GF(p): each kernel is one int operation mod p."""
         p = self.p
-        self._mod = lambda n, count=1: n % p
+        self._mod = lambda n: n % p
         self._vadd = lambda a, b: (a + b) % p
         self._vsub = lambda a, b: (a - b) % p
         self._vneg = lambda a: -a % p
@@ -238,11 +238,11 @@ class _Quotient:
         p, e, red, frob = self.p, self.e, self._red, self._frob
         pack, unpack, modp = self._pack, self._unpack, self._modp
         if modp is None:
-            def mod(n, count=e):
-                return pack([c % p for c in unpack(n, count)])
+            def mod(n):
+                return pack([c % p for c in unpack(n, e)])
         else:
-            def mod(n, count=e):
-                return int.from_bytes(n.to_bytes(count, "little").translate(modp), "little")
+            def mod(n):
+                return int.from_bytes(n.to_bytes(e, "little").translate(modp), "little")
         def vmul(a, b):
             conv = unpack(a * b, 2 * e - 1)
             for i in range(2 * e - 2, e - 1, -1):
@@ -438,14 +438,6 @@ class FieldSpec(_Quotient):
             digits.append(d)
         # the constant coefficient is the most significant digit
         return FieldElement(self, self._pack(digits[::-1]))
-
-    def index(self, elem: "FieldElement") -> int:
-        if elem.spec != self:
-            raise ContextMismatch(f"element of {elem.spec} used in {self}")
-        i = 0
-        for d in self.coeffs(elem.rep):
-            i = i * self.p + d
-        return i
 
     def random_element(self, rng) -> "FieldElement":
         return self.from_index(rng.randrange(self.order))

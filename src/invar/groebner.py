@@ -366,9 +366,6 @@ class GroebnerBasis:
         return (isinstance(other, GroebnerBasis) and self.ring == other.ring
                 and self.elements == other.elements)
 
-    def leading_exponents(self) -> list:
-        return [b.leading_exponents() for b in self.elements]
-
     def __repr__(self):
         return f"<groebner basis, {len(self.elements)} elements>"
 

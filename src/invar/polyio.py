@@ -387,15 +387,16 @@ def format_certificate(cert: MembershipCertificate) -> str:
 
 def parse_certificate_text(text: str) -> MembershipCertificate:
     ring, rest = _parse_header(_tagged_lines(text))
-    target = None
+    single = {}                       # "target" / "remainder" -> polynomial
     basis = []
     cofactors = {}
-    remainder = None
     pending: Optional[int] = None
     for lineno, tag, payload in rest:
         try:
-            if tag == "target":
-                target = parse_poly(payload, ring)
+            if tag in ("target", "remainder"):
+                if tag in single:
+                    raise ParseError(f"repeated {tag} line")
+                single[tag] = parse_poly(payload, ring)
             elif tag == "basis":
                 basis.append(parse_poly(payload, ring))
             elif tag == "cofactor-of":
@@ -403,20 +404,20 @@ def parse_certificate_text(text: str) -> MembershipCertificate:
                     pending = int(payload)
                 except ValueError:
                     raise ParseError(f"bad cofactor index {payload!r}") from None
+                if pending in cofactors:
+                    raise ParseError(f"repeated cofactor index {pending}")
             elif tag == "poly":
                 if pending is None:
                     raise ParseError("cofactor poly without an index")
                 cofactors[pending] = parse_poly(payload, ring)
                 pending = None
-            elif tag == "remainder":
-                remainder = parse_poly(payload, ring)
             else:
                 raise ParseError(f"unexpected tag {tag!r}")
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-    if target is None or remainder is None:
+    if len(single) < 2:
         raise ParseError("certificate is missing a target or remainder line")
     if set(cofactors) != set(range(len(basis))):
         raise ParseError("cofactor indices do not match the basis")
-    return MembershipCertificate(target, basis, [cofactors[i] for i in range(len(basis))],
-                                 remainder)
+    return MembershipCertificate(single["target"], basis,
+                                 [cofactors[i] for i in range(len(basis))], single["remainder"])

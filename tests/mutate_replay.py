@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Mutation check of the witness replay rules, the text they read, the
-witness formatter a report runs on first read, the alternating-group
-claim with its product normal form, the run configuration's bounds, the
+"""Mutation check of the witness replay rules, the text they read (the
+certificate parser included), the witness formatter a report runs on
+first read, run_claim's parameter checks, the alternating-group claim
+with its product normal form, the run configuration's bounds, the
 element kernels each kind of GF(p^e) binds, the identity shortcut of
 element operands, the modulus search, the embedding rule of GF(p)
 coefficients, evaluation at a point, the nested sums of substitute, the
@@ -37,15 +38,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # (file, target functions, the modules of TESTS that run first)
 TARGETS = (
-    ("src/invar/fsing.py", ("RunConfig.__post_init__", "_replay", "_replay_rerun",
-                            "_replay_certificates", "_proves", "_alt_params",
-                            "_alt_claim", "_delta_remainder", "_witness_text"),
+    ("src/invar/fsing.py", ("RunConfig.__post_init__", "run_claim", "_replay",
+                            "_replay_rerun", "_replay_certificates", "_proves",
+                            "_alt_params", "_alt_claim", "_delta_remainder",
+                            "_witness_text"),
      ("tests/test_fsing.py",)),
     ("src/invar/groebner.py", ("MembershipCertificate.check", "normal_form_of_product",
                                "_divide_heap"),
      ("tests/test_fsing.py", "tests/test_groebner.py")),
-    ("src/invar/polyio.py", ("_parse_header", "_Tokens", "_parse_term", "_gpoly_rep",
-                             "_parse_canonical"),
+    ("src/invar/polyio.py", ("_parse_header", "parse_certificate_text", "_Tokens",
+                             "_parse_term", "_gpoly_rep", "_parse_canonical"),
      ("tests/test_polyio.py",)),
     ("src/invar/gf.py", ("is_prime", "find_irreducible", "_Quotient._bind_prime",
                          "_Quotient._bind_slots", "_Quotient._bind_tables", "_Quotient._bind",

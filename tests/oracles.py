@@ -274,6 +274,16 @@ def enumerate_elements(F: FieldSpec, cap: int = ENUM_CAP) -> list:
     return [F.element(rep) for rep in product(range(F.p), repeat=F.e)]
 
 
+def field_index(F: FieldSpec, x: FieldElement) -> int:
+    """The position of x in enumerate_elements(F): its coefficients,
+    constant term first, read as base-p digits, the first most
+    significant.  FieldSpec.from_index inverts it."""
+    i = 0
+    for d in F.coeffs(x.rep):
+        i = i * F.p + d
+    return i
+
+
 class ReferenceTokens:
     """The character-by-character lexer that polyio._Tokens replaced:
     .toks lists (kind, text, position) and ends with EOF, or the

@@ -35,7 +35,7 @@ from invar.fsing import (RunConfig, render_machine, render_text,
                          replay_document, run_claim, run_suite, suite_claims,
                          verify_c0_expression, witness_document)
 from invar.gf import field, find_irreducible, is_irreducible
-from oracles import mutated_c0_terms
+from oracles import field_index, mutated_c0_terms
 
 MODES = ("exact", "probabilistic", "auto")
 
@@ -241,7 +241,7 @@ def _elements_text() -> str:
         F = field(p, e)
         for _ in range(40):
             x = F.random_element(rng)
-            lines.append(f"{p} {e} {x} {F.index(x)}\n")
+            lines.append(f"{p} {e} {x} {field_index(F, x)}\n")
     return "".join(lines)
 
 

@@ -22,8 +22,7 @@ from invar.polyio import (format_certificate, format_polys, parse_certificate_te
                           parse_field_text, parse_polys_text)
 from invar import fsing, gf
 from invar.fsing import (C0_XI_TERMS, RunConfig, VerificationReport,
-                         alt_delta_congruence, alt_fregularity_dichotomy,
-                         alt_lemma_T, alt_lemma_staircase, bound_text,
+                         bound_text,
                          c0_terms_poly, check_presentation,
                          lambda_identity_check, params_text,
                          render_machine, render_text, replay_document,
@@ -423,15 +422,15 @@ GRID = [(n, p) for n in (3, 4, 5) for p in (3, 5, 7)]
 
 @pytest.mark.parametrize("n,p", GRID)
 def test_alt_lemmas_verified(n, p):
-    for fn in (alt_lemma_T, alt_lemma_staircase, alt_delta_congruence):
-        rep = fn(n, p)
-        assert rep.verdict == "VERIFIED", (fn.__name__, n, p)
+    for cid in ("alt-T", "alt-staircase", "alt-delta"):
+        rep = run_claim(cid, n=n, p=p)
+        assert rep.verdict == "VERIFIED", (cid, n, p)
         assert replay_witness(rep.claim_id, rep.parameters, rep.witness)
 
 
 @pytest.mark.parametrize("n,p", GRID)
 def test_dichotomy_matches_p_vs_n(n, p):
-    rep = alt_fregularity_dichotomy(n, p)
+    rep = run_claim("alt-dichotomy", n=n, p=p)
     assert rep.verdict == "VERIFIED"
     if p <= n:
         assert rep.witness["kind"] == "certificates"
@@ -442,25 +441,25 @@ def test_dichotomy_matches_p_vs_n(n, p):
 
 def test_alt_rejects_p_two():
     with pytest.raises(UsageError):
-        alt_lemma_T(3, 2)
+        run_claim("alt-T", n=3, p=2)
 
 
 def test_alt_rejects_large_n():
     with pytest.raises(UsageError):
-        alt_lemma_T(9, 3)
+        run_claim("alt-T", n=9, p=3)
 
 
 def test_delta_congruence_gives_membership_when_factorial_dies():
     # p <= n makes n! vanish mod p, so the congruence witness is itself
     # a membership certificate for the Vandermonde determinant
-    rep = alt_delta_congruence(5, 3)
+    rep = run_claim("alt-delta", n=5, p=3)
     assert rep.witness["kind"] == "certificates"
     item = rep.witness["items"][0]
     assert "remainder: 0" in item["certificate"]
 
 
 def test_certificate_witness_tamper_detected():
-    rep = alt_lemma_staircase(3, 5)
+    rep = run_claim("alt-staircase", n=3, p=5)
     doc = json.loads(witness_document(rep))
     item = doc["witness"]["items"][0]
     item["certificate"] = item["certificate"].replace(
@@ -469,7 +468,7 @@ def test_certificate_witness_tamper_detected():
 
 
 def test_normal_form_witness_tamper_detected():
-    rep = alt_fregularity_dichotomy(3, 5)
+    rep = run_claim("alt-dichotomy", n=3, p=5)
     assert rep.witness["kind"] == "normal-form"
     doc = json.loads(witness_document(rep))
     polys = doc["witness"]["polys"]
@@ -530,7 +529,7 @@ def test_points_witness_is_the_dict_the_check_built(monkeypatch):
 @pytest.mark.parametrize("claim", [
     lambda: sp4_fpurity_check(2, RunConfig(e_max=0)),
     lambda: verify_theorem_search(2, 3),
-    lambda: alt_fregularity_dichotomy(3, 5),
+    lambda: run_claim("alt-dichotomy", n=3, p=5),
 ])
 def test_witness_without_certificate_is_not_copied(claim, monkeypatch):
     calls = _count_formats(monkeypatch)
@@ -628,7 +627,7 @@ def test_bound_text():
 
 def test_run_claim_is_the_only_timer():
     assert run_claim("alt-delta", n=3, p=3).elapsed > 0
-    assert alt_delta_congruence(3, 3).elapsed == 0.0
+    assert fsing.RUNNERS["alt-delta"].check(n=3, p=3).elapsed == 0.0
 
 
 def test_render_text_and_machine():
@@ -1177,7 +1176,7 @@ def _spy_divisions(monkeypatch) -> list:
 
 def test_non_member_claim_and_replay_divide_no_vandermonde(monkeypatch):
     sizes = _spy_divisions(monkeypatch)
-    rep = alt_fregularity_dichotomy(6, 7)
+    rep = run_claim("alt-dichotomy", n=6, p=7)
     assert rep.witness["kind"] == "normal-form" and rep.verdict == "VERIFIED"
     ring, (delta, remainder) = parse_polys_text(rep.witness["polys"])
     assert len(delta) == 720 and not remainder.is_zero()
@@ -1190,20 +1189,20 @@ def test_non_member_claim_and_replay_divide_no_vandermonde(monkeypatch):
 def test_member_targets_are_divided_once(monkeypatch):
     symmetric_ideal_gb(7, 5), symmetric_ideal_gb(5, 5)     # no Buchberger below
     sizes = _spy_divisions(monkeypatch)
-    rep = alt_lemma_T(7, 5, RunConfig(alt_nmax=7))
+    rep = run_claim("alt-T", RunConfig(alt_nmax=7), n=7, p=5)
     assert rep.verdict == "VERIFIED" and len(rep.witness["items"]) == 28
     assert len(sizes) == 28
     del sizes[:]
     # a member Vandermonde pays for the product normal form, then the
     # one certified division of the whole n!-term target
-    rep = alt_fregularity_dichotomy(5, 5)
+    rep = run_claim("alt-dichotomy", n=5, p=5)
     assert rep.witness["kind"] == "certificates" and max(sizes) == 120
 
 
 def test_product_and_division_disagreeing_raise(monkeypatch):
     monkeypatch.setattr(fsing, "normal_form_of_product", lambda factors, gb: gb.ring.zero)
     with pytest.raises(AssertionError, match="no member"):
-        alt_fregularity_dichotomy(3, 5)
+        run_claim("alt-dichotomy", n=3, p=5)
 
 
 def test_non_member_without_a_product_form_stops_the_claim(monkeypatch):
@@ -1214,7 +1213,7 @@ def test_non_member_without_a_product_form_stops_the_claim(monkeypatch):
     label = {"i": 1, "j": 2}
     monkeypatch.setattr(fsing, "_alt_targets", lambda claim_id, ring, p: [
         (label, lambda: f), ({"i": 1, "j": 1}, lambda: truncated_monomial_sum(R, 1, 1))])
-    rep = alt_lemma_T(3, 3)
+    rep = run_claim("alt-T", n=3, p=3)
     assert rep.verdict == "REFUTED"
     assert rep.witness == dict(label, kind="normal-form",
                                polys=format_polys(R, [f, normal_form(f, gb)]))
@@ -1226,23 +1225,23 @@ def test_refuted_dichotomy_notes(monkeypatch):
     """The notes of a dichotomy that fails, with the division faked:
     Delta outside I at p <= n, and Delta in I at p > n."""
     monkeypatch.setattr(fsing, "normal_form_of_product", lambda factors, gb: gb.ring.one)
-    rep = alt_fregularity_dichotomy(3, 3)
+    rep = run_claim("alt-dichotomy", n=3, p=3)
     assert rep.verdict == "REFUTED" and rep.witness["kind"] == "normal-form"
     assert rep.detail == ("Delta not in I but p <= n",)
     monkeypatch.setattr(fsing, "normal_form_of_product", lambda factors, gb: gb.ring.zero)
     monkeypatch.setattr(fsing, "ideal_member", lambda f, gb, certificate: (
         True, normal_form(gb.ring.zero, gb, certificate=True)))
-    rep = alt_fregularity_dichotomy(3, 5)
+    rep = run_claim("alt-dichotomy", n=3, p=5)
     assert rep.verdict == "REFUTED" and rep.witness["kind"] == "certificates"
     assert rep.detail == ("Delta in I but p > n",)
 
 
 def test_alt_parameter_checks():
-    assert alt_lemma_T(2, 3).verdict == "VERIFIED"
+    assert run_claim("alt-T", n=2, p=3).verdict == "VERIFIED"
     with pytest.raises(UsageError, match="starts at n = 3"):
-        alt_fregularity_dichotomy(2, 3)
+        run_claim("alt-dichotomy", n=2, p=3)
     with pytest.raises(UsageError, match="odd prime"):
-        alt_lemma_T(3, 9)
+        run_claim("alt-T", n=3, p=9)
 
 
 @pytest.mark.parametrize("claim_id, p", [("alt-dichotomy", 11), ("alt-T", 5)])
@@ -1509,3 +1508,51 @@ def test_theorem_search_above_the_cross_check_cap():
     assert rep.detail[0] == "space 1336336 above cross-check cap; digit search only"
     assert "full" not in rep.witness
     assert replay_document(witness_document(rep))
+
+
+def test_certificate_with_a_repeated_cofactor_replays_false():
+    """A bogus cofactor block before the real one: the parser refuses
+    the repeated index instead of keeping the last block."""
+    doc = _document("alt-T", n=2, p=3)
+    assert _replays(doc)
+    item = doc["witness"]["items"][0]
+    assert item["certificate"].count("cofactor-of: 0\n") == 1
+    item["certificate"] = item["certificate"].replace(
+        "cofactor-of: 0\n", "cofactor-of: 0\npoly: x1^5+x2\ncofactor-of: 0\n")
+    assert not _replays(doc)
+
+
+@pytest.mark.parametrize("claim_id, params, key, warm", [
+    ("alt-T", {"n": 3, "p": 3}, "n", lambda: symmetric_ideal_gb(3, 3)),
+    ("sp4-fpurity", {"q": 2}, "q", lambda: gf.field(2)),
+])
+def test_float_parameter_replays_false_with_a_warm_memo(claim_id, params, key, warm):
+    """A float equal to an int keys the basis memo and the field table
+    like the int, so once those hold the int's entry a rerun could
+    succeed where a fresh process fails in range() or the field search.
+    The document replays False either way."""
+    doc = _document(claim_id, **params)
+    assert _replays(doc)
+    doc["params"][key] = float(doc["params"][key])
+    warm()
+    assert not _replays(doc)
+
+
+def test_float_parameter_is_a_usage_error_whatever_the_memo():
+    symmetric_ideal_gb.cache_clear()
+    for _ in range(2):
+        with pytest.raises(UsageError, match="must be integers"):
+            run_claim("alt-T", n=3.0, p=3)
+        symmetric_ideal_gb(3, 3)
+
+
+@pytest.mark.parametrize("claim_id, config, key", [
+    ("sp4-relation", FAST, "i"),
+    ("sp4-fpurity", RunConfig(e_max=1), "e_max"),
+])
+def test_json_true_parameter_replays_false(claim_id, config, key):
+    """JSON true equals 1, the value the document records."""
+    doc = json.loads(witness_document(run_claim(claim_id, config, q=2)))
+    assert doc["params"][key] == 1 and _replays(doc)
+    doc["params"][key] = True
+    assert not _replays(doc)

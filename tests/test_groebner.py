@@ -212,7 +212,7 @@ def test_elementary_symmetric_basis_shape(n, p):
             acc = acc + term
         gens.append(acc)
     gb = buchberger(gens)
-    lts = sorted(gb.leading_exponents())
+    lts = sorted(b.leading_exponents() for b in gb)
     expected = sorted(tuple(k if i == k - 1 else 0 for i in range(n))
                       for k in range(1, n + 1))
     assert lts == expected

@@ -210,6 +210,21 @@ def test_certificate_errors(R):
         parse_certificate_text(good.replace("basis:", "quotient:"))
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("target: y", "repeated target line"),
+    ("remainder: y", "repeated remainder line"),
+    ("cofactor-of: 0\npoly: y", "repeated cofactor index 0"),
+])
+def test_certificate_repeated_line_is_a_parse_error(R, extra, message):
+    """A second target, remainder or cofactor index raises at its line,
+    as a repeated header line does, instead of replacing the first."""
+    x, y, _ = R.gens()
+    good = format_certificate(MembershipCertificate(x, [y], [R.zero], x))
+    assert len(good.splitlines()) == 8
+    with pytest.raises(ParseError, match=f"^line 9: {message}$"):
+        parse_certificate_text(good + extra + "\n")
+
+
 # ---------------------------------------------------------------------------
 # malformed files: every one is a ParseError naming its line
 # ---------------------------------------------------------------------------
