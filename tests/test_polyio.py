@@ -206,6 +206,8 @@ def test_certificate_errors(R):
         parse_certificate_text(good.replace("remainder: x\n", ""))
     with pytest.raises(ParseError):
         parse_certificate_text(good.replace("cofactor-of: 0", "cofactor-of: 1"))
+    with pytest.raises(ParseError, match="^line 6: cofactor poly without an index"):
+        parse_certificate_text(good.replace("cofactor-of: 0\n", ""))
     with pytest.raises(ParseError, match="^line 5: unexpected tag 'quotient'"):
         parse_certificate_text(good.replace("basis:", "quotient:"))
 
