@@ -34,7 +34,12 @@ memoized power of x_i's image, not one product chain per term.
 Over GF(p), a product runs by Kronecker substitution (_kronecker) when
 both factors are homogeneous, it has at least DENSE_FLOOR term pairs,
 the smaller factor has at least _DENSE_MIN terms per variable, and the
-packing takes at most _DENSE_SPAN slots per term pair.  Every other
+packing, sliced on one variable, takes at most _DENSE_SPAN slots per
+term pair.  The packing is then sliced on more variables until each
+slice fits _SLOT_TARGET slots, so that a lopsided product multiplies
+many small, well filled slices instead of a few mostly empty ones.
+Slicing changes how a packed product is laid out, never whether it
+is packed.  Every other
 product, and every product over GF(p^e) with e > 1, runs the schoolbook
 loop; over GF(p) that loop is _accumulate, which groebner's staged
 division shares.  check_product runs before either path, and TERM_GUARD
@@ -63,6 +68,9 @@ TERM_GUARD = 10 ** 7
 DENSE_FLOOR = 2000
 _DENSE_MIN = 2
 _DENSE_SPAN = 8
+# Slices of at most this many slots multiply fastest (512 to 4,096 were
+# within 5% on the Dickson and certificate products).
+_SLOT_TARGET = 2048
 
 _W = 28
 _M = 1 << 27
@@ -553,11 +561,16 @@ def _merge(out: dict, terms: dict, field: FieldSpec, sign: int = 1) -> None:
 
 def _kronecker(order: TermOrder, p: int, at: dict, bt: dict) -> Optional[dict]:
     """at * bt over GF(p), or None where the path does not apply.  Past
-    a gcd per variable, a slice variable (fewest exponent pairs) and a
-    dropped one (fixed by homogeneity), the rest are packed in mixed
-    radix, digit max_a + max_b + 1, into slots holding min(len a, len b)
-    products below p^2: no digit or slot carries.  A key is affine in
-    the exponents, so it is a base plus one step per exponent."""
+    a gcd per variable, a first slice variable (fewest exponent pairs)
+    and a dropped one (the widest, fixed by homogeneity) decide the
+    gate.  Then more variables are sliced, fewest exponent pairs first,
+    while the packed box is above _SLOT_TARGET slots and more than one
+    variable is left to pack.  The rest are
+    packed in mixed radix, digit max_a + max_b + 1, into slots holding
+    min(len a, len b) products below p^2: no digit or slot carries.  A
+    key is affine in the exponents, so it is a base, a slice offset (a
+    step per sliced exponent, additive over a product) and a slot
+    step."""
     la, lb = len(at), len(bt)
     if la * lb < DENSE_FLOOR or min(la, lb) < _DENSE_MIN * order.n:
         return None
@@ -572,23 +585,30 @@ def _kronecker(order: TermOrder, p: int, at: dict, bt: dict) -> Optional[dict]:
         if g:
             xa, xb = [x // g for x in xa], [x // g for x in xb]
             axes.append((order.steps[i], g, xa, xb, max(xa) + max(xb) + 1))
-    cut = (0, 0, [0] * la, [0] * lb, 1)     # no slicing
-    if len(axes) > 2:
-        cut = min(axes, key=lambda v: len(set(v[2])) * len(set(v[3])))
-        axes.remove(cut)
+    axes.sort(key=lambda v: len(set(v[2])) * len(set(v[3])))
+    cuts = [axes.pop(0)] if len(axes) > 2 else []
     drop = max(axes, key=lambda v: v[4])
     axes.remove(drop)
-    if len(set(cut[2])) * len(set(cut[3])) * prod(v[4] for v in axes) > _DENSE_SPAN * la * lb:
+    box = prod(v[4] for v in axes)
+    if prod(len(set(v[2])) * len(set(v[3])) for v in cuts) * box > _DENSE_SPAN * la * lb:
         return None
+    while box > _SLOT_TARGET and len(axes) > 1:
+        cuts.append(axes.pop(0))
+        box //= cuts[-1][4]
+    ka, kb = [0] * la, [0] * lb     # slice offset of each term
+    for key, g, xa, xb, _ in cuts:
+        step = g * (key - drop[0])
+        ka = [k + step * x for k, x in zip(ka, xa)]
+        kb = [k + step * x for k, x in zip(kb, xb)]
     ia, ib, steps = [0] * la, [0] * lb, [0]   # slot of each term, key step of each slot
     for key, g, xa, xb, digit in axes:
         w = len(steps)
         ia = [i + w * x for i, x in zip(ia, xa)]
         ib = [i + w * x for i, x in zip(ib, xb)]
         steps = [x * g * (key - drop[0]) + s for x in range(digit) for s in steps]
-    nbytes = len(steps) * array(tc).itemsize
-    pa = _pack_slices(tc, nbytes, cut[2], ia, at.values())
-    pb = pa if at is bt else _pack_slices(tc, nbytes, cut[3], ib, bt.values())
+    nbytes = box * array(tc).itemsize
+    pa = _pack_slices(tc, nbytes, ka, ia, at.values())
+    pb = pa if at is bt else _pack_slices(tc, nbytes, kb, ib, bt.values())
     sums: dict = {}
     for j, (ka, A) in enumerate(pa):
         # a square forms each product of two distinct slices once, doubled
@@ -601,19 +621,19 @@ def _kronecker(order: TermOrder, p: int, at: dict, bt: dict) -> Optional[dict]:
         vals.frombytes(P.to_bytes(nbytes, "little"))
         if _SWAP:
             vals.byteswap()
-        hit = list(compress(range(len(steps)), vals))
+        hit = list(compress(range(box), vals))
         # all coefficients are positive: a nonzero slot is one schoolbook key
         found += len(hit)
         if found > guard:
             raise ResourceLimit(f"product exceeds {guard} terms")
-        kbase = base + k * cut[1] * (cut[0] - drop[0])
+        kbase = base + k
         coeffs = [vals[i] % p for i in hit]
         out.update(compress(zip([kbase + steps[i] for i in hit], coeffs), coeffs))
     return out
 
 
 def _pack_slices(tc: str, nbytes: int, cuts: list, index: list, coeffs) -> list:
-    """(slice exponent, int) per slice, each coefficient in its slot."""
+    """(slice offset, int) per slice, each coefficient in its slot."""
     slices: dict = {}
     for k, i, c in zip(cuts, index, coeffs):
         if k not in slices:

@@ -390,7 +390,8 @@ def parse_certificate_text(text: str) -> MembershipCertificate:
     single = {}                       # "target" / "remainder" -> polynomial
     basis = []
     cofactors = {}
-    pending: Optional[int] = None
+    pending: Optional[int] = None     # the index of a cofactor-of line ...
+    opened = 0                        # ... and its line, until its poly line
     for lineno, tag, payload in rest:
         try:
             if tag in ("target", "remainder"):
@@ -400,12 +401,15 @@ def parse_certificate_text(text: str) -> MembershipCertificate:
             elif tag == "basis":
                 basis.append(parse_poly(payload, ring))
             elif tag == "cofactor-of":
+                if pending is not None:
+                    break                 # the open index is refused below
                 try:
                     pending = int(payload)
                 except ValueError:
                     raise ParseError(f"bad cofactor index {payload!r}") from None
                 if pending in cofactors:
                     raise ParseError(f"repeated cofactor index {pending}")
+                opened = lineno
             elif tag == "poly":
                 if pending is None:
                     raise ParseError("cofactor poly without an index")
@@ -415,6 +419,8 @@ def parse_certificate_text(text: str) -> MembershipCertificate:
                 raise ParseError(f"unexpected tag {tag!r}")
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
+    if pending is not None:
+        raise ParseError(f"line {opened}: cofactor index {pending} has no poly line")
     if len(single) < 2:
         raise ParseError("certificate is missing a target or remainder line")
     if set(cofactors) != set(range(len(basis))):

@@ -1522,6 +1522,23 @@ def test_certificate_with_a_repeated_cofactor_replays_false():
     assert not _replays(doc)
 
 
+@pytest.mark.parametrize("forge", [
+    lambda cert: cert.replace("remainder:", "cofactor-of: 7\nremainder:"),
+    lambda cert: cert + "cofactor-of: 7\n",
+    lambda cert: cert.replace("cofactor-of: 1\n", "cofactor-of: 9\ncofactor-of: 1\n"),
+], ids=["before-the-remainder", "at-the-end", "before-another-index"])
+def test_certificate_with_a_dangling_cofactor_index_replays_false(forge):
+    """A cofactor-of line that no poly line follows, before the
+    remainder, at the end or before the next cofactor-of: the parser
+    refuses it instead of dropping it."""
+    doc = _document("alt-T", n=2, p=3)
+    item = doc["witness"]["items"][0]
+    assert "cofactor-of: 1\n" in item["certificate"]
+    assert "cofactor-of: 9" not in item["certificate"]
+    item["certificate"] = forge(item["certificate"])
+    assert not _replays(doc)
+
+
 @pytest.mark.parametrize("claim_id, params, key, warm", [
     ("alt-T", {"n": 3, "p": 3}, "n", lambda: symmetric_ideal_gb(3, 3)),
     ("sp4-fpurity", {"q": 2}, "q", lambda: gf.field(2)),

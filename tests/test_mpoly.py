@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 import invar.mpoly as mpoly
 from invar.errors import ContextMismatch, ResourceLimit, UsageError
 from invar.gf import field
+from invar.fsing import RunConfig, run_claim
 from invar.invariants import dickson_invariants
 from invar.mpoly import (PolyRing, TermOrder, _mul, _power, _sqr, frobenius_power,
                          random_points, sample_sides, substitute)
-from invar.polyio import format_polys
+from invar.polyio import format_polys, parse_certificate_text
 from oracles import (block_sort_key, coeff_element, degree_in, draw_poly,
                      eval_by_substitution, grevlex_sort_key, is_homogeneous,
                      leading_coeff, leading_monomial, leading_term, lex_sort_key,
@@ -594,6 +595,132 @@ def test_schoolbook_runs_outside_the_kronecker_path(monkeypatch):
             assert f * g == naive_mul(f, g)
         assert _sqr(form + x) == naive_mul(form + x, form + x)
         assert not any(results)
+
+
+def _reduced_accumulate(order, p, at, bt):
+    """The schoolbook product of two GF(p) term dicts, reduced mod p."""
+    acc: dict = {}
+    mpoly._accumulate(acc, at, bt, order.offset)
+    return {k: v % p for k, v in acc.items() if v % p}
+
+
+def _sample_form(ring, rng, exps, count):
+    """A form on count of the exponent vectors exps (all of one degree)."""
+    exps = rng.sample(exps, min(count, len(exps)))
+    return _form(ring, exps, [rng.randrange(1, ring.field.p) for _ in exps])
+
+
+@lru_cache(maxsize=None)
+def _boxed(n, count, bound, stride=1, p=1):
+    """The monomials of the lowest degree with at least count monomials
+    whose exponents are all at most bound (so they fill their box, as a
+    certificate's cofactors do), each exponent a mapped to stride * a,
+    or with p > 1 each vector a mapped to the set p * a + c for every c
+    of degree one: a sparse exponent set like those of the Dickson
+    invariants, products of q-th powers."""
+    exps = next(e for d in count_from(1)
+                if len(e := [m for m in _monomials(n, d) if max(m) <= bound]) >= count)
+    if p > 1:
+        exps = sorted({tuple(p * x + y for x, y in zip(a, c))
+                       for a in exps for c in _monomials(n, 1)})
+    return [tuple(stride * a for a in e) for e in exps]
+
+
+count_from = count
+# per n, an exponent bound that leaves 1,500 to 2,500 monomials of one
+# degree, and a smaller one for a 60-term square that still passes the gate
+_BOUNDS = {2: (1500, 750), 3: (44, 22), 4: (13, 6), 5: (7, 3), 6: (4, 2), 7: (3, 2),
+           8: (3, 1)}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_kronecker_matches_accumulate(n, p):
+    """The packed product equals _accumulate reduced mod p, on a factor
+    of 1, 2n or 35 terms times one of thousands, on exponents with a
+    gcd of 2 per variable, on Dickson-like exponent sets and on a
+    square, in every order.  All but the one-term factor pass the gate;
+    a Dickson-like box is about (p / 2)^(n - 2) times emptier than a
+    dense one, and up to n = 3 and p = 7 it passes too."""
+    order = ("grevlex", "lex", ("block", n // 2))[(n + p) % 3]
+    ring = PolyRing(field(p), [f"x{i}" for i in range(n)], order)
+    rng = random.Random(1000 * n + p)
+    bound, square_bound = _BOUNDS[n]
+    big = _boxed(n, 1500, bound)
+    pairs = [(_sample_form(ring, rng, _boxed(n, 35, bound), k), _sample_form(ring, rng, big, 2500))
+             for k in (1, 2 * n, 35)]
+    pairs.append((_sample_form(ring, rng, _boxed(n, 35, bound, stride=2), 2 * n),
+                  _sample_form(ring, rng, _boxed(n, 1500, bound, stride=2), 2500)))
+    pairs.append((_sample_form(ring, rng, _boxed(n, 8, bound, p=p), 2 * n),
+                  _sample_form(ring, rng, _boxed(n, 300, bound, p=p), 2500)))
+    square = _sample_form(ring, rng, _boxed(n, 60, square_bound), 60)
+    pairs.append((square, square))
+    packed = []
+    for f, g in pairs:
+        dense = mpoly._kronecker(ring.order, p, f.terms, g.terms)
+        packed.append(dense is not None)
+        assert dense is None or dense == _reduced_accumulate(ring.order, p, f.terms, g.terms)
+    assert packed[:4] + packed[5:] == [False, True, True, True, True]
+    assert packed[4] or n > 3 or p > 7
+
+
+def _spy_kernel(monkeypatch) -> list:
+    """Record [term counts of the two factors, packings] for every
+    _kronecker call: packings is None where it declined, and otherwise
+    lists (slots per slice, slices) for each factor it packed."""
+    calls = []
+
+    def spy(order, p, at, bt):
+        calls.append([len(at), len(bt), []])
+        out = kronecker(order, p, at, bt)
+        if out is None:
+            calls[-1][2] = None
+        return out
+
+    def pack_spy(tc, nbytes, cuts, index, coeffs):
+        out = pack(tc, nbytes, cuts, index, coeffs)
+        calls[-1][2].append((nbytes // array(tc).itemsize, len(out)))
+        return out
+
+    kronecker, pack = mpoly._kronecker, mpoly._pack_slices
+    monkeypatch.setattr(mpoly, "_kronecker", spy)
+    monkeypatch.setattr(mpoly, "_pack_slices", pack_spy)
+    return calls
+
+
+def test_large_products_stay_packed_in_a_small_box(monkeypatch):
+    """dickson_invariants(4, GF(5)) packs its four large products: u *
+    b[k] for three k (120-130 x 10,114 terms) and the square of fx
+    (1,929 terms, packed once).  The n = 7, p = 7 certificate packs its
+    cofactor x basis products with a 35- or 21-term basis element but
+    21 x 8,040, which the span test declines, as the gate declines the
+    7-term ones.  Slicing past the first variable takes each box of
+    5,292 to 109,744 slots down to at most _SLOT_TARGET (the square's
+    10,201 to 101), but keeps one variable packed however wide it is."""
+    calls = _spy_kernel(monkeypatch)
+    dickson_invariants(4, field(5))
+    assert [c for c in calls if c[0] * c[1] > 10 ** 6] == [
+        [1929, 1929, [(101, 196)]],
+        [120, 10114, [(126, 15), (126, 904)]],
+        [130, 10114, [(126, 16), (126, 904)]],
+        [126, 10114, [(126, 16), (126, 904)]]]
+    report = run_claim("alt-dichotomy", RunConfig(alt_nmax=7), n=7, p=7)
+    (item,) = report.witness["items"]
+    cert = parse_certificate_text(item["certificate"])
+    del calls[:]
+    assert cert.check()
+    assert calls == [[7, 11520, None], [21, 8040, None],
+                     [35, 5616, [(361, 10), (361, 225)]],
+                     [35, 3540, [(441, 5), (441, 78)]],
+                     [21, 2070, [(1764, 1), (1764, 6)]],
+                     [7, 1124, None]]
+    ring = PolyRing(field(5), ["x", "y"])
+    f = _form(ring, [(3000 - a, a) for a in range(4)], [1] * 4)
+    g = _form(ring, [(3000 - a, a) for a in range(0, 3000, 5)], [2] * 600)
+    expected = _schoolbook(f, g)
+    del calls[:]
+    assert f * g == expected
+    assert calls == [[4, 600, [(2999, 1), (2999, 1)]]]
 
 
 def test_dickson_n4_q5_matches_the_pinned_digest():

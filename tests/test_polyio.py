@@ -227,6 +227,22 @@ def test_certificate_repeated_line_is_a_parse_error(R, extra, message):
         parse_certificate_text(good + extra + "\n")
 
 
+@pytest.mark.parametrize("edit, line, index", [
+    (lambda good: good + "cofactor-of: 1\n", 9, 1),
+    (lambda good: good.replace("cofactor-of: 0\n", "cofactor-of: 1\ncofactor-of: 0\n"), 6, 1),
+    (lambda good: good.replace("poly: 0\n", ""), 6, 0),
+], ids=["at-the-end", "before-another-index", "before-the-remainder"])
+def test_certificate_cofactor_index_without_a_poly_is_a_parse_error(R, edit, line, index):
+    """A cofactor-of line must be followed by its poly line: at the end
+    of the text, before another cofactor-of or before the remainder, the
+    open index raises at its own line instead of being dropped."""
+    x, y, _ = R.gens()
+    good = format_certificate(MembershipCertificate(x, [y], [R.zero], x))
+    assert good.splitlines()[5:7] == ["cofactor-of: 0", "poly: 0"]
+    with pytest.raises(ParseError, match=f"^line {line}: cofactor index {index} has no poly line$"):
+        parse_certificate_text(edit(good))
+
+
 # ---------------------------------------------------------------------------
 # malformed files: every one is a ParseError naming its line
 # ---------------------------------------------------------------------------
