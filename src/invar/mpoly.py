@@ -565,12 +565,11 @@ def _kronecker(order: TermOrder, p: int, at: dict, bt: dict) -> Optional[dict]:
     and a dropped one (the widest, fixed by homogeneity) decide the
     gate.  Then more variables are sliced, fewest exponent pairs first,
     while the packed box is above _SLOT_TARGET slots and more than one
-    variable is left to pack.  The rest are
-    packed in mixed radix, digit max_a + max_b + 1, into slots holding
-    min(len a, len b) products below p^2: no digit or slot carries.  A
-    key is affine in the exponents, so it is a base, a slice offset (a
-    step per sliced exponent, additive over a product) and a slot
-    step."""
+    variable is left to pack.  Those are packed in mixed radix, digit
+    max_a + max_b + 1, into slots holding min(len a, len b) products
+    below p^2: no digit or slot carries.  A key is affine in the
+    exponents, so it is a base, a slice offset (a step per sliced
+    exponent, additive over a product) and a slot step."""
     la, lb = len(at), len(bt)
     if la * lb < DENSE_FLOOR or min(la, lb) < _DENSE_MIN * order.n:
         return None
@@ -595,11 +594,11 @@ def _kronecker(order: TermOrder, p: int, at: dict, bt: dict) -> Optional[dict]:
     while box > _SLOT_TARGET and len(axes) > 1:
         cuts.append(axes.pop(0))
         box //= cuts[-1][4]
-    ka, kb = [0] * la, [0] * lb     # slice offset of each term
+    oa, ob = [0] * la, [0] * lb     # slice offset of each term
     for key, g, xa, xb, _ in cuts:
         step = g * (key - drop[0])
-        ka = [k + step * x for k, x in zip(ka, xa)]
-        kb = [k + step * x for k, x in zip(kb, xb)]
+        oa = [o + step * x for o, x in zip(oa, xa)]
+        ob = [o + step * x for o, x in zip(ob, xb)]
     ia, ib, steps = [0] * la, [0] * lb, [0]   # slot of each term, key step of each slot
     for key, g, xa, xb, digit in axes:
         w = len(steps)
@@ -607,8 +606,8 @@ def _kronecker(order: TermOrder, p: int, at: dict, bt: dict) -> Optional[dict]:
         ib = [i + w * x for i, x in zip(ib, xb)]
         steps = [x * g * (key - drop[0]) + s for x in range(digit) for s in steps]
     nbytes = box * array(tc).itemsize
-    pa = _pack_slices(tc, nbytes, ka, ia, at.values())
-    pb = pa if at is bt else _pack_slices(tc, nbytes, kb, ib, bt.values())
+    pa = _pack_slices(tc, nbytes, oa, ia, at.values())
+    pb = pa if at is bt else _pack_slices(tc, nbytes, ob, ib, bt.values())
     sums: dict = {}
     for j, (ka, A) in enumerate(pa):
         # a square forms each product of two distinct slices once, doubled
@@ -632,10 +631,10 @@ def _kronecker(order: TermOrder, p: int, at: dict, bt: dict) -> Optional[dict]:
     return out
 
 
-def _pack_slices(tc: str, nbytes: int, cuts: list, index: list, coeffs) -> list:
+def _pack_slices(tc: str, nbytes: int, offsets: list, index: list, coeffs) -> list:
     """(slice offset, int) per slice, each coefficient in its slot."""
     slices: dict = {}
-    for k, i, c in zip(cuts, index, coeffs):
+    for k, i, c in zip(offsets, index, coeffs):
         if k not in slices:
             slices[k] = array(tc, bytes(nbytes))
         slices[k][i] = c

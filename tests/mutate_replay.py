@@ -6,7 +6,8 @@ with its product normal form, the run configuration's bounds, the
 element kernels each kind of GF(p^e) binds, the identity shortcut of
 element operands, the modulus search, the embedding rule of GF(p)
 coefficients, evaluation at a point, the nested sums of substitute, the
-heap division loop and powering by halving.
+heap division loop, powering by halving, and the gate and slicing of the
+Kronecker product.
 
     python3 tests/mutate_replay.py
 
@@ -54,7 +55,7 @@ TARGETS = (
                          "_Quotient._tables", "check_embedding", "FieldElement._coerce",
                          "FieldElement.__eq__"),
      ("tests/test_gf.py",)),
-    ("src/invar/mpoly.py", ("Polynomial.evaluate", "substitute", "_power"),
+    ("src/invar/mpoly.py", ("Polynomial.evaluate", "substitute", "_power", "_kronecker"),
      ("tests/test_mpoly.py", "tests/test_invariants.py")),
 )
 # MembershipCertificate.check has no if, and or or to mutate
@@ -77,6 +78,9 @@ EQUIVALENT = {
     "FieldElement.__eq__: drop other.spec is self.spec":
         "the identity test only skips the structural comparison, which is "
         "also True for the same spec",
+    "_kronecker: if _SWAP -> False":
+        "_SWAP holds only on a big-endian host, where the slots must be "
+        "byteswapped; on a little-endian one the swap never runs",
     "_divide_heap: if entry[0] > key -> False":
         "a divisor whose leading key is above the key cannot divide it, so "
         "the divisibility test fails on every entry past that point: the "

@@ -590,6 +590,7 @@ def test_schoolbook_runs_outside_the_kronecker_path(monkeypatch):
         wide = _form(ring, _monomials(3, 36), [1] * 703)
         for f, g in ((form + x, form), (form, form + x),        # not homogeneous
                      (form + x, form + x),
+                     (_form(ring, big[:44], [1] * 44) + x, form),   # 45 terms, passed first
                      (form, _form(ring, big[:20], [1] * 20)),   # 900 term pairs
                      (x * x + x * y + y * y, wide)):            # 3 terms, 3 variables
             assert f * g == naive_mul(f, g)
@@ -677,8 +678,8 @@ def _spy_kernel(monkeypatch) -> list:
             calls[-1][2] = None
         return out
 
-    def pack_spy(tc, nbytes, cuts, index, coeffs):
-        out = pack(tc, nbytes, cuts, index, coeffs)
+    def pack_spy(tc, nbytes, offsets, index, coeffs):
+        out = pack(tc, nbytes, offsets, index, coeffs)
         calls[-1][2].append((nbytes // array(tc).itemsize, len(out)))
         return out
 
