@@ -18,15 +18,17 @@ by the additive recursion
 
 whose coefficients stay in the prime field at every step.
 
-Each construction is written once, over + - * ** and a hook
-frob(x, k) = x^(q^k), and read two ways: as polynomials
-(dickson_invariants, symplectic_xi, symplectic_relation_sides) or as
+Each construction is written once, over hooks (one, zero, add, sub, mul,
+pow, frob) with frob(x, k) = x^(q^k), and read two ways: as polynomials
+(dickson_invariants, symplectic_xi, symplectic_relation_sides), or as
 values at a point (dickson_at_point, symplectic_xi_value,
-symplectic_relation_values), so the two readings cannot drift apart.
+symplectic_relation_values) on packed ints through the kernels of the
+point's field, so the two readings cannot drift apart.
 """
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations, combinations_with_replacement
 from math import prod
 from typing import Optional, Sequence
@@ -55,20 +57,26 @@ def _log_p(p: int, q: int) -> int:
     return s
 
 
-def _poly_frob(ring: PolyRing, q: int):
-    """frob on polynomials over ring: the termwise Frobenius power."""
+def _poly_ops(ring: PolyRing, q: int) -> tuple:
+    """The hooks on polynomials over ring: operators, termwise Frobenius."""
     s = _log_p(ring.field.p, q)
-    return lambda f, k: frobenius_power(f, s * k)
+    return (ring.one, ring.zero, operator.add, operator.sub, operator.mul,
+            operator.pow, lambda f, k: frobenius_power(f, s * k))
 
 
-def _element_frob(spec: FieldSpec, q: int):
-    """frob on elements of spec: the linear Frobenius map, never a power."""
-    s = _log_p(spec.p, q)
-    return lambda x, k: x.frobenius(s * k)
+def _point_ops(point: Sequence[FieldElement], q: int):
+    """(L, packed ints, hooks on L's kernels) for a point in one field L."""
+    L = point[0].spec
+    if any(x.spec != L for x in point):
+        raise ContextMismatch("point coordinates from different fields")
+    s, vfrob = _log_p(L.p, q), L._vfrob
+    return L, [x.rep for x in point], (
+        1, 0, L._vadd, L._vsub, L._vmul, L._vpow, lambda a, k: vfrob(a, s * k))
 
 
-def _dickson(xs: Sequence, one, zero, q: int, frob) -> list:
+def _dickson(xs: Sequence, q: int, ops: tuple) -> list:
     """c_0, ..., c_{n-1} of xs by the additive recursion."""
+    one, zero, add, sub, mul, pw, frob = ops
     n = len(xs)
     # b[k] = coefficient of T^(q^k) in f_j
     b = [one]
@@ -76,40 +84,41 @@ def _dickson(xs: Sequence, one, zero, q: int, frob) -> list:
         xj = xs[j - 1]
         fx = zero
         for k in range(j):
-            fx = fx + b[k] * frob(xj, k)
-        u = fx ** (q - 1)
+            fx = add(fx, mul(b[k], frob(xj, k)))
+        u = pw(fx, q - 1)
         nb = []
         for k in range(j + 1):
             term = frob(b[k - 1], 1) if k >= 1 else zero
             if k < j:
-                term = term - u * b[k]
+                term = sub(term, mul(u, b[k]))
             nb.append(term)
         b = nb
     assert b[n] == one
-    return [b[i] if (n - i) % 2 == 0 else -b[i] for i in range(n)]
+    return [b[i] if (n - i) % 2 == 0 else sub(zero, b[i]) for i in range(n)]
 
 
-def _xi(xs: Sequence, zero, i: int, frob):
+def _xi(xs: Sequence, i: int, ops: tuple):
     """sum over pairs of X_{2k-1} X_{2k}^(q^i) - X_{2k} X_{2k-1}^(q^i)."""
-    acc = zero
+    _, acc, add, sub, mul, _, frob = ops
     for k in range(len(xs) // 2):
         a, b = xs[2 * k], xs[2 * k + 1]
-        acc = acc + a * frob(b, i) - b * frob(a, i)
+        acc = sub(add(acc, mul(a, frob(b, i))), mul(b, frob(a, i)))
     return acc
 
 
-def _relation_sides(m: int, i: int, c: Sequence, xi: Sequence, zero, frob):
+def _relation_sides(m: int, i: int, c: Sequence, xi: Sequence, ops: tuple):
     """Both sides of the i-th relation from c_0..c_{m-1} and
     xi_1..xi_{m-1} (index shifted by one)."""
+    _, zero, add, sub, mul, _, frob = ops
     lhs = zero
     for j in range(i):
-        term = frob(xi[i - j - 1], j) * c[j]
-        lhs = lhs + (term if j % 2 == 0 else -term)
+        term = mul(frob(xi[i - j - 1], j), c[j])
+        lhs = (add if j % 2 == 0 else sub)(lhs, term)
     rhs = zero
     for j in range(i + 1, m + 1):
         xi_part = frob(xi[j - i - 1], i)
-        term = xi_part * c[j] if j < m else xi_part
-        rhs = rhs + (term if j % 2 == 0 else -term)
+        term = mul(xi_part, c[j]) if j < m else xi_part
+        rhs = (add if j % 2 == 0 else sub)(rhs, term)
     return lhs, rhs
 
 
@@ -128,14 +137,14 @@ def dickson_invariants(n: int, q_spec: FieldSpec,
     elif ring.nvars != n:
         raise UsageError("ring has the wrong number of variables")
     q = q_spec.order
-    return _dickson(ring.gens(), ring.one, ring.zero, q, _poly_frob(ring, q))
+    return _dickson(ring.gens(), q, _poly_ops(ring, q))
 
 
 def dickson_at_point(point: Sequence[FieldElement], q: int) -> list:
-    """Values c_0(P), ..., c_{n-1}(P) by running the recursion on field
-    elements; nothing is materialized."""
-    L = point[0].spec
-    return _dickson(point, L.one, L.zero, q, _element_frob(L, q))
+    """Values c_0(P), ..., c_{n-1}(P) by running the recursion on packed
+    field ints; nothing is materialized."""
+    L, xs, ops = _point_ops(point, q)
+    return [FieldElement(L, c) for c in _dickson(xs, q, ops)]
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +159,12 @@ def symplectic_xi(ring: PolyRing, q: int, i: int) -> Polynomial:
         raise UsageError("symplectic constructions need evenly many variables")
     if i < 1:
         raise UsageError("xi index starts at 1")
-    return _xi(ring.gens(), ring.zero, i, _poly_frob(ring, q))
+    return _xi(ring.gens(), i, _poly_ops(ring, q))
 
 
 def symplectic_xi_value(point: Sequence[FieldElement], q: int, i: int) -> FieldElement:
-    L = point[0].spec
-    return _xi(point, L.zero, i, _element_frob(L, q))
+    L, xs, ops = _point_ops(point, q)
+    return FieldElement(L, _xi(xs, i, ops))
 
 
 def symplectic_relation_sides(ring: PolyRing, q_spec: FieldSpec, i: int,
@@ -172,17 +181,16 @@ def symplectic_relation_sides(ring: PolyRing, q_spec: FieldSpec, i: int,
     m = ring.nvars              # 2n
     if not 1 <= i <= m // 2 - 1:
         raise UsageError(f"relation index must be in [1, {m // 2 - 1}]")
-    return _relation_sides(m, i, dicksons, xis, ring.zero,
-                           _poly_frob(ring, q_spec.order))
+    return _relation_sides(m, i, dicksons, xis, _poly_ops(ring, q_spec.order))
 
 
 def symplectic_relation_values(point: Sequence[FieldElement], q: int, i: int):
-    """The two sides of the i-th relation at one point."""
+    """The two sides of the i-th relation at one point, from packed c and xi."""
     m = len(point)
-    c = dickson_at_point(point, q)
-    xi = [symplectic_xi_value(point, q, k) for k in range(1, m)]
-    L = point[0].spec
-    return _relation_sides(m, i, c, xi, L.zero, _element_frob(L, q))
+    L, xs, ops = _point_ops(point, q)
+    xi = [_xi(xs, k, ops) for k in range(1, m)]
+    sides = _relation_sides(m, i, _dickson(xs, q, ops), xi, ops)
+    return tuple(FieldElement(L, v) for v in sides)
 
 
 def relation_side_degrees(q: int, m: int, i: int):

@@ -6,8 +6,9 @@ with its product normal form, the run configuration's bounds, the
 element kernels each kind of GF(p^e) binds, the identity shortcut of
 element operands, the modulus search, the embedding rule of GF(p)
 coefficients, evaluation at a point, the nested sums of substitute, the
-heap division loop, powering by halving, and the gate and slicing of the
-Kronecker product.
+heap division loop, powering by halving, the gate and slicing of the
+Kronecker product, and the invariant bodies both readings run with the
+field check of the point reading.
 
     python3 tests/mutate_replay.py
 
@@ -57,6 +58,8 @@ TARGETS = (
      ("tests/test_gf.py",)),
     ("src/invar/mpoly.py", ("Polynomial.evaluate", "substitute", "_power", "_kronecker"),
      ("tests/test_mpoly.py", "tests/test_invariants.py")),
+    ("src/invar/invariants.py", ("_point_ops", "_dickson", "_xi", "_relation_sides"),
+     ("tests/test_invariants.py", "tests/test_fsing.py")),
 )
 # MembershipCertificate.check has no if, and or or to mutate
 RETURN_TRUE = ("MembershipCertificate.check",)

@@ -672,6 +672,69 @@ def _tmul(a: dict, b: dict) -> dict:
     return {d: f for d, f in out.items() if not f.is_zero()}
 
 
+# -- point readings on FieldElement operators -----------------------------------------
+#
+# The bodies invariants ran on FieldElement objects before it read points on
+# packed ints: every + - * ** and Frobenius map goes through an element.
+
+
+def _element_frob(L: FieldSpec, q: int):
+    s = next(s for s in range(q.bit_length()) if L.p ** s == q)
+    return lambda x, k: x.frobenius(s * k)
+
+
+def dickson_by_elements(point: Sequence[FieldElement], q: int) -> list:
+    """c_0(P), ..., c_{n-1}(P) by the additive recursion on elements."""
+    L = point[0].spec
+    frob = _element_frob(L, q)
+    n = len(point)
+    b = [L.one]
+    for j in range(1, n + 1):
+        xj = point[j - 1]
+        fx = L.zero
+        for k in range(j):
+            fx = fx + b[k] * frob(xj, k)
+        u = fx ** (q - 1)
+        nb = []
+        for k in range(j + 1):
+            term = frob(b[k - 1], 1) if k >= 1 else L.zero
+            if k < j:
+                term = term - u * b[k]
+            nb.append(term)
+        b = nb
+    assert b[n] == L.one
+    return [b[i] if (n - i) % 2 == 0 else -b[i] for i in range(n)]
+
+
+def xi_by_elements(point: Sequence[FieldElement], q: int, i: int) -> FieldElement:
+    """xi_i(P) on elements."""
+    L = point[0].spec
+    frob = _element_frob(L, q)
+    acc = L.zero
+    for k in range(len(point) // 2):
+        a, b = point[2 * k], point[2 * k + 1]
+        acc = acc + a * frob(b, i) - b * frob(a, i)
+    return acc
+
+
+def relation_sides_by_elements(point: Sequence[FieldElement], q: int, i: int) -> tuple:
+    """Both sides of the i-th relation at P on elements."""
+    L, m = point[0].spec, len(point)
+    frob = _element_frob(L, q)
+    c = dickson_by_elements(point, q)
+    xi = [xi_by_elements(point, q, k) for k in range(1, m)]
+    lhs = L.zero
+    for j in range(i):
+        term = frob(xi[i - j - 1], j) * c[j]
+        lhs = lhs + (term if j % 2 == 0 else -term)
+    rhs = L.zero
+    for j in range(i + 1, m + 1):
+        xi_part = frob(xi[j - i - 1], i)
+        term = xi_part * c[j] if j < m else xi_part
+        rhs = rhs + (term if j % 2 == 0 else -term)
+    return lhs, rhs
+
+
 def _demote(f: Polynomial, prime_ring: PolyRing) -> Polynomial:
     """Extension-coefficient polynomial whose coefficients are constants,
     rewritten over the prime field."""

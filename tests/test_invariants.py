@@ -15,10 +15,12 @@ from invar.invariants import (MatrixGF, apply_matrix, dickson_at_point,
                               symplectic_xi_value, truncated_monomial_sum,
                               vandermonde, xring)
 from invar.mpoly import PolyRing
-from oracles import (apply_point, diagonal_matrix, dickson_product_tree,
-                     identity_matrix, is_homogeneous, is_invertible,
-                     is_symplectic, random_invertible, random_symplectic,
-                     symplectic_form, symplectic_transvection, transpose)
+from oracles import (apply_point, diagonal_matrix, dickson_by_elements,
+                     dickson_product_tree, identity_matrix, is_homogeneous,
+                     is_invertible, is_symplectic, random_invertible,
+                     random_symplectic, relation_sides_by_elements,
+                     symplectic_form, symplectic_transvection, transpose,
+                     xi_by_elements)
 
 
 # -- Dickson invariants ---------------------------------------------------------
@@ -225,6 +227,46 @@ def test_relation_values_detect_perturbation():
         if wrong != rv:
             seen_diff = True
     assert seen_diff
+
+
+# One field per kernel variant: GF(5) binds _bind_prime, the byte-slot
+# fields the table kernels, and GF(5^32), with two-byte slots, _bind_slots.
+READING_FIELDS = ((5, 1), (2, 8), (3, 6), (2, 32), (3, 32), (5, 32))
+
+
+@pytest.mark.parametrize("s", (1, 2), ids=("q=p", "q=p^2"))
+@pytest.mark.parametrize("p,e", READING_FIELDS, ids=[f"GF({p}^{e})" for p, e in READING_FIELDS])
+def test_point_readings_match_element_oracle(p, e, s):
+    """The readings on packed ints give the values the same bodies give
+    on FieldElement operators: c, xi_1, xi_2 and both relation sides."""
+    L, q = field(p, e), p ** s
+    rng = random.Random(100 * p + 10 * e + s)
+    for m in (4, 6):
+        for _ in range(2):
+            P = tuple(L.random_element(rng) for _ in range(m))
+            assert dickson_at_point(P, q) == dickson_by_elements(P, q)
+            for i in (1, 2):
+                assert symplectic_xi_value(P, q, i) == xi_by_elements(P, q, i)
+                if i < m // 2:
+                    assert symplectic_relation_values(P, q, i) == \
+                        relation_sides_by_elements(P, q, i)
+
+
+@pytest.mark.parametrize("odd", (0, 3))
+@pytest.mark.parametrize("reading", (
+    lambda P: dickson_at_point(P, 2),
+    lambda P: symplectic_xi_value(P, 2, 1),
+    lambda P: symplectic_relation_values(P, 2, 1),
+), ids=("dickson_at_point", "symplectic_xi_value", "symplectic_relation_values"))
+def test_point_readings_refuse_mixed_fields(reading, odd):
+    """A point with one coordinate from another field of the same
+    characteristic raises; its packed int means nothing in the first."""
+    L, K = field(2, 8), field(2, 10)
+    rng = random.Random(odd)
+    P = [L.random_element(rng) for _ in range(4)]
+    P[odd] = K.random_element(rng)
+    with pytest.raises(ContextMismatch):
+        reading(tuple(P))
 
 
 def test_relation_index_bounds():
