@@ -11,24 +11,18 @@ whose verdict is one of
 
 VERIFIED and REFUTED reports carry a replayable witness: a membership
 certificate, a set of exponent tuples, or evaluation points with the
-values of both sides.  replay_witness runs the claim of every witness
-kind but one again from the recorded parameters (alternating claims at
-n up to REPLAY_NMAX, points witnesses over extension degrees up to
-REPLAY_EMAX), requires the same witness and re-multiplies the
-certificate it holds, so identity points must be the claim's own draws
-and replay costs what the claim cost.  The one checked kind is the
-alternating-group certificates: their parameters go through the
-claim's own gate (_alt_params), then they are parsed, their targets
-rebuilt and re-multiplied, which skips the claim's certified divisions.
+values of both sides.  replay_witness checks an alternating claim's
+certificates and runs the claim of every other witness again; either
+way the recorded parameters must be the ones the claim reports.
 A document whose prime lies past gf.is_prime's bound replays False.
-RunConfig refuses alt_nmax and ext_degree past those two bounds, so a
-claim never writes a witness its replay refuses.  run_claim runs every
-claim by id, the alternating ones included, refuses a parameter other
-than mode that is not an int, and times the claim.  A report keeps the
-membership certificates its witness holds as objects; their text is
-built the first time the report's witness is read (_witness_text), so a
-run that never reads a witness never formats one, and elapsed does not
-include the formatting.
+RunConfig refuses alt_nmax past REPLAY_NMAX and ext_degree past
+REPLAY_EMAX, so a claim never writes a witness its replay refuses.
+run_claim runs every claim by id, the alternating ones included,
+refuses a parameter other than mode that is not an int, and times the
+claim.  A report keeps the membership certificates its witness holds as
+objects; their text is built the first time the report's witness is
+read (_witness_text), so a run that never reads a witness never formats
+one, and elapsed does not include the formatting.
 """
 
 from __future__ import annotations
@@ -95,9 +89,10 @@ class RunConfig:
 
 @dataclass
 class VerificationReport:
-    """The outcome of one claim.  elapsed is the wall time run_claim
-    measured; a check function called directly leaves it at 0.0.
-    raw_witness is the witness dict the check built, which may hold
+    """The outcome of one claim.  Only a PROBABLE check computes bound;
+    it is 0 for VERIFIED and None otherwise.  elapsed is the wall time
+    run_claim measured; a check function called directly leaves it at
+    0.0.  raw_witness is the witness dict the check built, which may hold
     MembershipCertificate objects.  witness is the same dict with every
     certificate in it replaced by its text: the text is built the first
     time witness is read and kept, so elapsed does not include it."""
@@ -108,6 +103,10 @@ class VerificationReport:
     raw_witness: Optional[dict] = None
     elapsed: float = 0.0
     detail: tuple = ()
+
+    def __post_init__(self):
+        if self.verdict != PROBABLE:
+            self.bound = Fraction(0) if self.verdict == VERIFIED else None
 
     @property
     def ok(self) -> bool:
@@ -247,7 +246,7 @@ def _verify_identity(claim_id: str, params: dict, config: RunConfig,
     L = field(q, config.ext_degree)
     rng = _sub_rng(config.seed, _label(claim_id, {"q": q, "mode": mode}))
 
-    def report(verdict, bound, witness):
+    def report(verdict, witness, bound=None):
         return VerificationReport(claim_id, dict(params, seed=config.seed),
                                   verdict, bound, witness, detail=tuple(detail))
 
@@ -258,8 +257,7 @@ def _verify_identity(claim_id: str, params: dict, config: RunConfig,
                 pts, lv, rv, _ = sample_sides(random_points(L, 4, rng, 3), sides)
                 detail.append(equal.format(terms=len(lhs),
                                            degree=lhs.total_degree()))
-                return report(VERIFIED, Fraction(0),
-                              _points_witness(L, pts, lv, rv, extras))
+                return report(VERIFIED, _points_witness(L, pts, lv, rv, extras))
             diff = lhs - rhs
             detail.append(differ.format(terms=len(diff),
                                         lead=diff.leading_exponents()))
@@ -267,13 +265,13 @@ def _verify_identity(claim_id: str, params: dict, config: RunConfig,
             # the separating point alone refutes; without one replay
             # re-expands
             keep = slice(0, 0) if k is None else slice(k, k + 1)
-            return report(REFUTED, None, _points_witness(
+            return report(REFUTED, _points_witness(
                 L, pts[keep], lv[keep], rv[keep], extras,
                 mismatch=None if k is None else 0))
         except ResourceLimit as exc:
             if mode == "exact":
                 detail.append(f"resource guard: {exc}")
-                return report(SKIPPED, None, None)
+                return report(SKIPPED, None)
             detail.append(f"exact path hit a guard ({exc}); sampling instead")
 
     params.update(trials=config.trials, ext_degree=config.ext_degree)
@@ -282,9 +280,9 @@ def _verify_identity(claim_id: str, params: dict, config: RunConfig,
     if k is not None:
         if separates:
             detail.append(separates.format(k=k + 1))
-        return report(REFUTED, None, witness)
+        return report(REFUTED, witness)
     detail.append(f"{config.trials} samples agree; {agree}")
-    return report(PROBABLE, Fraction(degree, L.order) ** config.trials, witness)
+    return report(PROBABLE, witness, Fraction(degree, L.order) ** config.trials)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +378,7 @@ def verify_relations_n3(q: int = 2,
         items.append(_points_witness(L, pts, lv, rv, {"i": i}, mismatch=k))
         if k is not None:
             detail.append(f"i={i}: sample {k + 1} separates the sides")
-            verdict, worst = REFUTED, None
+            verdict = REFUTED
             break
         worst = max(worst, Fraction(max(dl, dr), L.order) ** config.trials)
         detail.append(f"i={i}: {config.trials} samples agree; side degrees {dl}/{dr}")
@@ -434,10 +432,9 @@ def sp4_fpurity_check(q: int,
     else:
         detail.append(f"Frobenius-closure witness at e = {closure.e}")
 
-    ok = images_ok and closure.e == 1
     return VerificationReport(
-        "sp4-fpurity", params, VERIFIED if ok else REFUTED,
-        Fraction(0) if ok else None, witness, detail=tuple(detail))
+        "sp4-fpurity", params, VERIFIED if images_ok and closure.e == 1 else REFUTED,
+        raw_witness=witness, detail=tuple(detail))
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +512,8 @@ def verify_theorem_search(n: int, q: int,
     detail = []
 
     def report(verdict, witness):
-        return VerificationReport(
-            "theorem-search", params, verdict,
-            Fraction(0) if verdict == VERIFIED else None, witness,
-            detail=tuple(detail))
+        return VerificationReport("theorem-search", params, verdict,
+                                  raw_witness=witness, detail=tuple(detail))
 
     try:
         sols = theorem_exponent_search(n, q)
@@ -656,9 +651,8 @@ def _alt_claim(claim_id: str, n: int, p: int,
                   + f" is NOT in the ideal; normal form has {len(remainder)} terms",)
     witness = {"kind": "certificates", "items": items} if member else dict(
         label, kind="normal-form", polys=format_polys(R, [f, remainder]))
-    return VerificationReport(
-        claim_id, params, verdict, Fraction(0) if verdict == VERIFIED else None,
-        witness, detail=notes)
+    return VerificationReport(claim_id, params, verdict, raw_witness=witness,
+                              detail=notes)
 
 
 def _alt_verdict(claim_id: str, params, member: bool) -> str:
@@ -677,15 +671,16 @@ def _alt_verdict(claim_id: str, params, member: bool) -> str:
 
 def _replay_rerun(claim_id, params, witness) -> Optional[str]:
     """Run the claim again from what the document records, alternating
-    claims with alt_nmax = REPLAY_NMAX, and require the same witness,
-    then re-multiply the certificate it holds, if any; the verdict is
-    the rerun's.  Every parameter the rerun reports must be recorded.
-    A points witness fixes the field and the draws: the rerun samples
-    as many points as the first item holds from the recorded seed, and
-    an item that does not stop at a mismatch must hold one point per
-    recorded trial, checked before anything runs.  Its extension degree,
-    read from the field text's p^e prefix, goes through RunConfig's
-    bound before the modulus is parsed; a malformed field raises."""
+    claims with alt_nmax = REPLAY_NMAX, and require the recorded
+    parameters and the same witness, then re-multiply the certificate it
+    holds, if any; the verdict is the rerun's.  A points witness fixes
+    the field and the draws: the rerun samples as many points as the
+    first item holds from the recorded seed, and an item that does not
+    stop at a mismatch must hold one point per recorded trial, checked
+    before anything runs; after a mismatch, trials need only cover the
+    stored points.  The extension degree, read from the field text's
+    p^e prefix, goes through RunConfig's bound before the modulus is
+    parsed; a malformed field raises."""
     settings = {k: params[k] for k in ("seed", "e_max") if k in params}
     points = witness["kind"] in ("points", "points-multi")
     if points:
@@ -706,8 +701,10 @@ def _replay_rerun(claim_id, params, witness) -> Optional[str]:
     if "terms" in witness:
         kw["terms"] = witness["terms"]
     fresh = claim.check(config=config, **kw)
-    if (not fresh.parameters.keys() <= params.keys()
-            or json.loads(json.dumps(fresh.witness)) != witness):
+    got = dict(fresh.parameters)
+    if "trials" in got:
+        got["trials"] = max(got["trials"], params["trials"])
+    if got != params or json.loads(json.dumps(fresh.witness)) != witness:
         return None
     if "certificate" in witness and not parse_certificate_text(
             witness["certificate"]).check():
@@ -725,8 +722,8 @@ def _proves(text: str, target: Callable[[], Polynomial], gb) -> bool:
 
 
 def _replay_certificates(claim_id, params, witness) -> Optional[str]:
-    """One certificate per target of _alt_targets, in order, for the
-    parameters the claim accepts at n up to REPLAY_NMAX.  Parsing,
+    """One certificate per target of _alt_targets, in order, for exactly
+    the n and p the claim accepts at n up to REPLAY_NMAX.  Parsing,
     rebuilding and re-multiplying skips the claim's certified divisions,
     which a rerun would add: about a quarter more time and CPU over the
     exact benchmark workload."""
@@ -736,9 +733,9 @@ def _replay_certificates(claim_id, params, witness) -> Optional[str]:
     labels = [{k: v for k, v in item.items() if k != "certificate"}
               for item in items]
     pairs = _alt_targets(claim_id, ring, params["p"])
-    if labels != [label for label, _ in pairs] or not all(
-            _proves(item["certificate"], target, gb)
-            for item, (_, target) in zip(items, pairs)):
+    if (params.keys() != {"n", "p"} or labels != [label for label, _ in pairs]
+            or not all(_proves(item["certificate"], target, gb)
+                       for item, (_, target) in zip(items, pairs))):
         return None
     return _alt_verdict(claim_id, params, True)
 
@@ -756,31 +753,22 @@ class Claim:
     alternating claim binds _alt_claim to its id) and builds the
     report's parameters in the order reports list them; params maps each
     parameter run_claim accepts to its default (_REQUIRED when there is
-    none); replays maps a witness kind to its replay(claim_id, params,
-    witness), which returns the verdict the witness proves or None."""
+    none).  Replay reruns check from the recorded parameters, except
+    for an alternating claim's certificates (_replay)."""
     check: Callable[..., VerificationReport]
     params: dict
-    replays: dict
 
 
 _ALT_IDS = ("alt-T", "alt-staircase", "alt-delta", "alt-dichotomy")
 _ALT_PARAMS = {"n": _REQUIRED, "p": _REQUIRED}
-_ALT_REPLAYS = {"certificates": _replay_certificates,
-                "normal-form": _replay_rerun}
 
 RUNNERS = {
-    "sp4-c0": Claim(verify_c0_expression, {"q": _REQUIRED, "mode": "auto"},
-                    {"points": _replay_rerun}),
-    "sp4-fpurity": Claim(sp4_fpurity_check, {"q": _REQUIRED},
-                         {"closure": _replay_rerun}),
-    "sp4-relation": Claim(verify_sp4_relation, {"q": _REQUIRED, "mode": "auto"},
-                          {"points": _replay_rerun}),
-    "theorem-search": Claim(verify_theorem_search,
-                            {"n": _REQUIRED, "q": _REQUIRED},
-                            {"exponents": _replay_rerun}),
-    **{cid: Claim(partial(_alt_claim, cid), _ALT_PARAMS, _ALT_REPLAYS) for cid in _ALT_IDS},
-    "relations-n3": Claim(verify_relations_n3, {"q": 2},
-                          {"points-multi": _replay_rerun}),
+    "sp4-c0": Claim(verify_c0_expression, {"q": _REQUIRED, "mode": "auto"}),
+    "sp4-fpurity": Claim(sp4_fpurity_check, {"q": _REQUIRED}),
+    "sp4-relation": Claim(verify_sp4_relation, {"q": _REQUIRED, "mode": "auto"}),
+    "theorem-search": Claim(verify_theorem_search, {"n": _REQUIRED, "q": _REQUIRED}),
+    **{cid: Claim(partial(_alt_claim, cid), _ALT_PARAMS) for cid in _ALT_IDS},
+    "relations-n3": Claim(verify_relations_n3, {"q": 2}),
 }
 
 
@@ -868,30 +856,31 @@ def _replay(claim_id: str, params: dict, witness) -> Optional[str]:
     try:
         if any(type(v) is not int for k, v in params.items() if k != "mode"):
             return None
-        replay = RUNNERS[claim_id].replays[witness["kind"]]
-        return replay(claim_id, params, witness)
+        if witness["kind"] == "certificates" and claim_id in _ALT_IDS:
+            return _replay_certificates(claim_id, params, witness)
+        return _replay_rerun(claim_id, params, witness)
     except (AttributeError, KeyError, IndexError, TypeError, ValueError,
             ResourceLimit):
-        # an unknown claim or kind, a malformed witness or parameters (a
+        # an unknown claim, a malformed witness or parameters (a
         # JSON value of the wrong type included), or one past a guard
         # proves nothing
         return None
 
 
 def replay_witness(claim_id: str, params: dict, witness: dict) -> bool:
-    """Re-validate a stored witness.  A points, closure or exponents
-    witness runs its claim again from the recorded parameters: the fresh
-    witness must equal it whole, a certificate it holds must re-multiply,
-    and the verdict is the rerun's, so replay costs what the claim cost.
-    An alternating-group normal form reruns its claim the same way at n
-    up to REPLAY_NMAX.  Alternating-group certificates, the one checked
-    kind, must come with parameters the claim accepts at n up to
-    REPLAY_NMAX, and each must be for its rebuilt target over the
-    reduced basis and re-multiply.  A malformed witness, a parameter
-    other than mode that is not an int, one that leaves out a parameter
-    its claim reports, or one that would push replay past a resource
-    guard (a prime past gf.is_prime's bound or an extension degree past
-    REPLAY_EMAX included), replays False."""
+    """Re-validate a stored witness by one rule.  An alternating claim's
+    certificates are checked: the parameters must be exactly the n and
+    p the claim accepts at n up to REPLAY_NMAX, and each certificate
+    must be for its rebuilt target over the reduced basis and
+    re-multiply.  Every other witness runs its claim again (alternating
+    claims at n up to REPLAY_NMAX): the rerun must report the recorded
+    parameters, keys and values, its witness must equal the stored one
+    whole, a certificate it holds must re-multiply, and the verdict is
+    the rerun's, so replay costs what the claim cost.  A malformed
+    witness, a parameter other than mode that is not an int, or one
+    that would push replay past a resource guard (a prime past
+    gf.is_prime's bound or an extension degree past REPLAY_EMAX
+    included), replays False."""
     return _replay(claim_id, params, witness) is not None
 
 

@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Mutation check of the witness replay rules, the text they read (the
 certificate parser included), the witness formatter a report runs on
-first read, run_claim's parameter checks, the alternating-group claim
-with its product normal form, the run configuration's bounds, the
-element kernels each kind of GF(p^e) binds, the identity shortcut of
-element operands, the modulus search, the embedding rule of GF(p)
-coefficients, evaluation at a point, the nested sums of substitute, the
-heap division loop, powering by halving, the gate and slicing of the
-Kronecker product, and the invariant bodies both readings run with the
-field check of the point reading.
+first read, the report's bound rule, run_claim's parameter checks, the
+alternating-group claim with its product normal form, the run
+configuration's bounds, the element kernels each kind of GF(p^e) binds,
+the identity shortcut of element operands, the modulus search, the
+embedding rule of GF(p) coefficients, evaluation at a point, the nested
+sums of substitute, the heap division loop, powering by halving, the
+gate and slicing of the Kronecker product, and the invariant bodies both
+readings run with the field check of the point reading.
 
     python3 tests/mutate_replay.py
 
@@ -17,16 +17,19 @@ file): it sets one `if` test (or conditional expression) to False, or
 drops one operand of an `and`/`or` by putting True (for `and`) or False
 (for `or`) in its place; a function in RETURN_TRUE also has each of its
 return values set to True.  A target named Class lists every method of
-the class, and Class.method one method.  The mutant is written into a
-copy of src/, and the tests run against it: first, under -x, the test
-modules TARGETS names for its file, then, only if those pass, every
-module in TESTS.  A mutant that passes TESTS survives, so the first run
-only saves time.  The run lists every survivor and exits 1 when one is
-not in EQUIVALENT, the mutants that no input can tell apart from the
-original.  Before any mutant runs, the run stops when a name in TARGETS
-matches no function or an EQUIVALENT entry matches no mutant (stale
-lists); tests/test_mutate_lists.py checks the same in the test suite.
-pytest does not collect this file (its name does not start with test_).
+the class, and Class.method one method.  A mutant is named by its
+function, its rule text and, after #, its ordinal among the sites with
+that text, so one name, and one EQUIVALENT entry, is one site.  The
+mutant is written into a copy of src/, and the tests run against it:
+first, under -x, the test modules TARGETS names for its file, then,
+only if those pass, every module in TESTS.  A mutant that passes TESTS
+survives, so the first run only saves time.  The run lists every
+survivor and exits 1 when one is not in EQUIVALENT, the mutants that no
+input can tell apart from the original.  Before any mutant runs, the
+run stops when a name in TARGETS matches no function or an EQUIVALENT
+entry matches no mutant (stale lists); tests/test_mutate_lists.py
+checks the same in the test suite.  pytest does not collect this file
+(its name does not start with test_).
 """
 
 import ast
@@ -35,14 +38,15 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # (file, target functions, the modules of TESTS that run first)
 TARGETS = (
-    ("src/invar/fsing.py", ("RunConfig.__post_init__", "run_claim", "_replay",
-                            "_replay_rerun", "_replay_certificates", "_proves",
-                            "_alt_params", "_alt_claim", "_delta_remainder",
+    ("src/invar/fsing.py", ("RunConfig.__post_init__", "VerificationReport.__post_init__",
+                            "run_claim", "_replay", "_replay_rerun", "_replay_certificates",
+                            "_proves", "_alt_params", "_alt_claim", "_delta_remainder",
                             "_witness_text"),
      ("tests/test_fsing.py",)),
     ("src/invar/groebner.py", ("MembershipCertificate.check", "normal_form_of_product",
@@ -69,22 +73,22 @@ TESTS = ("tests/test_fsing.py", "tests/test_byte_pin.py",
          "tests/test_invariants.py")
 
 EQUIVALENT = {
-    "_parse_canonical: drop ring.field.e > 1":
+    "_parse_canonical: drop ring.field.e > 1 #1":
         "over GF(p^e) text without parentheses has coefficients in GF(p), "
         "whose packed ints are their residues mod p, so the one-pass parser "
         "reads the same terms the reference parser does",
-    "_parse_canonical: drop k":
+    "_parse_canonical: drop k #1":
         "for k = 0, parts[k - 1] is the last term's text, which holds no sign",
-    "FieldElement._coerce: drop other.spec is not self.spec":
+    "FieldElement._coerce: drop other.spec is not self.spec #1":
         "the identity test only skips the structural comparison, which is "
         "also False for the same spec",
-    "FieldElement.__eq__: drop other.spec is self.spec":
+    "FieldElement.__eq__: drop other.spec is self.spec #1":
         "the identity test only skips the structural comparison, which is "
         "also True for the same spec",
-    "_kronecker: if _SWAP -> False":
+    "_kronecker: if _SWAP -> False #1":
         "_SWAP holds only on a big-endian host, where the slots must be "
         "byteswapped; on a little-endian one the swap never runs",
-    "_divide_heap: if entry[0] > key -> False":
+    "_divide_heap: if entry[0] > key -> False #1":
         "a divisor whose leading key is above the key cannot divide it, so "
         "the divisibility test fails on every entry past that point: the "
         "break only ends the scan early",
@@ -106,7 +110,9 @@ def _targets(tree, names):
 
 def _sites(tree, names):
     """(name, apply) for every rule of the named functions, in source
-    order; apply() mutates tree in place."""
+    order; apply() mutates tree in place.  A name is the function, the
+    rule text and, after #, the rule's ordinal among the sites with the
+    same text, so no two sites share one."""
     sites = []
     for func, top in _targets(tree, names):
         for node in ast.walk(top):
@@ -124,7 +130,11 @@ def _sites(tree, names):
                 sites.append((f"{func}: return {ast.unparse(node.value)} -> True",
                               lambda node=node: setattr(node, "value",
                                                         ast.Constant(True))))
-    return sites
+    named, seen = [], Counter()
+    for text, apply in sites:
+        seen[text] += 1
+        named.append((f"{text} #{seen[text]}", apply))
+    return named
 
 
 def stale_names() -> list:

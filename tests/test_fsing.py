@@ -1284,8 +1284,19 @@ def test_replay_past_the_bound_on_n_is_false_at_once(kind, n):
 # ---------------------------------------------------------------------------
 
 
-def test_normal_form_witnesses_rerun_their_claim():
-    assert fsing._ALT_REPLAYS["normal-form"] is fsing._replay_rerun
+def test_normal_form_witnesses_rerun_their_claim(monkeypatch):
+    """A normal form reruns its claim and certificates are checked, for
+    the same claim: the spies see which replay each document takes."""
+    calls = []
+    for name in ("_replay_rerun", "_replay_certificates"):
+        monkeypatch.setattr(fsing, name, lambda *args, name=name, real=getattr(
+            fsing, name): calls.append(name) or real(*args))
+    for p, kind, name in [(5, "normal-form", "_replay_rerun"),
+                          (3, "certificates", "_replay_certificates")]:
+        doc = _document("alt-dichotomy", n=3, p=p)
+        calls.clear()
+        assert doc["witness"]["kind"] == kind and _replays(doc)
+        assert calls == [name]
 
 
 def _true_certificates(claim_id, n, p):
@@ -1344,6 +1355,79 @@ def test_replay_with_a_large_prime_is_false_at_once(claim_id, params, key, q):
     t0 = time.perf_counter()
     assert not _replays(doc)
     assert time.perf_counter() - t0 < 0.1
+
+
+# ---------------------------------------------------------------------------
+# one replay rule: the rerun reports the recorded parameters, keys and values
+# ---------------------------------------------------------------------------
+
+_KINDS = [
+    ("sp4-c0", {"q": 2, "mode": "probabilistic"}, "points"),
+    ("relations-n3", {"q": 2}, "points-multi"),
+    ("sp4-fpurity", {"q": 2}, "closure"),
+    ("theorem-search", {"n": 2, "q": 3}, "exponents"),
+    ("alt-T", {"n": 3, "p": 3}, "certificates"),
+    ("alt-dichotomy", {"n": 3, "p": 5}, "normal-form"),
+]
+
+
+@pytest.mark.parametrize("claim_id, params, kind", _KINDS,
+                         ids=[kind for *_, kind in _KINDS])
+def test_replay_refuses_an_extra_parameter(claim_id, params, kind):
+    doc = _document(claim_id, **params)
+    assert doc["witness"]["kind"] == kind and _replays(doc)
+    doc["params"]["extra"] = 1
+    assert not _replays(doc)
+
+
+@pytest.mark.parametrize("claim_id, params, key, value", [
+    ("sp4-relation", {"q": 2, "mode": "probabilistic"}, "i", 2),
+    ("sp4-relation", {"q": 2, "mode": "exact"}, "i", 2),
+    ("sp4-c0", {"q": 2, "mode": "probabilistic"}, "e_max", 0),
+    ("sp4-c0", {"q": 2, "mode": "exact"}, "trials", 3),
+    ("alt-dichotomy", {"n": 3, "p": 3}, "alt_nmax", 8),
+], ids=["i-sampled", "i-exact", "e_max-on-points", "trials-on-exact",
+        "alt_nmax-on-certificates"])
+def test_replay_binds_each_parameter_value(claim_id, params, key, value):
+    """A value the rerun does not report, such as i = 2 on a relation
+    that proves i = 1, or a key it does not report, such as trials on an
+    exact witness of three points, proves nothing."""
+    doc = _document(claim_id, **params)
+    assert _replays(doc)
+    doc["params"][key] = value
+    assert not _replays(doc)
+
+
+def test_trials_after_a_mismatch_cover_the_stored_points():
+    """The rerun of a sampled refutation draws only the stored points, so
+    the recorded trials may exceed them but not fall short."""
+    bad = mutated_c0_terms(3, random.Random(1000))
+    doc = json.loads(witness_document(verify_c0_expression(
+        3, FAST, mode="probabilistic", terms=bad)))
+    drawn = len(doc["witness"]["points"])
+    assert doc["verdict"] == "REFUTED" and drawn < FAST.trials and _replays(doc)
+    for trials, replays in [(drawn, True), (10 ** 9, True), (drawn - 1, False)]:
+        assert _replays(dict(doc, params=dict(doc["params"], trials=trials))) is replays
+
+
+def test_points_replay_refuses_another_ext_degree_before_the_rerun(monkeypatch):
+    """The rerun would report the field's degree and fail the value
+    rule, but a pre-check refuses the document before the claim samples."""
+    doc = _document("sp4-c0", q=3, mode="probabilistic")
+    assert _replays(doc)
+    calls = []
+    monkeypatch.setattr(fsing, "sample_sides", lambda *args: calls.append(args))
+    doc["params"]["ext_degree"] += 1
+    assert not _replays(doc) and calls == []
+
+
+@pytest.mark.parametrize("claim_id", ["relations-n3", "sp4-c0", "theorem-search"])
+def test_certificates_relabelled_as_another_claim_replay_false(claim_id):
+    """Only an alternating claim's certificates are checked; under any
+    other claim they rerun that claim, whose witness they are not."""
+    doc = _document("alt-dichotomy", n=3, p=3)
+    assert doc["witness"]["kind"] == "certificates" and _replays(doc)
+    assert not _replays(dict(doc, claim=claim_id))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The lists of tests/mutate_replay.py name live code: a renamed target
 or a stale equivalent is caught here, without running the mutants."""
 
+import ast
 import time
 
 import mutate_replay
@@ -20,3 +21,13 @@ def test_stale_names_are_reported(monkeypatch):
     assert mutate_replay.stale_names() == [
         f"{path}: no function _no_such_function",
         "EQUIVALENT: no mutant '_replay: no such site'"]
+
+
+def test_no_two_sites_share_a_name():
+    """Sites with the same rule text in one function are told apart by
+    their ordinal, so an EQUIVALENT entry excuses one site only."""
+    names = [name for path, targets, _ in mutate_replay.TARGETS
+             for name, _ in mutate_replay._sites(
+                 ast.parse((mutate_replay.ROOT / path).read_text()), targets)]
+    assert len(names) == len(set(names))
+    assert "_alt_claim: if member -> False #5" in names
