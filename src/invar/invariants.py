@@ -108,7 +108,8 @@ def _xi(xs: Sequence, i: int, ops: tuple):
 
 def _relation_sides(m: int, i: int, c: Sequence, xi: Sequence, ops: tuple):
     """Both sides of the i-th relation from c_0..c_{m-1} and
-    xi_1..xi_{m-1} (index shifted by one)."""
+    xi_1..xi_{m-1} (index shifted by one); it reads xi up to
+    xi_max(i, m - i) only."""
     _, zero, add, sub, mul, _, frob = ops
     lhs = zero
     for j in range(i):
@@ -188,7 +189,7 @@ def symplectic_relation_values(point: Sequence[FieldElement], q: int, i: int):
     """The two sides of the i-th relation at one point, from packed c and xi."""
     m = len(point)
     L, xs, ops = _point_ops(point, q)
-    xi = [_xi(xs, k, ops) for k in range(1, m)]
+    xi = [_xi(xs, k, ops) for k in range(1, max(i, m - i) + 1)]
     sides = _relation_sides(m, i, _dickson(xs, q, ops), xi, ops)
     return tuple(FieldElement(L, v) for v in sides)
 

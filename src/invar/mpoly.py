@@ -39,11 +39,16 @@ term pair.  The packing is then sliced on more variables until each
 slice fits _SLOT_TARGET slots, so that a lopsided product multiplies
 many small, well filled slices instead of a few mostly empty ones.
 Slicing changes how a packed product is laid out, never whether it
-is packed.  Every other
-product, and every product over GF(p^e) with e > 1, runs the schoolbook
-loop; over GF(p) that loop is _accumulate, which groebner's staged
-division shares.  check_product runs before either path, and TERM_GUARD
-trips at the same count on both.  Every square goes through _sqr, which
+is packed.  All slices are read back at once: while w byte slots keep
+w p < 256, byte j of each slot maps through x 256^j mod p (one translate
+per byte lane, as gf reduces byte slots), the lanes add as ints, and one
+more translate leaves each slot's residue; wider primes reduce per slot.
+Only nonzero residues get a key.  Every other product, and every product
+over GF(p^e) with e > 1, runs the schoolbook loop; over GF(p) that loop
+is _accumulate, which groebner's staged division shares.  check_product
+runs before either path, and TERM_GUARD trips at the same count on both:
+the packed path counts nonzero slots, the schoolbook keys, before
+reduction.  Every square goes through _sqr, which
 in characteristic 2 is the termwise Frobenius map and otherwise the
 general product.  __pow__ and substitute build every power by halving
 in _power, which squares only through _sqr.
@@ -51,10 +56,12 @@ in _power, which squares only through _sqr.
 
 from __future__ import annotations
 
+import re
 from array import array
+from functools import reduce
 from itertools import compress
 from math import gcd, prod
-from operator import mul
+from operator import mul, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ContextMismatch, ResourceLimit, UsageError
@@ -71,6 +78,9 @@ _DENSE_SPAN = 8
 # Slices of at most this many slots multiply fastest (512 to 4,096 were
 # within 5% on the Dickson and certificate products).
 _SLOT_TARGET = 2048
+# the packed read-back's table of nonzero bytes and scan for them
+_NONZERO = bytes([0] + [1] * 255)
+_HIT = re.compile(b"[^\\0]")
 
 _W = 28
 _M = 1 << 27
@@ -569,7 +579,9 @@ def _kronecker(order: TermOrder, p: int, at: dict, bt: dict) -> Optional[dict]:
     max_a + max_b + 1, into slots holding min(len a, len b) products
     below p^2: no digit or slot carries.  A key is affine in the
     exponents, so it is a base, a slice offset (a step per sliced
-    exponent, additive over a product) and a slot step."""
+    exponent, additive over a product) and a slot step.  All output
+    slices are reduced mod p in one pass, by byte lanes while width * p
+    < 256; TERM_GUARD counts nonzero slots before it."""
     la, lb = len(at), len(bt)
     if la * lb < DENSE_FLOOR or min(la, lb) < _DENSE_MIN * order.n:
         return None
@@ -605,7 +617,8 @@ def _kronecker(order: TermOrder, p: int, at: dict, bt: dict) -> Optional[dict]:
         ia = [i + w * x for i, x in zip(ia, xa)]
         ib = [i + w * x for i, x in zip(ib, xb)]
         steps = [x * g * (key - drop[0]) + s for x in range(digit) for s in steps]
-    nbytes = box * array(tc).itemsize
+    width = array(tc).itemsize
+    nbytes = box * width
     pa = _pack_slices(tc, nbytes, oa, ia, at.values())
     pb = pa if at is bt else _pack_slices(tc, nbytes, ob, ib, bt.values())
     sums: dict = {}
@@ -614,21 +627,29 @@ def _kronecker(order: TermOrder, p: int, at: dict, bt: dict) -> Optional[dict]:
         for kb, B in pb[j:] if pb is pa else pb:
             sums[ka + kb] = sums.get(ka + kb, 0) + (A * B << (pb is pa and kb != ka))
     base = order.offset + (dega.pop() + degb.pop()) * drop[0]
-    guard, found, out = TERM_GUARD, 0, {}
-    for k, P in sums.items():
-        vals = array(tc)
-        vals.frombytes(P.to_bytes(nbytes, "little"))
+    kbase = [base + k for k in sums]
+    data = b"".join([P.to_bytes(nbytes, "little") for P in sums.values()])
+    if width * p < 256:
+        # lane j holds byte j of every slot; through x 256^j mod p the
+        # lanes add as ints without a carry, and one translate reduces
+        lanes = [data[j::width] for j in range(width)]
+        found = reduce(or_, [int.from_bytes(x.translate(_NONZERO), "little")
+                             for x in lanes]).bit_count()
+        res = sum(int.from_bytes(x.translate(bytes(c * 256 ** j % p for c in range(256))),
+                                 "little") for j, x in enumerate(lanes))
+        res = res.to_bytes(len(lanes[0]), "little").translate(bytes(c % p for c in range(256)))
+        hit = [m.start() for m in _HIT.finditer(res)]
+    else:
+        vals = array(tc, data)
         if _SWAP:
             vals.byteswap()
-        hit = list(compress(range(box), vals))
-        # all coefficients are positive: a nonzero slot is one schoolbook key
-        found += len(hit)
-        if found > guard:
-            raise ResourceLimit(f"product exceeds {guard} terms")
-        kbase = base + k
-        coeffs = [vals[i] % p for i in hit]
-        out.update(compress(zip([kbase + steps[i] for i in hit], coeffs), coeffs))
-    return out
+        found = len(vals) - vals.count(0)
+        res = [v % p for v in vals]
+        hit = compress(range(len(res)), res)
+    # all coefficients are positive: a nonzero slot is one schoolbook key
+    if found > TERM_GUARD:
+        raise ResourceLimit(f"product exceeds {TERM_GUARD} terms")
+    return {kbase[g // box] + steps[g % box]: res[g] for g in hit}
 
 
 def _pack_slices(tc: str, nbytes: int, offsets: list, index: list, coeffs) -> list:

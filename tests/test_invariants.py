@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import invar.invariants as invariants
 from invar.errors import ContextMismatch, ResourceLimit, UsageError
 from invar.gf import field
 from invar.groebner import buchberger, normal_form
@@ -250,6 +251,21 @@ def test_point_readings_match_element_oracle(p, e, s):
                 if i < m // 2:
                     assert symplectic_relation_values(P, q, i) == \
                         relation_sides_by_elements(P, q, i)
+
+
+def test_relation_values_build_only_the_xi_they_read(monkeypatch):
+    """Relation i reads xi_1..xi_max(i, m - i): on six coordinates xi_1
+    to xi_5 for i = 1 and xi_1 to xi_4 for i = 2, with the same sides."""
+    built = []
+    xi = invariants._xi
+    monkeypatch.setattr(invariants, "_xi", lambda xs, k, ops: built.append(k) or xi(xs, k, ops))
+    L = field(3, 2)
+    rng = random.Random(6)
+    P = tuple(L.random_element(rng) for _ in range(6))
+    for i, top in ((1, 5), (2, 4)):
+        del built[:]
+        assert symplectic_relation_values(P, 3, i) == relation_sides_by_elements(P, 3, i)
+        assert built == list(range(1, top + 1))
 
 
 @pytest.mark.parametrize("odd", (0, 3))

@@ -18,9 +18,9 @@ import invar.mpoly as mpoly
 from invar.errors import ContextMismatch, ResourceLimit, UsageError
 from invar.gf import field
 from invar.fsing import RunConfig, run_claim
-from invar.invariants import dickson_invariants
-from invar.mpoly import (PolyRing, TermOrder, _mul, _power, _sqr, frobenius_power,
-                         random_points, sample_sides, substitute)
+from invar.invariants import dickson_invariants, xring
+from invar.mpoly import (PolyRing, Polynomial, TermOrder, _mul, _power, _sqr,
+                         frobenius_power, random_points, sample_sides, substitute)
 from invar.polyio import format_polys, parse_certificate_text
 from oracles import (block_sort_key, coeff_element, degree_in, draw_poly,
                      eval_by_substitution, grevlex_sort_key, is_homogeneous,
@@ -665,6 +665,95 @@ def test_kronecker_matches_accumulate(n, p):
     assert packed[4] or n > 3 or p > 7
 
 
+def _packed_dickson_products(n, q):
+    """(order, p, a, b) for each product dickson_invariants(n, GF(q))
+    packs, q prime: the squares inside u = fx^(q - 1) and u * b[k]."""
+    calls = []
+
+    def spy(order, p, at, bt):
+        out = kronecker(order, p, at, bt)
+        if out is not None:
+            calls.append((order, p, at, bt))
+        return out
+
+    kronecker = mpoly._kronecker
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mpoly, "_kronecker", spy)
+        dickson_invariants(n, field(q))
+    return calls
+
+
+def _spy_scans(monkeypatch) -> list:
+    """Record the length of every residue string that _kronecker scans
+    for nonzero bytes: one per product read back by byte lanes, none
+    per product reduced slot by slot."""
+    scans = []
+
+    class Spy:
+        def finditer(self, data):
+            scans.append(len(data))
+            return hit.finditer(data)
+
+    hit = mpoly._HIT
+    monkeypatch.setattr(mpoly, "_HIT", Spy())
+    return scans
+
+
+def _slot_keys(at, bt) -> set:
+    """The keys of at * bt before reduction: one per nonzero slot."""
+    return {ka + kb for ka in at for kb in bt}
+
+
+def test_kronecker_reads_back_a_cancelling_dickson_product(monkeypatch):
+    """dickson_invariants(4, GF(3)) packs the square of fx and u * b[k]
+    for three k, all on q-th-power exponent sets, and they mostly
+    cancel mod 3: u * b[0] keeps 282 of its 2,097 nonzero slots.  Each
+    reads back by byte lanes as _accumulate reduced mod p."""
+    products = _packed_dickson_products(4, 3)
+    scans = _spy_scans(monkeypatch)
+    kept = []
+    for order, p, at, bt in products:
+        out = mpoly._kronecker(order, p, at, bt)
+        assert out == _reduced_accumulate(order, p, at, bt)
+        kept.append((at is bt, len(out), len(_slot_keys(at, bt))))
+    assert kept == [(True, 291, 935), (False, 282, 2097), (False, 339, 2485),
+                    (False, 330, 2285)]
+    assert len(scans) == len(products)
+
+
+@pytest.mark.parametrize("p,small,width,lanes", [
+    (2, 255, 1, True), (127, 4, 2, True), (131, 3, 2, False), (2 ** 31 - 1, 4, 8, False)])
+def test_kronecker_read_back_at_the_lane_boundary(p, small, width, lanes, monkeypatch):
+    """Slots of w bytes read back by byte lanes while w p < 256 (p = 2 on
+    one byte; p = 127 on two, 254) and slot by slot past it (p = 131 on
+    two, 262; 2^31 - 1 on eight).  With every coefficient p - 1 one slot
+    holds small * (p - 1)^2, the most its width allows; random
+    coefficients follow.  Three terms in two variables pass the gate
+    only with _DENSE_MIN at 1.  TERM_GUARD trips at len(keys) - 1 on
+    either path, and not at len(keys)."""
+    monkeypatch.setattr(mpoly, "_DENSE_MIN", 1)
+    assert array(mpoly.slot_typecode(small * (p - 1) ** 2)).itemsize == width
+    ring = PolyRing(field(p), ["x", "y"])
+    rng = random.Random(p)
+    big = max(2 * small, -(-mpoly.DENSE_FLOOR // small))
+    scans = _spy_scans(monkeypatch)
+    guard = mpoly.TERM_GUARD
+    for coeff in (lambda: p - 1, lambda: rng.randrange(1, p)):
+        f = _form(ring, _monomials(2, small - 1), [coeff() for _ in range(small)])
+        g = _form(ring, _monomials(2, big - 1), [coeff() for _ in range(big)])
+        expected = _reduced_accumulate(ring.order, p, f.terms, g.terms)
+        del scans[:]
+        assert mpoly._kronecker(ring.order, p, f.terms, g.terms) == expected
+        assert len(scans) == lanes
+        keys = _slot_keys(f.terms, g.terms)
+        monkeypatch.setattr(mpoly, "TERM_GUARD", len(keys) - 1)
+        with pytest.raises(ResourceLimit):
+            mpoly._kronecker(ring.order, p, f.terms, g.terms)
+        monkeypatch.setattr(mpoly, "TERM_GUARD", len(keys))
+        assert mpoly._kronecker(ring.order, p, f.terms, g.terms) == expected
+        monkeypatch.setattr(mpoly, "TERM_GUARD", guard)
+
+
 def _spy_kernel(monkeypatch) -> list:
     """Record [term counts of the two factors, packings] for every
     _kronecker call: packings is None where it declined, and otherwise
@@ -870,6 +959,32 @@ def test_sqr_exponent_cap(p, e, order):
             assert (_dense(f, f) is not None) == (e == 1)
             assert _sqr(f) == _mul(f, f) == _schoolbook(f, f)
             assert degree_in(_sqr(f), i) == mpoly.EXP_CAP - 2
+
+
+def test_term_guard_counts_slots_of_a_cancelling_product(monkeypatch):
+    """u * b[0] of dickson_invariants(4, GF(3)) has 2,097 nonzero slots
+    and 282 terms mod 3, and the square of fx 935 and 291.  TERM_GUARD
+    counts the slots, as the schoolbook loop counts its keys before
+    reduction: it trips at len(keys) - 1 and not at len(keys)."""
+    R = xring(field(3), 4)
+    guard = mpoly.TERM_GUARD
+    products = _packed_dickson_products(4, 3)
+    for order, p, at, bt in products[:2]:
+        a, b = Polynomial(R, at), Polynomial(R, bt)
+        expected = _schoolbook(a, b)
+        keys = _slot_keys(at, bt)
+        assert len(expected) * 3 < len(keys)
+        monkeypatch.setattr(mpoly, "TERM_GUARD", len(keys) - 1)
+        with pytest.raises(ResourceLimit):
+            _mul(a, b)
+        with pytest.raises(ResourceLimit):
+            _schoolbook(a, b)
+        if at is bt:
+            with pytest.raises(ResourceLimit):
+                _sqr(a)
+        monkeypatch.setattr(mpoly, "TERM_GUARD", len(keys))
+        assert _mul(a, b) == expected == _schoolbook(a, b)
+        monkeypatch.setattr(mpoly, "TERM_GUARD", guard)
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2)])
