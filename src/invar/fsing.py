@@ -244,13 +244,13 @@ def _verify_identity(claim_id: str, params: dict, config: RunConfig,
     q = params["q"]
     params = dict(params, mode=mode)
     L = field(q, config.ext_degree)
-    rng = _sub_rng(config.seed, _label(claim_id, {"q": q, "mode": mode}))
 
     def report(verdict, witness, bound=None):
         return VerificationReport(claim_id, dict(params, seed=config.seed),
                                   verdict, bound, witness, detail=tuple(detail))
 
     if mode in ("exact", "auto"):
+        rng = _sub_rng(config.seed, _label(claim_id, {"q": q, "mode": mode}))
         try:
             lhs, rhs = exact()
             if lhs == rhs:
@@ -274,6 +274,8 @@ def _verify_identity(claim_id: str, params: dict, config: RunConfig,
                 return report(SKIPPED, None)
             detail.append(f"exact path hit a guard ({exc}); sampling instead")
 
+    # an auto fallback draws as mode "probabilistic" does (_replay_rerun)
+    rng = _sub_rng(config.seed, _label(claim_id, {"q": q, "mode": "probabilistic"}))
     params.update(trials=config.trials, ext_degree=config.ext_degree)
     pts, lv, rv, k = sample_sides(random_points(L, 4, rng, config.trials), sides)
     witness = _points_witness(L, pts, lv, rv, extras, mismatch=k)
@@ -680,7 +682,9 @@ def _replay_rerun(claim_id, params, witness) -> Optional[str]:
     before anything runs; after a mismatch, trials need only cover the
     stored points.  The extension degree, read from the field text's
     p^e prefix, goes through RunConfig's bound before the modulus is
-    parsed; a malformed field raises."""
+    parsed; a malformed field raises.  An auto witness with trials was
+    sampled: it reruns in mode "probabilistic", which draws the same
+    points with no exact attempt under any guard, and must record "auto"."""
     settings = {k: params[k] for k in ("seed", "e_max") if k in params}
     points = witness["kind"] in ("points", "points-multi")
     if points:
@@ -698,10 +702,15 @@ def _replay_rerun(claim_id, params, witness) -> Optional[str]:
         parse_field_text(items[0]["field"])
     claim = RUNNERS[claim_id]
     kw = {k: params[k] for k in claim.params if k in params}
+    sampled = kw.get("mode") == "auto" and "trials" in params
+    if sampled:
+        kw["mode"] = "probabilistic"
     if "terms" in witness:
         kw["terms"] = witness["terms"]
     fresh = claim.check(config=config, **kw)
     got = dict(fresh.parameters)
+    if sampled:
+        got["mode"] = "auto"
     if "trials" in got:
         got["trials"] = max(got["trials"], params["trials"])
     if got != params or json.loads(json.dumps(fresh.witness)) != witness:

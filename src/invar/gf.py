@@ -505,7 +505,7 @@ class FieldElement:
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            if other.spec is not self.spec and other.spec != self.spec:
+            if other.spec != self.spec:
                 raise ContextMismatch(
                     f"mixed fields {self.spec} and {other.spec}")
             return other
@@ -573,7 +573,7 @@ class FieldElement:
         if isinstance(other, int):
             other = self.spec.element(other)
         return (isinstance(other, FieldElement)
-                and (other.spec is self.spec or other.spec == self.spec)
+                and other.spec == self.spec
                 and self.rep == other.rep)
 
     def __hash__(self):

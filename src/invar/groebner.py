@@ -2,20 +2,23 @@
 closure searches.
 
 normal_form divides by one of two paths with the same quotients and
-remainder.  A triangular basis over GF(p) under grevlex, such as the
-reduced basis {h_k(x_k..x_n)} of (e_1..e_n), is divided one element at a
-time by _divide_staged: the pending terms are grouped by the exponent of
-the element's leading variable, walked downward, and each group becomes
-quotient terms in one pass, with no heap and no divisor scan.  Both
+remainder.  A GroebnerBasis that is triangular over GF(p) under grevlex,
+such as the reduced basis {h_k(x_k..x_n)} of (e_1..e_n), is divided one
+element at a time by _divide_staged: the pending terms are grouped by
+the exponent of the element's leading variable, walked downward, and
+each group becomes quotient terms in one pass, with no heap and no
+divisor scan.  Both
 paths write f = sum q_i b_i + r with every term of LM(b_i) q_i in cell i
 (the monomials whose first divisor is b_i) and no term of r in any cell.
 That decomposition is unique, so the two paths agree term for term (the
-argument is in _divide_staged's docstring).  A GroebnerBasis keeps its
-division plan (the stages, or None) and its elements' texts.
+argument is in _divide_staged's docstring).  A GroebnerBasis makes its
+division plan (the stages, or None) once and keeps it with its
+elements' texts.
 
-Every other division runs the heap loop, _divide_heap.  The pending
-terms sit in a dict keyed by packed monomial, and their keys in a
-max-heap.  Every key a reduction step adds is strictly smaller than the
+Every other division runs the heap loop, _divide_heap, and so does every
+plain sequence of divisors, such as buchberger's S-pair reductions and
+autoreduction.  The pending terms sit in a dict keyed by packed
+monomial, and their keys in a max-heap.  Every key a reduction step adds is strictly smaller than the
 key it cancels, so no key is pushed twice: a key enters the heap when it
 first enters the dict, and its coefficient is read once, when it is
 popped.  The heap thus holds only the distinct keys touched, with no
@@ -92,11 +95,12 @@ class MembershipCertificate:
 def normal_form(f: Polynomial, basis, certificate: bool = False):
     """Remainder of f under division by basis; with certificate=True,
     returns a MembershipCertificate whose cofactors align with the basis
-    as given.  A triangular basis over GF(p) (see _triangular) is
-    divided by _divide_staged when the order is grevlex and f's total
-    degree is below EXP_CAP; every other division runs _divide_heap.
-    Both give the textbook quotients and remainder.  A plain sequence
-    is planned on every call, a GroebnerBasis once (GroebnerBasis.plan)."""
+    as given.  A GroebnerBasis with a plan (GroebnerBasis.plan) is
+    divided by _divide_staged when f's total degree is below EXP_CAP;
+    every other division, a plain sequence's included, runs
+    _divide_heap.  Both give the textbook quotients and remainder, so a
+    caller who wants the staged path for a list wraps it in a
+    GroebnerBasis."""
     planned = isinstance(basis, GroebnerBasis)
     items = basis.elements if planned else list(basis)
     ring = f.ring
@@ -104,17 +108,14 @@ def normal_form(f: Polynomial, basis, certificate: bool = False):
         if b.ring != ring:
             raise ContextMismatch("basis element from a different ring")
     cof: Optional[list] = [{} for _ in items] if certificate else None
-    order = ring.order
-    stages = None
-    # grevlex division never raises the total degree, so below the cap
-    # no exponent on either path can reach it
-    if (order.kind == "grevlex" and ring.field.e == 1 and f.terms
-            and order.total_degree_of(max(f.terms)) < mpoly.EXP_CAP):
-        stages = basis.plan if planned else _triangular(ring, items)
-    if stages is None:
-        rem = _divide_heap(ring, f.terms, items, cof)
-    else:
+    stages = basis.plan if planned else None
+    # a plan means grevlex, whose division never raises the total
+    # degree, so below the cap no exponent on either path can reach it
+    if (stages is not None and f.terms
+            and ring.order.total_degree_of(max(f.terms)) < mpoly.EXP_CAP):
         rem = _divide_staged(ring, f.terms, stages, cof)
+    else:
+        rem = _divide_heap(ring, f.terms, items, cof)
     remainder = Polynomial(ring, rem)
     if not certificate:
         return remainder
@@ -203,46 +204,28 @@ def _divide_heap(ring: PolyRing, terms: dict, items: list,
     return rem
 
 
-def _triangular(ring: PolyRing, items: list) -> Optional[list]:
+def _triangular(ring: PolyRing, items: Sequence[Polynomial]) -> Optional[list]:
     """The stages of _divide_staged when the nonzero items form a
-    triangular basis over GF(p), else None.  Triangular: every leading
-    monomial is a pure power x_v^a (a >= 1), no two use the same
-    variable, and in ascending leading-monomial order no element
-    contains the variable of an earlier element's leading monomial.
-    A stage is (index, v, a, leading key, inverse leading coefficient,
-    tail), with the tail's negated terms grouped by x_v exponent as
-    [(t, {key: coefficient})].
-
-    The leading monomials are tested first, one fields() each, so a
-    basis that fails there costs no unpacking."""
+    triangular basis, else None.  Triangular: every leading monomial is
+    a pure power x_v^a (a >= 1), no two use the same variable, and in
+    ascending leading-monomial order no element contains the variable
+    of an earlier element's leading monomial (which covers the second
+    rule: a lead in an earlier lead's variable contains it).  A stage is
+    (index, v, a, leading key, inverse leading coefficient, tail), with
+    the tail's negated terms grouped by x_v exponent as
+    [(t, {key: coefficient})]."""
     order = ring.order
-    fields, G = order.fields, order.guard
-    lead = []
-    seen = set()
-    for i, b in enumerate(items):
-        if not b.terms:
-            continue
-        lmk = b.leading_key()
-        A = fields(lmk)
-        # the guard bit just above A's lowest set bit tops that field;
-        # a pure power has no bit above it (a constant has no field)
-        above = G & -(A & -A)
-        top = above & -above
-        if not A < top or top in seen:
-            return None
-        seen.add(top)
-        lead.append((lmk, i))
-    lead.sort()
-    p, n = ring.field.p, ring.nvars
+    p = ring.field.p
     stages = []
     done: list = []             # variables of earlier leading monomials
-    for lmk, i in lead:
+    for lmk, i in sorted((b.leading_key(), i) for i, b in enumerate(items) if b.terms):
+        lme = order.unpack(lmk)
+        powers = [v for v, a in enumerate(lme) if a]
         terms = items[i].terms
         keys = list(terms)
-        if any(any(order.column(keys, u)) for u in done):
+        if len(powers) != 1 or any(any(order.column(keys, u)) for u in done):
             return None
-        lme = order.unpack(lmk)
-        v = next(u for u in range(n) if lme[u])
+        v = powers[0]
         tails: dict = {}
         for k, t in zip(keys, order.column(keys, v)):
             if k != lmk:
@@ -316,11 +299,7 @@ def _divide_staged(ring: PolyRing, terms: dict, stages: list,
             for t, tail in tails:
                 low = rest if e - a + t < a else groups.setdefault(e - a + t, {})
                 live -= len(low)
-                # the shorter dict outside: the guard is checked per outer term
-                if len(q) < len(tail):
-                    mpoly._accumulate(low, q, tail, off)
-                else:
-                    mpoly._accumulate(low, tail, q, off)
+                mpoly._accumulate(low, tail, q, off)
                 live += len(low)
             if live > guard:
                 raise ResourceLimit(f"reduction exceeded {guard} terms")
@@ -346,8 +325,12 @@ class GroebnerBasis:
 
     @cached_property
     def plan(self) -> Optional[list]:
-        """_triangular's stages for the elements, or None."""
-        return _triangular(self.ring, self.elements)
+        """_triangular's stages for the elements under grevlex over
+        GF(p), else None; normal_form stages no other division."""
+        ring = self.ring
+        if ring.order.kind != "grevlex" or ring.field.e > 1:
+            return None
+        return _triangular(ring, self.elements)
 
     @cached_property
     def texts(self) -> tuple:

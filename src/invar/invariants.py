@@ -66,6 +66,8 @@ def _poly_ops(ring: PolyRing, q: int) -> tuple:
 
 def _point_ops(point: Sequence[FieldElement], q: int):
     """(L, packed ints, hooks on L's kernels) for a point in one field L."""
+    if not point:
+        raise UsageError("need n >= 1")
     L = point[0].spec
     if any(x.spec != L for x in point):
         raise ContextMismatch("point coordinates from different fields")
@@ -99,6 +101,10 @@ def _dickson(xs: Sequence, q: int, ops: tuple) -> list:
 
 def _xi(xs: Sequence, i: int, ops: tuple):
     """sum over pairs of X_{2k-1} X_{2k}^(q^i) - X_{2k} X_{2k-1}^(q^i)."""
+    if len(xs) % 2:
+        raise UsageError("symplectic constructions need evenly many variables")
+    if i < 1:
+        raise UsageError("xi index starts at 1")
     _, acc, add, sub, mul, _, frob = ops
     for k in range(len(xs) // 2):
         a, b = xs[2 * k], xs[2 * k + 1]
@@ -110,6 +116,8 @@ def _relation_sides(m: int, i: int, c: Sequence, xi: Sequence, ops: tuple):
     """Both sides of the i-th relation from c_0..c_{m-1} and
     xi_1..xi_{m-1} (index shifted by one); it reads xi up to
     xi_max(i, m - i) only."""
+    if not 1 <= i <= m // 2 - 1:
+        raise UsageError(f"relation index must be in [1, {m // 2 - 1}]")
     _, zero, add, sub, mul, _, frob = ops
     lhs = zero
     for j in range(i):
@@ -156,10 +164,6 @@ def dickson_at_point(point: Sequence[FieldElement], q: int) -> list:
 def symplectic_xi(ring: PolyRing, q: int, i: int) -> Polynomial:
     """xi_i = sum over pairs (X_{2k-1} X_{2k}^(q^i) - X_{2k} X_{2k-1}^(q^i));
     an Sp_{2n}(F_q) invariant of degree q^i + 1."""
-    if ring.nvars % 2:
-        raise UsageError("symplectic constructions need evenly many variables")
-    if i < 1:
-        raise UsageError("xi index starts at 1")
     return _xi(ring.gens(), i, _poly_ops(ring, q))
 
 
@@ -179,17 +183,15 @@ def symplectic_relation_sides(ring: PolyRing, q_spec: FieldSpec, i: int,
     for 1 <= i <= n-1.  dicksons lists c_0..c_{2n-1}; xis lists
     xi_1..xi_{2n-1} (index shifted by one).
     """
-    m = ring.nvars              # 2n
-    if not 1 <= i <= m // 2 - 1:
-        raise UsageError(f"relation index must be in [1, {m // 2 - 1}]")
-    return _relation_sides(m, i, dicksons, xis, _poly_ops(ring, q_spec.order))
+    return _relation_sides(ring.nvars, i, dicksons, xis, _poly_ops(ring, q_spec.order))
 
 
 def symplectic_relation_values(point: Sequence[FieldElement], q: int, i: int):
     """The two sides of the i-th relation at one point, from packed c and xi."""
     m = len(point)
     L, xs, ops = _point_ops(point, q)
-    xi = [_xi(xs, k, ops) for k in range(1, max(i, m - i) + 1)]
+    # xi_1..xi_{m-i}, the ones relation i reads; fewer than m for any i
+    xi = [_xi(xs, k, ops) for k in range(1, m - max(i, 1) + 1)]
     sides = _relation_sides(m, i, _dickson(xs, q, ops), xi, ops)
     return tuple(FieldElement(L, v) for v in sides)
 

@@ -667,8 +667,10 @@ def _pack_slices(tc: str, nbytes: int, offsets: list, index: list, coeffs) -> li
 
 def _accumulate(acc: dict, a: dict, b: dict, off: int) -> None:
     """acc[ka + kb - off] += ca * cb for every term pair of two GF(p)
-    term dicts, as unreduced ints; TERM_GUARD is checked on acc once per
-    term of a."""
+    term dicts, as unreduced ints; the shorter dict (a on a tie) is the
+    outer loop, and TERM_GUARD is checked on acc once per outer term."""
+    if len(a) > len(b):
+        a, b = b, a
     get = acc.get
     guard = TERM_GUARD
     for k1, c1 in a.items():

@@ -13,10 +13,10 @@ without parentheses: 'g^2+2*g+1', and also 'g*2' or '2*g*g'.  A
 parenthesized element is an extension field coefficient, e.g.
 (g^2+2*g+1)*x1.  The canonical printer in mpoly emits this grammar.
 
-parse_poly has two paths.  _parse_canonical reads the prime-field text
-Polynomial.text() prints (ASCII, no spaces or parentheses) in one pass
-of str.split.  Any other text, and any term of total degree EXP_CAP or
-more, goes to the reference parser (_Tokens and _parse_term, which also
+parse_poly has two paths.  _parse_canonical reads the integer-coefficient
+text Polynomial.text() prints (ASCII, no spaces or parentheses) in one
+pass of str.split.  Any other text, and any term of total degree EXP_CAP
+or more, goes to the reference parser (_Tokens and _parse_term, which also
 reads element text), the only source of ParseError messages and of the
 exponent ResourceLimit.  Repeated monomials are summed by mpoly._merge.
 
@@ -197,10 +197,11 @@ _SIGNS = re.compile(r"([+-])")
 
 
 def _parse_canonical(text: str, ring: PolyRing) -> Optional[Polynomial]:
-    """One pass over canonical prime-field text; None for any text the
-    reference parser must read (or reject).  A key is offset + sum of
-    exponent * step (TermOrder); below EXP_CAP in total degree none wraps."""
-    if ring.field.e > 1 or not text.isascii():
+    """One pass over canonical text with integer coefficients (in any
+    GF(p^e) their packed ints are their residues mod p); None for any
+    text the reference parser must read (or reject).  A key is offset +
+    sum of exponent * step (TermOrder); below EXP_CAP none wraps."""
+    if not text.isascii():
         return None
     index, steps, cap = ring._index, ring.order.steps, EXP_CAP
     seen: dict = {}                # factor text -> (exponent, exponent * step)
@@ -225,7 +226,7 @@ def _parse_canonical(text: str, ring: PolyRing) -> Optional[Polynomial]:
                     a = int(a) if caret else 1
                     f = seen[fac] = (a, a * steps[i])
                 d, key = d + f[0], key + f[1]
-            c = (-c if k and parts[k - 1] == "-" else c) % p
+            c = (-c if parts[k - 1] == "-" else c) % p
             if c:
                 if d >= cap:
                     return None
@@ -390,9 +391,8 @@ def parse_certificate_text(text: str) -> MembershipCertificate:
     single = {}                       # "target" / "remainder" -> polynomial
     basis = []
     cofactors = {}
-    pending: Optional[int] = None     # the index of a cofactor-of line ...
-    opened = 0                        # ... and its line, until its poly line
-    for lineno, tag, payload in rest:
+    lines = iter(rest)
+    for lineno, tag, payload in lines:
         try:
             if tag in ("target", "remainder"):
                 if tag in single:
@@ -401,26 +401,23 @@ def parse_certificate_text(text: str) -> MembershipCertificate:
             elif tag == "basis":
                 basis.append(parse_poly(payload, ring))
             elif tag == "cofactor-of":
-                if pending is not None:
-                    break                 # the open index is refused below
                 try:
-                    pending = int(payload)
+                    index = int(payload)
                 except ValueError:
                     raise ParseError(f"bad cofactor index {payload!r}") from None
-                if pending in cofactors:
-                    raise ParseError(f"repeated cofactor index {pending}")
-                opened = lineno
+                if index in cofactors:
+                    raise ParseError(f"repeated cofactor index {index}")
+                line = next(lines, None)
+                if line is None or line[1] != "poly":
+                    raise ParseError(f"cofactor index {index} has no poly line")
+                lineno, _, payload = line
+                cofactors[index] = parse_poly(payload, ring)
             elif tag == "poly":
-                if pending is None:
-                    raise ParseError("cofactor poly without an index")
-                cofactors[pending] = parse_poly(payload, ring)
-                pending = None
+                raise ParseError("cofactor poly without an index")
             else:
                 raise ParseError(f"unexpected tag {tag!r}")
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-    if pending is not None:
-        raise ParseError(f"line {opened}: cofactor index {pending} has no poly line")
     if len(single) < 2:
         raise ParseError("certificate is missing a target or remainder line")
     if set(cofactors) != set(range(len(basis))):

@@ -4,11 +4,13 @@ certificate parser included), the witness formatter a report runs on
 first read, the report's bound rule, run_claim's parameter checks, the
 alternating-group claim with its product normal form, the run
 configuration's bounds, the element kernels each kind of GF(p^e) binds,
-the identity shortcut of element operands, the modulus search, the
-embedding rule of GF(p) coefficients, evaluation at a point, the nested
-sums of substitute, the heap division loop, powering by halving, the
-gate and slicing of the Kronecker product, and the invariant bodies both
-readings run with the field check of the point reading.
+the field check of element operands, the modulus search, the embedding
+rule of GF(p) coefficients, evaluation at a point, the nested sums of
+substitute, the heap division loop, the shape rules of the staged
+division plan and the order/field test that gates it, powering by
+halving, the gate and slicing of the Kronecker product, and the
+invariant bodies both readings run with the input rules and the field
+check of the point reading.
 
     python3 tests/mutate_replay.py
 
@@ -50,7 +52,7 @@ TARGETS = (
                             "_witness_text"),
      ("tests/test_fsing.py",)),
     ("src/invar/groebner.py", ("MembershipCertificate.check", "normal_form_of_product",
-                               "_divide_heap"),
+                               "_divide_heap", "_triangular", "GroebnerBasis.plan"),
      ("tests/test_fsing.py", "tests/test_groebner.py")),
     ("src/invar/polyio.py", ("_parse_header", "parse_certificate_text", "_Tokens",
                              "_parse_term", "_gpoly_rep", "_parse_canonical"),
@@ -73,18 +75,6 @@ TESTS = ("tests/test_fsing.py", "tests/test_byte_pin.py",
          "tests/test_invariants.py")
 
 EQUIVALENT = {
-    "_parse_canonical: drop ring.field.e > 1 #1":
-        "over GF(p^e) text without parentheses has coefficients in GF(p), "
-        "whose packed ints are their residues mod p, so the one-pass parser "
-        "reads the same terms the reference parser does",
-    "_parse_canonical: drop k #1":
-        "for k = 0, parts[k - 1] is the last term's text, which holds no sign",
-    "FieldElement._coerce: drop other.spec is not self.spec #1":
-        "the identity test only skips the structural comparison, which is "
-        "also False for the same spec",
-    "FieldElement.__eq__: drop other.spec is self.spec #1":
-        "the identity test only skips the structural comparison, which is "
-        "also True for the same spec",
     "_kronecker: if _SWAP -> False #1":
         "_SWAP holds only on a big-endian host, where the slots must be "
         "byteswapped; on a little-endian one the swap never runs",

@@ -1552,9 +1552,9 @@ def test_documents_at_the_config_limits_replay():
 
 def test_identity_claim_past_a_guard(monkeypatch):
     """An exact expansion past TERM_GUARD: exact mode is SKIPPED, with
-    no witness; auto mode samples instead, and its witness replays while
-    the guard stays as low (at the default guard the rerun expands and
-    writes another witness)."""
+    no witness; auto mode samples instead, drawing the points that mode
+    "probabilistic" draws, and its witness replays under that guard and
+    under the default one: replay samples again instead of expanding."""
     monkeypatch.setattr(mpoly, "TERM_GUARD", 10)
     rep = verify_sp4_relation(2, FAST, mode="exact")
     assert rep.verdict == "SKIPPED" and rep.witness is None
@@ -1564,7 +1564,37 @@ def test_identity_claim_past_a_guard(monkeypatch):
     assert rep.detail[0] == ("exact path hit a guard (product exceeds 10 terms); "
                              "sampling instead")
     assert rep.parameters["trials"] == FAST.trials
-    assert replay_document(witness_document(rep))
+    sampled = run_claim("sp4-relation", FAST, q=2, mode="probabilistic")
+    assert rep.witness == sampled.witness and rep.bound == sampled.bound
+    doc = json.loads(witness_document(rep))
+    assert _replays(doc)
+    monkeypatch.undo()
+    assert _replays(doc)
+    # the exact path expands at the default guard; that document has no
+    # trials and still replays by expanding
+    exact = json.loads(witness_document(run_claim("sp4-relation", FAST, q=2, mode="auto")))
+    assert exact["verdict"] == "VERIFIED" and "trials" not in exact["params"]
+    assert _replays(exact)
+
+
+@pytest.mark.parametrize("guard", [10, None])
+def test_sampled_auto_witness_with_a_forged_point_replays_false(guard, monkeypatch):
+    """A sampled auto document that claims a separating point its seed
+    does not draw, or that records mode "exact", replays False under
+    either guard."""
+    monkeypatch.setattr(mpoly, "TERM_GUARD", 10)
+    doc = json.loads(witness_document(run_claim("sp4-relation", FAST, q=2, mode="auto")))
+    if guard is None:
+        monkeypatch.undo()
+    witness = doc["witness"]
+    forged = dict(witness, points=witness["points"][:1], lhs=witness["lhs"][:1],
+                  rhs=[witness["lhs"][0] + "+1"], mismatch=0)
+    assert not _replays(dict(doc, verdict="REFUTED", witness=forged))
+    assert not _replays(dict(doc, verdict="REFUTED", witness=dict(forged, rhs=witness["rhs"][:1])))
+    assert not _replays(dict(doc, params=dict(doc["params"], mode="exact")))
+    # the same draws prove the same bound in mode "probabilistic"
+    assert _replays(doc)
+    assert _replays(dict(doc, params=dict(doc["params"], mode="probabilistic")))
 
 
 def test_relations_n3_separating_sample(monkeypatch):

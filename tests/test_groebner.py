@@ -17,7 +17,7 @@ from invar.groebner import (GroebnerBasis, MembershipCertificate, buchberger,
                             frobenius_power_ideal, ideal_member, normal_form,
                             normal_form_of_product, _spoly)
 from invar.fsing import symmetric_ideal_gb
-from invar.invariants import vandermonde, vandermonde_rows
+from invar.invariants import elementary_symmetric, vandermonde, vandermonde_rows
 from oracles import (contains, eliminate, leading_coeff, membership_by_linear_algebra,
                      random_poly, reference_normal_form)
 
@@ -440,16 +440,16 @@ def test_field_divisibility_matches_tuples(data):
 # reference division
 # ---------------------------------------------------------------------------
 
-def _spy_staged(mp) -> list:
-    """Record every call of the staged division path."""
+def _spy_division(mp, name="_divide_staged") -> list:
+    """Record every call of one division path."""
     calls = []
-    staged = groebner._divide_staged
+    divide = getattr(groebner, name)
 
     def spy(*args):
         calls.append(args)
-        return staged(*args)
+        return divide(*args)
 
-    mp.setattr(groebner, "_divide_staged", spy)
+    mp.setattr(groebner, name, spy)
     return calls
 
 
@@ -488,15 +488,19 @@ def _triangular_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=_triangular_cases())
 def test_staged_division_matches_heap_and_reference(case):
+    """A triangular GroebnerBasis is staged; the same elements as a
+    plain list run the heap loop; both give the reference's quotients
+    and remainder."""
     f, basis = case
+    gb = GroebnerBasis(f.ring, tuple(basis))
     with pytest.MonkeyPatch.context() as mp:
-        calls = _spy_staged(mp)
-        got = normal_form(f, basis, certificate=True)
-        plain = normal_form(f, basis)
-        assert len(calls) == (2 if f else 0)
-        mp.setattr(groebner, "_triangular", lambda ring, items: None)
+        calls = _spy_division(mp)
+        heap_calls = _spy_division(mp, "_divide_heap")
+        got = normal_form(f, gb, certificate=True)
+        plain = normal_form(f, gb)
+        assert len(calls) == (2 if f else 0) and len(heap_calls) == (0 if f else 2)
         heap = normal_form(f, basis, certificate=True)
-        assert len(calls) == (2 if f else 0)
+        assert len(calls) == (2 if f else 0) and len(heap_calls) == (1 if f else 3)
     ref = reference_normal_form(f, basis, certificate=True)
     assert got.remainder == plain == heap.remainder == ref.remainder
     assert got.cofactors == heap.cofactors == ref.cofactors
@@ -504,9 +508,12 @@ def test_staged_division_matches_heap_and_reference(case):
 
 
 def _heap_cases():
-    """name -> (target, basis, the rule that rejects the basis shape):
-    "lead" for the leading-monomial rules, "terms" for a later element
-    holding an earlier leading variable, None for a triangular basis."""
+    """name -> (target, basis, why a GroebnerBasis of it is not staged):
+    "lead" for the leading-monomial rules and "terms" for a later
+    element holding an earlier leading variable, which _triangular
+    rejects; "ring" for a triangular shape outside grevlex over GF(p),
+    which GroebnerBasis.plan rejects; "degree" for a plan with a target
+    at the degree cap."""
     R = PolyRing(field(5), ["x", "y", "z"])
     x, y, z = R.gens()
     f = (x + y + z + 1) ** 4
@@ -516,36 +523,30 @@ def _heap_cases():
         "non-pure-power lead": (f, [x * y + z, z ** 3], "lead"),
         "repeated leading variable": (f, [x ** 2 + y, x ** 3 + z], "lead"),
         "later element holds an earlier leading variable": (f, [x + y, y ** 2 + x], "terms"),
-        "total degree at the cap": (R.monomial((cap - 1, 1, 0)), [top + z], None),
+        "total degree at the cap": (R.monomial((cap - 1, 1, 0)), [top + z], "degree"),
     }
     for name, ring in (("GF(9)", PolyRing(field(3, 2), ["x", "y", "z"])),
                        ("lex", PolyRing(field(5), ["x", "y", "z"], "lex"))):
         a, b, c = ring.gens()
         # triangular in both orders: the lead with the smaller key
         # (x^2 in grevlex, y^3 in lex) is on no other element
-        cases[name] = ((a + b + c + 1) ** 4, [a ** 2 + c, b ** 3 + c], None)
+        cases[name] = ((a + b + c + 1) ** 4, [a ** 2 + c, b ** 3 + c], "ring")
     return cases
-
-
-def _unpack_refused(*args):
-    raise AssertionError("a basis rejected on its leading monomials was unpacked")
 
 
 @pytest.mark.parametrize("name", sorted(_heap_cases()))
 def test_heap_path_serves_every_other_basis(name, monkeypatch):
-    f, basis, rule = _heap_cases()[name]
-    if rule is not None:
-        with monkeypatch.context() as mp:
-            if rule == "lead":
-                mp.setattr(TermOrder, "column", _unpack_refused)
-                mp.setattr(TermOrder, "columns", _unpack_refused)
-            assert groebner._triangular(f.ring, basis) is None
-    calls = _spy_staged(monkeypatch)
-    got = normal_form(f, basis, certificate=True)
-    assert not calls
+    f, basis, why = _heap_cases()[name]
+    gb = GroebnerBasis(f.ring, tuple(basis))
+    assert (groebner._triangular(f.ring, basis) is None) == (why in ("lead", "terms"))
+    assert (gb.plan is None) == (why != "degree")
+    calls = _spy_division(monkeypatch)
     ref = reference_normal_form(f, basis, certificate=True)
-    assert got.remainder == ref.remainder and got.cofactors == ref.cofactors
-    assert got.check()
+    for divisor in (gb, basis):
+        got = normal_form(f, divisor, certificate=True)
+        assert got.remainder == ref.remainder and got.cofactors == ref.cofactors
+        assert got.check()
+    assert not calls
 
 
 def test_staged_path_boundaries(monkeypatch):
@@ -555,42 +556,36 @@ def test_staged_path_boundaries(monkeypatch):
     x, y, z = R.gens()
     f, basis = (x + y + z + 1) ** 4, [x ** 2 + z, y ** 3 + z]
     cap = mpoly.EXP_CAP
-    calls = _spy_staged(monkeypatch)
-    assert normal_form(f, basis) == reference_normal_form(f, basis)
+    calls = _spy_division(monkeypatch)
+    assert normal_form(f, GroebnerBasis(R, tuple(basis))) == reference_normal_form(f, basis)
     target = R.monomial((cap - 2, 1, 0))
-    assert normal_form(target, [R.monomial((cap - 1, 0, 0)) + z]) == target
+    assert normal_form(target, GroebnerBasis(R, (R.monomial((cap - 1, 0, 0)) + z,))) == target
     assert len(calls) == 2
 
 
 def test_staged_division_trips_term_guard(monkeypatch):
     ring = PolyRing(field(5), ["x", "y", "z"])
     x, y, z = ring.gens()
-    basis = [x ** 2 + y ** 2 + y * z + z ** 2 + y + z + 1]
+    gb = GroebnerBasis(ring, (x ** 2 + y ** 2 + y * z + z ** 2 + y + z + 1,))
     # one term per x exponent: the first step adds six terms to a group
     # of one, so only the live count over all groups passes the guard
     f = sum((x ** k for k in range(12)), ring.zero)
-    calls = _spy_staged(monkeypatch)
+    calls = _spy_division(monkeypatch)
     monkeypatch.setattr(mpoly, "TERM_GUARD", 12)
     with pytest.raises(ResourceLimit, match="reduction exceeded 12 terms"):
-        normal_form(f, basis)
+        normal_form(f, gb)
     assert calls
 
 
 def test_heap_division_trips_term_guard(monkeypatch):
-    """x*y leads x*y + z^2 + 1, so no staged plan: the heap loop's dict
-    starts with f's terms and passes a guard one below that count at
-    its first reduction step."""
+    """A plain list runs the heap loop, whose dict starts with f's terms
+    and passes a guard one below that count at its first reduction
+    step."""
     ring = PolyRing(field(5), ["x", "y", "z"])
     x, y, z = ring.gens()
     f = (x + y + z) ** 4
-    heap = groebner._divide_heap
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return heap(*args)
-    monkeypatch.setattr(groebner, "_divide_heap", spy)
-    staged = _spy_staged(monkeypatch)
+    calls = _spy_division(monkeypatch, "_divide_heap")
+    staged = _spy_division(monkeypatch)
     monkeypatch.setattr(mpoly, "TERM_GUARD", len(f) - 1)
     with pytest.raises(ResourceLimit, match=f"reduction exceeded {len(f) - 1} terms"):
         normal_form(f, [x * y + z ** 2 + 1])
@@ -611,7 +606,9 @@ def _planned_matches_plain(f, basis):
         assert got.remainder == ref.remainder and got.cofactors == ref.cofactors
         assert got.basis == tuple(basis) and got.check()
         assert normal_form(f, divisor) == ref.remainder
-    assert gb.plan == groebner._triangular(f.ring, list(basis))
+    ring = f.ring
+    shaped = ring.order.kind == "grevlex" and ring.field.e == 1
+    assert gb.plan == (groebner._triangular(ring, list(basis)) if shaped else None)
 
 
 @settings(max_examples=60, deadline=None)
@@ -633,19 +630,16 @@ def test_planned_division_keeps_the_degree_gate(monkeypatch):
     x, y, z = R.gens()
     top = R.monomial((mpoly.EXP_CAP - 1, 0, 0))
     basis = [top + z, y ** 3 + z]
-    assert groebner._triangular(R, basis) is not None
-    calls = _spy_staged(monkeypatch)
+    assert GroebnerBasis(R, tuple(basis)).plan is not None
+    calls = _spy_division(monkeypatch)
     _planned_matches_plain((x + y + z + 1) ** 4, basis)
-    assert len(calls) == 4
+    assert len(calls) == 2
     _planned_matches_plain(top * y, basis)
-    assert len(calls) == 4
+    assert len(calls) == 2
 
 
-@pytest.mark.parametrize("triangular", [True, False])
-def test_plan_is_made_once_per_basis(triangular, monkeypatch):
-    R = PolyRing(field(5), ["x", "y", "z"])
-    x, y, z = R.gens()
-    basis = [x ** 2 + z, y ** 3 + z] if triangular else [x + y, y ** 2 + x]
+def _spy_shape(mp) -> list:
+    """Record the items of every _triangular call."""
     calls = []
     shape = groebner._triangular
 
@@ -653,17 +647,41 @@ def test_plan_is_made_once_per_basis(triangular, monkeypatch):
         calls.append(items)
         return shape(ring, items)
 
-    monkeypatch.setattr(groebner, "_triangular", spy)
+    mp.setattr(groebner, "_triangular", spy)
+    return calls
+
+
+@pytest.mark.parametrize("triangular", [True, False])
+def test_plan_is_made_once_per_basis(triangular, monkeypatch):
+    R = PolyRing(field(5), ["x", "y", "z"])
+    x, y, z = R.gens()
+    basis = [x ** 2 + z, y ** 3 + z] if triangular else [x + y, y ** 2 + x]
+    calls = _spy_shape(monkeypatch)
     gb = GroebnerBasis(R, tuple(basis))
     f = (x + y + z + 1) ** 4
     for _ in range(3):
         normal_form(f, gb)
         normal_form(f, gb, certificate=True)
         ideal_member(f, gb, certificate=True)
-    assert len(calls) == 1 and (gb.plan is None) != triangular
+    assert calls == [gb.elements] and (gb.plan is None) != triangular
+    # a plain list is never planned: it runs the heap loop
+    heap = _spy_division(monkeypatch, "_divide_heap")
     normal_form(f, basis)
-    normal_form(f, basis)
-    assert len(calls) == 3
+    normal_form(f, basis, certificate=True)
+    assert len(calls) == 1 and len(heap) == 2
+
+
+def test_buchberger_plans_only_its_result(monkeypatch):
+    """The S-pair reductions and the autoreduction divide by plain
+    lists, so building the reduced basis of (e_1..e_4) makes no plan;
+    dividing by the result makes one."""
+    R = PolyRing(field(7), [f"x{i}" for i in range(4)])
+    calls = _spy_shape(monkeypatch)
+    gb = buchberger([elementary_symmetric(R, k) for k in range(1, 5)])
+    assert not calls
+    target = vandermonde(R)
+    assert normal_form(target, gb) == normal_form(target, list(gb))
+    assert calls == [gb.elements] and gb.plan is not None
 
 
 def test_groebner_basis_is_immutable():

@@ -285,6 +285,59 @@ def test_point_readings_refuse_mixed_fields(reading, odd):
         reading(tuple(P))
 
 
+def _refusals(polynomial, point) -> tuple:
+    """The UsageError message of each reading of the same input."""
+    messages = []
+    for reading in (polynomial, point):
+        with pytest.raises(UsageError) as info:
+            reading()
+        messages.append(str(info.value))
+    return tuple(messages)
+
+
+def _point(n, q=2):
+    rng = random.Random(n)
+    L = field(q, 8)
+    return tuple(L.random_element(rng) for _ in range(n))
+
+
+@pytest.mark.parametrize("n, q, message", [
+    (0, 2, "need n >= 1"),
+    (2, 3, "q = 3 is not a power of the characteristic 2"),
+])
+def test_dickson_readings_refuse_the_same_inputs(n, q, message):
+    """No variables (an empty point), and a q of another characteristic
+    than the ring or the point."""
+    ring = xring(field(2), n) if n else None
+    assert _refusals(lambda: dickson_invariants(n, field(q), ring),
+                     lambda: dickson_at_point(_point(n), q)) == (message, message)
+
+
+@pytest.mark.parametrize("n, i, message", [
+    (3, 1, "symplectic constructions need evenly many variables"),
+    (4, 0, "xi index starts at 1"),
+    (4, -1, "xi index starts at 1"),
+])
+def test_xi_readings_refuse_the_same_inputs(n, i, message):
+    """An odd variable count (the point reading used to drop the last
+    coordinate) and an index below 1 (it used to read 0)."""
+    assert _refusals(lambda: symplectic_xi(xring(field(2), n), 2, i),
+                     lambda: symplectic_xi_value(_point(n), 2, i)) == (message, message)
+
+
+@pytest.mark.parametrize("i", [0, 2, 3, 5, 10 ** 9])
+def test_relation_readings_refuse_the_same_inputs(i):
+    """On four variables only i = 1 is a relation; the point reading
+    used to return values for i = 2 and 3 and raise IndexError at 5, and
+    builds fewer than four xi for any i before refusing."""
+    R = xring(field(2), 4)
+    cs = dickson_invariants(4, field(2), R)
+    xis = [symplectic_xi(R, 2, k) for k in (1, 2, 3)]
+    message = "relation index must be in [1, 1]"
+    assert _refusals(lambda: symplectic_relation_sides(R, field(2), i, cs, xis),
+                     lambda: symplectic_relation_values(_point(4), 2, i)) == (message, message)
+
+
 def test_relation_index_bounds():
     R = xring(field(2), 4)
     cs = dickson_invariants(4, field(2), R)

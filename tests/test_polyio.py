@@ -231,11 +231,13 @@ def test_certificate_repeated_line_is_a_parse_error(R, extra, message):
     (lambda good: good + "cofactor-of: 1\n", 9, 1),
     (lambda good: good.replace("cofactor-of: 0\n", "cofactor-of: 1\ncofactor-of: 0\n"), 6, 1),
     (lambda good: good.replace("poly: 0\n", ""), 6, 0),
-], ids=["at-the-end", "before-another-index", "before-the-remainder"])
+    (lambda good: good.replace("poly: 0\nremainder: x\n", "remainder: x\npoly: 0\n"), 6, 0),
+], ids=["at-the-end", "before-another-index", "before-the-remainder", "separated"])
 def test_certificate_cofactor_index_without_a_poly_is_a_parse_error(R, edit, line, index):
     """A cofactor-of line must be followed by its poly line: at the end
     of the text, before another cofactor-of or before the remainder, the
-    open index raises at its own line instead of being dropped."""
+    open index raises at its own line instead of being dropped, and a
+    poly line after another line is not its poly line."""
     x, y, _ = R.gens()
     good = format_certificate(MembershipCertificate(x, [y], [R.zero], x))
     assert good.splitlines()[5:7] == ["cofactor-of: 0", "poly: 0"]
