@@ -21,8 +21,8 @@ run_claim runs every claim by id, the alternating ones included,
 refuses a parameter other than mode that is not an int, and times the
 claim.  A report keeps the membership certificates its witness holds as
 objects; their text is built the first time the report's witness is
-read (_witness_text), so a run that never reads a witness never formats
-one, and elapsed does not include the formatting.
+read (_witness_text), as is that of its elements, so a run that never
+reads a witness never formats one, and elapsed does not include it.
 """
 
 from __future__ import annotations
@@ -93,9 +93,9 @@ class VerificationReport:
     it is 0 for VERIFIED and None otherwise.  elapsed is the wall time
     run_claim measured; a check function called directly leaves it at
     0.0.  raw_witness is the witness dict the check built, which may hold
-    MembershipCertificate objects.  witness is the same dict with every
-    certificate in it replaced by its text: the text is built the first
-    time witness is read and kept, so elapsed does not include it."""
+    MembershipCertificate and FieldElement objects.  witness is the same
+    dict with each of them replaced by its text: the text is built the
+    first time witness is read and kept, so elapsed does not include it."""
     claim_id: str
     parameters: dict
     verdict: str
@@ -119,13 +119,18 @@ class VerificationReport:
 
 def _witness_text(witness: Optional[dict]) -> Optional[dict]:
     """The one place a witness becomes text: each certificate at the top
-    of witness or in one of its items is replaced by its text, in place.
-    A witness without a certificate comes back untouched."""
+    of witness or in one of its items is replaced by its text, and so are
+    the elements of a points witness, in place.  Any other witness comes
+    back untouched."""
     if witness is not None:
         for part in (witness, *witness.get("items", ())):
             for key, value in part.items():
                 if isinstance(value, MembershipCertificate):
                     part[key] = format_certificate(value)
+            if part.get("kind") == "points":
+                part["points"] = [list(map(str, P)) for P in part["points"]]
+                for key in ("lhs", "rhs"):
+                    part[key] = list(map(str, part[key]))
     return witness
 
 
@@ -213,16 +218,8 @@ def check_presentation(pres: Presentation) -> bool:
 
 def _points_witness(L: FieldSpec, pts, lhs_vals, rhs_vals, extras: dict,
                     **more) -> dict:
-    w = {
-        "kind": "points",
-        "field": L.serialize(),
-        "points": [[str(x) for x in P] for P in pts],
-        "lhs": [str(v) for v in lhs_vals],
-        "rhs": [str(v) for v in rhs_vals],
-    }
-    w.update(extras)
-    w.update(more)
-    return w
+    return {"kind": "points", "field": L.serialize(), "points": pts,
+            "lhs": lhs_vals, "rhs": rhs_vals, **extras, **more}
 
 
 def _verify_identity(claim_id: str, params: dict, config: RunConfig,

@@ -198,7 +198,8 @@ class _Quotient:
 
     __slots__ = ("p", "e", "order", "modulus", "_slot", "_typecode", "_chunk",
                  "_red", "_high", "_frob", "_modp", "_pones", "_gen",
-                 "_mod", "_vadd", "_vsub", "_vneg", "_vmul", "_vpow", "_vfrob")
+                 "_mod", "_vadd", "_vsub", "_vneg", "_vmul", "_vpow", "_vfrob",
+                 "_vdraw", "_vtext")
 
     def __init__(self, p: int, e: int, modulus: Optional[tuple]):
         self.p = p
@@ -266,9 +267,14 @@ class _Quotient:
         self._bind(mod, vmul, vfrob)
 
     def _bind_tables(self) -> None:
-        """The table kernels; _high maps the high e - 1 slots of a product."""
-        e, high, mod, modp = self.e, self._high, self._mod, self._modp
+        """The table kernels; _high maps the high e - 1 slots of a product.
+        _vdraw (index to rep) and _vtext (rep to text), which serve from_index
+        and text, look up the same runs of slots through tables built on
+        first use; other fields keep the digit loop and _poly_text."""
+        p, e, high, mod, modp = self.p, self.e, self._high, self._mod, self._modp
         frob = self._frob = {}
+        runs = [range(s, min(s + self._chunk, e)) for s in range(0, e, self._chunk)]
+        draws = texts = None
         def vmul(a, b):
             data = (a * b).to_bytes(2 * e - 1, "little").translate(modp)
             acc = int.from_bytes(data[:e], "little")
@@ -287,7 +293,38 @@ class _Quotient:
             for cut, table in tables:
                 acc += table[data[cut]]
             return int.from_bytes(acc.to_bytes(e, "little").translate(modp), "little")
+        def vdraw(i):
+            # the last run holds the lowest base-p digits of i; its table
+            # maps them to the run's bytes, slot e - 1 first (big-endian)
+            nonlocal draws
+            if draws is None:
+                draws = [(p ** len(run), [bytes(t[::-1]) for t in
+                                          product(range(p), repeat=len(run))])
+                         for run in reversed(runs)]
+            pieces = []
+            for m, table in draws:
+                i, v = divmod(i, m)
+                pieces.append(table[v])
+            return int.from_bytes(b"".join(pieces), "big")
+        def vtext(a):
+            nonlocal texts
+            if texts is None:
+                texts = [(slice(run.start, run.stop), self._text_table(run))
+                         for run in reversed(runs)]
+            data = a.to_bytes(e, "little")
+            return "+".join([t for cut, table in texts if (t := table[data[cut]])]) or "0"
+        self._vdraw, self._vtext = vdraw, vtext
         self._bind(mod, vmul, vfrob)
+
+    def _text_table(self, run: range) -> dict:
+        """The map from a run's slot bytes to the '+'-joined _poly_text of
+        its nonzero terms, highest power first, built whole by doubling."""
+        table = {b"": ""}
+        for j in run:
+            terms = [""] + [_poly_text((0,) * j + (c,)) for c in range(1, self.p)]
+            table = {key + bytes((c,)): "+".join(filter(None, (terms[c], t)))
+                     for c in range(self.p) for key, t in table.items()}
+        return table
 
     def _bind(self, mod, vmul, vfrob) -> None:
         """An extension's kernels from its variant's mod, vmul and vfrob."""
@@ -429,9 +466,17 @@ class FieldSpec(_Quotient):
         """The coefficient tuple of a rep, constant term first."""
         return tuple(self._unpack(rep, self.e))
 
+    def text(self, rep: int) -> str:
+        """The text of a rep, descending powers: 'g^2+2*g+1'."""
+        if self._chunk:
+            return self._vtext(rep)
+        return _poly_text(self.coeffs(rep))
+
     def from_index(self, i: int) -> "FieldElement":
         if not 0 <= i < self.order:
             raise UsageError(f"index {i} out of range for {self}")
+        if self._chunk:
+            return FieldElement(self, self._vdraw(i))
         digits = []
         for _ in range(self.e):
             i, d = divmod(i, self.p)
@@ -580,7 +625,7 @@ class FieldElement:
         return hash((self.spec, self.rep))
 
     def __str__(self):
-        return _poly_text(self.spec.coeffs(self.rep))
+        return self.spec.text(self.rep)
 
     def __repr__(self):
         return f"<{self} in {self.spec}>"

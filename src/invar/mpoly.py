@@ -65,8 +65,7 @@ from operator import mul, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ContextMismatch, ResourceLimit, UsageError
-from .gf import (_SWAP, FieldElement, FieldSpec, _poly_text, check_embedding,
-                 slot_typecode)
+from .gf import _SWAP, FieldElement, FieldSpec, check_embedding, slot_typecode
 
 EXP_CAP = 1 << 20
 TERM_GUARD = 10 ** 7
@@ -530,7 +529,7 @@ def _coeff_text(ring: PolyRing, c: int) -> str:
     # a constant is below p; any other element has a slot above the first
     if c < ring.field.p:
         return str(c)
-    return "(" + _poly_text(ring.field.coeffs(c)) + ")"
+    return "(" + ring.field.text(c) + ")"
 
 
 def _merge(out: dict, terms: dict, field: FieldSpec, sign: int = 1) -> None:

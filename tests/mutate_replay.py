@@ -59,8 +59,8 @@ TARGETS = (
      ("tests/test_polyio.py",)),
     ("src/invar/gf.py", ("is_prime", "find_irreducible", "_Quotient._bind_prime",
                          "_Quotient._bind_slots", "_Quotient._bind_tables", "_Quotient._bind",
-                         "_Quotient._tables", "check_embedding", "FieldElement._coerce",
-                         "FieldElement.__eq__"),
+                         "_Quotient._tables", "FieldSpec.text", "FieldSpec.from_index",
+                         "check_embedding", "FieldElement._coerce", "FieldElement.__eq__"),
      ("tests/test_gf.py",)),
     ("src/invar/mpoly.py", ("Polynomial.evaluate", "substitute", "_power", "_kronecker"),
      ("tests/test_mpoly.py", "tests/test_invariants.py")),

@@ -526,6 +526,25 @@ def test_points_witness_is_the_dict_the_check_built(monkeypatch):
     assert len(built) == 1 and rep.witness is built[0]
 
 
+def test_full_suite_formats_no_element_until_a_witness_is_read(monkeypatch):
+    """A points witness keeps its elements until it is read, so a full
+    run_suite, which reads no witness, formats no element."""
+    calls = []
+    text = gf.FieldSpec.text
+
+    def spy(spec, rep):
+        calls.append(rep)
+        return text(spec, rep)
+    monkeypatch.setattr(gf.FieldSpec, "text", spy)
+    reports = run_suite("full")
+    assert len(reports) == 64 and calls == []
+    rep = next(r for r in reports if r.claim_id == "relations-n3")
+    points = rep.raw_witness["items"][0]["points"]
+    assert all(isinstance(x, gf.FieldElement) for P in points for x in P)
+    assert rep.witness["items"][0]["points"] == [[str(x) for x in P] for P in points]
+    assert calls
+
+
 @pytest.mark.parametrize("claim", [
     lambda: sp4_fpurity_check(2, RunConfig(e_max=0)),
     lambda: verify_theorem_search(2, 3),

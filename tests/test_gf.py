@@ -1,6 +1,7 @@
 """Tests for finite field construction and arithmetic."""
 
 import copy
+import hashlib
 import pickle
 import random
 import time
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from invar import field, find_irreducible, gf, is_irreducible
 from invar.errors import ContextMismatch, FieldZeroDivision, ResourceLimit, UsageError
 from invar.gf import ENUM_CAP, FieldSpec
+from invar.mpoly import PolyRing
 from oracles import (TupleField, enumerate_elements, field_index,
                      irreducible_by_trial_division, is_prime_by_trial_division,
                      schoolbook_vmul)
@@ -576,3 +578,111 @@ def test_specs_and_elements_pickle():
         y = pickle.loads(pickle.dumps(x))
         assert y == x and y.spec is field(F.p, F.e, F.modulus)
         assert copy.deepcopy(F) == F and y * y == x * x
+
+
+# ---------------------------------------------------------------------------
+# Draws and element text through the tables of byte-slot fields
+# ---------------------------------------------------------------------------
+
+# every index of the small fields; seeded ones (with 0, 1 and order - 1)
+# of the others.  The last run of slots is partial in GF(729), GF(2^10)
+# and GF(3^32) (runs of 5, 8 and 5 slots)
+TABLE_FIELDS_ALL = [(2, 2), (2, 3), (3, 2), (2, 8), (3, 6)]
+TABLE_FIELDS_SEEDED = [(2, 10), (2, 32), (3, 32), (5, 3), (7, 2)]
+
+
+def _loop_rep(F, i):
+    """The digit loop: the e base-p digits of i, most significant first,
+    are the coefficients from the constant term up."""
+    digits = []
+    for _ in range(F.e):
+        i, d = divmod(i, F.p)
+        digits.append(d)
+    return F.element(tuple(reversed(digits))).rep
+
+
+@pytest.mark.parametrize("p,e", TABLE_FIELDS_ALL + TABLE_FIELDS_SEEDED)
+def test_table_draw_and_text_match_the_loop(p, e):
+    F = field(p, e)
+    assert F._chunk
+    if (p, e) in TABLE_FIELDS_ALL:
+        indices = range(F.order)
+    else:
+        rng = random.Random(p * 100 + e)
+        indices = [0, 1, F.order - 1] + [rng.randrange(F.order) for _ in range(1000)]
+    for i in indices:
+        x = F.from_index(i)
+        assert x.rep == _loop_rep(F, i)
+        assert str(x) == gf._poly_text(F.coeffs(x.rep))
+        assert field_index(F, x) == i
+    partial = e > F._chunk and e % F._chunk
+    assert bool(partial) == ((p, e) in [(3, 6), (2, 10), (3, 32)])
+
+
+def test_table_kernels_need_no_loop_once_built(monkeypatch):
+    """After their first use, a table field's draws and texts neither
+    pack digits (the loop's last step) nor call _poly_text; GF(5^32) and
+    GF(131^2), whose slots are wider than a byte, take the loop on every
+    call."""
+    def refuse(*args):
+        raise AssertionError("loop path taken")
+    fields = [FieldSpec(2, 8), FieldSpec(3, 6), FieldSpec(2, 32), FieldSpec(3, 32)]
+    expected = [(str(F.from_index(F.order - 2)), F.from_index(F.order - 2).rep)
+                for F in fields]
+    monkeypatch.setattr(gf._Quotient, "_pack", refuse)
+    monkeypatch.setattr(gf, "_poly_text", refuse)
+    assert [(str(F.from_index(F.order - 2)), F.from_index(F.order - 2).rep)
+            for F in fields] == expected
+    monkeypatch.undo()
+    calls = []
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def wrapped(*args):
+            calls.append(name)
+            return original(*args)
+        monkeypatch.setattr(owner, name, wrapped)
+    spy(gf._Quotient, "_pack")
+    spy(gf, "_poly_text")
+    for F in (field(5, 32), field(131, 2)):
+        assert F._chunk == 0
+        for _ in range(2):
+            calls.clear()
+            x = F.from_index(F.order - 2)
+            assert str(x) == F.text(x.rep) and calls == ["_pack", "_poly_text", "_poly_text"]
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (2, 8), (3, 32), (5, 32), (131, 2)])
+def test_from_index_refuses_out_of_range(p, e):
+    F = field(p, e)
+    for i in (-1, F.order):
+        with pytest.raises(UsageError):
+            F.from_index(i)
+    assert F.from_index(F.order - 1).rep == _loop_rep(F, F.order - 1)
+
+
+def test_table_field_texts_are_pinned():
+    """sha256 of the texts of the first 200 draws of random.Random(0),
+    one per line, as the digit loop and _poly_text printed them."""
+    pins = {(2, 32): "996313eb9f9f1110782e8643de478c67bb5d798f2b01c6757429ee1e12b3af19",
+            (3, 32): "96b7cfa46d2725f37837f562488949de4e07c152afaaf3bdfde1263b7ee8e604",
+            (2, 8): "93d2a5632508a81631e83af4ba59b06e8af9bdeb93268b1fcce158bc39a98b48",
+            (3, 6): "e10e5c2e765b3472ad78ba5bf9fb67850aaac413d259dae40178274ae0ae1881"}
+    for (p, e), pin in pins.items():
+        F, rng = field(p, e), random.Random(0)
+        text = "\n".join(str(F.random_element(rng)) for _ in range(200))
+        assert hashlib.sha256(text.encode()).hexdigest() == pin
+
+
+def test_polynomial_over_table_field_prints_unchanged():
+    F = field(3, 6)
+    R = PolyRing(F, ("x", "y", "z"), "grevlex")
+    f = R.from_terms({(2, 0, 1): F.element((1, 2, 0, 0, 1, 2)), (0, 1, 0): F.gen ** 5 + 2,
+                      (0, 0, 0): F.one, (1, 1, 1): F.element((0, 0, 0, 0, 0, 2))})
+    assert f.text() == "(2*g^5+g^4+2*g+1)*x^2*z+(2*g^5)*x*y*z+(g^5+2)*y+1"
+    rng = random.Random(5)
+    g = R.from_terms({(rng.randrange(6), rng.randrange(6), rng.randrange(6)):
+                      F.random_element(rng) for _ in range(300)})
+    assert len(g.terms) == 164 and hashlib.sha256(g.text().encode()).hexdigest() == \
+        "a186ddfaf7e3fb36c9066e72f471a25ad710849068c93cdebdd944f7ec650beb"
